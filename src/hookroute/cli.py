@@ -29,7 +29,7 @@ from .noncomposable import (
     solve_mean_variance,
 )
 from .routing import NoFeasibleRouteError, RoutingProblem, STATUS_OPTIMAL, solve_curve
-from .scenarios import pigou_problem, table1_problem
+from .scenarios import SCENARIOS, pigou_problem
 from .serialize import (
     ConfigError,
     hook_scenario_from_dict,
@@ -67,21 +67,23 @@ def parse_grid(text):
 
 
 def _fmt(value):
+    # Floats first: they fill most cells of the large tables.
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, chunks):
+    """Write the strings of `chunks` to a temporary file, then move it to `path`."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -90,7 +92,11 @@ def _atomic_write(path, text):
 
 
 class RunWriter:
-    """Collects output tables for one command and writes them plus a manifest."""
+    """Collects output tables for one command and writes them plus a manifest.
+
+    A table's rows may be any iterable, a generator included: `write` reads
+    them once and streams CSV lines to disk.
+    """
 
     def __init__(self, command, out_dir, config_record, seed=None, fmt="csv"):
         self.command = command
@@ -108,6 +114,14 @@ class RunWriter:
     def add_table(self, name, columns, rows):
         self.tables.append((name, list(columns), rows))
 
+    def _csv_lines(self, columns, rows):
+        yield f"# manifest: {self.config_hash}\n"
+        if self.seed is not None:
+            yield f"# seed: {self.seed}\n"
+        yield ",".join(columns) + "\n"
+        for row in rows:
+            yield ",".join(map(_fmt, row)) + "\n"
+
     def write(self):
         os.makedirs(self.out_dir, exist_ok=True)
         outputs = []
@@ -116,12 +130,7 @@ class RunWriter:
             filename = f"{name}.{ext}"
             path = os.path.join(self.out_dir, filename)
             if self.fmt == "csv":
-                lines = [f"# manifest: {self.config_hash}"]
-                if self.seed is not None:
-                    lines.append(f"# seed: {self.seed}")
-                lines.append(",".join(columns))
-                lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-                _atomic_write(path, "\n".join(lines) + "\n")
+                _atomic_write(path, self._csv_lines(columns, rows))
             else:
                 record = {
                     "manifest": self.config_hash,
@@ -129,7 +138,7 @@ class RunWriter:
                     "columns": columns,
                     "rows": [[_fmt(v) for v in row] for row in rows],
                 }
-                _atomic_write(path, json.dumps(record, sort_keys=True, indent=1) + "\n")
+                _atomic_write(path, [json.dumps(record, sort_keys=True, indent=1) + "\n"])
             outputs.append(filename)
         manifest = {
             "command": self.command,
@@ -140,7 +149,7 @@ class RunWriter:
         }
         _atomic_write(
             os.path.join(self.out_dir, f"{self.command.replace('-', '_')}_manifest.json"),
-            json.dumps(manifest, sort_keys=True, indent=1) + "\n",
+            [json.dumps(manifest, sort_keys=True, indent=1) + "\n"],
         )
         return outputs
 
@@ -178,10 +187,8 @@ def cmd_pigou(args):
 def _load_problem(spec_text):
     if os.path.exists(spec_text):
         return problem_from_dict(load_json(spec_text))
-    if spec_text == "pigou":
-        return pigou_problem(0.0)
-    if spec_text == "table1":
-        return table1_problem(0.0)
+    if spec_text in SCENARIOS:
+        return SCENARIOS[spec_text](0.0)
     raise ConfigError(
         f"problem {spec_text!r} is neither a file nor a built-in scenario", "problem"
     )
@@ -224,32 +231,30 @@ def cmd_route(args):
     return EXIT_OK
 
 
-def _config_error_from_value_error(exc):
-    raise ConfigError(str(exc), "") from exc
-
-
 def cmd_liquidate_solve(args):
     record = load_json(args.config)
     cfg, pool, params, _ = liquidation_config_from_dict(record)
     writer = RunWriter("liquidate-solve", args.out, record, fmt=args.format)
-    try:
-        vf, policy = value_iteration(cfg, pool, params)
-    except ValueError as exc:
-        _config_error_from_value_error(exc)
+    vf, policy = value_iteration(cfg, pool, params)
     if args.dump_times == "all":
         times = range(cfg.horizon)
     else:
         times = [int(t) for t in args.dump_times.split(",")]
         if any(not 0 <= t < cfg.horizon for t in times):
             raise ConfigError("dump time outside the horizon", "dump-times")
-    rows = []
-    for t in times:
-        for i, inv in enumerate(vf.inventory_grid):
-            for k, z in enumerate(vf.mispricing_grid):
-                idx = int(policy.action_index[t, i, k])
-                action = policy.action_fractions[idx] * inv
-                rows.append((t, inv, z, vf.values[t, i, k], action))
-    writer.add_table("liquidation_solution", ("t", "I", "z", "value", "action"), rows)
+    inventory = vf.inventory_grid.tolist()
+    mispricing = vf.mispricing_grid.tolist()
+    fractions = policy.action_fractions.tolist()
+
+    def rows():
+        for t in times:
+            values = vf.values[t].tolist()
+            actions = policy.action_index[t].tolist()
+            for inv, value_row, action_row in zip(inventory, values, actions):
+                for z, value, idx in zip(mispricing, value_row, action_row):
+                    yield t, inv, z, value, fractions[idx] * inv
+
+    writer.add_table("liquidation_solution", ("t", "I", "z", "value", "action"), rows())
     writer.write()
     return EXIT_OK
 
@@ -260,10 +265,7 @@ def cmd_liquidate_simulate(args):
     writer = RunWriter(
         "liquidate-simulate", args.out, record, seed=args.seed, fmt=args.format
     )
-    try:
-        _, policy = value_iteration(cfg, pool, params)
-    except ValueError as exc:
-        _config_error_from_value_error(exc)
+    _, policy = value_iteration(cfg, pool, params)
     sim = simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
     rows = [
         (p, t, sim.inventory[p, t])
@@ -280,10 +282,7 @@ def cmd_compare_twamm(args):
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     sigma_grid = parse_grid(args.grid)
     writer = RunWriter("compare-twamm", args.out, record, seed=args.seed, fmt=args.format)
-    try:
-        results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
-    except ValueError as exc:
-        _config_error_from_value_error(exc)
+    results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
     writer.add_table("twamm_comparison", ("sigma", "mean_excess", "stderr"), results)
     writer.write()
     return EXIT_OK
@@ -390,12 +389,12 @@ def cmd_emit_gnuplot(args):
             "set datafile separator ','",
             f'DATA = "{os.path.abspath(path)}"',
             f"set xlabel '{header[0]}'",
-            template.replace("DATA", "DATA"),
+            template,
             "pause -1",
         ]
     )
     out = os.path.splitext(path)[0] + ".gp"
-    _atomic_write(out, script + "\n")
+    _atomic_write(out, [script + "\n"])
     print(out)
     return EXIT_OK
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
-from hookroute.cli import main, parse_grid
+from hookroute.cli import RunWriter, main, parse_grid
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.serialize import (
     ConfigError,
@@ -271,6 +271,21 @@ class TestErrorContracts:
         assert main(["route", "--problem", path, "--s", "1:2:2", "--out", str(tmp_path)]) == 4
         assert json.loads(capsys.readouterr().out)["error"] == "infeasible"
 
+    def test_oversized_grid_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        import hookroute.cli as cli_mod
+
+        def never(*args):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli_mod, "value_iteration", never)
+        record = json.loads(json.dumps(LIQ_CONFIG))
+        record["mdp"]["n_mispricing"] = 10**9
+        path = write_json(tmp_path / "liq.json", record)
+        assert main(["liquidate-solve", "--config", path, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["field"] == "mdp"
+        assert "budget" in err["detail"]
+
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         assert main(["route", "--problem", "tableX", "--s", "0:1:2", "--out", str(tmp_path)]) == 2
 
@@ -314,6 +329,16 @@ class TestDeterminism:
             assert main(argv + ["--out", str(a)]) == 0
             assert main(argv + ["--out", str(b)]) == 0
             assert (a / filename).read_bytes() == (b / filename).read_bytes(), filename
+
+    def test_csv_layout(self, tmp_path):
+        writer = RunWriter("demo", str(tmp_path), {"a": 1}, seed=3)
+        rows = ((i, i / 4, i > 0, "n") for i in range(2))
+        writer.add_table("t", ("i", "x", "flag", "name"), rows)
+        writer.write()
+        assert (tmp_path / "t.csv").read_text() == (
+            f"# manifest: {writer.config_hash}\n# seed: 3\n"
+            "i,x,flag,name\n0,0.0,false,n\n1,0.25,true,n\n"
+        )
 
     def test_manifest_hash_stable(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

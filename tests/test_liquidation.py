@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hookroute.liquidation import (
     ADDITIVE,
+    MAX_SOLVE_BYTES,
     MULTIPLICATIVE,
     MdpConfig,
     MispricingParams,
@@ -21,6 +22,8 @@ from hookroute.liquidation import (
     step_mispricing,
     twamm_value,
     value_iteration,
+    _gauss_hermite,
+    _grids,
 )
 
 
@@ -177,6 +180,103 @@ class TestValueIteration:
             zmid = np.argmin(np.abs(vf.mispricing_grid))
             v0.append(vf.values[0, -1, zmid])
         assert abs(v0[1] - v0[0]) < 0.02 * max(1.0, abs(v0[0]))
+
+
+def reference_value_iteration(cfg, pool, params):
+    """Per-block gather loop that `value_iteration` replaced, kept as the reference."""
+    inv_grid, z_grid = _grids(cfg, pool, params)
+    n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
+    eps, quad_w = _gauss_hermite(cfg.quad_order)
+    fracs = np.linspace(0.0, 1.0, n_a)
+    dz = z_grid[1] - z_grid[0]
+
+    inv_lo = np.empty((n_a, n_i), dtype=np.int64)
+    inv_w = np.empty((n_a, n_i))
+    step_i = (inv_grid[1] - inv_grid[0]) or 1.0
+    for k, frac in enumerate(fracs):
+        nxt = inv_grid * (1.0 - frac)
+        pos = np.clip(nxt / step_i, 0.0, n_i - 1 - 1e-12)
+        inv_lo[k] = pos.astype(np.int64)
+        inv_w[k] = 1.0 - (pos - inv_lo[k])
+
+    z_lo = np.empty((n_a, n_i, n_z, len(eps)), dtype=np.int32)
+    z_w = np.empty((n_a, n_i, n_z, len(eps)))
+    rewards = np.empty((n_a, n_i, n_z))
+    for k, frac in enumerate(fracs):
+        delta = inv_grid * frac
+        z_next = step_mispricing(
+            z_grid[None, :, None], delta[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
+        )
+        pos = np.clip((z_next - z_grid[0]) / dz, 0.0, n_z - 1 - 1e-12)
+        z_lo[k] = pos.astype(np.int32)
+        z_w[k] = 1.0 - (pos - z_lo[k])
+        rewards[k] = reward(inv_grid[:, None], z_grid[None, :], delta[:, None], cfg, pool)
+
+    values = np.zeros((cfg.horizon, n_i, n_z))
+    actions = np.zeros((cfg.horizon, n_i, n_z), dtype=np.int16)
+    v_next = np.zeros((n_i, n_z))
+    rows = np.arange(n_i)[:, None, None]
+    for t in range(cfg.horizon - 1, -1, -1):
+        best_v = None
+        best_k = None
+        for k in range(n_a):
+            v_at_inv = inv_w[k][:, None] * v_next[inv_lo[k]] + (1.0 - inv_w[k])[:, None] * v_next[
+                np.minimum(inv_lo[k] + 1, n_i - 1)
+            ]
+            lo = z_lo[k]
+            interp = v_at_inv[rows, lo] * z_w[k] + v_at_inv[rows, np.minimum(lo + 1, n_z - 1)] * (
+                1.0 - z_w[k]
+            )
+            q = rewards[k] + cfg.discount * (interp @ quad_w)
+            if best_v is None:
+                best_v = q
+                best_k = np.zeros((n_i, n_z), dtype=np.int16)
+            else:
+                better = q > best_v
+                best_v = np.where(better, q, best_v)
+                best_k = np.where(better, np.int16(k), best_k)
+        values[t] = best_v
+        actions[t] = best_k
+        v_next = best_v
+    return values, actions
+
+
+def _equivalence_cases():
+    grid = dict(horizon=6, n_inventory=11, n_mispricing=13, n_actions=7, quad_order=5)
+    for dynamics in (MULTIPLICATIVE, ADDITIVE):
+        for volatility in (0.0, 0.5, 8.0):
+            yield pytest.param(dict(grid, dynamics=dynamics), volatility, id=f"{dynamics}-{volatility}")
+    yield pytest.param(dict(grid, z_bounds=(-0.01, 0.02)), 8.0, id="z_bounds")
+    yield pytest.param(dict(grid, dynamics=ADDITIVE, z_bounds=(-3.0, 2.5)), 0.5, id="additive-z_bounds")
+    yield pytest.param(dict(grid, inventory=0.0), 0.5, id="inventory=0")
+    yield pytest.param(dict(grid, inventory=0.0, dynamics=ADDITIVE), 8.0, id="additive-inventory=0")
+    # Past 2**14 points, n - 1 - 1e-12 rounds to n - 1; nine nodes reach
+    # beyond the grid's four standard deviations, so positions clip there.
+    yield pytest.param(
+        dict(horizon=2, n_inventory=2, n_mispricing=20001, n_actions=3, quad_order=9, dynamics=ADDITIVE),
+        0.5,
+        id="wide-z-grid",
+    )
+
+
+class TestBackupOperator:
+    @pytest.mark.parametrize("overrides, volatility", _equivalence_cases())
+    def test_matches_reference_loop(self, overrides, volatility):
+        cfg = small_cfg(**overrides)
+        pool = small_pool()
+        params = MispricingParams(0.0, volatility, 1.0)
+        ref_values, ref_actions = reference_value_iteration(cfg, pool, params)
+        vf, pol = value_iteration(cfg, pool, params)
+        scale = max(1.0, np.abs(ref_values).max())
+        assert np.all(np.abs(vf.values - ref_values) <= 1e-12 * np.maximum(np.abs(ref_values), scale))
+        assert np.array_equal(pol.action_index, ref_actions)
+
+    def test_memory_budget(self):
+        small_cfg(horizon=200, n_inventory=101, n_mispricing=101, n_actions=51, quad_order=9)
+        with pytest.raises(ValueError, match="budget"):
+            small_cfg(n_mispricing=MAX_SOLVE_BYTES)
+        with pytest.raises(ValueError, match="budget"):
+            small_cfg(horizon=MAX_SOLVE_BYTES // (10 * 31 * 31) + 1)
 
 
 class TestSimulation:
