@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -18,21 +19,15 @@ import numpy as np
 
 from . import __version__
 from .liquidation import compare_vs_twamm, simulate_policy, value_iteration
-from .noncomposable import (
-    CONSTANT,
-    LINEAR,
-    QUADRATIC,
-    SUPERLINEAR,
-    HookScenario,
-    VarianceSpec,
-    efficient_frontier,
-    solve_mean_variance,
-)
+# `solve_mean_variance` is unused here, but the benchmark's tracer
+# (bench/spans.py) rebinds it in this module.
+from .noncomposable import efficient_frontier, mean_variance_sweep, solve_mean_variance
 from .routing import NoFeasibleRouteError, RoutingProblem, STATUS_OPTIMAL, solve_curve
 from .scenarios import SCENARIOS, pigou_problem
 from .serialize import (
     ConfigError,
     hook_scenario_from_dict,
+    hook_sweeps_from_dict,
     liquidation_config_from_dict,
     load_json,
     problem_from_dict,
@@ -288,34 +283,19 @@ def cmd_compare_twamm(args):
     return EXIT_OK
 
 
-_DEFAULT_FORMS = (CONSTANT, LINEAR, SUPERLINEAR, QUADRATIC)
-
-
 def cmd_hook_mean_variance(args):
     record = load_json(args.config)
     scenario = hook_scenario_from_dict(record)
-    sweeps = record.get("sweeps", {})
-    curvatures = sweeps.get("curvature_values") or list(np.linspace(0.0, 1.0, 50))
-    scales = sweeps.get("scale_values") or list(np.logspace(-3, 3, 25))
-    forms = sweeps.get("forms") or list(_DEFAULT_FORMS)
+    forms, curvatures, scales = hook_sweeps_from_dict(record)
     writer = RunWriter("hook-mean-variance", args.out, record, fmt=args.format)
-    rows = []
-    for form in forms:
-        exponent = scenario.variance.exponent if form == SUPERLINEAR else None
-        if form == SUPERLINEAR and exponent is None:
-            exponent = 1.5
-        for curvature in curvatures:
-            for scale in scales:
-                s = HookScenario(
-                    scenario.total_trade,
-                    scenario.cpmm_reserves,
-                    scenario.hook_reserves,
-                    float(curvature),
-                    VarianceSpec(form, float(scale), exponent),
-                    scenario.risk_aversion,
-                )
-                trade, objective = solve_mean_variance(s)
-                rows.append((curvature, scale, form, trade, objective))
+    trades, objectives = mean_variance_sweep(scenario, forms, curvatures, scales)
+    points = itertools.product(forms, curvatures, scales)
+    rows = [
+        (curvature, scale, form, trade, objective)
+        for (form, curvature, scale), trade, objective in zip(
+            points, trades.ravel().tolist(), objectives.ravel().tolist()
+        )
+    ]
     writer.add_table(
         "mean_variance", ("alpha", "beta", "variance_form", "delta_star", "objective"), rows
     )

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -248,6 +247,8 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     action. `MdpConfig` refuses grids whose solve would exceed
     `MAX_SOLVE_BYTES`.
     """
+    from scipy import sparse
+
     inv_grid, z_grid = _grids(cfg, pool, params)
     n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
     cells = n_i * n_z

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from .cfmm import (
     PRODUCT,
@@ -316,6 +315,8 @@ def _check_route_exists(problem):
 
 
 def _recover_primal(problem, nu, fixed_trades=None):
+    from scipy.optimize import linprog
+
     n = problem.n_assets
     util = problem.utility
     columns = []
@@ -413,6 +414,8 @@ def _polish_primal(problem, start_trades, start_fills):
     warm-started at the LP point), restores each market invariant exactly,
     and returns the polished per-market trades.
     """
+    from scipy.optimize import minimize
+
     n = problem.n_assets
     util = problem.utility
     slices = []
@@ -544,6 +547,8 @@ def solve_routing(
     then price-space restarts. Returns a max_iter status only when every
     stage fails to certify; the returned trades are feasible regardless.
     """
+    from scipy.optimize import minimize
+
     util = problem.utility
     if util.budget == 0:
         return _zero_solution(problem)
@@ -708,11 +713,6 @@ def solve_routing(
         fallback = solution
     fallback.iterations = total_iters
     return fallback
-
-
-def output_curve(problem: RoutingProblem, s_grid) -> list[tuple[float, float]]:
-    """Optimal output u(s) for each budget on an increasing grid."""
-    return [(s, sol.utility_value) for s, sol in zip(s_grid, solve_curve(problem, s_grid))]
 
 
 def solve_curve(problem: RoutingProblem, s_grid, tol: float = 1e-7) -> list[RoutingSolution]:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+
+import numpy as np
 
 from .cfmm import LimitOrder, Market
 from .liquidation import MdpConfig, MispricingParams, PoolParams
-from .noncomposable import HookScenario, VarianceSpec
+from .noncomposable import FORMS, HookScenario, VarianceSpec, check_sweep
 from .routing import Liquidate, RoutingProblem
 
 
@@ -199,6 +202,46 @@ def hook_scenario_from_dict(record) -> HookScenario:
         ),
         "",
     )
+
+
+def _is_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
+
+
+_SWEEP_DEFAULTS = {
+    "forms": (list(FORMS), lambda v: isinstance(v, str), "variance form names"),
+    "curvature_values": (np.linspace(0.0, 1.0, 50).tolist(), _is_number, "finite numbers"),
+    "scale_values": (np.logspace(-3, 3, 25).tolist(), _is_number, "finite numbers"),
+}
+
+
+def hook_sweeps_from_dict(record):
+    """The `sweeps` block of a hook config as (forms, curvatures, scales).
+
+    An absent key takes its default: every variance form, 50 curvatures on
+    [0, 1] and 25 log-spaced scales on [1e-3, 1e3]. A present key must hold
+    a nonempty list of valid values; anything else, unknown keys included,
+    is refused here, before any search runs.
+    """
+    sweeps = _get(record, "sweeps", "", dict, default={})
+    unknown = sorted(set(sweeps) - set(_SWEEP_DEFAULTS))
+    if unknown:
+        raise ConfigError(
+            f"unknown sweeps keys {unknown}, expected some of {list(_SWEEP_DEFAULTS)}", "sweeps"
+        )
+    values = []
+    for key, (default, valid, kind) in _SWEEP_DEFAULTS.items():
+        value = sweeps.get(key, default)
+        if not isinstance(value, list) or not value or not all(map(valid, value)):
+            raise ConfigError(f"sweeps.{key} must be a nonempty list of {kind}", "sweeps")
+        values.append(value)
+    _wrap(lambda: check_sweep(*values), "sweeps")
+    return tuple(values)
 
 
 def load_json(path):

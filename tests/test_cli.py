@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hookroute
 from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
 from hookroute.cli import RunWriter, main, parse_grid
 from hookroute.routing import Liquidate, RoutingProblem
@@ -303,6 +306,98 @@ class TestErrorContracts:
         monkeypatch.setattr(cli_mod, "solve_curve", stalled)
         assert main(["pigou", "--grid", "0:2:3", "--out", str(tmp_path)]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "solver_nonconvergence"
+
+
+class TestHookSweeps:
+    @pytest.mark.parametrize(
+        "sweeps",
+        [
+            [1, 2],
+            {"forms": []},
+            {"forms": ["linear", "cubic"]},
+            {"forms": [3]},
+            {"curvature_values": [0.0, 1.5]},
+            {"curvature_values": ["0.5"]},
+            {"curvature_values": [True]},
+            {"scale_values": [1.0, -0.5]},
+            {"scale_values": []},
+            {"scale_values": 1.0},
+            {"scale_values": [math.inf]},
+            {"curvatures": [0.5]},
+        ],
+    )
+    def test_bad_sweeps_refused_before_searching(self, tmp_path, capsys, monkeypatch, sweeps):
+        import hookroute.cli as cli_mod
+
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli_mod, "mean_variance_sweep", never)
+        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, sweeps=sweeps))
+        assert main(["hook-mean-variance", "--config", path, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == "sweeps"
+
+    def test_defaults_and_row_order(self, tmp_path):
+        record = {k: v for k, v in HOOK_CONFIG.items() if k != "sweeps"}
+        record["sweeps"] = {"forms": ["linear", "constant"], "curvature_values": [0, 0.5]}
+        path = write_json(tmp_path / "hook.json", record)
+        assert main(["hook-mean-variance", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "mean_variance.csv")
+        scales = [repr(float(b)) for b in np.logspace(-3, 3, 25)]
+        expected = [
+            [alpha, beta, form]
+            for form in ("linear", "constant")
+            for alpha in ("0", "0.5")
+            for beta in scales
+        ]
+        assert [row[:3] for row in rows] == expected
+
+
+class TestImportPath:
+    """scipy is imported only inside the solvers that call it."""
+
+    PROBE = (
+        "import json, sys\n"
+        "from hookroute.cli import main\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "report = {'import': loaded(), 'runs': []}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    report['runs'].append((main(argv), loaded()))\n"
+        "print(json.dumps(report))\n"
+    )
+
+    def probe(self, tmp_path, *argvs):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hookroute.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE, json.dumps(argvs)],
+            env=env,
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_cli_import_and_hook_commands_load_no_scipy(self, tmp_path):
+        cfg = write_json(tmp_path / "hook.json", HOOK_CONFIG)
+        report = self.probe(
+            tmp_path,
+            ["hook-mean-variance", "--config", cfg, "--out", "mv"],
+            ["hook-frontier", "--config", cfg, "--grid", "0:40:5", "--out", "fr"],
+        )
+        assert report["import"] == []
+        assert report["runs"] == [[0, []], [0, []]]
+
+    def test_liquidation_loads_no_optimizer(self, tmp_path):
+        cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        report = self.probe(tmp_path, ["liquidate-solve", "--config", cfg, "--out", "solve"])
+        [(code, loaded)] = report["runs"]
+        assert code == 0
+        assert "scipy.sparse" in loaded
+        assert not any(m.startswith("scipy.optimize") for m in loaded)
 
 
 class TestDeterminism:

@@ -15,11 +15,16 @@ from hookroute.noncomposable import (
     VarianceSpec,
     combined_return,
     cpmm_output,
+    _golden_max,
     efficient_frontier,
     fill_variance,
     hook_output,
+    mean_variance_sweep,
     solve_mean_variance,
 )
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def scenario(form="linear", scale=1.0, exponent=None, curvature=0.5, lam=1.0):
@@ -43,6 +48,46 @@ def grid_argmax(fn, lo, hi, points=10**6):
     xs2 = np.linspace(a, b, points // 10)
     vals2 = fn(xs2)
     return float(xs2[np.argmax(vals2)])
+
+
+def reference_golden_max(fn, lo, hi, tol):
+    """The scalar golden-section search the array search replaced."""
+    a, b = lo, hi
+    c = a + _INV_PHI2 * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = a + _INV_PHI2 * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    candidates = [(fn(lo), lo), (fn(hi), hi), (fn(x), x)]
+    return max(candidates)[::-1]
+
+
+def reference_mean_variance(s):
+    """Scalar risk-penalized split: one `reference_golden_max` per scenario."""
+    lam = s.risk_aversion
+    if s.variance.form == CONSTANT:
+        fn = lambda x: combined_return(s, x)
+        offset = -lam * s.variance.scale
+    else:
+        fn = lambda x: combined_return(s, x) - lam * fill_variance(x, s.variance)
+        offset = 0.0
+    x, fx = reference_golden_max(fn, 0.0, s.total_trade, 1e-9)
+    return x, fx + offset
+
+
+def assert_matches_reference(trade, objective, ref_trade, ref_objective):
+    # numpy's power and libm's pow differ in the last ulp for a few inputs,
+    # and a flat top pins the maximizer only to about sqrt(machine epsilon).
+    assert abs(trade - ref_trade) <= 1e-5
+    assert abs(objective - ref_objective) <= 1e-12 * max(1.0, abs(ref_objective))
 
 
 class TestCurves:
@@ -146,6 +191,86 @@ class TestMeanVariance:
             f = lambda t: combined_return(s, t) - lam * fill_variance(t, s.variance)
             mid = 0.5 * (x + y)
             assert f(mid) >= 0.5 * (f(x) + f(y)) - 1e-10
+
+
+class TestArraySearch:
+    def test_lanes_match_scalar_search_bitwise(self):
+        # Without a power in the objective the array search performs the
+        # scalar search's arithmetic, lane by lane, with per-lane brackets
+        # that freeze at different iterations.
+        peaks = np.array([0.0, 0.3, 2.5, 7.0, -1.0, 4.0])
+        lo = np.array([0.0, 0.0, -3.0, 1.0, 0.0, 4.0])
+        hi = np.array([1.0, 10.0, 3.0, 7.0, 5.0, 4.0])
+        fn = lambda x: -(x - peaks) * (x - peaks)
+        x, fx = _golden_max(fn, lo, hi, 1e-9)
+        for i in range(len(peaks)):
+            peak = peaks[i]
+            ref = reference_golden_max(lambda t: -(t - peak) * (t - peak), lo[i], hi[i], 1e-9)
+            assert (x[i], fx[i]) == ref
+
+    def test_ties_go_to_the_larger_point(self):
+        x, fx = _golden_max(lambda x: np.zeros_like(x), [0.0], [2.0], 1e-9)
+        assert (x[0], fx[0]) == reference_golden_max(lambda t: 0.0, 0.0, 2.0, 1e-9) == (2.0, 0.0)
+
+    def test_cli_default_grid_matches_scalar_search(self):
+        base = scenario(LINEAR, 1.0, curvature=0.1)
+        curvatures = np.linspace(0.0, 1.0, 50)
+        scales = np.logspace(-3, 3, 25)
+        forms = (CONSTANT, LINEAR, SUPERLINEAR, QUADRATIC)
+        trades, objectives = mean_variance_sweep(base, forms, curvatures, scales)
+        assert trades.shape == objectives.shape == (4, 50, 25)
+        for k, form in enumerate(forms):
+            exponent = 1.5 if form == SUPERLINEAR else None
+            for i, curvature in enumerate(curvatures):
+                for j, scale in enumerate(scales):
+                    s = HookScenario(
+                        base.total_trade,
+                        base.cpmm_reserves,
+                        base.hook_reserves,
+                        float(curvature),
+                        VarianceSpec(form, float(scale), exponent),
+                        base.risk_aversion,
+                    )
+                    assert_matches_reference(
+                        trades[k, i, j], objectives[k, i, j], *reference_mean_variance(s)
+                    )
+        # A constant variance never reaches the search.
+        assert (trades[0] == trades[0, :, :1]).all()
+
+    @given(
+        total=st.floats(10, 200),
+        reserves=st.tuples(*[st.floats(50, 300)] * 4),
+        lam=st.floats(0, 2),
+        curvature=st.floats(0, 1),
+        form=st.sampled_from(
+            [(CONSTANT, None), (LINEAR, None), (SUPERLINEAR, 1.3), (QUADRATIC, None)]
+        ),
+        scale=st.floats(0, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_search(self, total, reserves, lam, curvature, form, scale):
+        s = HookScenario(
+            total_trade=total,
+            cpmm_reserves=reserves[:2],
+            hook_reserves=reserves[2:],
+            curvature=curvature,
+            variance=VarianceSpec(form[0], scale, form[1]),
+            risk_aversion=lam,
+        )
+        assert_matches_reference(*solve_mean_variance(s), *reference_mean_variance(s))
+
+    @pytest.mark.parametrize(
+        "forms,curvatures,scales",
+        [
+            (["cubic"], [0.5], [1.0]),
+            ([LINEAR], [1.5], [1.0]),
+            ([LINEAR], [math.nan], [1.0]),
+            ([LINEAR], [0.5], [-1.0]),
+        ],
+    )
+    def test_sweep_validation(self, forms, curvatures, scales):
+        with pytest.raises(ValueError):
+            mean_variance_sweep(scenario(), forms, curvatures, scales)
 
 
 class TestFrontier:

@@ -24,7 +24,6 @@ from hookroute.routing import (
     arbitrage_subproblem,
     brute_force_route,
     limit_order_subproblem,
-    output_curve,
     solve_curve,
     solve_routing,
     solution_residuals,
@@ -225,18 +224,20 @@ class TestSolveRouting:
 
 class TestOutputCurve:
     def test_single_zero_point(self):
-        assert output_curve(pigou_problem(0.0), [0.0]) == [(0.0, 0.0)]
+        grid = [0.0]
+        solutions = solve_curve(pigou_problem(0.0), grid)
+        assert [(s, sol.utility_value) for s, sol in zip(grid, solutions)] == [(0.0, 0.0)]
 
     def test_orders_never_hurt(self):
         grid = np.linspace(0.0, 16.0, 21)
-        with_orders = output_curve(pigou_problem(0.0), grid)
-        without = output_curve(pigou_problem(0.0, with_order=False), grid)
-        for (_, uw), (_, uo) in zip(with_orders, without):
-            assert uw >= uo - 1e-6
+        with_orders = solve_curve(pigou_problem(0.0), grid)
+        without = solve_curve(pigou_problem(0.0, with_order=False), grid)
+        for sol_w, sol_o in zip(with_orders, without):
+            assert sol_w.utility_value >= sol_o.utility_value - 1e-6
 
     def test_monotone_and_concave(self):
         grid = np.linspace(0.0, 16.0, 33)
-        u = [v for _, v in output_curve(pigou_problem(0.0), grid)]
+        u = [sol.utility_value for sol in solve_curve(pigou_problem(0.0), grid)]
         assert all(b >= a - 1e-6 for a, b in zip(u, u[1:]))
         assert all(u[i] >= 0.5 * (u[i - 1] + u[i + 1]) - 1e-6 for i in range(1, len(u) - 1))
 
