@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 PRODUCT = "product"
 GEOMETRIC_MEAN = "geometric_mean"
 SUM = "sum"
@@ -97,10 +99,6 @@ def trading_function(market: Market, reserves) -> float:
     return math.prod(r**w for r, w in zip(reserves, market.weights))
 
 
-def _log_trading_function(market: Market, reserves) -> float:
-    return sum(w * math.log(r) for r, w in zip(reserves, market.weights))
-
-
 def forward_exchange(market: Market, input_index: int, output_index: int, amount_in: float) -> float:
     """Output received for tendering `amount_in`, holding the invariant fixed.
 
@@ -112,48 +110,26 @@ def forward_exchange(market: Market, input_index: int, output_index: int, amount
     _check_pair(market, input_index, output_index)
     if amount_in == 0:
         return 0.0
+    return float(forward_exchange_batch(market, input_index, output_index, amount_in))
+
+
+def forward_exchange_batch(market: Market, input_index: int, output_index: int, amounts):
+    """`forward_exchange` over an array of input amounts, without validation.
+
+    For a weighted geometric-mean pool only the input and output reserves
+    move, so the invariant solves in closed form:
+    out = -r_out * expm1(-(w_in / w_out) * log1p(fee * amount / r_in)).
+    """
+    amounts = np.asarray(amounts, dtype=float)
     fee = market.fee
     r_in = market.reserves[input_index]
     r_out = market.reserves[output_index]
     if market.kind == PRODUCT:
-        return r_out * fee * amount_in / (r_in + fee * amount_in)
+        return r_out * fee * amounts / (r_in + fee * amounts)
     if market.kind == SUM:
-        return min(fee * amount_in, r_out)
-    return _geometric_forward(market, input_index, output_index, amount_in)
-
-
-def _geometric_forward(market: Market, input_index: int, output_index: int, amount_in: float) -> float:
-    # Monotone bisection on the invariant (relative tolerance 1e-12 on the
-    # output) plus a Newton polish so the residual stays tight even when the
-    # output reserve is nearly drained.
-    target = _log_trading_function(market, market.reserves)
-    post = list(market.reserves)
-    post[input_index] += market.fee * amount_in
-    r_out = market.reserves[output_index]
-    w_out = market.weights[output_index]
-
-    def residual(out):
-        post[output_index] = r_out - out
-        return _log_trading_function(market, post) - target
-
-    lo, hi = 0.0, r_out
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    out = lo
-    for _ in range(3):
-        x_out = r_out - out
-        if x_out <= 0:
-            break
-        step = residual(out) * x_out / w_out
-        nxt = out + step
-        if not lo <= nxt <= hi:
-            break
-        out = nxt
-    return out
+        return np.minimum(fee * amounts, r_out)
+    ratio = market.weights[input_index] / market.weights[output_index]
+    return -r_out * np.expm1(-ratio * np.log1p(fee * amounts / r_in))
 
 
 def marginal_rate(market: Market, input_index: int, output_index: int, amount_in: float) -> float:
@@ -170,7 +146,7 @@ def marginal_rate(market: Market, input_index: int, output_index: int, amount_in
         if fee * amount_in > r_out:
             raise ValueError("trade exceeds constant-sum output reserve")
         return fee
-    out = _geometric_forward(market, input_index, output_index, amount_in)
+    out = float(forward_exchange_batch(market, input_index, output_index, amount_in))
     w = market.weights
     x_in = r_in + fee * amount_in
     x_out = r_out - out

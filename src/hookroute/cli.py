@@ -28,6 +28,7 @@ from .serialize import (
     ConfigError,
     hook_scenario_from_dict,
     hook_sweeps_from_dict,
+    hook_targets_from_dict,
     liquidation_config_from_dict,
     load_json,
     problem_from_dict,
@@ -309,7 +310,7 @@ def cmd_hook_frontier(args):
     if args.grid:
         taus = parse_grid(args.grid)
     elif "targets" in record:
-        taus = [float(t) for t in record["targets"]]
+        taus = hook_targets_from_dict(record)
     else:
         raise ConfigError("hook-frontier needs --grid or a 'targets' list", "targets")
     writer = RunWriter("hook-frontier", args.out, record, fmt=args.format)

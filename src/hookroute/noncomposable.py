@@ -25,6 +25,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
 
 
+def _check_finite(**values):
+    """Refuse NaN and infinities, which JSON configs can carry (`NaN`, `Infinity`)."""
+    for name, value in values.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class VarianceSpec:
     """Fill variance as a function of the hook trade size."""
@@ -34,6 +41,7 @@ class VarianceSpec:
     exponent: float | None = None  # only for the superlinear form
 
     def __post_init__(self):
+        _check_finite(scale=self.scale, exponent=self.exponent)
         if self.form not in FORMS:
             raise ValueError(f"variance form must be one of {FORMS}")
         if self.scale < 0:
@@ -55,6 +63,13 @@ class HookScenario:
     risk_aversion: float
 
     def __post_init__(self):
+        _check_finite(
+            total_trade=self.total_trade,
+            cpmm_reserves=self.cpmm_reserves,
+            hook_reserves=self.hook_reserves,
+            curvature=self.curvature,
+            risk_aversion=self.risk_aversion,
+        )
         if self.total_trade <= 0:
             raise ValueError("total trade must be positive")
         if any(r <= 0 for r in self.cpmm_reserves) or any(r <= 0 for r in self.hook_reserves):

@@ -3,19 +3,21 @@
 The routing problem maximizes the output of a liquidation over the joint
 feasible set of every market and standing order. It is solved by dual
 decomposition: a price vector over the global assets is adjusted so that the
-per-market best responses (closed form for product and sum markets, a KKT
-partition enumeration for weighted geometric-mean pools) clear the user's
-budget. The resulting dual value is a certified upper bound, and the primal
-is recovered from the best responses plus a small completion LP that settles
-the piecewise-linear legs (orders, constant-sum pools).
+per-market best responses clear the user's budget. Product and sum markets
+answer in closed form; a weighted geometric-mean pool sorts its assets by
+price times reserve over weight, and its KKT conditions make the tendered
+assets a prefix and the received ones a suffix of that order, so only O(n^2)
+splits are checked. The resulting dual value is a certified upper bound, and
+the primal is recovered from the best responses plus a small completion LP,
+solved by a dense bounded-variable simplex, that settles the piecewise-linear
+legs (orders, constant-sum pools) and scales each best response down.
+Only the local solves (L-BFGS-B, SLSQP, Nelder-Mead) use scipy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .cfmm import (
     Market,
     Trade2,
     forward_exchange,
+    forward_exchange_batch,
     trading_function,
 )
 
@@ -145,61 +148,63 @@ def _sum_subproblem(market, nu):
     return tendered, received, value
 
 
-@lru_cache(maxsize=None)
-def _role_table(n):
-    # Roles per asset: 0 hold, 1 tender, 2 receive; skip the all-hold row.
-    rows = [r for r in itertools.product((0, 1, 2), repeat=n) if any(r)]
-    return np.array(rows, dtype=np.int8)
-
-
 def _geometric_subproblem(market, nu):
     """Exact best response for a weighted geometric-mean pool.
 
     Stationarity fixes each traded reserve to c * w_i / nu_i (scaled by the
-    fee on the tendered side) for a scalar c pinned by the invariant, so the
-    optimum is found by enumerating tender/receive/hold role assignments and
-    keeping the best one whose trade directions and hold conditions check out.
+    fee on the tendered side) for a scalar c pinned by the invariant. With
+    rho_i = nu_i * R_i / w_i, asset i is tendered iff rho_i <= fee * c,
+    received iff rho_i >= c and held otherwise, so in rho order the tendered
+    assets form a prefix and the received assets a suffix. Each of the
+    O(n^2) (prefix, suffix) splits fixes c in closed form from running sums.
+    A split whose trades point the right way (tendered reserves grow,
+    received ones shrink) is a feasible trade, and the optimal split is one
+    of them, so the best of these is the best response.
     """
-    w = np.asarray(market.weights)
-    reserves = np.asarray(market.reserves)
+    w = market.weights
+    reserves = market.reserves
     fee = market.fee
     n = len(reserves)
-    log_r = np.log(reserves)
-    log_phi0 = float(w @ log_r)
-    roles = _role_table(n)
+    nu = nu.tolist()
+    rho = [p * r / wi for p, r, wi in zip(nu, reserves, w)]
+    order = sorted(range(n), key=rho.__getitem__)
+    log_rho = [math.log(rho[i]) for i in order]
+    log_fee = math.log(fee)
 
-    log_a = np.where(
-        roles == 1,
-        np.log(fee * w / nu)[None, :],
-        np.where(roles == 2, np.log(w / nu)[None, :], 0.0),
-    )
-    traded = roles > 0
-    w_traded = np.where(traded, w[None, :], 0.0)
-    wt = w_traded.sum(axis=1)
-    log_c = (log_phi0 - (w_traded * log_a).sum(axis=1) - ((~traded) * w * log_r).sum(axis=1)) / wt
-    log_x = np.where(traded, log_c[:, None] + log_a, log_r[None, :])
-    x = np.exp(log_x)
+    # Running sums over the rho order of w, w * log(rho) and nu * R.
+    cum_w, cum_wl, cum_v = [0.0], [0.0], [0.0]
+    for k, i in enumerate(order):
+        cum_w.append(cum_w[-1] + w[i])
+        cum_wl.append(cum_wl[-1] + w[i] * log_rho[k])
+        cum_v.append(cum_v[-1] + nu[i] * reserves[i])
 
     tol = 1e-9
-    ok = np.ones(len(roles), dtype=bool)
-    ok &= np.where(roles == 1, x >= reserves * (1 - tol), True).all(axis=1)
-    ok &= np.where(roles == 2, x <= reserves * (1 + tol), True).all(axis=1)
-    # Hold conditions: fee * w_i * c / R_i <= nu_i <= w_i * c / R_i.
-    log_nu = np.log(nu)
-    lo = np.log(fee * w) + log_c[:, None] - log_r[None, :]
-    hi = np.log(w) + log_c[:, None] - log_r[None, :]
-    ok &= np.where(roles == 0, (lo <= log_nu[None, :] + tol) & (log_nu[None, :] <= hi + tol), True).all(axis=1)
-    if not ok.any():
+    best = None
+    best_value = -math.inf
+    # Tender the first k assets in rho order and receive those from m on.
+    for k in range(n + 1):
+        for m in range(k, n + 1):
+            if k == 0 and m == n:
+                continue  # everything held
+            w_traded = cum_w[k] + cum_w[n] - cum_w[m]
+            log_c = (cum_wl[k] + cum_wl[n] - cum_wl[m] - cum_w[k] * log_fee) / w_traded
+            if k > 0 and log_rho[k - 1] > log_fee + log_c + tol:
+                continue
+            if m < n and log_rho[m] < log_c - tol:
+                continue
+            c = math.exp(log_c)
+            value = cum_v[k] / fee + cum_v[n] - cum_v[m] - c * w_traded
+            if value > best_value:
+                best, best_value = (k, m, c), value
+    if best is None or best_value <= 0.0:
         return np.zeros(n), np.zeros(n), 0.0
-
-    d = np.where(roles == 1, (x - reserves) / fee, 0.0)
-    r = np.where(roles == 2, reserves - x, 0.0)
-    vals = (r - d) @ nu
-    vals = np.where(ok, vals, -np.inf)
-    best = int(np.argmax(vals))
-    if vals[best] <= 0.0:
-        return np.zeros(n), np.zeros(n), 0.0
-    return np.clip(d[best], 0.0, None), np.clip(r[best], 0.0, None), float(vals[best])
+    k, m, c = best
+    d, r = np.zeros(n), np.zeros(n)
+    for i in order[:k]:
+        d[i] = max((c * fee * w[i] / nu[i] - reserves[i]) / fee, 0.0)
+    for i in order[m:]:
+        r[i] = max(reserves[i] - c * w[i] / nu[i], 0.0)
+    return d, r, best_value
 
 
 def arbitrage_subproblem(market: Market, assets, nu: DualPrices | np.ndarray):
@@ -310,17 +315,92 @@ def _check_route_exists(problem):
 # ---------------------------------------------------------------------------
 # Primal recovery: freeze the smooth best responses, then let a small LP
 # choose the hinge legs (order fills, constant-sum fills) and per-market
-# scale-downs so the budget constraint holds exactly.
+# scale-downs so the budget constraint holds exactly. The LP has one row per
+# asset and a right-hand side >= 0, so a dense bounded simplex started from
+# the all-slack basis at x = 0 solves it.
 # ---------------------------------------------------------------------------
 
 
-def _recover_primal(problem, nu, fixed_trades=None):
-    from scipy.optimize import linprog
+def _bounded_simplex(cost, a_ub, b_ub, upper, max_steps=None):
+    """Maximize cost @ x subject to a_ub @ x <= b_ub and 0 <= x <= upper.
 
+    Dense bounded-variable primal simplex for b_ub >= 0, where x = 0 is
+    feasible: the slacks are the starting basis, every nonbasic variable sits
+    at one of its bounds, and an entering variable whose own range is shorter
+    than every ratio flips to its other bound without a pivot. Bland's rule
+    (the lowest eligible index enters, the lowest basic index leaves among
+    tied ratios) rules out cycling. Every iterate is feasible, so after
+    `max_steps` steps (default 50 per variable, slacks included) the current
+    vertex is returned; the caller's gap certificate, not this routine,
+    decides whether it is optimal.
+    """
+    m, n = a_ub.shape
+    width = n + m
+    tab = np.zeros((m + 1, width))  # rows: B^-1 [A I]; last row: reduced costs
+    tab[:m, :n] = a_ub
+    tab[:m, n:] = np.eye(m)
+    tab[m, :n] = cost
+    upper_all = np.concatenate([upper, np.full(m, np.inf)])
+    basis = list(range(n, width))
+    is_basic = np.zeros(width, dtype=bool)
+    is_basic[n:] = True
+    at_upper = np.zeros(width, dtype=bool)
+    x_basic = np.array(b_ub, dtype=float)
+    dual_tol = 1e-11 * max(1.0, float(np.abs(cost).max(initial=0.0)))
+    pivot_tol = 1e-11 * max(1.0, float(np.abs(a_ub).max(initial=0.0)))
+
+    for _ in range(50 * width if max_steps is None else max_steps):
+        reduced = tab[m]
+        eligible = np.flatnonzero(
+            ~is_basic & np.where(at_upper, reduced < -dual_tol, reduced > dual_tol)
+        )
+        if not eligible.size:
+            break
+        j = int(eligible[0])
+        step_sign = -1.0 if at_upper[j] else 1.0
+        # Basic values move by -t * step_sign * alpha as the entering one moves by t.
+        rate = step_sign * tab[:m, j]
+        ratios = np.full(m, np.inf)
+        falling = rate > pivot_tol
+        ratios[falling] = np.maximum(x_basic[falling], 0.0) / rate[falling]
+        basic_upper = upper_all[basis]
+        rising = (rate < -pivot_tol) & np.isfinite(basic_upper)
+        ratios[rising] = np.maximum(basic_upper[rising] - x_basic[rising], 0.0) / -rate[rising]
+        t = float(ratios.min(initial=np.inf))
+        if upper_all[j] <= t and j < n:
+            x_basic -= upper_all[j] * rate
+            at_upper[j] = not at_upper[j]
+            continue
+        if not math.isfinite(t):
+            break  # unbounded ray: impossible when every structural bound is finite
+        tied = np.flatnonzero(ratios <= t)
+        row = int(min(tied, key=basis.__getitem__))
+        leaving = basis[row]
+        x_basic -= t * rate
+        x_basic[row] = upper_all[j] - t if at_upper[j] else t
+        at_upper[leaving] = rate[row] < 0
+        is_basic[leaving], is_basic[j] = False, True
+        at_upper[j] = False
+        basis[row] = j
+        tab[row] /= tab[row, j]
+        pivot_row = tab[row]
+        others = np.arange(m + 1) != row
+        tab[others] -= np.outer(tab[others, j], pivot_row)
+
+    # Re-solve the basic values from the final basis rather than keep the
+    # values updated over every step, so rounding does not accumulate.
+    x = np.where(at_upper, upper_all, 0.0)
+    x[basis] = 0.0
+    full = np.hstack([a_ub, np.eye(m)])
+    x[basis] = np.linalg.solve(full[:, basis], b_ub - full @ x)
+    return np.clip(x[:n], 0.0, upper)
+
+
+def _recover_primal(problem, nu, fixed_trades=None):
     n = problem.n_assets
     util = problem.utility
     columns = []
-    bounds = []
+    upper = []
     kinds = []  # ("market", i, d, r) | ("sum", i, in, out, cap) | ("order", j)
 
     for i, (market, assets) in enumerate(problem.markets):
@@ -331,7 +411,7 @@ def _recover_primal(problem, nu, fixed_trades=None):
                 col[assets[b]] += 1.0
                 col[assets[a]] -= 1.0 / market.fee
                 columns.append(col)
-                bounds.append((0.0, cap))
+                upper.append(cap)
                 kinds.append(("sum", i, a, b, cap))
         else:
             if fixed_trades is not None:
@@ -343,14 +423,14 @@ def _recover_primal(problem, nu, fixed_trades=None):
             col = np.zeros(n)
             np.add.at(col, list(assets), r - d)
             columns.append(col)
-            bounds.append((0.0, 1.0))
+            upper.append(1.0)
             kinds.append(("market", i, d, r))
     for j, order in enumerate(problem.orders):
         col = np.zeros(n)
         col[order.output_asset] += 1.0
         col[order.input_asset] -= 1.0 / order.price
         columns.append(col)
-        bounds.append((0.0, order.volume))
+        upper.append(order.volume)
         kinds.append(("order", j))
 
     h_init = np.zeros(n)
@@ -362,21 +442,7 @@ def _recover_primal(problem, nu, fixed_trades=None):
     order_trades = [Trade2(0.0, 0.0) for _ in problem.orders]
     if columns:
         c_mat = np.column_stack(columns)
-        res = linprog(
-            -c_mat[util.output_asset],
-            A_ub=-c_mat,
-            b_ub=h_init,
-            bounds=bounds,
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
-            },
-        )
-        if not res.success:  # x = 0 is always feasible, so this is defensive
-            x = np.zeros(c_mat.shape[1])
-        else:
-            x = np.clip(res.x, [b[0] for b in bounds], [b[1] for b in bounds])
+        x = _bounded_simplex(c_mat[util.output_asset], -c_mat, h_init, np.array(upper))
         for xk, kind in zip(x, kinds):
             if kind[0] == "market":
                 _, i, d, r = kind
@@ -771,7 +837,7 @@ def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingS
     def leg_value(leg, amounts):
         if leg[0] == "market":
             _, market, i, o = leg
-            return _forward_exchange_batch(market, i, o, amounts)
+            return forward_exchange_batch(market, i, o, amounts)
         order = leg[1]
         return np.minimum(order.price * amounts, order.volume)
 
@@ -824,32 +890,6 @@ def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingS
         status=STATUS_OPTIMAL,
         dual_prices=None,
     )
-
-
-def _forward_exchange_batch(market, input_index, output_index, amounts):
-    amounts = np.asarray(amounts, dtype=float)
-    fee = market.fee
-    r_in = market.reserves[input_index]
-    r_out = market.reserves[output_index]
-    if market.kind == PRODUCT:
-        return r_out * fee * amounts / (r_in + fee * amounts)
-    if market.kind == SUM:
-        return np.minimum(fee * amounts, r_out)
-    w = np.asarray(market.weights)
-    log_target = float(w @ np.log(market.reserves))
-    others = [k for k in range(market.n_assets) if k not in (input_index, output_index)]
-    log_rest = sum(w[k] * math.log(market.reserves[k]) for k in others)
-    log_in = w[input_index] * np.log(r_in + fee * amounts)
-
-    lo = np.zeros_like(amounts)
-    hi = np.full_like(amounts, r_out)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        resid = log_in + w[output_index] * np.log(np.maximum(r_out - mid, 1e-300)) + log_rest - log_target
-        take = resid >= 0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return lo
 
 
 def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> dict:

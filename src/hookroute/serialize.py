@@ -179,27 +179,38 @@ def liquidation_config_from_dict(record):
     return cfg, pool_params, mis_params, z0
 
 
+def _finite_number(record, key, path, default=_sentinel):
+    value = _number(record, key, path, default)
+    if value is not None and not math.isfinite(value):
+        field = f"{path}.{key}" if path else key
+        raise ConfigError(f"field {field!r} must be finite", field)
+    return value
+
+
+def _reserve_pair(record, key):
+    pair = _get(record, key, "", list)
+    if len(pair) != 2 or not all(map(_is_number, pair)):
+        raise ConfigError(f"field {key!r} must hold two finite numbers", key)
+    return tuple(pair)
+
+
 def variance_from_dict(record, path="variance") -> VarianceSpec:
     form = _get(record, "form", path, str)
-    exponent = _number(record, "exponent", path, default=None)
-    return _wrap(
-        lambda: VarianceSpec(form, _number(record, "scale", path), exponent),
-        path,
-    )
+    exponent = _finite_number(record, "exponent", path, default=None)
+    scale = _finite_number(record, "scale", path)
+    return _wrap(lambda: VarianceSpec(form, scale, exponent), path)
 
 
 def hook_scenario_from_dict(record) -> HookScenario:
-    cpmm = _get(record, "cpmm_reserves", "", list)
-    hook = _get(record, "hook_reserves", "", list)
+    """A hook scenario; every number must be finite, and a bad one is named."""
+    total_trade = _finite_number(record, "total_trade", "")
+    cpmm = _reserve_pair(record, "cpmm_reserves")
+    hook = _reserve_pair(record, "hook_reserves")
+    curvature = _finite_number(record, "curvature", "")
+    variance = variance_from_dict(_get(record, "variance", "", dict))
+    risk_aversion = _finite_number(record, "risk_aversion", "")
     return _wrap(
-        lambda: HookScenario(
-            total_trade=_number(record, "total_trade", ""),
-            cpmm_reserves=tuple(cpmm),
-            hook_reserves=tuple(hook),
-            curvature=_number(record, "curvature", ""),
-            variance=variance_from_dict(_get(record, "variance", "", dict)),
-            risk_aversion=_number(record, "risk_aversion", ""),
-        ),
+        lambda: HookScenario(total_trade, cpmm, hook, curvature, variance, risk_aversion),
         "",
     )
 
@@ -242,6 +253,18 @@ def hook_sweeps_from_dict(record):
         values.append(value)
     _wrap(lambda: check_sweep(*values), "sweeps")
     return tuple(values)
+
+
+def hook_targets_from_dict(record):
+    """The `targets` list of a hook config: the frontier's return targets.
+
+    It must be a nonempty list of finite numbers (booleans are refused);
+    anything else is refused here, before any search runs.
+    """
+    targets = _get(record, "targets", "", list)
+    if not targets or not all(map(_is_number, targets)):
+        raise ConfigError("field 'targets' must be a nonempty list of finite numbers", "targets")
+    return [float(t) for t in targets]
 
 
 def load_json(path):

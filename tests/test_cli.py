@@ -339,6 +339,60 @@ class TestHookSweeps:
         assert err["error"] == "config_parse"
         assert err["field"] == "sweeps"
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"total_trade": math.inf}, "total_trade"),
+            ({"total_trade": math.nan}, "total_trade"),
+            ({"curvature": math.nan}, "curvature"),
+            ({"risk_aversion": math.nan}, "risk_aversion"),
+            ({"cpmm_reserves": [math.inf, 100.0]}, "cpmm_reserves"),
+            ({"hook_reserves": [100.0, "1"]}, "hook_reserves"),
+            ({"variance": {"form": "linear", "scale": math.nan}}, "variance.scale"),
+            ({"variance": {"form": "linear", "scale": math.inf}}, "variance.scale"),
+            ({"variance": {"form": "superlinear", "scale": 1.0, "exponent": math.nan}}, "variance.exponent"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["hook-mean-variance", "hook-frontier"])
+    def test_nonfinite_scenario_refused_before_searching(
+        self, tmp_path, capsys, monkeypatch, command, change, field
+    ):
+        import hookroute.cli as cli_mod
+
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli_mod, "mean_variance_sweep", never)
+        monkeypatch.setattr(cli_mod, "efficient_frontier", never)
+        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, **change))
+        argv = [command, "--config", path, "--out", str(tmp_path)]
+        if command == "hook-frontier":
+            argv += ["--grid", "0:40:5"]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == field
+
+    @pytest.mark.parametrize("targets", [5, [], ["a", 3], [True, 3.0], [1.0, math.inf], [math.nan]])
+    def test_bad_targets_refused_before_searching(self, tmp_path, capsys, monkeypatch, targets):
+        import hookroute.cli as cli_mod
+
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli_mod, "efficient_frontier", never)
+        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, targets=targets))
+        assert main(["hook-frontier", "--config", path, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == "targets"
+
+    def test_targets_list_sets_the_frontier(self, tmp_path):
+        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, targets=[10, 20.5]))
+        assert main(["hook-frontier", "--config", path, "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "frontier.csv")
+        assert [row[0] for row in rows] == ["10.0", "20.5"]
+
     def test_defaults_and_row_order(self, tmp_path):
         record = {k: v for k, v in HOOK_CONFIG.items() if k != "sweeps"}
         record["sweeps"] = {"forms": ["linear", "constant"], "curvature_values": [0, 0.5]}

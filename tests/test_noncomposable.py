@@ -131,6 +131,28 @@ class TestVariance:
         with pytest.raises(ValueError):
             fill_variance(-1.0, VarianceSpec(LINEAR, 1.0))
 
+    @pytest.mark.parametrize("scale, exponent", [(math.nan, None), (math.inf, None), (1.0, math.nan)])
+    def test_nonfinite_refused(self, scale, exponent):
+        form = LINEAR if exponent is None else SUPERLINEAR
+        with pytest.raises(ValueError, match="must be finite"):
+            VarianceSpec(form, scale, exponent)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("total_trade", math.inf),
+            ("total_trade", math.nan),
+            ("cpmm_reserves", (100.0, math.inf)),
+            ("hook_reserves", (math.nan, 100.0)),
+            ("risk_aversion", math.nan),
+            ("risk_aversion", math.inf),
+        ],
+    )
+    def test_scenario_nonfinite_refused(self, field, value):
+        fields = dict(scenario().__dict__, **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            HookScenario(**fields)
+
 
 class TestMeanVariance:
     def test_constant_variance_scale_invariant(self):

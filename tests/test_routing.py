@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog, minimize
 
 from hookroute.cfmm import (
     GEOMETRIC_MEAN,
@@ -16,6 +19,7 @@ from hookroute.cfmm import (
     modified_forward_exchange,
     trading_function,
 )
+from hookroute import routing
 from hookroute.routing import (
     DualPrices,
     Liquidate,
@@ -119,6 +123,197 @@ class TestArbitrageSubproblem:
             if res.success:
                 best = max(best, -res.fun)
         assert val >= best - 1e-6 * max(1.0, best)
+
+
+def reference_geometric_subproblem(market, nu):
+    """Full enumeration of the 3^n - 1 tender/receive/hold role assignments.
+
+    Each row fixes c from the invariant; the best row whose trade directions
+    and hold conditions check out (within 1e-9) is the best response.
+    """
+    w = np.asarray(market.weights)
+    reserves = np.asarray(market.reserves)
+    fee = market.fee
+    n = len(reserves)
+    log_r = np.log(reserves)
+    log_phi0 = float(w @ log_r)
+    # Roles per asset: 0 hold, 1 tender, 2 receive; skip the all-hold row.
+    roles = np.array([r for r in itertools.product((0, 1, 2), repeat=n) if any(r)], dtype=np.int8)
+
+    log_a = np.where(
+        roles == 1,
+        np.log(fee * w / nu)[None, :],
+        np.where(roles == 2, np.log(w / nu)[None, :], 0.0),
+    )
+    traded = roles > 0
+    w_traded = np.where(traded, w[None, :], 0.0)
+    wt = w_traded.sum(axis=1)
+    log_c = (log_phi0 - (w_traded * log_a).sum(axis=1) - ((~traded) * w * log_r).sum(axis=1)) / wt
+    log_x = np.where(traded, log_c[:, None] + log_a, log_r[None, :])
+    x = np.exp(log_x)
+
+    tol = 1e-9
+    ok = np.ones(len(roles), dtype=bool)
+    ok &= np.where(roles == 1, x >= reserves * (1 - tol), True).all(axis=1)
+    ok &= np.where(roles == 2, x <= reserves * (1 + tol), True).all(axis=1)
+    # Hold conditions: fee * w_i * c / R_i <= nu_i <= w_i * c / R_i.
+    log_nu = np.log(nu)
+    lo = np.log(fee * w) + log_c[:, None] - log_r[None, :]
+    hi = np.log(w) + log_c[:, None] - log_r[None, :]
+    ok &= np.where(roles == 0, (lo <= log_nu[None, :] + tol) & (log_nu[None, :] <= hi + tol), True).all(axis=1)
+    if not ok.any():
+        return np.zeros(n), np.zeros(n), 0.0
+
+    d = np.where(roles == 1, (x - reserves) / fee, 0.0)
+    r = np.where(roles == 2, reserves - x, 0.0)
+    vals = (r - d) @ nu
+    vals = np.where(ok, vals, -np.inf)
+    best = int(np.argmax(vals))
+    if vals[best] <= 0.0:
+        return np.zeros(n), np.zeros(n), 0.0
+    return np.clip(d[best], 0.0, None), np.clip(r[best], 0.0, None), float(vals[best])
+
+
+@st.composite
+def geometric_pools(draw):
+    """Pools of 2-7 assets with prices; copied assets give exact ties in rho."""
+    base = draw(st.integers(1, 7))
+    positive = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    assets = [
+        (draw(positive(0.05, 500.0)), draw(positive(0.3, 5.0)), draw(positive(0.05, 20.0)))
+        for _ in range(base)
+    ]
+    copies = draw(st.lists(st.integers(0, base - 1), min_size=max(0, 2 - base), max_size=7 - base))
+    assets += [assets[i] for i in copies]
+    order = draw(st.permutations(range(len(assets))))
+    reserves, weights, nu = zip(*(assets[i] for i in order))
+    fee = draw(st.one_of(st.just(1.0), positive(0.8, 1.0)))
+    return Market(GEOMETRIC_MEAN, reserves, fee, weights=weights), np.array(nu)
+
+
+class TestGeometricSortedSplit:
+    @given(geometric_pools())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_enumeration(self, pool):
+        market, nu = pool
+        d, r, value = routing._geometric_subproblem(market, nu)
+        ref_d, ref_r, ref_value = reference_geometric_subproblem(market, nu)
+        # nu . R, the pool's worth at the prices, bounds the best-response value.
+        scale = float(nu @ np.asarray(market.reserves))
+        assert abs(value - ref_value) <= 1e-12 * scale
+        size = max(market.reserves)
+        assert np.abs(d - ref_d).max() <= 1e-9 * size
+        assert np.abs(r - ref_r).max() <= 1e-9 * size
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_large_pool_certifies(self, n):
+        # The full enumeration would need 3^n - 1 role rows (3.5e9 at n = 20).
+        rng = np.random.default_rng(n)
+        market = Market(
+            GEOMETRIC_MEAN,
+            tuple(rng.uniform(5.0, 50.0, n)),
+            0.997,
+            weights=tuple(rng.uniform(0.5, 2.0, n)),
+        )
+        problem = RoutingProblem(n, [(market, tuple(range(n)))], [], Liquidate(0, n - 1, 10.0))
+        sol = solve_routing(problem)
+        assert sol.status == "optimal"
+        assert sol.gap <= 1e-7 * max(1.0, sol.utility_value)
+        res = solution_residuals(problem, sol)
+        assert res["reconstruction"] <= 1e-8
+        assert res["market_residual"] <= 1e-8
+        assert res["order_slack"] <= 1e-8
+        assert res["budget_slack"] >= -1e-8
+        # Only the output asset is worth anything, so the best route is one swap.
+        assert sol.utility_value == pytest.approx(forward_exchange(market, 0, n - 1, 10.0), rel=1e-7)
+
+
+def random_lp(rng, case):
+    """A boxed LP max c @ x, -C x <= h, 0 <= x <= u with h >= 0, shaped by `case`."""
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+    c_mat = rng.normal(0.0, 1.0, (m, n)) * (rng.random((m, n)) < 0.7)
+    h = np.abs(rng.normal(0.0, 1.0, m))
+    upper = rng.uniform(0.0, 3.0, n)
+    if case == "duplicate_columns" and n > 1:
+        c_mat[:, 1:] = c_mat[:, rng.integers(0, n, n - 1)]
+    elif case == "zero_columns":
+        c_mat[:, rng.random(n) < 0.4] = 0.0
+    elif case == "zero_rhs":
+        h[:] = 0.0
+    elif case == "tied_ratios":
+        c_mat, h, upper = np.round(2 * c_mat), np.round(2 * h), np.round(upper) + 1.0
+    elif case == "bound_flips":
+        upper *= 0.01
+    cost = c_mat[0] if rng.random() < 0.5 else rng.normal(0.0, 1.0, n)
+    return cost, c_mat, h, upper
+
+
+def assert_simplex_matches_linprog(cost, c_mat, h, upper):
+    x = routing._bounded_simplex(cost, -c_mat, h, upper)
+    ref = linprog(
+        -cost, A_ub=-c_mat, b_ub=h, bounds=list(zip(np.zeros(len(upper)), upper)), method="highs"
+    )
+    assert ref.success
+    assert cost @ x == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
+    assert np.all(x >= 0.0) and np.all(x <= upper)
+    scale = max(1.0, float(np.max(h)), float(np.max(np.abs(c_mat) @ upper)))
+    assert np.all(-c_mat @ x <= h + 1e-12 * scale)
+    return x
+
+
+class TestBoundedSimplex:
+    @pytest.mark.parametrize(
+        "case", ["random", "duplicate_columns", "zero_columns", "zero_rhs", "tied_ratios", "bound_flips"]
+    )
+    def test_matches_linprog(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        for _ in range(150):
+            assert_simplex_matches_linprog(*random_lp(rng, case))
+
+    def test_step_cap_returns_a_feasible_vertex(self):
+        rng = np.random.default_rng(7)
+        cost, c_mat, h, upper = random_lp(rng, "random")
+        values = []
+        for steps in range(12):
+            x = routing._bounded_simplex(cost, -c_mat, h, upper, max_steps=steps)
+            assert np.all(x >= 0.0) and np.all(x <= upper)
+            assert np.all(-c_mat @ x <= h + 1e-12)
+            values.append(cost @ x)
+        assert values[0] == 0.0
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    def test_bland_rule_does_not_cycle(self):
+        # Beale's example: the largest-coefficient rule cycles here forever.
+        cost = np.array([0.75, -20.0, 0.5, -6.0])
+        c_mat = -np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        x = assert_simplex_matches_linprog(cost, c_mat, np.array([0.0, 0.0, 1.0]), np.full(4, 1e3))
+        assert cost @ x == pytest.approx(1.25, abs=1e-12)
+
+    def test_paper_sweep_completion_lps(self, monkeypatch):
+        # Every completion LP of the pigou and table1 sweeps, replayed through linprog.
+        captured = []
+        simplex = routing._bounded_simplex
+
+        def recording(cost, a_ub, b_ub, upper):
+            captured.append((cost.copy(), -a_ub, b_ub.copy(), upper.copy()))
+            return simplex(cost, a_ub, b_ub, upper)
+
+        monkeypatch.setattr(routing, "_bounded_simplex", recording)
+        table1 = table1_problem(0.0)
+        no_orders = RoutingProblem(table1.n_assets, table1.markets, [], table1.utility)
+        pigou_grid, table1_grid = np.linspace(0.0, 20.0, 100), np.linspace(0.0, 500.0, 100)
+        sweeps = [
+            (pigou_problem(0.0), pigou_grid),
+            (pigou_problem(0.0, with_order=False), pigou_grid),
+            (table1, table1_grid),
+            (no_orders, table1_grid),
+        ]
+        for problem, grid in sweeps:
+            assert all(s.status == "optimal" for s in solve_curve(problem, grid))
+        monkeypatch.undo()
+        assert len(captured) > 400
+        for lp in captured:
+            assert_simplex_matches_linprog(*lp)
 
 
 class TestLimitOrderSubproblem:
