@@ -21,6 +21,13 @@ SUM = "sum"
 _KINDS = (PRODUCT, GEOMETRIC_MEAN, SUM)
 
 
+def check_finite(**values):
+    """Refuse NaN and infinities, which JSON configs can carry (`NaN`, `Infinity`)."""
+    for name, value in values.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class Market:
     """A CFMM pool: trading-function kind, reserves, and fee in (0, 1]."""
@@ -32,6 +39,7 @@ class Market:
 
     def __post_init__(self):
         object.__setattr__(self, "reserves", tuple(float(r) for r in self.reserves))
+        check_finite(reserves=self.reserves)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown market kind {self.kind!r}")
         if self.kind in (PRODUCT, SUM) and len(self.reserves) != 2:
@@ -40,6 +48,7 @@ class Market:
             if self.weights is None:
                 raise ValueError("geometric_mean market needs weights")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            check_finite(weights=self.weights)
             if len(self.weights) != len(self.reserves):
                 raise ValueError("weights and reserves length mismatch")
             if any(w <= 0 for w in self.weights):
@@ -66,6 +75,7 @@ class LimitOrder:
     output_asset: int
 
     def __post_init__(self):
+        check_finite(price=self.price, volume=self.volume)
         if self.price <= 0:
             raise ValueError("limit price must be positive")
         if self.volume < 0:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cfmm import check_finite
+
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 _MODES = (MULTIPLICATIVE, ADDITIVE)
@@ -38,6 +40,13 @@ class PoolParams:
     external_price: float | None = None
 
     def __post_init__(self):
+        check_finite(
+            reserve_in=self.reserve_in,
+            reserve_out=self.reserve_out,
+            fee_bound_upper=self.fee_bound_upper,
+            fee_bound_lower=self.fee_bound_lower,
+            external_price=self.external_price,
+        )
         if self.reserve_in <= 0 or self.reserve_out <= 0:
             raise ValueError("reserves must be positive")
         if self.fee_bound_upper < 0 or self.fee_bound_lower < 0:
@@ -59,6 +68,7 @@ class MispricingParams:
     dt: float
 
     def __post_init__(self):
+        check_finite(drift=self.drift, volatility=self.volatility, dt=self.dt)
         if self.volatility < 0:
             raise ValueError("volatility must be nonnegative")
         if self.dt <= 0:
@@ -80,6 +90,13 @@ class MdpConfig:
     z_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
+        check_finite(
+            inventory=self.inventory,
+            gas=self.gas,
+            inventory_cost=self.inventory_cost,
+            discount=self.discount,
+            z_bounds=self.z_bounds,
+        )
         if self.horizon < 1:
             raise ValueError("horizon must be at least one block")
         if self.inventory < 0:

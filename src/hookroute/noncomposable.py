@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cfmm import check_finite
+
 CONSTANT = "constant"
 LINEAR = "linear"
 SUPERLINEAR = "superlinear"
@@ -23,13 +25,6 @@ FORMS = (CONSTANT, LINEAR, SUPERLINEAR, QUADRATIC)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _check_finite(**values):
-    """Refuse NaN and infinities, which JSON configs can carry (`NaN`, `Infinity`)."""
-    for name, value in values.items():
-        if value is not None and not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -41,7 +36,7 @@ class VarianceSpec:
     exponent: float | None = None  # only for the superlinear form
 
     def __post_init__(self):
-        _check_finite(scale=self.scale, exponent=self.exponent)
+        check_finite(scale=self.scale, exponent=self.exponent)
         if self.form not in FORMS:
             raise ValueError(f"variance form must be one of {FORMS}")
         if self.scale < 0:
@@ -63,7 +58,7 @@ class HookScenario:
     risk_aversion: float
 
     def __post_init__(self):
-        _check_finite(
+        check_finite(
             total_trade=self.total_trade,
             cpmm_reserves=self.cpmm_reserves,
             hook_reserves=self.hook_reserves,

@@ -1,17 +1,20 @@
 """Optimal trade routing across CFMMs and limit orders.
 
 The routing problem maximizes the output of a liquidation over the joint
-feasible set of every market and standing order. It is solved by dual
-decomposition: a price vector over the global assets is adjusted so that the
-per-market best responses clear the user's budget. Product and sum markets
-answer in closed form; a weighted geometric-mean pool sorts its assets by
-price times reserve over weight, and its KKT conditions make the tendered
-assets a prefix and the received ones a suffix of that order, so only O(n^2)
-splits are checked. The resulting dual value is a certified upper bound, and
-the primal is recovered from the best responses plus a small completion LP,
-solved by a dense bounded-variable simplex, that settles the piecewise-linear
-legs (orders, constant-sum pools) and scales each best response down.
-Only the local solves (L-BFGS-B, SLSQP, Nelder-Mead) use scipy.
+feasible set of every market and standing order. It is one convex program:
+each pool's tendered and received amounts under its invariant (a log
+invariant for product and geometric-mean pools, a linear one for
+constant-sum pools), each order's fill in its box, and a nonnegative
+balance of every asset. `solve_routing` solves it with one primal-dual
+interior-point method (Mehrotra predictor-corrector) in numpy.
+
+Every solve is certified by the exact dual: at strictly positive asset
+prices, the budget's worth plus each market's and order's best response
+bounds the output of any feasible route. Product and sum markets answer in
+closed form; a weighted geometric-mean pool sorts its assets by price times
+reserve over weight, and its KKT conditions make the tendered assets a
+prefix and the received ones a suffix of that order, so only O(n^2) splits
+are checked. No scipy module is used.
 """
 
 from __future__ import annotations
@@ -127,23 +130,18 @@ def _product_subproblem(market, nu):
     return best
 
 
-def _sum_directions(market, nu):
-    # Bang-bang legs: per unit of output received, 1/fee units are tendered.
-    fee = market.fee
-    out = []
-    for i, o in ((0, 1), (1, 0)):
-        margin = nu[o] - nu[i] / fee
-        out.append(((i, o), market.reserves[o], margin))
-    return out
-
-
 def _sum_subproblem(market, nu):
+    # Bang-bang: receive the whole output reserve, tendering 1/fee per unit,
+    # in the direction whose margin is not negative (at most one is positive).
+    fee = market.fee
     tendered, received = np.zeros(2), np.zeros(2)
     value = 0.0
-    for (i, o), cap, margin in _sum_directions(market, nu):
+    for i, o in ((0, 1), (1, 0)):
+        cap = market.reserves[o]
+        margin = nu[o] - nu[i] / fee
         if margin >= 0 and margin * cap >= value:
             tendered, received = np.zeros(2), np.zeros(2)
-            tendered[i], received[o] = cap / market.fee, cap
+            tendered[i], received[o] = cap / fee, cap
             value = margin * cap
     return tendered, received, value
 
@@ -207,6 +205,14 @@ def _geometric_subproblem(market, nu):
     return d, r, best_value
 
 
+def _best_response(market, nu_local):
+    if market.kind == PRODUCT:
+        return _product_subproblem(market, nu_local)
+    if market.kind == SUM:
+        return _sum_subproblem(market, nu_local)
+    return _geometric_subproblem(market, nu_local)
+
+
 def arbitrage_subproblem(market: Market, assets, nu: DualPrices | np.ndarray):
     """Best response of one market to global prices.
 
@@ -215,13 +221,7 @@ def arbitrage_subproblem(market: Market, assets, nu: DualPrices | np.ndarray):
     nu_all = np.asarray(nu.values if isinstance(nu, DualPrices) else nu, dtype=float)
     if np.any(nu_all <= 0):
         raise ValueError("dual prices must be strictly positive")
-    nu_local = nu_all[list(assets)]
-    if market.kind == PRODUCT:
-        d, r, val = _product_subproblem(market, nu_local)
-    elif market.kind == SUM:
-        d, r, val = _sum_subproblem(market, nu_local)
-    else:
-        d, r, val = _geometric_subproblem(market, nu_local)
+    d, r, val = _best_response(market, nu_all[list(assets)])
     return (d, r), val
 
 
@@ -242,52 +242,21 @@ def limit_order_subproblem(order: LimitOrder, nu: DualPrices | np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Dual function. The order and constant-sum legs are hinge-shaped in the
-# prices; an optional softplus smoothing keeps the outer quasi-Newton loop
-# away from their kinks until the final stages.
+# Dual function: at strictly positive prices nu with nu[output] = 1, the
+# budget's worth plus every market's and order's best-response value bounds
+# the output of any feasible route. It certifies every solve.
 # ---------------------------------------------------------------------------
 
 
-def _softplus(t, mu):
-    if mu <= 0:
-        return max(t, 0.0), 1.0 if t >= 0 else 0.0
-    u = t / mu
-    if u > 40:
-        return t, 1.0
-    if u < -40:
-        return 0.0, 0.0
-    return mu * math.log1p(math.exp(u)), 1.0 / (1.0 + math.exp(-u))
-
-
-def _dual_value_grad(problem, nu, mu):
+def _dual_value(problem, nu):
     util = problem.utility
     value = util.budget * nu[util.input_asset]
-    grad = np.zeros(problem.n_assets)
-    grad[util.input_asset] += util.budget
     for market, assets in problem.markets:
-        idx = list(assets)
-        nu_local = nu[idx]
-        if market.kind == SUM:
-            for (i, o), cap, margin in _sum_directions(market, nu_local):
-                sp, frac = _softplus(margin, mu)
-                value += cap * sp
-                grad[assets[o]] += cap * frac
-                grad[assets[i]] -= cap * frac / market.fee
-        else:
-            if market.kind == PRODUCT:
-                d, r, val = _product_subproblem(market, nu_local)
-            else:
-                d, r, val = _geometric_subproblem(market, nu_local)
-            value += val
-            np.add.at(grad, idx, r - d)
+        value += _best_response(market, nu[list(assets)])[2]
     for order in problem.orders:
         margin = nu[order.output_asset] * order.price - nu[order.input_asset]
-        sp, frac = _softplus(margin, mu)
-        scale = order.volume / order.price
-        value += scale * sp
-        grad[order.output_asset] += order.volume * frac
-        grad[order.input_asset] -= scale * frac
-    return value, grad
+        value += max(margin, 0.0) * order.volume / order.price
+    return value
 
 
 def _check_route_exists(problem):
@@ -313,497 +282,414 @@ def _check_route_exists(problem):
 
 
 # ---------------------------------------------------------------------------
-# Primal recovery: freeze the smooth best responses, then let a small LP
-# choose the hinge legs (order fills, constant-sum fills) and per-market
-# scale-downs so the budget constraint holds exactly. The LP has one row per
-# asset and a right-hand side >= 0, so a dense bounded simplex started from
-# the all-slack basis at x = 0 solves it.
+# The convex primal, in scaled variables x = (d, r, y, s):
+#   d, r  each pool leg's tendered and received amount over its reserve;
+#   y     each order's fill over its volume (orders of volume 0 are left out);
+#   s     each asset's slack (psi + h) over the asset's scale.
+# Maximize s[output] subject to
+#   A x = b                       psi + h - s = 0, one row per asset;
+#   f(x) <= 0                     one row per pool: -sum w log(q) for product
+#                                 and geometric pools, with q = 1 + fee d - r
+#                                 and w the weights over their sum, and the
+#                                 linear sum(R (r - fee d)) / sum(R) for
+#                                 constant-sum pools;
+#   x >= 0, r <= 1 on constant-sum legs, y <= 1.
 # ---------------------------------------------------------------------------
 
 
-def _bounded_simplex(cost, a_ub, b_ub, upper, max_steps=None):
-    """Maximize cost @ x subject to a_ub @ x <= b_ub and 0 <= x <= upper.
+class _Program:
+    """The scaled convex primal of one problem: its data, index maps, the
+    asset rows A x = b and the fixed part of the Newton matrix."""
 
-    Dense bounded-variable primal simplex for b_ub >= 0, where x = 0 is
-    feasible: the slacks are the starting basis, every nonbasic variable sits
-    at one of its bounds, and an entering variable whose own range is shorter
-    than every ratio flips to its other bound without a pivot. Bland's rule
-    (the lowest eligible index enters, the lowest basic index leaves among
-    tied ratios) rules out cycling. Every iterate is feasible, so after
-    `max_steps` steps (default 50 per variable, slacks included) the current
-    vertex is returned; the caller's gap certificate, not this routine,
-    decides whether it is optimal.
-    """
-    m, n = a_ub.shape
-    width = n + m
-    tab = np.zeros((m + 1, width))  # rows: B^-1 [A I]; last row: reduced costs
-    tab[:m, :n] = a_ub
-    tab[:m, n:] = np.eye(m)
-    tab[m, :n] = cost
-    upper_all = np.concatenate([upper, np.full(m, np.inf)])
-    basis = list(range(n, width))
-    is_basic = np.zeros(width, dtype=bool)
-    is_basic[n:] = True
-    at_upper = np.zeros(width, dtype=bool)
-    x_basic = np.array(b_ub, dtype=float)
-    dual_tol = 1e-11 * max(1.0, float(np.abs(cost).max(initial=0.0)))
-    pivot_tol = 1e-11 * max(1.0, float(np.abs(a_ub).max(initial=0.0)))
+    def __init__(self, problem):
+        n = problem.n_assets
+        util = problem.utility
+        pool, asset, reserve, fee, coef = [], [], [], [], []
+        for p, (market, assets) in enumerate(problem.markets):
+            weights = market.weights or (1.0,) * market.n_assets
+            total_w, total_r = sum(weights), sum(market.reserves)
+            for a, res, w in zip(assets, market.reserves, weights):
+                pool.append(p)
+                asset.append(a)
+                reserve.append(res)
+                fee.append(market.fee)
+                coef.append(res / total_r if market.kind == SUM else w / total_w)
+        self.pool = np.array(pool, dtype=int)
+        self.asset = np.array(asset, dtype=int)
+        self.reserve = np.array(reserve)
+        self.fee = np.array(fee)
+        self.coef = np.array(coef)
+        self.smooth = np.array([problem.markets[p][0].kind != SUM for p in pool], dtype=bool)
+        self.orders = [j for j, o in enumerate(problem.orders) if o.volume > 0]
+        live = [problem.orders[j] for j in self.orders]
+        self.order_in = np.array([o.input_asset for o in live], dtype=int)
+        self.order_out = np.array([o.output_asset for o in live], dtype=int)
+        self.volume = np.array([o.volume for o in live])
+        self.price = np.array([o.price for o in live])
 
-    for _ in range(50 * width if max_steps is None else max_steps):
-        reduced = tab[m]
-        eligible = np.flatnonzero(
-            ~is_basic & np.where(at_upper, reduced < -dual_tol, reduced > dual_tol)
+        scale = np.zeros(n)
+        np.maximum.at(scale, self.asset, self.reserve)
+        np.maximum.at(scale, self.order_out, self.volume)
+        np.maximum.at(scale, self.order_in, self.volume / self.price)
+        scale[util.input_asset] = max(scale[util.input_asset], util.budget)
+        scale[scale == 0.0] = 1.0
+        self.scale = scale
+        self.h = np.zeros(n)
+        self.h[util.input_asset] = util.budget
+        self.out = util.output_asset
+
+        n_legs, n_orders = len(pool), len(live)
+        self.n_legs, self.n_pools = n_legs, len(problem.markets)
+        self.nx = nx = 2 * n_legs + n_orders + n
+        self.slack = 2 * n_legs + n_orders
+        legs, orders = np.arange(n_legs), 2 * n_legs + np.arange(n_orders)
+        a_mat = np.zeros((n, nx))
+        a_mat[self.asset, legs] = -self.reserve / scale[self.asset]
+        a_mat[self.asset, n_legs + legs] = self.reserve / scale[self.asset]
+        a_mat[self.order_out, orders] = self.volume / scale[self.order_out]
+        a_mat[self.order_in, orders] = -self.volume / self.price / scale[self.order_in]
+        a_mat[np.arange(n), self.slack + np.arange(n)] = -1.0
+        self.a_mat = a_mat
+        self.b = -self.h / scale
+        self.c = np.zeros(nx)
+        self.c[self.slack + self.out] = -1.0
+        self.upper = np.concatenate([n_legs + legs[~self.smooth], orders])
+
+        # Augmented Newton matrix [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0]:
+        # A is fixed, the rest is written each iteration at these flat indices.
+        size = nx + self.n_pools + n
+        self.kkt = np.zeros((size, size))
+        self.kkt[nx + self.n_pools :, :nx] = a_mat
+        self.kkt[:nx, nx + self.n_pools :] = a_mat.T
+        rows = nx + self.pool
+        self.flat = np.concatenate(
+            [
+                np.arange(nx) * (size + 1),
+                legs * size + n_legs + legs,
+                (n_legs + legs) * size + legs,
+                rows * size + legs,
+                rows * size + n_legs + legs,
+                legs * size + rows,
+                (n_legs + legs) * size + rows,
+                (nx + np.arange(self.n_pools)) * (size + 1),
+            ]
         )
-        if not eligible.size:
-            break
-        j = int(eligible[0])
-        step_sign = -1.0 if at_upper[j] else 1.0
-        # Basic values move by -t * step_sign * alpha as the entering one moves by t.
-        rate = step_sign * tab[:m, j]
-        ratios = np.full(m, np.inf)
-        falling = rate > pivot_tol
-        ratios[falling] = np.maximum(x_basic[falling], 0.0) / rate[falling]
-        basic_upper = upper_all[basis]
-        rising = (rate < -pivot_tol) & np.isfinite(basic_upper)
-        ratios[rising] = np.maximum(basic_upper[rising] - x_basic[rising], 0.0) / -rate[rising]
-        t = float(ratios.min(initial=np.inf))
-        if upper_all[j] <= t and j < n:
-            x_basic -= upper_all[j] * rate
-            at_upper[j] = not at_upper[j]
-            continue
-        if not math.isfinite(t):
-            break  # unbounded ray: impossible when every structural bound is finite
-        tied = np.flatnonzero(ratios <= t)
-        row = int(min(tied, key=basis.__getitem__))
-        leaving = basis[row]
-        x_basic -= t * rate
-        x_basic[row] = upper_all[j] - t if at_upper[j] else t
-        at_upper[leaving] = rate[row] < 0
-        is_basic[leaving], is_basic[j] = False, True
-        at_upper[j] = False
-        basis[row] = j
-        tab[row] /= tab[row, j]
-        pivot_row = tab[row]
-        others = np.arange(m + 1) != row
-        tab[others] -= np.outer(tab[others, j], pivot_row)
 
-    # Re-solve the basic values from the final basis rather than keep the
-    # values updated over every step, so rounding does not accumulate.
-    x = np.where(at_upper, upper_all, 0.0)
-    x[basis] = 0.0
-    full = np.hstack([a_ub, np.eye(m)])
-    x[basis] = np.linalg.solve(full[:, basis], b_ub - full @ x)
-    return np.clip(x[:n], 0.0, upper)
+    def start(self):
+        # Small trades, half-filled orders, unit slacks: interior to every
+        # bound, and close enough to no trade that each reserve stays positive.
+        x = np.full(self.nx, 0.5)
+        x[: 2 * self.n_legs] = 0.01
+        x[self.slack :] = 1.0
+        return x
+
+    def reserves(self, d, r):
+        """Post-trade reserves over the reserve, set to 1 on constant-sum legs.
+
+        Only the log invariants need them positive.
+        """
+        return np.where(self.smooth, 1.0 + self.fee * d - r, 1.0)
+
+    def pools(self, x):
+        """Leg reserves q (`reserves`), pool rows f and the legs' Jacobian factors."""
+        d, r = x[: self.n_legs], x[self.n_legs : 2 * self.n_legs]
+        q = self.reserves(d, r)
+        terms = np.where(self.smooth, np.log(q), self.fee * d - r)
+        f = -np.bincount(self.pool, self.coef * terms, self.n_pools)
+        return q, f, self.coef / q
+
+    def trades(self, x):
+        """Exactly feasible trades near x, in the problem's units.
+
+        Clips x to its bounds and nets each leg (tendering and receiving one
+        asset in one pool leaves the same reserve with less spent). Then, in
+        turns, scales each pool's received legs down until its invariant
+        holds with a margin, and cuts the spending of every asset spent
+        beyond its budget. Returns each leg's tendered and received amount,
+        each live order's fill and psi; no trade at all if eight rounds
+        leave an asset overspent.
+        """
+        n_legs, fee = self.n_legs, self.fee
+        d = np.maximum(x[:n_legs], 0.0)
+        r = np.maximum(x[n_legs : 2 * n_legs], 0.0)
+        r[~self.smooth] = np.minimum(r[~self.smooth], 1.0)
+        d, r = np.maximum(d - r / fee, 0.0), np.maximum(r - fee * d, 0.0)
+        y = np.clip(x[2 * n_legs : self.slack], 0.0, 1.0)
+        n = len(self.h)
+        for _ in range(8):
+            r *= self._invariant_scale(d, r)[self.pool]
+            d_abs, r_abs, fill = d * self.reserve, r * self.reserve, y * self.volume
+            spent = np.bincount(self.asset, d_abs, n) + np.bincount(self.order_in, fill / self.price, n)
+            made = np.bincount(self.asset, r_abs, n) + np.bincount(self.order_out, fill, n)
+            left = made + self.h - spent
+            if left.min() >= 0.0:
+                return d_abs, r_abs, fill, made - spent
+            cut = self._cuts(d, r, fill, spent, made, left)
+            d *= 1.0 - cut[self.asset]
+            y *= 1.0 - cut[self.order_in]
+        zero = np.zeros(n_legs)
+        return zero, zero, np.zeros(len(y)), np.zeros(n)
+
+    def _cuts(self, d, r, fill, spent, made, left):
+        """Fractions of each asset's spending to cut so that none is overspent.
+
+        Cutting what a pool tenders makes it give back less of everything it
+        pays out, so cuts spread along the trades, loops included. To first
+        order the loss at asset b per unit fraction cut at asset a is
+        M[b, a]; the cuts c solve (spent - M) c = need on the assets that
+        end up short, where need brings each to a margin of 1e-13 of its
+        flow.
+        """
+        n, pool, fee = len(self.h), self.pool, self.fee
+        q = self.reserves(d, r)
+        w = self.coef
+        tender = np.where(self.smooth, w * fee * d / q, fee * self.reserve * d)
+        pay = np.where(self.smooth, w * r / q, self.reserve * r)
+        total_pay = np.bincount(pool, pay, self.n_pools)
+        share = np.zeros((n, self.n_pools))
+        share[self.asset, pool] = self.reserve * r / np.where(total_pay > 0.0, total_pay, 1.0)[pool]
+        source = np.zeros((self.n_pools, n))
+        source[pool, self.asset] = tender
+        loss = share @ source
+        np.add.at(loss, (self.order_out, self.order_in), fill)
+
+        margin = 1e-13 * (spent + made)
+        need = margin - left
+        short = need > 0.0
+        cut = np.zeros(n)
+        for _ in range(n):
+            idx = np.flatnonzero(short)
+            system = np.diag(spent[idx]) - loss[np.ix_(idx, idx)]
+            try:
+                cut[idx] = np.linalg.solve(system, np.maximum(need[idx], 0.0))
+            except np.linalg.LinAlgError:
+                cut[idx] = np.maximum(need[idx], 0.0) / spent[idx]
+            cut = np.clip(cut, 0.0, 1.0)
+            after = left + spent * cut - loss @ cut
+            more = (after < margin) & ~short & (spent > 0.0)
+            if not more.any():
+                break
+            short |= more
+        return cut
+
+    def _invariant_scale(self, d, r):
+        """Per pool, the largest t <= 1 such that receiving t * r keeps its invariant.
+
+        Product and geometric pools: Newton steps on the log invariant, which
+        is concave and falling in t, so they approach its root from above;
+        they aim at 2e-14 and stop at 1e-14, which keeps rounding on the
+        feasible side.
+        """
+        pool, fee, n_pools = self.pool, self.fee, self.n_pools
+        w = np.where(self.smooth, self.coef, 0.0)
+        t = np.ones(n_pools)
+        for _ in range(60):
+            q = self.reserves(d, t[pool] * r)
+            phi = np.bincount(pool, w * np.log(q), n_pools)
+            slope = np.bincount(pool, w * r / q, n_pools)
+            low = (phi < 1e-14) & (slope > 1e-300)
+            if not low.any():
+                break
+            t[low] = np.maximum(t[low] + (phi[low] - 2e-14) / slope[low], 0.0)
+        linear = np.where(self.smooth, 0.0, self.coef)
+        gain = np.bincount(pool, linear * fee * d, n_pools)
+        spend = np.bincount(pool, linear * r, n_pools)
+        over = spend > gain
+        t[over] = gain[over] / spend[over] * (1.0 - 1e-15)
+        return t
+
+    def prices(self, z_slack):
+        """Asset prices from the slack multipliers, output asset at 1."""
+        nu = z_slack / self.scale
+        nu[self.out] += 1.0 / self.scale[self.out]
+        return nu / nu[self.out]
 
 
-def _recover_primal(problem, nu, fixed_trades=None):
-    n = problem.n_assets
-    util = problem.utility
-    columns = []
-    upper = []
-    kinds = []  # ("market", i, d, r) | ("sum", i, in, out, cap) | ("order", j)
-
-    for i, (market, assets) in enumerate(problem.markets):
-        nu_local = nu[list(assets)]
-        if market.kind == SUM and fixed_trades is None:
-            for (a, b), cap, _ in _sum_directions(market, nu_local):
-                col = np.zeros(n)
-                col[assets[b]] += 1.0
-                col[assets[a]] -= 1.0 / market.fee
-                columns.append(col)
-                upper.append(cap)
-                kinds.append(("sum", i, a, b, cap))
-        else:
-            if fixed_trades is not None:
-                d, r = fixed_trades[i]
-            elif market.kind == PRODUCT:
-                d, r, _ = _product_subproblem(market, nu_local)
-            else:
-                d, r, _ = _geometric_subproblem(market, nu_local)
-            col = np.zeros(n)
-            np.add.at(col, list(assets), r - d)
-            columns.append(col)
-            upper.append(1.0)
-            kinds.append(("market", i, d, r))
-    for j, order in enumerate(problem.orders):
-        col = np.zeros(n)
-        col[order.output_asset] += 1.0
-        col[order.input_asset] -= 1.0 / order.price
-        columns.append(col)
-        upper.append(order.volume)
-        kinds.append(("order", j))
-
-    h_init = np.zeros(n)
-    h_init[util.input_asset] = util.budget
-
-    market_trades = [
-        (np.zeros(m.n_assets), np.zeros(m.n_assets)) for m, _ in problem.markets
-    ]
-    order_trades = [Trade2(0.0, 0.0) for _ in problem.orders]
-    if columns:
-        c_mat = np.column_stack(columns)
-        x = _bounded_simplex(c_mat[util.output_asset], -c_mat, h_init, np.array(upper))
-        for xk, kind in zip(x, kinds):
-            if kind[0] == "market":
-                _, i, d, r = kind
-                tendered, received = market_trades[i]
-                tendered += xk * d
-                received += xk * r
-            elif kind[0] == "sum":
-                _, i, a, b, _ = kind
-                tendered, received = market_trades[i]
-                fee = problem.markets[i][0].fee
-                tendered[a] += xk / fee
-                received[b] += xk
-            else:
-                _, j = kind
-                order = problem.orders[j]
-                prev = order_trades[j]
-                order_trades[j] = Trade2(prev.z1 + xk / order.price, prev.z2 + xk)
-
-    psi = np.zeros(n)
-    for (market, assets), (d, r) in zip(problem.markets, market_trades):
-        np.add.at(psi, list(assets), r - d)
-    for order, trade in zip(problem.orders, order_trades):
-        psi[order.output_asset] += trade.z2
-        psi[order.input_asset] -= trade.z1
-    return psi, market_trades, order_trades, float(psi[util.output_asset])
+def _max_step(value, change):
+    """Largest step in [0, 1] that keeps value + step * change >= 0, for value > 0."""
+    worst = float((change / value).min(initial=0.0))
+    return 1.0 if worst >= -1.0 else -1.0 / worst
 
 
-def _polish_primal(problem, start_trades, start_fills):
-    """Local primal refinement when the LP completion is not tight.
+def _interior_point(problem, prog, tol, max_iter):
+    """Mehrotra predictor-corrector on the scaled convex primal.
 
-    The completion LP can only scale a market's best response, which fails at
-    degenerate optima where a price-neutral loop needs the trade tilted
-    slightly off the best response. This solves the true primal locally
-    (sequential quadratic programming over all market legs and order fills,
-    warm-started at the LP point), restores each market invariant exactly,
-    and returns the polished per-market trades.
+    The pairs of primal slacks p and multipliers z are the bounds of x
+    (x >= 0, and 1 - x >= 0 where x is capped) and the pool rows (u >= 0
+    with f(x) + u = 0, multiplier lam). The asset rows A x = b may start
+    violated, so no strictly feasible start is needed. Each Newton step
+    solves the augmented system [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0].
+    Once the estimated gap is well inside tol, each iterate is rounded to
+    exactly feasible trades and certified by `_dual_value` at the slack
+    multipliers. Returns the last rounded trades with their prices and
+    gap, whether they are certified, and the iteration count.
     """
-    from scipy.optimize import minimize
+    nx, n_legs, n_pools = prog.nx, prog.n_legs, prog.n_pools
+    upper, fee, pool = prog.upper, prog.fee, prog.pool
+    a_mat, a_t = prog.a_mat, prog.a_mat.T
+    nb = nx + len(upper)
+    p = np.ones(nb + n_pools)
+    z = np.ones(nb + n_pools)
+    p[:nx] = prog.start()
+    p[nx:nb] = 1.0 - p[upper]  # kept apart: 1 - x rounds to 0 near the cap
+    x, u, lam = p[:nx], p[nb:], z[nb:]  # views, updated with p and z
+    nu = np.zeros(len(prog.h))
+    out_scale = prog.scale[prog.out]
+    smooth_coef = np.where(prog.smooth, prog.coef, 0.0)
+    worth = np.zeros(len(prog.h))
+    worth[prog.out] = 1.0
 
-    n = problem.n_assets
-    util = problem.utility
-    slices = []
-    x0 = []
-    offset = 0
-    for (market, _), (d, r) in zip(problem.markets, start_trades):
-        k = market.n_assets
-        slices.append((offset, k))
-        x0.extend(d)
-        x0.extend(r)
-        offset += 2 * k
-    order_offset = offset
-    x0.extend(t.z2 for t in start_fills)
-    x0 = np.asarray(x0)
-    total = len(x0)
+    def certify():
+        # A fill or capped leg whose bound's multiplier exceeds its slack
+        # is put on that bound.
+        point = x.copy()
+        fills = slice(2 * n_legs, prog.slack)
+        point[fills][z[fills] > x[fills]] = 0.0
+        point[upper[z[nx:nb] > p[nx:nb]]] = 1.0
+        d, r, y, psi = prog.trades(point)
+        prices = prog.prices(z[prog.slack : nx])
+        bound = _dual_value(problem, prices)
+        gap = bound - float(psi[prog.out])
+        return (d, r, y, psi, prices, gap), gap <= tol * max(1.0, abs(bound))
 
-    # Net-trade matrix: psi = coef @ x.
-    coef = np.zeros((n, total))
-    for (market, assets), (off, k) in zip(problem.markets, slices):
-        for j, asset in enumerate(assets):
-            coef[asset, off + j] -= 1.0
-            coef[asset, off + k + j] += 1.0
-    bounds = [(0.0, None)] * order_offset
-    for j, order in enumerate(problem.orders):
-        coef[order.output_asset, order_offset + j] += 1.0
-        coef[order.input_asset, order_offset + j] -= 1.0 / order.price
-        bounds.append((0.0, order.volume))
-    h_init = np.zeros(n)
-    h_init[util.input_asset] = util.budget
+    iterations = 0
+    while True:
+        q, f, jac = prog.pools(x)
+        lam_legs = lam[pool]
+        grad = prog.c - z[:nx] + a_t @ nu
+        grad[upper] += z[nx:nb]
+        grad[:n_legs] -= fee * jac * lam_legs
+        grad[n_legs : 2 * n_legs] += jac * lam_legs
+        r_p = a_mat @ x - prog.b
+        r_f = f + u
 
-    def invariant(x):
-        vals = np.empty(len(problem.markets))
-        for i, ((market, _), (off, k)) in enumerate(zip(problem.markets, slices)):
-            d, r = x[off : off + k], x[off + k : off + 2 * k]
-            post = np.asarray(market.reserves) + market.fee * d - r
-            if market.kind == SUM:
-                vals[i] = market.fee * d.sum() - r.sum()
-            else:
-                w = np.ones(2) if market.kind == PRODUCT else np.asarray(market.weights)
-                logs = np.log(np.maximum(post, 1e-300))
-                vals[i] = w @ logs - w @ np.log(market.reserves)
-        return vals
+        # Complementarity plus the multiplier-weighted row violations
+        # estimates the gap in units of the output's scale. Certify once the
+        # estimate is well inside tol; give up once it is far below, where
+        # steps no longer change the trades.
+        worth[:] = z[prog.slack : nx]
+        worth[prog.out] += 1.0
+        estimate = p @ z + lam @ np.abs(r_f) + worth @ np.abs(r_p)
+        estimate /= 0.1 * tol * max(1.0 / out_scale, x[prog.slack + prog.out])
+        if estimate <= 1.0 or iterations >= max_iter:
+            result, passed = certify()
+            if passed or estimate <= 1e-6 or iterations >= max_iter:
+                return result, passed, iterations
 
-    def invariant_jac(x):
-        jac = np.zeros((len(problem.markets), total))
-        for i, ((market, _), (off, k)) in enumerate(zip(problem.markets, slices)):
-            d, r = x[off : off + k], x[off + k : off + 2 * k]
-            if market.kind == SUM:
-                jac[i, off : off + k] = market.fee
-                jac[i, off + k : off + 2 * k] = -1.0
-                continue
-            post = np.maximum(np.asarray(market.reserves) + market.fee * d - r, 1e-300)
-            w = np.ones(2) if market.kind == PRODUCT else np.asarray(market.weights)
-            jac[i, off : off + k] = market.fee * w / post
-            jac[i, off + k : off + 2 * k] = -w / post
-        return jac
+        ratio = z[:nb] / p[:nb]
+        hess = lam_legs * smooth_coef / (q * q)
+        diag = ratio[:nx].copy()
+        diag[upper] += ratio[nx:]
+        diag[:n_legs] += hess * fee * fee
+        diag[n_legs : 2 * n_legs] += hess
+        off = -hess * fee
+        jd = -fee * jac
+        kkt = prog.kkt.copy()
+        kkt.flat[prog.flat] = np.concatenate([diag, off, off, jd, jac, jd, jac, -u / lam])
 
-    out_row = coef[util.output_asset]
-    res = minimize(
-        lambda x: -out_row @ x,
-        x0,
-        jac=lambda x: -out_row,
-        method="SLSQP",
-        bounds=bounds,
-        constraints=[
-            {"type": "ineq", "fun": invariant, "jac": invariant_jac},
-            {"type": "ineq", "fun": lambda x: coef @ x + h_init, "jac": lambda x: coef},
-        ],
-        options={"maxiter": 150, "ftol": 1e-12},
-    )
-    # SLSQP may wander on hard instances; never hand back a worse point.
-    if out_row @ res.x <= out_row @ x0:
-        return None
-    x = np.clip(res.x, 0.0, None)
+        def newton(r_c):
+            part = r_c[:nb] / p[:nb]
+            top = part[:nx] - grad
+            top[upper] -= part[nx:]
+            sol = np.linalg.solve(kkt, np.concatenate([top, -r_f - r_c[nb:] / lam, -r_p]))
+            dp = np.empty_like(p)
+            dp[:nx] = sol[:nx]
+            dp[nx:nb] = -sol[upper]
+            dp[nb:] = (r_c[nb:] - u * sol[nx : nx + n_pools]) / lam
+            dz = (r_c - z * dp) / p
+            dq = (fee * sol[:n_legs] - sol[n_legs : 2 * n_legs]) * prog.smooth
+            a_p = min(_max_step(p, dp), _max_step(0.9 * q, dq))
+            return dp, dz, sol[nx + n_pools :], a_p, _max_step(z, dz)
 
-    trades = []
-    for (market, _), (off, k) in zip(problem.markets, slices):
-        d, r = x[off : off + k].copy(), x[off + k : off + 2 * k].copy()
-        before = trading_function(market, market.reserves)
-        post = np.asarray(market.reserves) + market.fee * d - r
-
-        def feasible(scale):
-            adjusted = np.asarray(market.reserves) + market.fee * d - scale * r
-            return adjusted.min() > 0 and trading_function(market, adjusted) >= before
-
-        if not (post.min() > 0 and trading_function(market, np.clip(post, 0, None)) >= before):
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if feasible(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            r *= lo
-        trades.append((d, r))
-    return trades
+        try:
+            dp, dz, _, a_p, a_d = newton(-p * z)
+            mu = p @ z / len(p)
+            mu_aff = (p + a_p * dp) @ (z + a_d * dz) / len(p)
+            dp, dz, dnu, a_p, a_d = newton((mu_aff / mu) ** 3 * mu - p * z - dp * dz)
+        except np.linalg.LinAlgError:
+            break
+        if not (a_p > 0.0 and a_d > 0.0):  # also catches NaN
+            break
+        p += 0.99 * a_p * dp
+        z += 0.99 * a_d * dz
+        nu += 0.99 * a_d * dnu
+        iterations += 1
+    result, passed = certify()
+    return result, passed, iterations
 
 
-def _zero_solution(problem, nu=None, status=STATUS_OPTIMAL):
+def _zero_solution(problem):
     return RoutingSolution(
         psi=np.zeros(problem.n_assets),
         market_trades=[(np.zeros(m.n_assets), np.zeros(m.n_assets)) for m, _ in problem.markets],
         order_trades=[Trade2(0.0, 0.0) for _ in problem.orders],
         utility_value=0.0,
-        status=status,
-        dual_prices=nu,
-        gap=0.0,
+        status=STATUS_OPTIMAL,
     )
-
-
-_MU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 0.0)
-_MU_WARM = (1e-6, 1e-8, 0.0)
 
 
 def solve_routing(
     problem: RoutingProblem,
     tol: float = 1e-7,
-    max_iter: int = 5000,
-    initial_prices: np.ndarray | None = None,
+    max_iter: int = 200,
 ) -> RoutingSolution:
     """Solve the routing problem to a relative primal-dual gap of `tol`.
 
-    The dual prices are minimized in log space (keeping them strictly
-    positive) with a quasi-Newton loop over a decreasing smoothing schedule;
-    the gradient at each price vector is the net-trade mismatch of the best
-    responses. Warm starts via `initial_prices` shorten the schedule. If the
-    gap certificate is missed, escalates: local primal polish, Polyak
-    subgradient steps on the exact dual targeting the best recovered primal,
-    then price-space restarts. Returns a max_iter status only when every
-    stage fails to certify; the returned trades are feasible regardless.
+    One primal-dual interior-point solve of the convex primal, of at most
+    `max_iter` Newton steps. A solve is `optimal` only when the exact dual
+    bound at the solve's prices (`dual_prices`, output asset at 1) exceeds
+    the output of the returned, exactly feasible trades by at most
+    tol * max(1, |bound|); `gap` is the bound minus that output. Otherwise
+    the status is `max_iter`, and the trades are still feasible.
     """
-    from scipy.optimize import minimize
-
     util = problem.utility
     if util.budget == 0:
         return _zero_solution(problem)
     _check_route_exists(problem)
+    prog = _Program(problem)
+    (d, r, y, psi, prices, gap), passed, iterations = _interior_point(problem, prog, tol, max_iter)
 
-    n = problem.n_assets
-    numeraire = util.output_asset
-    free = np.array([a for a in range(n) if a != numeraire])
-
-    if initial_prices is not None:
-        nu0 = np.asarray(initial_prices, dtype=float)
-        u = np.log(nu0[free] / nu0[numeraire])
-        schedule = _MU_WARM
-    else:
-        u = np.zeros(len(free))
-        schedule = _MU_SCHEDULE
-
-    def objective(u_vec, mu):
-        nu = np.ones(n)
-        nu[free] = np.exp(np.clip(u_vec, -60, 60))
-        value, grad = _dual_value_grad(problem, nu, mu)
-        return value, grad[free] * nu[free]
-
-    def prices(u_vec):
-        nu = np.ones(n)
-        nu[free] = np.exp(np.clip(u_vec, -60, 60))
-        return nu
-
-    total_iters = 0
-    fallback = None
-
-    def recover(u_vec, passed_status):
-        nu = prices(u_vec)
-        psi, m_trades, o_trades, value = _recover_primal(problem, nu)
-        dual_value, _ = _dual_value_grad(problem, nu, 0.0)
-        gap = dual_value - value
-        if gap > tol * max(1.0, abs(dual_value)):
-            # Scale-only completion was not tight; refine the primal locally
-            # and re-complete with the refined trades fixed.
-            polished = _polish_primal(problem, m_trades, o_trades)
-            if polished is not None:
-                psi2, m2, o2, value2 = _recover_primal(problem, nu, fixed_trades=polished)
-                if value2 > value:
-                    psi, m_trades, o_trades, value = psi2, m2, o2, value2
-                    gap = dual_value - value
-        solution = RoutingSolution(
-            psi=psi,
-            market_trades=m_trades,
-            order_trades=o_trades,
-            utility_value=value,
-            status=passed_status,
-            dual_prices=nu,
-            gap=gap,
-            iterations=total_iters,
-        )
-        return solution, gap <= tol * max(1.0, abs(dual_value))
-
-    def attempt(u_vec):
-        nonlocal fallback
-        solution, passed = recover(u_vec, STATUS_OPTIMAL)
-        if passed:
-            return solution
-        solution.status = STATUS_MAX_ITER
-        if fallback is None or solution.utility_value > fallback.utility_value:
-            fallback = solution
-        return None
-
-    for mu in schedule:
-        remaining = max_iter - total_iters
-        if remaining <= 0:
-            break
-        res = minimize(
-            objective,
-            u,
-            args=(mu,),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": min(300, remaining), "ftol": 1e-16, "gtol": 1e-12},
-        )
-        u = res.x
-        total_iters += max(res.nit, 1)
-        solution = attempt(u)
-        if solution is not None:
-            return solution
-
-    # The smoothed quasi-Newton loop can stall: the dual is convex in the
-    # prices but not in their logs, and the hinge legs add kinks. Escalate in
-    # price space directly. First, Polyak subgradient steps toward the best
-    # recovered primal value (a valid target by strong duality), alternating
-    # with recovery so the target and the bound tighten each other.
-    def exact_in_prices(nu_free):
-        nu = np.ones(n)
-        nu[free] = np.maximum(nu_free, 1e-12)
-        value, grad = _dual_value_grad(problem, nu, 0.0)
-        return value, grad[free]
-
-    best_nu_free, best_h = np.exp(np.clip(u, -60, 60)), objective(u, 0.0)[0]
-    for _ in range(5):
-        if fallback is None or max_iter - total_iters <= 0:
-            break
-        target = fallback.utility_value
-        starts = [best_nu_free]
-        if fallback.dual_prices is not None:
-            starts.append(np.maximum(fallback.dual_prices[free], 1e-12))
-        improved = False
-        for x0 in starts:
-            x = x0.copy()
-            for _ in range(min(300, max(max_iter - total_iters, 0))):
-                value, grad = exact_in_prices(x)
-                total_iters += 1
-                if value < best_h:
-                    best_nu_free, best_h = x.copy(), value
-                    improved = True
-                step = value - target
-                if step <= 0.5 * tol * max(1.0, abs(value)):
-                    break
-                norm = grad @ grad
-                if norm <= 1e-30:
-                    break
-                x = np.maximum(x - step / norm * grad, 1e-12)
-        solution = attempt(np.log(best_nu_free))
-        if solution is not None:
-            return solution
-        if not improved and fallback.utility_value <= target:
-            break
-
-    restarts = np.random.default_rng(0)
-    for attempt_idx in range(8):
-        remaining = max_iter - total_iters
-        if remaining <= 0:
-            break
-        start = best_nu_free if attempt_idx == 0 else np.exp(restarts.normal(0.0, 2.0, len(free)))
-        res = minimize(
-            exact_in_prices,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(1e-10, None)] * len(free),
-            options={"maxiter": min(500, remaining), "ftol": 1e-16, "gtol": 1e-14},
-        )
-        total_iters += max(res.nit, 1)
-        res = minimize(
-            lambda v: exact_in_prices(v)[0],
-            res.x,
-            method="Nelder-Mead",
-            options={
-                "maxiter": min(400 * max(1, len(free)), 1200, max(max_iter - total_iters, 1)),
-                "xatol": 1e-14,
-                "fatol": 1e-16,
-            },
-        )
-        total_iters += max(res.nit, 1)
-        if res.fun < best_h:
-            best_nu_free, best_h = np.maximum(res.x, 1e-12), res.fun
-            solution = attempt(np.log(best_nu_free))
-            if solution is not None:
-                return solution
-    if fallback is None:  # exhausted before any stage ran (tiny max_iter)
-        solution, passed = recover(u, STATUS_OPTIMAL)
-        if not passed:
-            solution.status = STATUS_MAX_ITER
-        fallback = solution
-    fallback.iterations = total_iters
-    return fallback
+    market_trades = []
+    start = 0
+    for market, _ in problem.markets:
+        stop = start + market.n_assets
+        market_trades.append((d[start:stop], r[start:stop]))
+        start = stop
+    order_trades = [Trade2(0.0, 0.0) for _ in problem.orders]
+    for j, fill in zip(prog.orders, y.tolist()):
+        order_trades[j] = Trade2(fill / problem.orders[j].price, fill)
+    return RoutingSolution(
+        psi=psi,
+        market_trades=market_trades,
+        order_trades=order_trades,
+        utility_value=float(psi[util.output_asset]),
+        status=STATUS_OPTIMAL if passed else STATUS_MAX_ITER,
+        dual_prices=prices,
+        gap=gap,
+        iterations=iterations,
+    )
 
 
 def solve_curve(problem: RoutingProblem, s_grid, tol: float = 1e-7) -> list[RoutingSolution]:
-    """Solve across a budget grid, warm-starting each point from the last."""
+    """Solve across a budget grid, one independent solve per budget."""
     grid = list(s_grid)
     if any(s < 0 for s in grid):
         raise ValueError("budgets must be nonnegative")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("budget grid must be nondecreasing")
-    solutions = []
-    warm = None
-    for s in grid:
-        sub = RoutingProblem(
-            problem.n_assets,
-            problem.markets,
-            problem.orders,
-            Liquidate(problem.utility.input_asset, problem.utility.output_asset, s),
+    util = problem.utility
+    return [
+        solve_routing(
+            RoutingProblem(
+                problem.n_assets,
+                problem.markets,
+                problem.orders,
+                Liquidate(util.input_asset, util.output_asset, s),
+            ),
+            tol=tol,
         )
-        sol = solve_routing(sub, tol=tol, initial_prices=warm)
-        if sol.status != STATUS_OPTIMAL and warm is not None:
-            sol = solve_routing(sub, tol=tol)  # retry cold with the full schedule
-        solutions.append(sol)
-        if sol.dual_prices is not None:
-            warm = sol.dual_prices
-    return solutions
+        for s in grid
+    ]
 
 
 def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingSolution:

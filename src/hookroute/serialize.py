@@ -141,6 +141,8 @@ def liquidation_config_from_dict(record):
     pool = _get(record, "pool", "", dict)
     mis = _get(record, "mispricing", "", dict)
     z_bounds = _get(mdp, "z_bounds", "mdp", list, default=None)
+    if z_bounds and (len(z_bounds) != 2 or not all(map(_is_number, z_bounds))):
+        raise ConfigError("field 'mdp.z_bounds' must hold two finite numbers", "mdp")
     cfg = _wrap(
         lambda: MdpConfig(
             horizon=_get(mdp, "horizon", "mdp", int),
@@ -175,7 +177,7 @@ def liquidation_config_from_dict(record):
         ),
         "mispricing",
     )
-    z0 = _number(record, "z0", "", default=0.0)
+    z0 = _finite_number(record, "z0", "", default=0.0)
     return cfg, pool_params, mis_params, z0
 
 

@@ -55,6 +55,27 @@ class TestTradingFunction:
             Market("parabola", (1, 1))
 
 
+class TestNonFiniteRefused:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_market(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Market(PRODUCT, (10.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            Market(GEOMETRIC_MEAN, (1.0, 2.0, 3.0), weights=(1.0, bad, 1.0))
+        with pytest.raises(ValueError):
+            Market(PRODUCT, (10.0, 10.0), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_limit_order(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LimitOrder(bad, 1.0, 0, 1)
+        with pytest.raises(ValueError, match="finite"):
+            LimitOrder(0.5, bad, 0, 1)
+
+    def test_zero_volume_stays_legal(self):
+        assert LimitOrder(0.5, 0.0, 0, 1).volume == 0.0
+
+
 class TestForwardExchange:
     def test_product_half_pool(self):
         assert forward_exchange(cpmm(10, 10), 0, 1, 10) == pytest.approx(5.0, abs=1e-12)

@@ -164,6 +164,21 @@ class TestValueIteration:
         assert np.all(np.diff(v_row) <= tol)
         assert int(np.argmax(v_row)) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_config_refused(self, bad):
+        for field in ("inventory", "gas", "inventory_cost", "discount"):
+            with pytest.raises(ValueError, match="finite"):
+                small_cfg(**{field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            small_cfg(z_bounds=(-0.1, bad))
+        with pytest.raises(ValueError, match="finite"):
+            PoolParams(1e5, bad, 0.003, 0.003)
+        with pytest.raises(ValueError, match="finite"):
+            PoolParams(1e5, 5e8, 0.003, 0.003, external_price=bad)
+        for args in ((bad, 1.0, 1.0), (0.0, bad, 1.0), (0.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                MispricingParams(*args)
+
     def test_grid_bounds_validated(self):
         cfg = small_cfg(z_bounds=(-0.001, 0.001))
         with pytest.raises(ValueError, match="reachable"):

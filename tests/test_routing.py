@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog, minimize
+from scipy.optimize import minimize
 
 from hookroute.cfmm import (
     GEOMETRIC_MEAN,
@@ -39,6 +39,14 @@ def pair_problem(legs, budget):
     markets = [(m, (0, 1)) for m in legs if isinstance(m, Market)]
     orders = [o for o in legs if isinstance(o, LimitOrder)]
     return RoutingProblem(2, markets, orders, Liquidate(0, 1, budget))
+
+
+def assert_feasible(problem, sol, tol=1e-8):
+    res = solution_residuals(problem, sol)
+    assert res["reconstruction"] <= tol
+    assert res["market_residual"] <= tol
+    assert res["order_slack"] <= tol
+    assert res["budget_slack"] >= -tol
 
 
 class TestArbitrageSubproblem:
@@ -228,94 +236,6 @@ class TestGeometricSortedSplit:
         assert sol.utility_value == pytest.approx(forward_exchange(market, 0, n - 1, 10.0), rel=1e-7)
 
 
-def random_lp(rng, case):
-    """A boxed LP max c @ x, -C x <= h, 0 <= x <= u with h >= 0, shaped by `case`."""
-    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 10))
-    c_mat = rng.normal(0.0, 1.0, (m, n)) * (rng.random((m, n)) < 0.7)
-    h = np.abs(rng.normal(0.0, 1.0, m))
-    upper = rng.uniform(0.0, 3.0, n)
-    if case == "duplicate_columns" and n > 1:
-        c_mat[:, 1:] = c_mat[:, rng.integers(0, n, n - 1)]
-    elif case == "zero_columns":
-        c_mat[:, rng.random(n) < 0.4] = 0.0
-    elif case == "zero_rhs":
-        h[:] = 0.0
-    elif case == "tied_ratios":
-        c_mat, h, upper = np.round(2 * c_mat), np.round(2 * h), np.round(upper) + 1.0
-    elif case == "bound_flips":
-        upper *= 0.01
-    cost = c_mat[0] if rng.random() < 0.5 else rng.normal(0.0, 1.0, n)
-    return cost, c_mat, h, upper
-
-
-def assert_simplex_matches_linprog(cost, c_mat, h, upper):
-    x = routing._bounded_simplex(cost, -c_mat, h, upper)
-    ref = linprog(
-        -cost, A_ub=-c_mat, b_ub=h, bounds=list(zip(np.zeros(len(upper)), upper)), method="highs"
-    )
-    assert ref.success
-    assert cost @ x == pytest.approx(-ref.fun, rel=1e-9, abs=1e-9)
-    assert np.all(x >= 0.0) and np.all(x <= upper)
-    scale = max(1.0, float(np.max(h)), float(np.max(np.abs(c_mat) @ upper)))
-    assert np.all(-c_mat @ x <= h + 1e-12 * scale)
-    return x
-
-
-class TestBoundedSimplex:
-    @pytest.mark.parametrize(
-        "case", ["random", "duplicate_columns", "zero_columns", "zero_rhs", "tied_ratios", "bound_flips"]
-    )
-    def test_matches_linprog(self, case):
-        rng = np.random.default_rng(sum(map(ord, case)))
-        for _ in range(150):
-            assert_simplex_matches_linprog(*random_lp(rng, case))
-
-    def test_step_cap_returns_a_feasible_vertex(self):
-        rng = np.random.default_rng(7)
-        cost, c_mat, h, upper = random_lp(rng, "random")
-        values = []
-        for steps in range(12):
-            x = routing._bounded_simplex(cost, -c_mat, h, upper, max_steps=steps)
-            assert np.all(x >= 0.0) and np.all(x <= upper)
-            assert np.all(-c_mat @ x <= h + 1e-12)
-            values.append(cost @ x)
-        assert values[0] == 0.0
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_bland_rule_does_not_cycle(self):
-        # Beale's example: the largest-coefficient rule cycles here forever.
-        cost = np.array([0.75, -20.0, 0.5, -6.0])
-        c_mat = -np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
-        x = assert_simplex_matches_linprog(cost, c_mat, np.array([0.0, 0.0, 1.0]), np.full(4, 1e3))
-        assert cost @ x == pytest.approx(1.25, abs=1e-12)
-
-    def test_paper_sweep_completion_lps(self, monkeypatch):
-        # Every completion LP of the pigou and table1 sweeps, replayed through linprog.
-        captured = []
-        simplex = routing._bounded_simplex
-
-        def recording(cost, a_ub, b_ub, upper):
-            captured.append((cost.copy(), -a_ub, b_ub.copy(), upper.copy()))
-            return simplex(cost, a_ub, b_ub, upper)
-
-        monkeypatch.setattr(routing, "_bounded_simplex", recording)
-        table1 = table1_problem(0.0)
-        no_orders = RoutingProblem(table1.n_assets, table1.markets, [], table1.utility)
-        pigou_grid, table1_grid = np.linspace(0.0, 20.0, 100), np.linspace(0.0, 500.0, 100)
-        sweeps = [
-            (pigou_problem(0.0), pigou_grid),
-            (pigou_problem(0.0, with_order=False), pigou_grid),
-            (table1, table1_grid),
-            (no_orders, table1_grid),
-        ]
-        for problem, grid in sweeps:
-            assert all(s.status == "optimal" for s in solve_curve(problem, grid))
-        monkeypatch.undo()
-        assert len(captured) > 400
-        for lp in captured:
-            assert_simplex_matches_linprog(*lp)
-
-
 class TestLimitOrderSubproblem:
     def test_losing_fill_declined(self):
         order = LimitOrder(0.5, 2.0, 0, 1)
@@ -415,6 +335,58 @@ class TestSolveRouting:
         u1 = solve_routing(whole).utility_value
         u2 = solve_routing(halves).utility_value
         assert u1 == pytest.approx(u2, abs=1e-6)
+
+    def test_paper_sweeps_all_certified(self):
+        table1 = table1_problem(0.0)
+        no_orders = RoutingProblem(table1.n_assets, table1.markets, [], table1.utility)
+        pigou_grid, table1_grid = np.linspace(0.0, 20.0, 100), np.linspace(0.0, 500.0, 100)
+        sweeps = [
+            (pigou_problem(0.0), pigou_grid),
+            (pigou_problem(0.0, with_order=False), pigou_grid),
+            (table1, table1_grid),
+            (no_orders, table1_grid),
+        ]
+        for problem, grid in sweeps:
+            for s, sol in zip(grid, solve_curve(problem, grid)):
+                assert sol.status == "optimal", s
+                assert sol.gap <= 1e-7 * max(1.0, sol.utility_value + sol.gap)
+
+    def test_max_iter_returns_feasible_trades(self):
+        problem = table1_problem(500.0)
+        sol = solve_routing(problem, max_iter=2)
+        assert sol.status == "max_iter"
+        assert sol.iterations == 2
+        assert_feasible(problem, sol)
+
+    def test_zero_volume_order_certifies(self):
+        # A zero-volume order at a price better than the pool's.
+        problem = pair_problem(
+            [Market(PRODUCT, (10.0, 10.0), 1.0), LimitOrder(0.9, 0.0, 0, 1)], 5.0
+        )
+        sol = solve_routing(problem)
+        assert sol.status == "optimal"
+        assert sol.order_trades[0] == Trade2(0.0, 0.0)
+        assert sol.utility_value == pytest.approx(forward_exchange(problem.markets[0][0], 0, 1, 5.0), rel=1e-7)
+        assert_feasible(problem, sol)
+
+    def test_unproducible_asset_certifies(self):
+        # Asset 3 is only ever tendered, by an order no one can feed, and
+        # asset 4 trades nowhere; neither has a strictly feasible balance.
+        problem = RoutingProblem(
+            5,
+            [
+                (Market(PRODUCT, (10.0, 10.0), 0.99), (0, 1)),
+                (Market(SUM, (8.0, 8.0), 0.98), (1, 2)),
+                (Market(GEOMETRIC_MEAN, (5.0, 6.0, 7.0), 0.97, weights=(1.0, 2.0, 1.0)), (0, 1, 2)),
+            ],
+            [LimitOrder(5.0, 10.0, 3, 2), LimitOrder(0.5, 3.0, 0, 2)],
+            Liquidate(0, 2, 6.0),
+        )
+        sol = solve_routing(problem)
+        assert sol.status == "optimal"
+        assert sol.order_trades[0] == Trade2(0.0, 0.0)
+        assert sol.psi[3] == 0.0 and sol.psi[4] == 0.0
+        assert_feasible(problem, sol)
 
 
 class TestOutputCurve:
@@ -575,9 +547,10 @@ def adversarial_instance(seed):
 
 
 class TestAdversarialCertification:
-    # 3022 and 3042 hit price-neutral production loops that scale-only
-    # recovery cannot close; 7138 ties three hinge legs at once.
-    HARD_SEEDS = (3022, 3042, 7138)
+    # 3022 and 3042 carry price-neutral production loops, where the optimal
+    # trades are not unique; 7138 ties three hinge legs at once; on 4477,
+    # Newton steps that may empty a pool's reserve cycle without certifying.
+    HARD_SEEDS = (3022, 3042, 4477, 7138)
 
     @pytest.mark.parametrize("seed", list(HARD_SEEDS) + list(range(4000, 4020)))
     def test_certified_on_hostile_networks(self, seed):
@@ -592,3 +565,86 @@ class TestAdversarialCertification:
         assert res["market_residual"] <= 1e-8
         assert res["order_slack"] <= 1e-8
         assert res["budget_slack"] >= -1e-8
+
+
+def scale_network(seed, n_assets, n_pools):
+    """A connected network of product, constant-sum and geometric pools with orders.
+
+    A random spanning tree of product pools joins every asset; two
+    geometric pools of 3-5 assets, constant-sum pools (a tenth of the pools,
+    at least two) and more product pools follow, and five orders quote near
+    the reference prices. Reserves follow the reference prices with 5%
+    noise, so the network holds some arbitrage.
+    """
+    rng = np.random.default_rng([seed, n_assets, n_pools])
+    price = np.exp(rng.normal(0.0, 1.0, n_assets))
+
+    def pair(kind, a, b):
+        worth = float(np.exp(rng.uniform(np.log(50.0), np.log(5000.0))))
+        noise = np.exp(rng.normal(0.0, 0.05, 2))
+        if kind == SUM:
+            level = worth / np.sqrt(price[a] * price[b])
+            reserves = (level * noise[0], level * noise[1])
+        else:
+            reserves = (worth / price[a] * noise[0], worth / price[b] * noise[1])
+        fee = float(rng.uniform(0.97, 0.999))
+        return Market(kind, tuple(float(r) for r in reserves), fee), (int(a), int(b))
+
+    markets = []
+    tree = rng.permutation(n_assets)
+    for k in range(1, n_assets):
+        markets.append(pair(PRODUCT, tree[k], tree[rng.integers(k)]))
+    for _ in range(2):
+        k = int(rng.integers(3, 6))
+        assets = rng.choice(n_assets, size=k, replace=False)
+        weights = rng.uniform(1.0, 3.0, k)
+        worth = float(np.exp(rng.uniform(np.log(100.0), np.log(5000.0))))
+        reserves = weights / weights.sum() * worth / price[assets] * np.exp(rng.normal(0.0, 0.05, k))
+        market = Market(
+            GEOMETRIC_MEAN,
+            tuple(float(r) for r in reserves),
+            float(rng.uniform(0.97, 0.999)),
+            weights=tuple(float(w) for w in weights),
+        )
+        markets.append((market, tuple(int(a) for a in assets)))
+    for _ in range(max(2, n_pools // 10)):
+        a, b = rng.choice(n_assets, size=2, replace=False)
+        markets.append(pair(SUM, a, b))
+    while len(markets) < n_pools:
+        a, b = rng.choice(n_assets, size=2, replace=False)
+        markets.append(pair(PRODUCT, a, b))
+    orders = []
+    for _ in range(5):
+        a, b = rng.choice(n_assets, size=2, replace=False)
+        quote = float(price[a] / price[b] * rng.uniform(0.9, 1.02))
+        volume = float(np.exp(rng.uniform(np.log(5.0), np.log(200.0))) / price[b])
+        orders.append(LimitOrder(quote, volume, int(a), int(b)))
+    source, target = (int(x) for x in rng.choice(n_assets, size=2, replace=False))
+    budget = float(np.exp(rng.uniform(np.log(10.0), np.log(500.0))) / price[source])
+    return RoutingProblem(n_assets, markets, orders, Liquidate(source, target, budget))
+
+
+class TestScaleNetworks:
+    @pytest.mark.parametrize("shape", [(10, 30), (20, 80)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_certified_at_scale(self, seed, shape):
+        problem = scale_network(seed, *shape)
+        kinds = {m.kind for m, _ in problem.markets}
+        assert kinds == {PRODUCT, SUM, GEOMETRIC_MEAN} and problem.orders
+        sol = solve_routing(problem)
+        assert sol.status == "optimal"
+        assert sol.gap <= 1e-7 * max(1.0, sol.utility_value + sol.gap)
+        assert_feasible(problem, sol)
+
+
+class TestHonestBound:
+    def test_bound_covers_oracle_value(self):
+        # The criterion-3 instances: the certified bound, value + gap, must
+        # not fall below the brute-force oracle's feasible value.
+        rng = np.random.default_rng(20240501)
+        for _ in range(50):
+            problem = random_instance(rng)
+            oracle = brute_force_route(problem, 10**4).utility_value
+            sol = solve_routing(problem)
+            assert sol.status == "optimal"
+            assert sol.utility_value + sol.gap >= oracle - 1e-12 * max(1.0, oracle)
