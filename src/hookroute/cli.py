@@ -94,11 +94,10 @@ class RunWriter:
     them once and streams CSV lines to disk.
     """
 
-    def __init__(self, command, out_dir, config_record, seed=None, fmt="csv"):
+    def __init__(self, command, out_dir, config_record, seed=None):
         self.command = command
         self.out_dir = out_dir
         self.seed = seed
-        self.fmt = fmt
         canonical = json.dumps(
             {"command": command, "config": config_record, "seed": seed},
             sort_keys=True,
@@ -121,20 +120,9 @@ class RunWriter:
     def write(self):
         os.makedirs(self.out_dir, exist_ok=True)
         outputs = []
-        ext = "csv" if self.fmt == "csv" else "json"
         for name, columns, rows in self.tables:
-            filename = f"{name}.{ext}"
-            path = os.path.join(self.out_dir, filename)
-            if self.fmt == "csv":
-                _atomic_write(path, self._csv_lines(columns, rows))
-            else:
-                record = {
-                    "manifest": self.config_hash,
-                    "seed": self.seed,
-                    "columns": columns,
-                    "rows": [[_fmt(v) for v in row] for row in rows],
-                }
-                _atomic_write(path, [json.dumps(record, sort_keys=True, indent=1) + "\n"])
+            filename = f"{name}.csv"
+            _atomic_write(os.path.join(self.out_dir, filename), self._csv_lines(columns, rows))
             outputs.append(filename)
         manifest = {
             "command": self.command,
@@ -163,7 +151,7 @@ def _solve_curve_strict(problem, grid):
 def cmd_pigou(args):
     grid = parse_grid(args.grid)
     record = {"grid": args.grid, "with_order": args.with_order}
-    writer = RunWriter("pigou", args.out, record, fmt=args.format)
+    writer = RunWriter("pigou", args.out, record)
     if args.with_order:
         sols = _solve_curve_strict(pigou_problem(0.0), grid)
         plain = _solve_curve_strict(pigou_problem(0.0, with_order=False), grid)
@@ -191,13 +179,12 @@ def _load_problem(spec_text):
 
 
 def cmd_route(args):
-    grid_text = args.s or args.grid
-    if grid_text is None:
-        raise ConfigError("route needs --s or --grid", "grid")
-    grid = parse_grid(grid_text)
+    if args.s is None:
+        raise ConfigError("route needs --s", "grid")
+    grid = parse_grid(args.s)
     problem = _load_problem(args.problem)
-    record = {"problem": problem_to_dict(problem), "grid": grid_text}
-    writer = RunWriter("route", args.out, record, fmt=args.format)
+    record = {"problem": problem_to_dict(problem), "grid": args.s}
+    writer = RunWriter("route", args.out, record)
 
     with_orders = _solve_curve_strict(problem, grid)
     stripped = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
@@ -230,7 +217,7 @@ def cmd_route(args):
 def cmd_liquidate_solve(args):
     record = load_json(args.config)
     cfg, pool, params, _ = liquidation_config_from_dict(record)
-    writer = RunWriter("liquidate-solve", args.out, record, fmt=args.format)
+    writer = RunWriter("liquidate-solve", args.out, record)
     vf, policy = value_iteration(cfg, pool, params)
     if args.dump_times == "all":
         times = range(cfg.horizon)
@@ -258,9 +245,7 @@ def cmd_liquidate_solve(args):
 def cmd_liquidate_simulate(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
-    writer = RunWriter(
-        "liquidate-simulate", args.out, record, seed=args.seed, fmt=args.format
-    )
+    writer = RunWriter("liquidate-simulate", args.out, record, seed=args.seed)
     _, policy = value_iteration(cfg, pool, params)
     sim = simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
     rows = [
@@ -277,7 +262,7 @@ def cmd_compare_twamm(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     sigma_grid = parse_grid(args.grid)
-    writer = RunWriter("compare-twamm", args.out, record, seed=args.seed, fmt=args.format)
+    writer = RunWriter("compare-twamm", args.out, record, seed=args.seed)
     results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
     writer.add_table("twamm_comparison", ("sigma", "mean_excess", "stderr"), results)
     writer.write()
@@ -288,7 +273,7 @@ def cmd_hook_mean_variance(args):
     record = load_json(args.config)
     scenario = hook_scenario_from_dict(record)
     forms, curvatures, scales = hook_sweeps_from_dict(record)
-    writer = RunWriter("hook-mean-variance", args.out, record, fmt=args.format)
+    writer = RunWriter("hook-mean-variance", args.out, record)
     trades, objectives = mean_variance_sweep(scenario, forms, curvatures, scales)
     points = itertools.product(forms, curvatures, scales)
     rows = [
@@ -313,7 +298,7 @@ def cmd_hook_frontier(args):
         taus = hook_targets_from_dict(record)
     else:
         raise ConfigError("hook-frontier needs --grid or a 'targets' list", "targets")
-    writer = RunWriter("hook-frontier", args.out, record, fmt=args.format)
+    writer = RunWriter("hook-frontier", args.out, record)
     points = efficient_frontier(scenario, taus)
     writer.add_table(
         "frontier",
@@ -390,7 +375,6 @@ def _build_parser():
 
     def common(p, seeded=False):
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if seeded:
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--paths", type=int, default=100)
@@ -406,7 +390,6 @@ def _build_parser():
     p = sub.add_parser("route", help="solve a routing problem over a budget sweep")
     p.add_argument("--problem", required=True, help="problem JSON or built-in name")
     p.add_argument("--s", help="budget sweep start:stop:count")
-    p.add_argument("--grid", help="alias for --s")
     common(p)
     p.set_defaults(fn=cmd_route)
 
@@ -444,7 +427,6 @@ def _build_parser():
 
     p = sub.add_parser("emit-gnuplot", help="write a plotting stub for a CSV")
     p.add_argument("csv")
-    common(p)
     p.set_defaults(fn=cmd_emit_gnuplot)
 
     return parser

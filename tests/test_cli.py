@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -9,10 +10,12 @@ import pytest
 
 import hookroute
 from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
-from hookroute.cli import RunWriter, main, parse_grid
+from hookroute.cli import RunWriter, _build_parser, main, parse_grid
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.serialize import (
     ConfigError,
+    hook_scenario_from_dict,
+    liquidation_config_from_dict,
     market_from_dict,
     market_to_dict,
     order_from_dict,
@@ -145,7 +148,7 @@ class TestCommands:
             Liquidate(0, 1, 0.0),
         )
         path = write_json(tmp_path / "problem.json", problem_to_dict(problem))
-        assert main(["route", "--problem", path, "--grid", "0:5:4", "--out", str(tmp_path / "o")]) == 0
+        assert main(["route", "--problem", path, "--s", "0:5:4", "--out", str(tmp_path / "o")]) == 0
 
     def test_liquidate_solve_dump(self, tmp_path):
         cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
@@ -196,13 +199,6 @@ class TestCommands:
         header, rows = read_rows(out / "frontier.csv")
         assert header == ["tau", "delta_star", "variance_star", "feasible"]
 
-    def test_json_format(self, tmp_path):
-        out = tmp_path / "run"
-        assert main(["pigou", "--grid", "0:4:3", "--format", "json", "--out", str(out)]) == 0
-        record = json.loads((out / "pigou_output.json").read_text())
-        assert record["columns"] == ["s", "u", "u_no_order"]
-        assert len(record["rows"]) == 3
-
     def test_gnuplot_stub(self, tmp_path, capsys):
         out = tmp_path / "run"
         main(["pigou", "--grid", "0:4:3", "--out", str(out)])
@@ -245,6 +241,19 @@ class TestCommands:
             ["liquidate-simulate", "--config", cfg, "--paths", "0", "--seed", "1", "--out", str(tmp_path)]
         )
         assert code == 2
+
+
+# One parsable command line per subcommand (the files need not exist).
+VALID_ARGVS = [
+    ["pigou", "--grid", "0:1:2"],
+    ["route", "--problem", "table1", "--s", "0:1:2"],
+    ["liquidate-solve", "--config", "c.json"],
+    ["liquidate-simulate", "--config", "c.json"],
+    ["compare-twamm", "--config", "c.json", "--grid", "0:1:2"],
+    ["hook-mean-variance", "--config", "c.json"],
+    ["hook-frontier", "--config", "c.json"],
+    ["emit-gnuplot", "x.csv"],
+]
 
 
 class TestErrorContracts:
@@ -291,6 +300,27 @@ class TestErrorContracts:
 
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         assert main(["route", "--problem", "tableX", "--s", "0:1:2", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, removed",
+        [(argv, ["--format", "csv"]) for argv in VALID_ARGVS]
+        + [
+            (["emit-gnuplot", "x.csv"], ["--out", "x"]),
+            (["route", "--problem", "table1"], ["--grid", "0:1:2"]),
+        ],
+        ids=lambda v: " ".join(v),
+    )
+    def test_removed_options_refused_by_parser(self, argv, removed):
+        _build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            _build_parser().parse_args(argv + removed)
+        assert exc.value.code == 2
+
+    def test_route_without_budget_sweep_is_exit_2(self, tmp_path, capsys):
+        assert main(["route", "--problem", "table1", "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"]
 
     def test_nonconvergence_is_exit_3(self, tmp_path, capsys, monkeypatch):
         import hookroute.cli as cli_mod
@@ -597,3 +627,52 @@ class TestDeterminism:
         ma = json.loads((a / "pigou_manifest.json").read_text())
         mb = json.loads((b / "pigou_manifest.json").read_text())
         assert ma == mb
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_by_path(monkeypatch, name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def without_horizon(record):
+    return dict(record, mdp={k: v for k, v in record["mdp"].items() if k != "horizon"})
+
+
+class TestReproduceScript:
+    """scripts/reproduce.py, checked without running a solve."""
+
+    def test_steps_parse_and_configs_load(self, tmp_path, monkeypatch):
+        reproduce = load_by_path(monkeypatch, "reproduce", os.path.join(REPO, "scripts", "reproduce.py"))
+        monkeypatch.syspath_prepend(os.path.join(REPO, "bench"))
+        workloads = load_by_path(monkeypatch, "workloads", os.path.join(REPO, "bench", "workloads.py"))
+        out = str(tmp_path)
+        reproduce.write_configs(out)
+        steps = reproduce.steps(out)
+        carry = [os.path.join("liquidation", f"carry_{c}") for c in ("0", "0.1", "1", "10")]
+        assert [run_dir for run_dir, _ in steps] == [
+            "pigou", "table1", *(d for d in carry for _ in range(2)), "twamm", "hooks", "hooks"
+        ]
+        for run_dir, argv in steps:
+            _build_parser().parse_args([*argv, "--out", os.path.join(out, run_dir)])
+
+        written = {}
+        for root, _, files in os.walk(out):
+            for name in files:
+                with open(os.path.join(root, name)) as handle:
+                    written[os.path.join(os.path.relpath(root, out), name)] = json.load(handle)
+        read = {argv[argv.index("--config") + 1] for _, argv in steps if "--config" in argv}
+        assert read == {os.path.join(out, path) for path in written}
+
+        hook = written.pop(os.path.join("hooks", "config.json"))
+        hook_scenario_from_dict(hook)
+        assert hook == workloads.HOOK_CONFIG
+        for record in written.values():
+            liquidation_config_from_dict(record)
+        for run_dir, bench in [(carry[1], workloads.LIQUIDATION_CONFIG), ("twamm", workloads.TWAMM_CONFIG)]:
+            assert without_horizon(written[os.path.join(run_dir, "config.json")]) == without_horizon(bench)

@@ -105,31 +105,47 @@ class TestArbitrageSubproblem:
         phi0 = trading_function(market, reserves)
         w = np.asarray(weights)
 
-        def phi(vec):
+        def after_trade(x):
+            return np.array(reserves) + fee * x[:n] - x[n:]
+
+        def log_phi(vec):
             # Clipped evaluation; SLSQP line searches may probe negatives.
-            return float(np.prod(np.clip(vec, 1e-12, None) ** w))
+            return float(w @ np.log(np.clip(vec, 1e-12, None)))
 
         def neg_obj(x):
             dd, rr = x[:n], x[n:]
             return -(nu @ (rr - dd))
 
-        cons = {
-            "type": "ineq",
-            "fun": lambda x: phi(np.array(reserves) + fee * x[:n] - x[n:]) - phi0,
-        }
-        best = 0.0
-        for trial in range(4):
+        # The invariant in log form, with the post-trade reserves kept
+        # nonnegative as linear constraints. SLSQP can still report success at
+        # a point where the clipped invariant hides a negative reserve, so only
+        # points that keep the invariant unclipped count, from up to 40 starts.
+        cons = [
+            {"type": "ineq", "fun": lambda x: log_phi(after_trade(x)) - np.log(phi0)},
+            {"type": "ineq", "fun": after_trade},
+        ]
+        best, accepted = 0.0, 0
+        for _ in range(40):
             x0 = rng.uniform(0, 0.3, 2 * n)
             res = minimize(
                 neg_obj,
                 x0,
                 method="SLSQP",
                 bounds=[(0, None)] * (2 * n),
-                constraints=[cons],
+                constraints=cons,
                 options={"maxiter": 300, "ftol": 1e-12},
             )
-            if res.success:
+            post = after_trade(res.x)
+            if (
+                res.success
+                and post.min() >= 0.0
+                and float(np.prod(post**w)) >= phi0 * (1 - 1e-9)
+            ):
                 best = max(best, -res.fun)
+                accepted += 1
+                if accepted == 4:
+                    break
+        assert accepted, "no SLSQP start kept the invariant"
         assert val >= best - 1e-6 * max(1.0, best)
 
 
