@@ -8,6 +8,7 @@ config and seed produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import itertools
 import json
@@ -73,6 +74,12 @@ def _fmt(value):
     return str(value)
 
 
+def csv_rows(rows):
+    """CSV text lines of `rows`, one cell per value, read lazily."""
+    for row in rows:
+        yield ",".join(map(_fmt, row)) + "\n"
+
+
 def _atomic_write(path, chunks):
     """Write the strings of `chunks` to a temporary file, then move it to `path`."""
     directory = os.path.dirname(path) or "."
@@ -90,8 +97,9 @@ def _atomic_write(path, chunks):
 class RunWriter:
     """Collects output tables for one command and writes them plus a manifest.
 
-    A table's rows may be any iterable, a generator included: `write` reads
-    them once and streams CSV lines to disk.
+    A table's body is CSV text: any iterable of strings, each ending in a
+    newline, a generator included (`csv_rows` formats tuples). `write` reads
+    it once and streams it to disk below the comment and header lines.
     """
 
     def __init__(self, command, out_dir, config_record, seed=None):
@@ -104,25 +112,24 @@ class RunWriter:
             separators=(",", ":"),
         )
         self.config_hash = hashlib.sha256(canonical.encode()).hexdigest()
-        self.tables = []  # (name, columns, rows)
+        self.tables = []  # (name, columns, text)
 
-    def add_table(self, name, columns, rows):
-        self.tables.append((name, list(columns), rows))
+    def add_table(self, name, columns, text):
+        self.tables.append((name, list(columns), text))
 
-    def _csv_lines(self, columns, rows):
+    def _csv_lines(self, columns, text):
         yield f"# manifest: {self.config_hash}\n"
         if self.seed is not None:
             yield f"# seed: {self.seed}\n"
         yield ",".join(columns) + "\n"
-        for row in rows:
-            yield ",".join(map(_fmt, row)) + "\n"
+        yield from text
 
     def write(self):
         os.makedirs(self.out_dir, exist_ok=True)
         outputs = []
-        for name, columns, rows in self.tables:
+        for name, columns, text in self.tables:
             filename = f"{name}.csv"
-            _atomic_write(os.path.join(self.out_dir, filename), self._csv_lines(columns, rows))
+            _atomic_write(os.path.join(self.out_dir, filename), self._csv_lines(columns, text))
             outputs.append(filename)
         manifest = {
             "command": self.command,
@@ -159,11 +166,11 @@ def cmd_pigou(args):
             (s, sol.utility_value, base.utility_value)
             for s, sol, base in zip(grid, sols, plain)
         ]
-        writer.add_table("pigou_output", ("s", "u", "u_no_order"), rows)
+        writer.add_table("pigou_output", ("s", "u", "u_no_order"), csv_rows(rows))
     else:
         sols = _solve_curve_strict(pigou_problem(0.0, with_order=False), grid)
         rows = [(s, sol.utility_value) for s, sol in zip(grid, sols)]
-        writer.add_table("pigou_output", ("s", "u"), rows)
+        writer.add_table("pigou_output", ("s", "u"), csv_rows(rows))
     writer.write()
     return EXIT_OK
 
@@ -192,10 +199,12 @@ def cmd_route(args):
     writer.add_table(
         "route_output",
         ("s", "u_with_orders", "u_without_orders"),
-        [
-            (s, a.utility_value, b.utility_value)
-            for s, a, b in zip(grid, with_orders, without_orders)
-        ],
+        csv_rows(
+            [
+                (s, a.utility_value, b.utility_value)
+                for s, a, b in zip(grid, with_orders, without_orders)
+            ]
+        ),
     )
 
     trade_rows = []
@@ -209,7 +218,7 @@ def cmd_route(args):
             market_id = len(problem.markets) + j
             trade_rows.append((s, market_id, order.input_asset, -trade.z1))
             trade_rows.append((s, market_id, order.output_asset, trade.z2))
-    writer.add_table("route_trades", ("s", "market_id", "asset_id", "amount"), trade_rows)
+    writer.add_table("route_trades", ("s", "market_id", "asset_id", "amount"), csv_rows(trade_rows))
     writer.write()
     return EXIT_OK
 
@@ -225,19 +234,36 @@ def cmd_liquidate_solve(args):
         times = [int(t) for t in args.dump_times.split(",")]
         if any(not 0 <= t < cfg.horizon for t in times):
             raise ConfigError("dump time outside the horizon", "dump-times")
-    inventory = vf.inventory_grid.tolist()
-    mispricing = vf.mispricing_grid.tolist()
+    # Every cell but t is a float, which `_fmt` writes as its repr.
     fractions = policy.action_fractions.tolist()
+    inventory = vf.inventory_grid.tolist()
+    prefixes = [[f"{inv!r},{z!r}," for z in vf.mispricing_grid.tolist()] for inv in inventory]
+    action_text = [[repr(frac * inv) for frac in fractions] for inv in inventory]
+    # Blocks 0 .. stationary repeat block `stationary`, where the DP stopped.
+    stationary = cfg.horizon - vf.backups
+    blocks = [max(t, stationary) for t in times]
+    repeated = {b for b, n in collections.Counter(blocks).items() if n > 1}
+    cache = {}
 
-    def rows():
-        for t in times:
-            values = vf.values[t].tolist()
-            actions = policy.action_index[t].tolist()
-            for inv, value_row, action_row in zip(inventory, values, actions):
-                for z, value, idx in zip(mispricing, value_row, action_row):
-                    yield t, inv, z, value, fractions[idx] * inv
+    def block_text(b):
+        """Block b's rows without their leading "t,", joined by newlines."""
+        lines = []
+        for pre_row, act_row, value_row, idx_row in zip(
+            prefixes, action_text, vf.values[b].tolist(), policy.action_index[b].tolist()
+        ):
+            lines += [f"{pre}{value!r},{act_row[idx]}" for pre, value, idx in zip(pre_row, value_row, idx_row)]
+        return "\n".join(lines)
 
-    writer.add_table("liquidation_solution", ("t", "I", "z", "value", "action"), rows())
+    def chunks():
+        # Each distinct block is formatted once; only blocks dumped more than
+        # once stay cached. A row is "t," plus the block's row text.
+        for t, b in zip(times, blocks):
+            text = cache[b] if b in cache else block_text(b)
+            if b in repeated:
+                cache[b] = text
+            yield f"{t}," + text.replace("\n", f"\n{t},") + "\n"
+
+    writer.add_table("liquidation_solution", ("t", "I", "z", "value", "action"), chunks())
     writer.write()
     return EXIT_OK
 
@@ -253,7 +279,7 @@ def cmd_liquidate_simulate(args):
         for p in range(args.paths)
         for t in range(cfg.horizon + 1)
     ]
-    writer.add_table("inventory_paths", ("path", "t", "inventory"), rows)
+    writer.add_table("inventory_paths", ("path", "t", "inventory"), csv_rows(rows))
     writer.write()
     return EXIT_OK
 
@@ -264,7 +290,7 @@ def cmd_compare_twamm(args):
     sigma_grid = parse_grid(args.grid)
     writer = RunWriter("compare-twamm", args.out, record, seed=args.seed)
     results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
-    writer.add_table("twamm_comparison", ("sigma", "mean_excess", "stderr"), results)
+    writer.add_table("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))
     writer.write()
     return EXIT_OK
 
@@ -283,7 +309,9 @@ def cmd_hook_mean_variance(args):
         )
     ]
     writer.add_table(
-        "mean_variance", ("alpha", "beta", "variance_form", "delta_star", "objective"), rows
+        "mean_variance",
+        ("alpha", "beta", "variance_form", "delta_star", "objective"),
+        csv_rows(rows),
     )
     writer.write()
     return EXIT_OK
@@ -303,7 +331,7 @@ def cmd_hook_frontier(args):
     writer.add_table(
         "frontier",
         ("tau", "delta_star", "variance_star", "feasible"),
-        [(p.target_return, p.hook_trade, p.variance, p.feasible) for p in points],
+        csv_rows([(p.target_return, p.hook_trade, p.variance, p.feasible) for p in points]),
     )
     writer.write()
     return EXIT_OK

@@ -126,6 +126,9 @@ class ValueFunction:
     values: np.ndarray  # (horizon, n_inventory, n_mispricing)
     inventory_grid: np.ndarray
     mispricing_grid: np.ndarray
+    # Bellman backups run; blocks 0 .. horizon - backups all equal the block
+    # horizon - backups (see `value_iteration`).
+    backups: int
 
 
 @dataclass
@@ -263,6 +266,14 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     applies that action's operator, adds the rewards and keeps the first best
     action. `MdpConfig` refuses grids whose solve would exceed
     `MAX_SOLVE_BYTES`.
+
+    Backward induction stops at its fixed point. A backup is a function of
+    the next block's values alone, so once a block's values equal the next
+    block's byte for byte (`-0.0` and `0.0` differ), every earlier block
+    repeats that block's values and actions exactly: they are copied and no
+    further backup runs. `ValueFunction.backups` counts the backups run. The
+    stop is exact only while nothing in a backup depends on the block index
+    t; a time-varying reward, discount or operator must drop it.
     """
     from scipy import sparse
 
@@ -325,9 +336,13 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
         best = q.argmax(axis=0)
         actions[t] = best.reshape(n_i, n_z)
         values[t] = q[best, cell].reshape(n_i, n_z)
+        if values[t].tobytes() == v_next.tobytes():
+            values[:t] = values[t]
+            actions[:t] = actions[t]
+            break
         v_next = values[t]
 
-    vf = ValueFunction(values, inv_grid, z_grid)
+    vf = ValueFunction(values, inv_grid, z_grid, backups=cfg.horizon - t)
     policy = Policy(actions, fracs, inv_grid, z_grid)
     return vf, policy
 

@@ -10,7 +10,8 @@ import pytest
 
 import hookroute
 from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
-from hookroute.cli import RunWriter, _build_parser, main, parse_grid
+from hookroute.cli import RunWriter, _build_parser, _fmt, csv_rows, main, parse_grid
+from hookroute.liquidation import value_iteration
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.serialize import (
     ConfigError,
@@ -66,6 +67,17 @@ def read_rows(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def reference_rows(vf, policy, times):
+    """The policy dump as it was formatted before blocks were cached: `_fmt` per cell."""
+    fractions = policy.action_fractions.tolist()
+    for t in times:
+        for i, inv in enumerate(vf.inventory_grid.tolist()):
+            for j, z in enumerate(vf.mispricing_grid.tolist()):
+                value = float(vf.values[t, i, j])
+                action = fractions[policy.action_index[t, i, j]] * inv
+                yield ",".join(map(_fmt, (t, inv, z, value, action))) + "\n"
 
 
 class TestSerialize:
@@ -234,6 +246,22 @@ class TestCommands:
         assert main(["liquidate-solve", "--config", cfg, "--dump-times", "all", "--out", str(out)]) == 0
         _, rows = read_rows(out / "liquidation_solution.csv")
         assert len(rows) == LIQ_CONFIG["mdp"]["horizon"] * 15 * 15
+
+    @pytest.mark.parametrize("dump_times", [None, "all", "3,0,3"])
+    def test_dump_bytes_match_reference_rows(self, tmp_path, dump_times):
+        cfg, pool, params, _ = liquidation_config_from_dict(LIQ_CONFIG)
+        vf, policy = value_iteration(cfg, pool, params)
+        assert vf.backups < cfg.horizon  # blocks 0 .. horizon - backups repeat
+        argv = ["liquidate-solve", "--config", write_json(tmp_path / "liq.json", LIQ_CONFIG)]
+        if dump_times is None:
+            times = [0]
+        else:
+            argv += ["--dump-times", dump_times]
+            times = range(cfg.horizon) if dump_times == "all" else [3, 0, 3]
+        out = tmp_path / "run"
+        assert main(argv + ["--out", str(out)]) == 0
+        body = (out / "liquidation_solution.csv").read_text().split("\n", 2)[2]  # manifest, header
+        assert body == "".join(reference_rows(vf, policy, times))
 
     def test_paths_must_be_positive(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
@@ -613,7 +641,7 @@ class TestDeterminism:
     def test_csv_layout(self, tmp_path):
         writer = RunWriter("demo", str(tmp_path), {"a": 1}, seed=3)
         rows = ((i, i / 4, i > 0, "n") for i in range(2))
-        writer.add_table("t", ("i", "x", "flag", "name"), rows)
+        writer.add_table("t", ("i", "x", "flag", "name"), csv_rows(rows))
         writer.write()
         assert (tmp_path / "t.csv").read_text() == (
             f"# manifest: {writer.config_hash}\n# seed: 3\n"

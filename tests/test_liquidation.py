@@ -274,17 +274,36 @@ def _equivalence_cases():
     )
 
 
+def assert_matches_reference(cfg, params):
+    """Solve with `value_iteration` and check every block against the reference loop."""
+    pool = small_pool()
+    ref_values, ref_actions = reference_value_iteration(cfg, pool, params)
+    vf, pol = value_iteration(cfg, pool, params)
+    scale = max(1.0, np.abs(ref_values).max())
+    assert np.all(np.abs(vf.values - ref_values) <= 1e-12 * np.maximum(np.abs(ref_values), scale))
+    assert np.array_equal(pol.action_index, ref_actions)
+    return vf
+
+
 class TestBackupOperator:
     @pytest.mark.parametrize("overrides, volatility", _equivalence_cases())
     def test_matches_reference_loop(self, overrides, volatility):
-        cfg = small_cfg(**overrides)
-        pool = small_pool()
-        params = MispricingParams(0.0, volatility, 1.0)
-        ref_values, ref_actions = reference_value_iteration(cfg, pool, params)
-        vf, pol = value_iteration(cfg, pool, params)
-        scale = max(1.0, np.abs(ref_values).max())
-        assert np.all(np.abs(vf.values - ref_values) <= 1e-12 * np.maximum(np.abs(ref_values), scale))
-        assert np.array_equal(pol.action_index, ref_actions)
+        assert_matches_reference(small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0))
+
+    # These grids reach the fixed point after 10 (multiplicative) and 11
+    # (additive) backups, so a 30-block horizon stops early and a 6-block one
+    # runs every backup; the reference loop runs every backup either way.
+    @pytest.mark.parametrize("horizon", [30, 6])
+    @pytest.mark.parametrize("dynamics", [MULTIPLICATIVE, ADDITIVE])
+    def test_fixed_point_stop(self, horizon, dynamics):
+        cfg = small_cfg(
+            horizon=horizon, n_inventory=11, n_mispricing=13, n_actions=7, quad_order=5, dynamics=dynamics
+        )
+        vf = assert_matches_reference(cfg, MispricingParams(0.0, 8.0, 1.0))
+        if horizon == 30:
+            assert vf.backups < horizon
+        else:
+            assert vf.backups == horizon
 
     def test_memory_budget(self):
         small_cfg(horizon=200, n_inventory=101, n_mispricing=101, n_actions=51, quad_order=9)
