@@ -2,9 +2,11 @@
 
 A market is a constant function market maker described by its trading
 function kind (constant product, weighted geometric mean, or constant sum),
-its reserves, and a fee. A limit order is a (price, volume) pair whose
-feasible trades form a trapezoid. The two compose into a single piecewise
-output curve with a linear segment at the limit price.
+its reserves, and a fee. A constant-product pool is the geometric-mean pool
+with unit weights (`Market.exponents`), so the two share one code path. A
+limit order is a (price, volume) pair whose feasible trades form a
+trapezoid. The two compose into a single piecewise output curve with a
+linear segment at the limit price.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ class Market:
     def n_assets(self) -> int:
         return len(self.reserves)
 
+    @property
+    def exponents(self) -> tuple[float, ...]:
+        """Exponents w of a log-invariant pool, whose invariant is sum(w log R).
+
+        A constant-product pool is the unit-weight geometric-mean pool, so its
+        exponents are all 1. Constant-sum pools do not use them.
+        """
+        return self.weights or (1.0,) * self.n_assets
+
 
 @dataclass(frozen=True)
 class LimitOrder:
@@ -102,11 +113,9 @@ def trading_function(market: Market, reserves) -> float:
         raise ValueError("reserve vector length mismatch")
     if any(r < 0 for r in reserves):
         raise ValueError("reserves must be nonnegative")
-    if market.kind == PRODUCT:
-        return reserves[0] * reserves[1]
     if market.kind == SUM:
         return reserves[0] + reserves[1]
-    return math.prod(r**w for r, w in zip(reserves, market.weights))
+    return math.prod(r**w for r, w in zip(reserves, market.exponents))
 
 
 def forward_exchange(market: Market, input_index: int, output_index: int, amount_in: float) -> float:
@@ -126,19 +135,18 @@ def forward_exchange(market: Market, input_index: int, output_index: int, amount
 def forward_exchange_batch(market: Market, input_index: int, output_index: int, amounts):
     """`forward_exchange` over an array of input amounts, without validation.
 
-    For a weighted geometric-mean pool only the input and output reserves
-    move, so the invariant solves in closed form:
+    For a log-invariant pool (product or geometric mean) only the input and
+    output reserves move, so the invariant solves in closed form:
     out = -r_out * expm1(-(w_in / w_out) * log1p(fee * amount / r_in)).
     """
     amounts = np.asarray(amounts, dtype=float)
     fee = market.fee
     r_in = market.reserves[input_index]
     r_out = market.reserves[output_index]
-    if market.kind == PRODUCT:
-        return r_out * fee * amounts / (r_in + fee * amounts)
     if market.kind == SUM:
         return np.minimum(fee * amounts, r_out)
-    ratio = market.weights[input_index] / market.weights[output_index]
+    w = market.exponents
+    ratio = w[input_index] / w[output_index]
     return -r_out * np.expm1(-ratio * np.log1p(fee * amounts / r_in))
 
 
@@ -150,17 +158,16 @@ def marginal_rate(market: Market, input_index: int, output_index: int, amount_in
     fee = market.fee
     r_in = market.reserves[input_index]
     r_out = market.reserves[output_index]
-    if market.kind == PRODUCT:
-        return fee * r_in * r_out / (r_in + fee * amount_in) ** 2
     if market.kind == SUM:
         if fee * amount_in > r_out:
             raise ValueError("trade exceeds constant-sum output reserve")
         return fee
-    out = float(forward_exchange_batch(market, input_index, output_index, amount_in))
-    w = market.weights
-    x_in = r_in + fee * amount_in
-    x_out = r_out - out
-    return fee * (w[input_index] / x_in) * (x_out / w[output_index])
+    # Log-invariant pool: x_out = r_out * (r_in / x_in)^ratio, taken directly
+    # because r_out minus the output cancels when little of r_out is left.
+    w = market.exponents
+    ratio = w[input_index] / w[output_index]
+    x_out = r_out * math.exp(-ratio * math.log1p(fee * amount_in / r_in))
+    return fee * ratio * x_out / (r_in + fee * amount_in)
 
 
 def _check_pair(market: Market, input_index: int, output_index: int):
@@ -223,39 +230,27 @@ class ModifiedExchangeCurve:
 def solve_breakpoint(market: Market, order: LimitOrder, input_index: int = 0, output_index: int = 1):
     """Locate the activation and exhaustion input sizes for the order.
 
-    Returns (delta1, delta2). If the pool's marginal rate is at or below the
-    order price at zero size, the order is consumed first and delta1 = 0. A
-    bounded-output pool (constant sum) whose rate stays above the price
-    activates the order at its capacity point, where the rate drops to zero.
-    If the rate never falls to the order price, returns (inf, inf).
+    Returns (delta1, delta2), both in closed form. If the pool's spot rate
+    (its marginal rate at zero size) is at or below the order price, the
+    order is consumed first and delta1 = 0. A constant-sum pool whose rate
+    stays above the price activates the order at its capacity point,
+    r_out / fee, past which its rate is zero. On a log-invariant pool the
+    rate after tendering delta is spot * (r_in / (r_in + fee delta))^(1 + w_in
+    / w_out), so it falls to the price at
+    delta1 = r_in * expm1(log(spot / price) / (1 + w_in / w_out)) / fee.
+    delta1 is infinite only when spot / price, or delta1 itself, overflows.
     """
-
-    def rate(x):
-        # Past a bounded market's output capacity the extra output rate is zero.
-        try:
-            return marginal_rate(market, input_index, output_index, x)
-        except ValueError:
-            return 0.0
-
     price = order.price
-    if rate(0.0) <= price:
+    spot = marginal_rate(market, input_index, output_index, 0.0)
+    if spot <= price:
         delta1 = 0.0
+    elif market.kind == SUM:
+        delta1 = market.reserves[output_index] / market.fee
     else:
-        hi = 1.0
-        while rate(hi) > price:
-            hi *= 2.0
-            if hi > 1e18:
-                return math.inf, math.inf
-        lo = 0.0
-        while hi - lo > 1e-10 * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if rate(mid) > price:
-                lo = mid
-            else:
-                hi = mid
-        delta1 = 0.5 * (lo + hi)
-    delta2 = delta1 + order.volume / price
-    return delta1, delta2
+        w = market.exponents
+        growth = math.expm1(math.log(spot / price) / (1.0 + w[input_index] / w[output_index]))
+        delta1 = market.reserves[input_index] * growth / market.fee
+    return delta1, delta1 + order.volume / price
 
 
 def compose_with_order(market: Market, order: LimitOrder, input_index: int = 0, output_index: int = 1) -> ModifiedExchangeCurve:

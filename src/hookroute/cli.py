@@ -223,17 +223,30 @@ def cmd_route(args):
     return EXIT_OK
 
 
+def _dump_times(text, horizon):
+    """The blocks that --dump-times names: 'all' or comma-separated indices."""
+    if text == "all":
+        return range(horizon)
+    try:
+        times = [int(t) for t in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"dump times {text!r}: {exc}", "dump-times") from exc
+    if any(not 0 <= t < horizon for t in times):
+        raise ConfigError("dump time outside the horizon", "dump-times")
+    return times
+
+
+def _check_paths(args):
+    if args.paths < 1:
+        raise ConfigError("--paths must be at least 1", "paths")
+
+
 def cmd_liquidate_solve(args):
     record = load_json(args.config)
     cfg, pool, params, _ = liquidation_config_from_dict(record)
+    times = _dump_times(args.dump_times, cfg.horizon)
     writer = RunWriter("liquidate-solve", args.out, record)
     vf, policy = value_iteration(cfg, pool, params)
-    if args.dump_times == "all":
-        times = range(cfg.horizon)
-    else:
-        times = [int(t) for t in args.dump_times.split(",")]
-        if any(not 0 <= t < cfg.horizon for t in times):
-            raise ConfigError("dump time outside the horizon", "dump-times")
     # Every cell but t is a float, which `_fmt` writes as its repr.
     fractions = policy.action_fractions.tolist()
     inventory = vf.inventory_grid.tolist()
@@ -269,6 +282,7 @@ def cmd_liquidate_solve(args):
 
 
 def cmd_liquidate_simulate(args):
+    _check_paths(args)
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     writer = RunWriter("liquidate-simulate", args.out, record, seed=args.seed)
@@ -285,6 +299,7 @@ def cmd_liquidate_simulate(args):
 
 
 def cmd_compare_twamm(args):
+    _check_paths(args)
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     sigma_grid = parse_grid(args.grid)

@@ -10,11 +10,12 @@ interior-point method (Mehrotra predictor-corrector) in numpy.
 
 Every solve is certified by the exact dual: at strictly positive asset
 prices, the budget's worth plus each market's and order's best response
-bounds the output of any feasible route. Product and sum markets answer in
-closed form; a weighted geometric-mean pool sorts its assets by price times
-reserve over weight, and its KKT conditions make the tendered assets a
-prefix and the received ones a suffix of that order, so only O(n^2) splits
-are checked. No scipy module is used.
+bounds the output of any feasible route. A constant-sum market answers in
+closed form. Every log-invariant pool (a product pool is the unit-weight
+geometric-mean pool) has one best response: it sorts its assets by price
+times reserve over exponent, and its KKT conditions make the tendered
+assets a prefix and the received ones a suffix of that order, so only
+O(n^2) splits are checked. No scipy module is used.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfmm import (
-    PRODUCT,
     SUM,
     LimitOrder,
     Market,
@@ -112,24 +112,6 @@ class RoutingSolution:
 # ---------------------------------------------------------------------------
 
 
-def _product_subproblem(market, nu):
-    fee = market.fee
-    best = (np.zeros(2), np.zeros(2), 0.0)
-    for i, o in ((0, 1), (1, 0)):
-        r_in, r_out = market.reserves[i], market.reserves[o]
-        root = math.sqrt(nu[o] * fee * r_in * r_out / nu[i])
-        if root <= r_in:
-            continue
-        d = (root - r_in) / fee
-        r = r_out * fee * d / (r_in + fee * d)
-        val = nu[o] * r - nu[i] * d
-        if val > best[2]:
-            tendered, received = np.zeros(2), np.zeros(2)
-            tendered[i], received[o] = d, r
-            best = (tendered, received, val)
-    return best
-
-
 def _sum_subproblem(market, nu):
     # Bang-bang: receive the whole output reserve, tendering 1/fee per unit,
     # in the direction whose margin is not negative (at most one is positive).
@@ -147,8 +129,9 @@ def _sum_subproblem(market, nu):
 
 
 def _geometric_subproblem(market, nu):
-    """Exact best response for a weighted geometric-mean pool.
+    """Exact best response for a log-invariant pool: geometric mean or product.
 
+    The weights w are `market.exponents`, all 1 for a product pool.
     Stationarity fixes each traded reserve to c * w_i / nu_i (scaled by the
     fee on the tendered side) for a scalar c pinned by the invariant. With
     rho_i = nu_i * R_i / w_i, asset i is tendered iff rho_i <= fee * c,
@@ -159,7 +142,7 @@ def _geometric_subproblem(market, nu):
     received ones shrink) is a feasible trade, and the optimal split is one
     of them, so the best of these is the best response.
     """
-    w = market.weights
+    w = market.exponents
     reserves = market.reserves
     fee = market.fee
     n = len(reserves)
@@ -206,8 +189,6 @@ def _geometric_subproblem(market, nu):
 
 
 def _best_response(market, nu_local):
-    if market.kind == PRODUCT:
-        return _product_subproblem(market, nu_local)
     if market.kind == SUM:
         return _sum_subproblem(market, nu_local)
     return _geometric_subproblem(market, nu_local)
@@ -290,7 +271,7 @@ def _check_route_exists(problem):
 #   A x = b                       psi + h - s = 0, one row per asset;
 #   f(x) <= 0                     one row per pool: -sum w log(q) for product
 #                                 and geometric pools, with q = 1 + fee d - r
-#                                 and w the weights over their sum, and the
+#                                 and w the exponents over their sum, and the
 #                                 linear sum(R (r - fee d)) / sum(R) for
 #                                 constant-sum pools;
 #   x >= 0, r <= 1 on constant-sum legs, y <= 1.
@@ -306,7 +287,7 @@ class _Program:
         util = problem.utility
         pool, asset, reserve, fee, coef = [], [], [], [], []
         for p, (market, assets) in enumerate(problem.markets):
-            weights = market.weights or (1.0,) * market.n_assets
+            weights = market.exponents
             total_w, total_r = sum(weights), sum(market.reserves)
             for a, res, w in zip(assets, market.reserves, weights):
                 pool.append(p)

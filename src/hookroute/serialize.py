@@ -25,6 +25,8 @@ _sentinel = object()
 
 
 def _get(record, key, path, expected=None, default=_sentinel):
+    if not isinstance(record, dict):
+        raise ConfigError(f"{path or 'the top level'} must be a JSON object", path)
     field = f"{path}.{key}" if path else key
     if key not in record:
         if default is not _sentinel:
@@ -47,6 +49,14 @@ def _number(record, key, path, default=_sentinel):
     return float(value) if value is not None else None
 
 
+def _list(record, key, path, valid, kind, default=_sentinel):
+    """A list field every entry of which passes `valid`; a bad one names `path`."""
+    values = _get(record, key, path, list, default)
+    if values is not None and not all(map(valid, values)):
+        raise ConfigError(f"field '{path}.{key}' must hold {kind}", path)
+    return values
+
+
 def _wrap(fn, field):
     try:
         return fn()
@@ -63,9 +73,9 @@ def market_to_dict(market: Market) -> dict:
 
 def market_from_dict(record, path="market") -> Market:
     kind = _get(record, "kind", path, str)
-    reserves = _get(record, "reserves", path, list)
+    reserves = _list(record, "reserves", path, _is_number, "finite numbers")
     fee = _number(record, "fee", path, default=1.0)
-    weights = _get(record, "weights", path, list, default=None)
+    weights = _list(record, "weights", path, _is_number, "finite numbers", default=None)
     return _wrap(
         lambda: Market(kind, tuple(reserves), fee, tuple(weights) if weights else None),
         path,
@@ -116,7 +126,7 @@ def problem_from_dict(record) -> RoutingProblem:
     for i, m in enumerate(_get(record, "markets", "", list, default=[])):
         path = f"markets[{i}]"
         market = market_from_dict(m, path)
-        assets = _get(m, "assets", path, list)
+        assets = _list(m, "assets", path, _is_index, "integers")
         markets.append((market, tuple(assets)))
     orders = [
         order_from_dict(o, f"orders[{i}]")
@@ -224,6 +234,10 @@ def _is_number(value):
         return math.isfinite(value)
     except OverflowError:  # an integer past the float range
         return False
+
+
+def _is_index(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _SWEEP_DEFAULTS = {

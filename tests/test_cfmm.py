@@ -102,13 +102,14 @@ class TestForwardExchange:
             forward_exchange(cpmm(10, 10), 0, 1, -1.0)
 
     def test_geometric_matches_product_closed_form(self):
-        # w = (1, 1) geometric mean is a constant product market.
-        g = Market(GEOMETRIC_MEAN, (10, 10), 0.97, weights=(1, 1))
-        p = cpmm(10, 10, fee=0.97)
+        # w = (1, 1) geometric mean is a constant product market: both give
+        # the product pool's output r_out * fee * a / (r_in + fee * a).
+        g = Market(GEOMETRIC_MEAN, (10, 4), 0.97, weights=(1, 1))
+        p = cpmm(10, 4, fee=0.97)
         for amt in (0.1, 1.0, 7.5, 42.0):
-            assert forward_exchange(g, 0, 1, amt) == pytest.approx(
-                forward_exchange(p, 0, 1, amt), rel=1e-10
-            )
+            expected = 4 * 0.97 * amt / (10 + 0.97 * amt)
+            assert forward_exchange(g, 0, 1, amt) == pytest.approx(expected, rel=1e-12)
+            assert forward_exchange(p, 0, 1, amt) == pytest.approx(expected, rel=1e-12)
 
     @given(
         amt=st.floats(0.01, 50),
@@ -239,7 +240,77 @@ class TestMinkowski:
             )
 
 
+def reference_breakpoint(market, order, input_index=0, output_index=1):
+    """The breakpoints by search: double an upper bracket, then bisect.
+
+    Finds where the marginal rate first drops to the order price, to
+    1e-10 * max(1, bracket); past a constant-sum pool's capacity the rate
+    counts as zero. Gives up with (inf, inf) once the bracket passes 1e18.
+    """
+
+    def rate(x):
+        try:
+            return marginal_rate(market, input_index, output_index, x)
+        except ValueError:
+            return 0.0
+
+    price = order.price
+    if rate(0.0) <= price:
+        delta1 = 0.0
+    else:
+        hi = 1.0
+        while rate(hi) > price:
+            hi *= 2.0
+            if hi > 1e18:
+                return math.inf, math.inf
+        lo = 0.0
+        while hi - lo > 1e-10 * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if rate(mid) > price:
+                lo = mid
+            else:
+                hi = mid
+        delta1 = 0.5 * (lo + hi)
+    return delta1, delta1 + order.volume / price
+
+
+@st.composite
+def priced_pairs(draw):
+    """A product, constant-sum or 2-4 asset geometric pool, an ordered asset
+    pair in it and an order price in [e^-8, e^8]."""
+    kind = draw(st.sampled_from([PRODUCT, SUM, GEOMETRIC_MEAN]))
+    n = draw(st.integers(2, 4)) if kind == GEOMETRIC_MEAN else 2
+    reserves = draw(st.lists(st.floats(0.05, 500.0), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(0.3, 5.0), min_size=n, max_size=n)) if kind == GEOMETRIC_MEAN else None
+    fee = draw(st.one_of(st.just(1.0), st.floats(0.8, 1.0, exclude_min=True)))
+    i, o = draw(st.permutations(range(n)))[:2]
+    price = math.exp(draw(st.floats(-8.0, 8.0)))
+    return Market(kind, reserves, fee, weights), LimitOrder(price, 3.0, i, o), i, o
+
+
 class TestBreakpoints:
+    @given(priced_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_matches_search(self, case):
+        market, order, i, o = case
+        d1, d2 = solve_breakpoint(market, order, i, o)
+        ref1, _ = reference_breakpoint(market, order, i, o)
+        # The search stops within 1e-10 * max(1, bracket) of the root.
+        assert abs(d1 - ref1) <= 1e-9 * max(1.0, ref1)
+        assert d2 == d1 + order.volume / order.price
+        if d1 > 0 and market.kind != SUM:
+            assert marginal_rate(market, i, o, d1) == pytest.approx(order.price, rel=1e-12)
+
+    def test_finite_where_the_search_gave_up(self):
+        # The search's bracket stopped at 1e18; the closed form has no cap.
+        # Here the rate 1e30 / (1 + d)^2 falls to the price 1e-10 at d = 1e20 - 1.
+        market = cpmm(1.0, 1e30)
+        order = LimitOrder(1e-10, 1.0, 0, 1)
+        assert reference_breakpoint(market, order) == (math.inf, math.inf)
+        d1, _ = solve_breakpoint(market, order)
+        assert d1 == pytest.approx(1e20, rel=1e-12)
+        assert marginal_rate(market, 0, 1, d1) == pytest.approx(1e-10, rel=1e-12)
+
     def test_unit_pool(self):
         d1, d2 = solve_breakpoint(cpmm(1, 1), LimitOrder(0.5, 2.0, 0, 1))
         assert d1 == pytest.approx(math.sqrt(2) - 1, abs=1e-9)

@@ -263,13 +263,6 @@ class TestCommands:
         body = (out / "liquidation_solution.csv").read_text().split("\n", 2)[2]  # manifest, header
         assert body == "".join(reference_rows(vf, policy, times))
 
-    def test_paths_must_be_positive(self, tmp_path, capsys):
-        cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
-        code = main(
-            ["liquidate-simulate", "--config", cfg, "--paths", "0", "--seed", "1", "--out", str(tmp_path)]
-        )
-        assert code == 2
-
 
 # One parsable command line per subcommand (the files need not exist).
 VALID_ARGVS = [
@@ -282,6 +275,17 @@ VALID_ARGVS = [
     ["hook-frontier", "--config", "c.json"],
     ["emit-gnuplot", "x.csv"],
 ]
+
+
+ROUTE_PROBLEM = {
+    "n_assets": 3,
+    "markets": [
+        {"kind": "product", "reserves": [10.0, 10.0], "fee": 0.99, "assets": [0, 1]},
+        {"kind": "geometric_mean", "reserves": [3.0, 1.0, 2.0], "weights": [1.0, 2.0, 1.0], "assets": [0, 1, 2]},
+    ],
+    "orders": [{"price": 0.5, "volume": 4.0, "input": 0, "output": 2}],
+    "utility": {"liquidate": {"input": 0, "output": 2, "budget": 1.0}},
+}
 
 
 class TestErrorContracts:
@@ -365,16 +369,63 @@ class TestErrorContracts:
         assert main(["pigou", "--grid", "0:2:3", "--out", str(tmp_path)]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "solver_nonconvergence"
 
+    @pytest.mark.parametrize(
+        "command, record, field",
+        [
+            (command, 5, "")
+            for command in ("route", "liquidate-solve", "hook-mean-variance", "hook-frontier")
+        ]
+        + [
+            ("route", {**ROUTE_PROBLEM, "markets": [5]}, "markets[0]"),
+            ("route", {**ROUTE_PROBLEM, "orders": ["x"]}, "orders[0]"),
+            ("route", {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][0], assets=[0, "b"])]}, "markets[0]"),
+            ("route", {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][0], assets=[0, True])]}, "markets[0]"),
+            ("route", {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][0], reserves=[None, 1.0])]}, "markets[0]"),
+            ("route", {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][1], weights=[[1], 1, 1])]}, "markets[0]"),
+            ("liquidate-solve", "mdp pool mispricing", ""),
+            ("liquidate-simulate", ["mdp"], ""),
+            ("compare-twamm", {**LIQ_CONFIG, "mdp": "horizon"}, "mdp"),
+            ("hook-mean-variance", {**HOOK_CONFIG, "variance": ["form"]}, "variance"),
+        ],
+    )
+    def test_non_object_entries_are_exit_2(self, tmp_path, capsys, monkeypatch, command, record, field):
+        import hookroute.cli as cli_mod
 
-ROUTE_PROBLEM = {
-    "n_assets": 3,
-    "markets": [
-        {"kind": "product", "reserves": [10.0, 10.0], "fee": 0.99, "assets": [0, 1]},
-        {"kind": "geometric_mean", "reserves": [3.0, 1.0, 2.0], "weights": [1.0, 2.0, 1.0], "assets": [0, 1, 2]},
-    ],
-    "orders": [{"price": 0.5, "volume": 4.0, "input": 0, "output": 2}],
-    "utility": {"liquidate": {"input": 0, "output": 2, "budget": 1.0}},
-}
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier"):
+            monkeypatch.setattr(cli_mod, name, never)
+        path = write_json(tmp_path / "config.json", record)
+        argv = [command, "--problem" if command == "route" else "--config", path, "--out", str(tmp_path)]
+        argv += {"route": ["--s", "0:1:2"], "compare-twamm": ["--grid", "0:1:2"]}.get(command, [])
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == field
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["liquidate-solve", "--dump-times", "x"], "dump-times"),
+            (["liquidate-solve", "--dump-times", "0,12"], "dump-times"),
+            (["liquidate-simulate", "--paths", "0"], "paths"),
+            (["compare-twamm", "--grid", "0:1:2", "--paths", "-3"], "paths"),
+        ],
+    )
+    def test_bad_options_named_before_solving(self, tmp_path, capsys, monkeypatch, argv, field):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("value_iteration", "simulate_policy", "compare_vs_twamm"):
+            monkeypatch.setattr(cli_mod, name, never)
+        config = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        assert main(argv + ["--config", config, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == field
 
 
 class TestNonFiniteInputs:
