@@ -12,6 +12,7 @@ import collections
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -56,6 +57,8 @@ def parse_grid(text):
         count = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"grid {text!r}: {exc}", "grid") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"grid {text!r}: start and stop must be finite", "grid")
     if count < 1:
         raise ConfigError("grid count must be at least 1", "grid")
     if stop < start:

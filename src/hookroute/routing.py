@@ -2,16 +2,18 @@
 
 The routing problem maximizes the output of a liquidation over the joint
 feasible set of every market and standing order. It is one convex program:
-each pool's tendered and received amounts under its invariant (a log
-invariant for product and geometric-mean pools, a linear one for
-constant-sum pools), each order's fill in its box, and a nonnegative
-balance of every asset. `solve_routing` solves it with one primal-dual
+each log-invariant pool's (product or geometric mean) tendered and received
+amounts under its invariant, each order's fill in its box, and a
+nonnegative balance of every asset. A constant-sum pool is exactly two
+limit orders, one per direction, each paying the fee in the other asset per
+unit tendered up to that asset's reserve (`_sum_orders`), so the program
+has one pool kind. `solve_routing` solves it with one primal-dual
 interior-point method (Mehrotra predictor-corrector) in numpy.
 
 Every solve is certified by the exact dual: at strictly positive asset
-prices, the budget's worth plus each market's and order's best response
-bounds the output of any feasible route. A constant-sum market answers in
-closed form. Every log-invariant pool (a product pool is the unit-weight
+prices, the budget's worth plus each pool's and order's best response
+bounds the output of any feasible route. An order fills fully or not at
+all. Every log-invariant pool (a product pool is the unit-weight
 geometric-mean pool) has one best response: it sorts its assets by price
 times reserve over exponent, and its KKT conditions make the tendered
 assets a prefix and the received ones a suffix of that order, so only
@@ -34,9 +36,14 @@ from .cfmm import (
     forward_exchange_batch,
     trading_function,
 )
+from .liquidation import MAX_SOLVE_BYTES
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
+
+# A solve is `optimal` when its dual bound exceeds its output by at most
+# TOL * max(1, |bound|).
+TOL = 1e-7
 
 
 class NoFeasibleRouteError(Exception):
@@ -56,17 +63,6 @@ class Liquidate:
             raise ValueError("budget must be finite and nonnegative")
         if self.input_asset == self.output_asset:
             raise ValueError("input and output asset must differ")
-
-
-@dataclass(frozen=True)
-class DualPrices:
-    """Strictly positive per-asset prices used by the decomposition."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(v <= 0 for v in self.values):
-            raise ValueError("dual prices must be strictly positive")
 
 
 @dataclass
@@ -106,26 +102,52 @@ class RoutingSolution:
     iterations: int = 0
 
 
+def _sum_orders(market, assets):
+    """A constant-sum pool as its two limit orders, from a to b and from b to a.
+
+    Each pays `fee` of the other asset per unit tendered, up to that
+    asset's reserve. After netting, the two allow the pool's trades.
+    """
+    (a, b), fee = assets, market.fee
+    return LimitOrder(fee, market.reserves[1], a, b), LimitOrder(fee, market.reserves[0], b, a)
+
+
+def _trading_sets(problem):
+    """The problem's log-invariant pools, and its orders followed by the two
+    orders of each constant-sum pool, in market order."""
+    pools, orders = [], list(problem.orders)
+    for market, assets in problem.markets:
+        if market.kind == SUM:
+            orders.extend(_sum_orders(market, assets))
+        else:
+            pools.append((market, assets))
+    return pools, orders
+
+
+def check_solve_size(problem: RoutingProblem):
+    """Refuse a problem whose Newton matrices would exceed MAX_SOLVE_BYTES.
+
+    A solve holds three dense square matrices at once, 8 bytes an entry:
+    the template in `_Program`, its per-iteration copy and the factor of
+    `np.linalg.solve`. Each has a row per leg's tendered and received
+    amount, per order, per pool and two per asset.
+    """
+    pools, orders = _trading_sets(problem)
+    legs = sum(market.n_assets for market, _ in pools)
+    size = 2 * legs + len(orders) + len(pools) + 2 * problem.n_assets
+    need = 3 * 8 * size * size
+    if need > MAX_SOLVE_BYTES:
+        raise ValueError(
+            f"the routing solve would need about {need / 1e6:.0f} MB for its "
+            f"{size}-row Newton matrices, over the {MAX_SOLVE_BYTES / 1e6:.0f} MB "
+            "budget; use fewer assets, pools or orders"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Best-response subproblems: maximize nu . (received - tendered) over a
 # trading set. Each returns (tendered, received, value).
 # ---------------------------------------------------------------------------
-
-
-def _sum_subproblem(market, nu):
-    # Bang-bang: receive the whole output reserve, tendering 1/fee per unit,
-    # in the direction whose margin is not negative (at most one is positive).
-    fee = market.fee
-    tendered, received = np.zeros(2), np.zeros(2)
-    value = 0.0
-    for i, o in ((0, 1), (1, 0)):
-        cap = market.reserves[o]
-        margin = nu[o] - nu[i] / fee
-        if margin >= 0 and margin * cap >= value:
-            tendered, received = np.zeros(2), np.zeros(2)
-            tendered[i], received[o] = cap / fee, cap
-            value = margin * cap
-    return tendered, received, value
 
 
 def _geometric_subproblem(market, nu):
@@ -188,34 +210,37 @@ def _geometric_subproblem(market, nu):
     return d, r, best_value
 
 
-def _best_response(market, nu_local):
-    if market.kind == SUM:
-        return _sum_subproblem(market, nu_local)
-    return _geometric_subproblem(market, nu_local)
+def _positive(nu):
+    """Prices as a float array; any that is not strictly positive is refused."""
+    nu = np.asarray(nu, dtype=float)
+    if np.any(nu <= 0):
+        raise ValueError("dual prices must be strictly positive")
+    return nu
 
 
-def arbitrage_subproblem(market: Market, assets, nu: DualPrices | np.ndarray):
+def arbitrage_subproblem(market: Market, assets, nu: np.ndarray):
     """Best response of one market to global prices.
 
     Returns ((tendered, received), value) in the market's local indexing.
+    A constant-sum market answers as its two orders (`_sum_orders`), so at
+    exact indifference both directions fill; the value is unaffected.
     """
-    nu_all = np.asarray(nu.values if isinstance(nu, DualPrices) else nu, dtype=float)
-    if np.any(nu_all <= 0):
-        raise ValueError("dual prices must be strictly positive")
-    d, r, val = _best_response(market, nu_all[list(assets)])
+    nu = _positive(nu)
+    if market.kind == SUM:
+        (ab, v_ab), (ba, v_ba) = (limit_order_subproblem(o, nu) for o in _sum_orders(market, assets))
+        return (np.array([ab.z1, ba.z1]), np.array([ba.z2, ab.z2])), v_ab + v_ba
+    d, r, val = _geometric_subproblem(market, nu[list(assets)])
     return (d, r), val
 
 
-def limit_order_subproblem(order: LimitOrder, nu: DualPrices | np.ndarray):
+def limit_order_subproblem(order: LimitOrder, nu: np.ndarray):
     """Best response of one order: fill fully iff the fill is not a loss.
 
     Ties (price exactly at indifference) fill fully for determinism; the
     objective value is unaffected there.
     """
-    nu_all = np.asarray(nu.values if isinstance(nu, DualPrices) else nu, dtype=float)
-    if np.any(nu_all <= 0):
-        raise ValueError("dual prices must be strictly positive")
-    margin = nu_all[order.output_asset] * order.price - nu_all[order.input_asset]
+    nu = _positive(nu)
+    margin = nu[order.output_asset] * order.price - nu[order.input_asset]
     if margin >= 0 and order.volume > 0:
         z1 = order.volume / order.price
         return Trade2(z1, order.volume), margin * order.volume / order.price
@@ -224,17 +249,18 @@ def limit_order_subproblem(order: LimitOrder, nu: DualPrices | np.ndarray):
 
 # ---------------------------------------------------------------------------
 # Dual function: at strictly positive prices nu with nu[output] = 1, the
-# budget's worth plus every market's and order's best-response value bounds
+# budget's worth plus every pool's and order's best-response value bounds
 # the output of any feasible route. It certifies every solve.
 # ---------------------------------------------------------------------------
 
 
 def _dual_value(problem, nu):
     util = problem.utility
+    pools, orders = _trading_sets(problem)
     value = util.budget * nu[util.input_asset]
-    for market, assets in problem.markets:
-        value += _best_response(market, nu[list(assets)])[2]
-    for order in problem.orders:
+    for market, assets in pools:
+        value += _geometric_subproblem(market, nu[list(assets)])[2]
+    for order in orders:
         margin = nu[order.output_asset] * order.price - nu[order.input_asset]
         value += max(margin, 0.0) * order.volume / order.price
     return value
@@ -265,16 +291,16 @@ def _check_route_exists(problem):
 # ---------------------------------------------------------------------------
 # The convex primal, in scaled variables x = (d, r, y, s):
 #   d, r  each pool leg's tendered and received amount over its reserve;
-#   y     each order's fill over its volume (orders of volume 0 are left out);
+#   y     each order's fill over its volume; the orders are the problem's
+#         own and then two per constant-sum pool (`_trading_sets`), and a
+#         zero-volume order's column of A is zero, so its fill decouples;
 #   s     each asset's slack (psi + h) over the asset's scale.
 # Maximize s[output] subject to
 #   A x = b                       psi + h - s = 0, one row per asset;
-#   f(x) <= 0                     one row per pool: -sum w log(q) for product
-#                                 and geometric pools, with q = 1 + fee d - r
-#                                 and w the exponents over their sum, and the
-#                                 linear sum(R (r - fee d)) / sum(R) for
-#                                 constant-sum pools;
-#   x >= 0, r <= 1 on constant-sum legs, y <= 1.
+#   f(x) <= 0                     one row per product or geometric pool:
+#                                 -sum w log(q), with q = 1 + fee d - r and
+#                                 w the exponents over their sum;
+#   x >= 0, y <= 1.
 # ---------------------------------------------------------------------------
 
 
@@ -285,28 +311,26 @@ class _Program:
     def __init__(self, problem):
         n = problem.n_assets
         util = problem.utility
+        pools, orders = _trading_sets(problem)
         pool, asset, reserve, fee, coef = [], [], [], [], []
-        for p, (market, assets) in enumerate(problem.markets):
+        for p, (market, assets) in enumerate(pools):
             weights = market.exponents
-            total_w, total_r = sum(weights), sum(market.reserves)
+            total_w = sum(weights)
             for a, res, w in zip(assets, market.reserves, weights):
                 pool.append(p)
                 asset.append(a)
                 reserve.append(res)
                 fee.append(market.fee)
-                coef.append(res / total_r if market.kind == SUM else w / total_w)
+                coef.append(w / total_w)
         self.pool = np.array(pool, dtype=int)
         self.asset = np.array(asset, dtype=int)
         self.reserve = np.array(reserve)
         self.fee = np.array(fee)
         self.coef = np.array(coef)
-        self.smooth = np.array([problem.markets[p][0].kind != SUM for p in pool], dtype=bool)
-        self.orders = [j for j, o in enumerate(problem.orders) if o.volume > 0]
-        live = [problem.orders[j] for j in self.orders]
-        self.order_in = np.array([o.input_asset for o in live], dtype=int)
-        self.order_out = np.array([o.output_asset for o in live], dtype=int)
-        self.volume = np.array([o.volume for o in live])
-        self.price = np.array([o.price for o in live])
+        self.order_in = np.array([o.input_asset for o in orders], dtype=int)
+        self.order_out = np.array([o.output_asset for o in orders], dtype=int)
+        self.volume = np.array([o.volume for o in orders])
+        self.price = np.array([o.price for o in orders])
 
         scale = np.zeros(n)
         np.maximum.at(scale, self.asset, self.reserve)
@@ -319,22 +343,22 @@ class _Program:
         self.h[util.input_asset] = util.budget
         self.out = util.output_asset
 
-        n_legs, n_orders = len(pool), len(live)
-        self.n_legs, self.n_pools = n_legs, len(problem.markets)
+        n_legs, n_orders = len(pool), len(orders)
+        self.n_legs, self.n_pools = n_legs, len(pools)
         self.nx = nx = 2 * n_legs + n_orders + n
         self.slack = 2 * n_legs + n_orders
-        legs, orders = np.arange(n_legs), 2 * n_legs + np.arange(n_orders)
+        self.fills = slice(2 * n_legs, self.slack)
+        legs, fills = np.arange(n_legs), np.arange(nx)[self.fills]
         a_mat = np.zeros((n, nx))
         a_mat[self.asset, legs] = -self.reserve / scale[self.asset]
         a_mat[self.asset, n_legs + legs] = self.reserve / scale[self.asset]
-        a_mat[self.order_out, orders] = self.volume / scale[self.order_out]
-        a_mat[self.order_in, orders] = -self.volume / self.price / scale[self.order_in]
+        a_mat[self.order_out, fills] = self.volume / scale[self.order_out]
+        a_mat[self.order_in, fills] = -self.volume / self.price / scale[self.order_in]
         a_mat[np.arange(n), self.slack + np.arange(n)] = -1.0
         self.a_mat = a_mat
         self.b = -self.h / scale
         self.c = np.zeros(nx)
         self.c[self.slack + self.out] = -1.0
-        self.upper = np.concatenate([n_legs + legs[~self.smooth], orders])
 
         # Augmented Newton matrix [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0]:
         # A is fixed, the rest is written each iteration at these flat indices.
@@ -365,18 +389,14 @@ class _Program:
         return x
 
     def reserves(self, d, r):
-        """Post-trade reserves over the reserve, set to 1 on constant-sum legs.
-
-        Only the log invariants need them positive.
-        """
-        return np.where(self.smooth, 1.0 + self.fee * d - r, 1.0)
+        """Post-trade reserves over the reserve; the log invariants need them positive."""
+        return 1.0 + self.fee * d - r
 
     def pools(self, x):
         """Leg reserves q (`reserves`), pool rows f and the legs' Jacobian factors."""
         d, r = x[: self.n_legs], x[self.n_legs : 2 * self.n_legs]
         q = self.reserves(d, r)
-        terms = np.where(self.smooth, np.log(q), self.fee * d - r)
-        f = -np.bincount(self.pool, self.coef * terms, self.n_pools)
+        f = -np.bincount(self.pool, self.coef * np.log(q), self.n_pools)
         return q, f, self.coef / q
 
     def trades(self, x):
@@ -387,15 +407,14 @@ class _Program:
         turns, scales each pool's received legs down until its invariant
         holds with a margin, and cuts the spending of every asset spent
         beyond its budget. Returns each leg's tendered and received amount,
-        each live order's fill and psi; no trade at all if eight rounds
+        each order's fill and psi; no trade at all if eight rounds
         leave an asset overspent.
         """
         n_legs, fee = self.n_legs, self.fee
         d = np.maximum(x[:n_legs], 0.0)
         r = np.maximum(x[n_legs : 2 * n_legs], 0.0)
-        r[~self.smooth] = np.minimum(r[~self.smooth], 1.0)
         d, r = np.maximum(d - r / fee, 0.0), np.maximum(r - fee * d, 0.0)
-        y = np.clip(x[2 * n_legs : self.slack], 0.0, 1.0)
+        y = np.clip(x[self.fills], 0.0, 1.0)
         n = len(self.h)
         for _ in range(8):
             r *= self._invariant_scale(d, r)[self.pool]
@@ -424,8 +443,8 @@ class _Program:
         n, pool, fee = len(self.h), self.pool, self.fee
         q = self.reserves(d, r)
         w = self.coef
-        tender = np.where(self.smooth, w * fee * d / q, fee * self.reserve * d)
-        pay = np.where(self.smooth, w * r / q, self.reserve * r)
+        tender = w * fee * d / q
+        pay = w * r / q
         total_pay = np.bincount(pool, pay, self.n_pools)
         share = np.zeros((n, self.n_pools))
         share[self.asset, pool] = self.reserve * r / np.where(total_pay > 0.0, total_pay, 1.0)[pool]
@@ -456,13 +475,11 @@ class _Program:
     def _invariant_scale(self, d, r):
         """Per pool, the largest t <= 1 such that receiving t * r keeps its invariant.
 
-        Product and geometric pools: Newton steps on the log invariant, which
-        is concave and falling in t, so they approach its root from above;
-        they aim at 2e-14 and stop at 1e-14, which keeps rounding on the
-        feasible side.
+        Newton steps on the log invariant, which is concave and falling in t,
+        so they approach its root from above; they aim at 2e-14 and stop at
+        1e-14, which keeps rounding on the feasible side.
         """
-        pool, fee, n_pools = self.pool, self.fee, self.n_pools
-        w = np.where(self.smooth, self.coef, 0.0)
+        pool, n_pools, w = self.pool, self.n_pools, self.coef
         t = np.ones(n_pools)
         for _ in range(60):
             q = self.reserves(d, t[pool] * r)
@@ -472,11 +489,6 @@ class _Program:
             if not low.any():
                 break
             t[low] = np.maximum(t[low] + (phi[low] - 2e-14) / slope[low], 0.0)
-        linear = np.where(self.smooth, 0.0, self.coef)
-        gain = np.bincount(pool, linear * fee * d, n_pools)
-        spend = np.bincount(pool, linear * r, n_pools)
-        over = spend > gain
-        t[over] = gain[over] / spend[over] * (1.0 - 1e-15)
         return t
 
     def prices(self, z_slack):
@@ -492,53 +504,51 @@ def _max_step(value, change):
     return 1.0 if worst >= -1.0 else -1.0 / worst
 
 
-def _interior_point(problem, prog, tol, max_iter):
+def _interior_point(problem, prog, max_iter):
     """Mehrotra predictor-corrector on the scaled convex primal.
 
     The pairs of primal slacks p and multipliers z are the bounds of x
-    (x >= 0, and 1 - x >= 0 where x is capped) and the pool rows (u >= 0
+    (x >= 0, and 1 - y >= 0 on the fills) and the pool rows (u >= 0
     with f(x) + u = 0, multiplier lam). The asset rows A x = b may start
     violated, so no strictly feasible start is needed. Each Newton step
     solves the augmented system [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0].
-    Once the estimated gap is well inside tol, each iterate is rounded to
+    Once the estimated gap is well inside TOL, each iterate is rounded to
     exactly feasible trades and certified by `_dual_value` at the slack
     multipliers. Returns the last rounded trades with their prices and
     gap, whether they are certified, and the iteration count.
     """
     nx, n_legs, n_pools = prog.nx, prog.n_legs, prog.n_pools
-    upper, fee, pool = prog.upper, prog.fee, prog.pool
+    fills, fee, pool = prog.fills, prog.fee, prog.pool
     a_mat, a_t = prog.a_mat, prog.a_mat.T
-    nb = nx + len(upper)
+    nb = nx + fills.stop - fills.start
     p = np.ones(nb + n_pools)
     z = np.ones(nb + n_pools)
     p[:nx] = prog.start()
-    p[nx:nb] = 1.0 - p[upper]  # kept apart: 1 - x rounds to 0 near the cap
+    p[nx:nb] = 1.0 - p[fills]  # kept apart: 1 - y rounds to 0 near the cap
     x, u, lam = p[:nx], p[nb:], z[nb:]  # views, updated with p and z
     nu = np.zeros(len(prog.h))
     out_scale = prog.scale[prog.out]
-    smooth_coef = np.where(prog.smooth, prog.coef, 0.0)
     worth = np.zeros(len(prog.h))
     worth[prog.out] = 1.0
 
     def certify():
-        # A fill or capped leg whose bound's multiplier exceeds its slack
-        # is put on that bound.
+        # A fill whose bound's multiplier exceeds its slack is put on that
+        # bound.
         point = x.copy()
-        fills = slice(2 * n_legs, prog.slack)
         point[fills][z[fills] > x[fills]] = 0.0
-        point[upper[z[nx:nb] > p[nx:nb]]] = 1.0
+        point[fills][z[nx:nb] > p[nx:nb]] = 1.0
         d, r, y, psi = prog.trades(point)
         prices = prog.prices(z[prog.slack : nx])
         bound = _dual_value(problem, prices)
         gap = bound - float(psi[prog.out])
-        return (d, r, y, psi, prices, gap), gap <= tol * max(1.0, abs(bound))
+        return (d, r, y, psi, prices, gap), gap <= TOL * max(1.0, abs(bound))
 
     iterations = 0
     while True:
         q, f, jac = prog.pools(x)
         lam_legs = lam[pool]
         grad = prog.c - z[:nx] + a_t @ nu
-        grad[upper] += z[nx:nb]
+        grad[fills] += z[nx:nb]
         grad[:n_legs] -= fee * jac * lam_legs
         grad[n_legs : 2 * n_legs] += jac * lam_legs
         r_p = a_mat @ x - prog.b
@@ -546,21 +556,21 @@ def _interior_point(problem, prog, tol, max_iter):
 
         # Complementarity plus the multiplier-weighted row violations
         # estimates the gap in units of the output's scale. Certify once the
-        # estimate is well inside tol; give up once it is far below, where
+        # estimate is well inside TOL; give up once it is far below, where
         # steps no longer change the trades.
         worth[:] = z[prog.slack : nx]
         worth[prog.out] += 1.0
         estimate = p @ z + lam @ np.abs(r_f) + worth @ np.abs(r_p)
-        estimate /= 0.1 * tol * max(1.0 / out_scale, x[prog.slack + prog.out])
+        estimate /= 0.1 * TOL * max(1.0 / out_scale, x[prog.slack + prog.out])
         if estimate <= 1.0 or iterations >= max_iter:
             result, passed = certify()
             if passed or estimate <= 1e-6 or iterations >= max_iter:
                 return result, passed, iterations
 
         ratio = z[:nb] / p[:nb]
-        hess = lam_legs * smooth_coef / (q * q)
+        hess = lam_legs * prog.coef / (q * q)
         diag = ratio[:nx].copy()
-        diag[upper] += ratio[nx:]
+        diag[fills] += ratio[nx:]
         diag[:n_legs] += hess * fee * fee
         diag[n_legs : 2 * n_legs] += hess
         off = -hess * fee
@@ -571,14 +581,14 @@ def _interior_point(problem, prog, tol, max_iter):
         def newton(r_c):
             part = r_c[:nb] / p[:nb]
             top = part[:nx] - grad
-            top[upper] -= part[nx:]
+            top[fills] -= part[nx:]
             sol = np.linalg.solve(kkt, np.concatenate([top, -r_f - r_c[nb:] / lam, -r_p]))
             dp = np.empty_like(p)
             dp[:nx] = sol[:nx]
-            dp[nx:nb] = -sol[upper]
+            dp[nx:nb] = -sol[fills]
             dp[nb:] = (r_c[nb:] - u * sol[nx : nx + n_pools]) / lam
             dz = (r_c - z * dp) / p
-            dq = (fee * sol[:n_legs] - sol[n_legs : 2 * n_legs]) * prog.smooth
+            dq = fee * sol[:n_legs] - sol[n_legs : 2 * n_legs]
             a_p = min(_max_step(p, dp), _max_step(0.9 * q, dq))
             return dp, dz, sol[nx + n_pools :], a_p, _max_step(z, dz)
 
@@ -609,36 +619,40 @@ def _zero_solution(problem):
     )
 
 
-def solve_routing(
-    problem: RoutingProblem,
-    tol: float = 1e-7,
-    max_iter: int = 200,
-) -> RoutingSolution:
-    """Solve the routing problem to a relative primal-dual gap of `tol`.
+def solve_routing(problem: RoutingProblem, max_iter: int = 200) -> RoutingSolution:
+    """Solve the routing problem to a relative primal-dual gap of `TOL`.
 
     One primal-dual interior-point solve of the convex primal, of at most
     `max_iter` Newton steps. A solve is `optimal` only when the exact dual
     bound at the solve's prices (`dual_prices`, output asset at 1) exceeds
     the output of the returned, exactly feasible trades by at most
-    tol * max(1, |bound|); `gap` is the bound minus that output. Otherwise
-    the status is `max_iter`, and the trades are still feasible.
+    TOL * max(1, |bound|); `gap` is the bound minus that output. Otherwise
+    the status is `max_iter`, and the trades are still feasible. A
+    constant-sum pool's trades are its two orders' fills (f_ab, f_ba):
+    tendered (f_ab, f_ba) / fee and received (f_ba, f_ab). Raises
+    ValueError, before allocating anything per asset, for a problem
+    `check_solve_size` refuses.
     """
+    check_solve_size(problem)
     util = problem.utility
     if util.budget == 0:
         return _zero_solution(problem)
     _check_route_exists(problem)
     prog = _Program(problem)
-    (d, r, y, psi, prices, gap), passed, iterations = _interior_point(problem, prog, tol, max_iter)
+    (d, r, y, psi, prices, gap), passed, iterations = _interior_point(problem, prog, max_iter)
 
     market_trades = []
-    start = 0
+    leg, pair = 0, len(problem.orders)
     for market, _ in problem.markets:
-        stop = start + market.n_assets
-        market_trades.append((d[start:stop], r[start:stop]))
-        start = stop
-    order_trades = [Trade2(0.0, 0.0) for _ in problem.orders]
-    for j, fill in zip(prog.orders, y.tolist()):
-        order_trades[j] = Trade2(fill / problem.orders[j].price, fill)
+        if market.kind == SUM:
+            fills = y[pair : pair + 2]
+            market_trades.append((fills / market.fee, fills[::-1].copy()))
+            pair += 2
+        else:
+            stop = leg + market.n_assets
+            market_trades.append((d[leg:stop], r[leg:stop]))
+            leg = stop
+    order_trades = [Trade2(fill / order.price, fill) for order, fill in zip(problem.orders, y.tolist())]
     return RoutingSolution(
         psi=psi,
         market_trades=market_trades,
@@ -651,7 +665,7 @@ def solve_routing(
     )
 
 
-def solve_curve(problem: RoutingProblem, s_grid, tol: float = 1e-7) -> list[RoutingSolution]:
+def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
     """Solve across a budget grid, one independent solve per budget."""
     grid = list(s_grid)
     if any(s < 0 for s in grid):
@@ -666,8 +680,7 @@ def solve_curve(problem: RoutingProblem, s_grid, tol: float = 1e-7) -> list[Rout
                 problem.markets,
                 problem.orders,
                 Liquidate(util.input_asset, util.output_asset, s),
-            ),
-            tol=tol,
+            )
         )
         for s in grid
     ]

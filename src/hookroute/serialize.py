@@ -10,7 +10,7 @@ import numpy as np
 from .cfmm import LimitOrder, Market
 from .liquidation import MdpConfig, MispricingParams, PoolParams
 from .noncomposable import FORMS, HookScenario, VarianceSpec, check_sweep
-from .routing import Liquidate, RoutingProblem
+from .routing import Liquidate, RoutingProblem, check_solve_size
 
 
 class ConfigError(Exception):
@@ -142,7 +142,9 @@ def problem_from_dict(record) -> RoutingProblem:
         ),
         "utility.liquidate",
     )
-    return _wrap(lambda: RoutingProblem(n_assets, markets, orders, util), "")
+    problem = _wrap(lambda: RoutingProblem(n_assets, markets, orders, util), "")
+    _wrap(lambda: check_solve_size(problem), "n_assets")
+    return problem
 
 
 def liquidation_config_from_dict(record):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -429,7 +430,7 @@ class TestErrorContracts:
 
 
 class TestNonFiniteInputs:
-    """NaN and infinities in a config are refused, with the field named, before any solve."""
+    """NaN, infinities and oversized problems are refused, with the field named, before any solve."""
 
     @pytest.mark.parametrize(
         "path, value, field",
@@ -440,6 +441,7 @@ class TestNonFiniteInputs:
             (("markets", 1, "reserves", 2), -math.inf, "markets[1]"),
             (("orders", 0, "volume"), math.inf, "orders[0]"),
             (("orders", 0, "price"), math.nan, "orders[0]"),
+            (("n_assets",), 10**9, "n_assets"),
         ],
     )
     def test_route_problem_refused_before_solving(self, tmp_path, capsys, monkeypatch, path, value, field):
@@ -459,6 +461,38 @@ class TestNonFiniteInputs:
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config_parse"
         assert err["field"] == field
+
+    @pytest.mark.parametrize(
+        "command, grid",
+        [
+            ("pigou", "nan:1:3"),
+            ("route", "0:inf:3"),
+            ("hook-frontier", "0:1e400:3"),
+            ("compare-twamm", "0:inf:2"),
+        ],
+    )
+    def test_nonfinite_grid_refused_before_solving(self, tmp_path, capsys, monkeypatch, command, grid):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("solve_curve", "compare_vs_twamm", "efficient_frontier"):
+            monkeypatch.setattr(cli_mod, name, never)
+        argv = [command, "--out", str(tmp_path)]
+        if command == "route":
+            argv += ["--problem", "table1", "--s", grid]
+        else:
+            argv += ["--grid", grid]
+        if command in ("hook-frontier", "compare-twamm"):
+            record = HOOK_CONFIG if command == "hook-frontier" else LIQ_CONFIG
+            argv += ["--config", write_json(tmp_path / "config.json", record)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == "grid"
 
     def test_zero_volume_order_routes(self, tmp_path):
         record = json.loads(json.dumps(ROUTE_PROBLEM))

@@ -21,7 +21,6 @@ from hookroute.cfmm import (
 )
 from hookroute import routing
 from hookroute.routing import (
-    DualPrices,
     Liquidate,
     NoFeasibleRouteError,
     RoutingProblem,
@@ -74,7 +73,9 @@ class TestArbitrageSubproblem:
         with pytest.raises(ValueError):
             arbitrage_subproblem(m, (0, 1), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            DualPrices((1.0, -2.0))
+            arbitrage_subproblem(Market(SUM, (10, 10), 1.0), (0, 1), np.array([1.0, -2.0]))
+        with pytest.raises(ValueError):
+            limit_order_subproblem(LimitOrder(0.5, 2.0, 0, 1), np.array([-1.0, 2.0]))
 
     def test_geometric_joint_trade(self):
         # Receiving one asset against two tendered beats any pairwise trade.
@@ -311,6 +312,65 @@ class TestProductAsGeometric:
             assert np.abs(r - ref_r).max() <= 1e-9 * size
 
 
+def reference_sum_subproblem(market, nu):
+    """A constant-sum pool's bang-bang best response at local prices nu.
+
+    Receive the whole output reserve, tendering 1/fee per unit, in the
+    direction whose margin is not negative (at most one is positive).
+    """
+    fee = market.fee
+    tendered, received = np.zeros(2), np.zeros(2)
+    value = 0.0
+    for i, o in ((0, 1), (1, 0)):
+        cap = market.reserves[o]
+        margin = nu[o] - nu[i] / fee
+        if margin >= 0 and margin * cap >= value:
+            tendered, received = np.zeros(2), np.zeros(2)
+            tendered[i], received[o] = cap / fee, cap
+            value = margin * cap
+    return tendered, received, value
+
+
+class TestSumPoolAsOrders:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fee=st.floats(0.8, 1.0, exclude_min=True),
+        reserves=st.tuples(st.floats(0.01, 100.0), st.floats(0.01, 100.0)),
+        prices=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+        assets=st.sampled_from([(0, 1), (1, 0)]),
+    )
+    def test_matches_bang_bang(self, fee, reserves, prices, assets):
+        market = Market(SUM, reserves, fee)
+        nu = np.array(prices)
+        (d, r), value = arbitrage_subproblem(market, assets, nu)
+        local = nu[list(assets)]
+        ref_d, ref_r, ref_value = reference_sum_subproblem(market, local)
+        assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+        margins = (local[1] - local[0] / fee, local[0] - local[1] / fee)
+        # Within rounding of 0 the two forms of a margin may differ in sign.
+        if min(map(abs, margins)) > 1e-12:
+            np.testing.assert_array_equal(d, ref_d)
+            np.testing.assert_array_equal(r, ref_r)
+
+    def test_indifference_fills_both_directions(self):
+        (d, r), value = arbitrage_subproblem(Market(SUM, (10, 8), 1.0), (0, 1), np.array([2.0, 2.0]))
+        np.testing.assert_array_equal(d, [8.0, 10.0])
+        np.testing.assert_array_equal(r, [10.0, 8.0])
+        assert value == 0.0
+
+
+def explicit_sum_orders(problem):
+    """The problem with each constant-sum pool written as its two limit orders."""
+    markets, orders = [], list(problem.orders)
+    for market, assets in problem.markets:
+        if market.kind == SUM:
+            (a, b), fee = assets, market.fee
+            orders += [LimitOrder(fee, market.reserves[1], a, b), LimitOrder(fee, market.reserves[0], b, a)]
+        else:
+            markets.append((market, assets))
+    return RoutingProblem(problem.n_assets, markets, orders, problem.utility)
+
+
 class TestLimitOrderSubproblem:
     def test_losing_fill_declined(self):
         order = LimitOrder(0.5, 2.0, 0, 1)
@@ -462,6 +522,58 @@ class TestSolveRouting:
         assert sol.order_trades[0] == Trade2(0.0, 0.0)
         assert sol.psi[3] == 0.0 and sol.psi[4] == 0.0
         assert_feasible(problem, sol)
+
+
+class TestSumPoolRouting:
+    @pytest.mark.parametrize("budget", [1.0, 50.0, 250.0, 500.0])
+    def test_table1_with_explicit_orders(self, budget):
+        problem = table1_problem(budget)
+        assert any(m.kind == SUM for m, _ in problem.markets)
+        u = solve_routing(problem).utility_value
+        assert solve_routing(explicit_sum_orders(problem)).utility_value == pytest.approx(
+            u, rel=0.0, abs=1e-12 * max(1.0, abs(u))
+        )
+
+    def test_hostile_networks_with_explicit_orders(self):
+        compared = 0
+        for seed in range(4000, 4020):
+            problem = adversarial_instance(seed)
+            if not any(m.kind == SUM for m, _ in problem.markets):
+                continue
+            try:
+                u = solve_routing(problem).utility_value
+            except NoFeasibleRouteError:
+                continue
+            explicit = solve_routing(explicit_sum_orders(problem)).utility_value
+            assert explicit == pytest.approx(u, rel=0.0, abs=1e-12 * max(1.0, abs(u))), seed
+            compared += 1
+        assert compared
+
+    def test_fee_one_round_trip_certifies(self):
+        # Two equal routes from 0 to 2, one through a fee-1 constant-sum pool,
+        # whose two orders may both fill at no cost.
+        problem = RoutingProblem(
+            3,
+            [
+                (Market(PRODUCT, (10.0, 10.0), 1.0), (0, 1)),
+                (Market(SUM, (10.0, 10.0), 1.0), (1, 2)),
+                (Market(PRODUCT, (10.0, 10.0), 1.0), (0, 2)),
+            ],
+            [],
+            Liquidate(0, 2, 5.0),
+        )
+        sol = solve_routing(problem)
+        assert sol.status == "optimal"
+        assert sol.utility_value == pytest.approx(4.0, rel=0.0, abs=1e-7)
+        assert_feasible(problem, sol)
+
+    def test_oversized_problem_refused(self):
+        for budget in (0.0, 1.0):
+            problem = RoutingProblem(
+                10**9, [(Market(PRODUCT, (10, 10), 1.0), (0, 1))], [], Liquidate(0, 1, budget)
+            )
+            with pytest.raises(ValueError, match="Newton matrices"):
+                solve_routing(problem)
 
 
 class TestOutputCurve:
@@ -640,6 +752,21 @@ class TestAdversarialCertification:
         assert res["market_residual"] <= 1e-8
         assert res["order_slack"] <= 1e-8
         assert res["budget_slack"] >= -1e-8
+
+
+    def test_hostile_sweep_certified(self):
+        failed = []
+        for seed in range(4020, 5500):
+            problem = adversarial_instance(seed)
+            try:
+                sol = solve_routing(problem)
+            except NoFeasibleRouteError:
+                continue
+            res = solution_residuals(problem, sol)
+            worst = max(res["reconstruction"], res["market_residual"], res["order_slack"], -res["budget_slack"])
+            if sol.status != "optimal" or worst > 1e-8:
+                failed.append(seed)
+        assert not failed
 
 
 def scale_network(seed, n_assets, n_pools):
