@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .liquidation import compare_vs_twamm, simulate_policy, value_iteration
+from .liquidation import check_paths, compare_vs_twamm, simulate_policy, value_iteration
 # `solve_mean_variance` is unused here, but the benchmark's tracer
 # (bench/spans.py) rebinds it in this module.
 from .noncomposable import efficient_frontier, mean_variance_sweep, solve_mean_variance
@@ -239,9 +239,12 @@ def _dump_times(text, horizon):
     return times
 
 
-def _check_paths(args):
-    if args.paths < 1:
-        raise ConfigError("--paths must be at least 1", "paths")
+def _check_paths(args, cfg):
+    """Refuse --paths before any solve: too few, or too many for memory."""
+    try:
+        check_paths(args.paths, cfg.horizon)
+    except ValueError as exc:
+        raise ConfigError(f"--paths: {exc}", "paths") from exc
 
 
 def cmd_liquidate_solve(args):
@@ -285,26 +288,26 @@ def cmd_liquidate_solve(args):
 
 
 def cmd_liquidate_simulate(args):
-    _check_paths(args)
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
+    _check_paths(args, cfg)
     writer = RunWriter("liquidate-simulate", args.out, record, seed=args.seed)
     _, policy = value_iteration(cfg, pool, params)
     sim = simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
-    rows = [
+    rows = (
         (p, t, sim.inventory[p, t])
         for p in range(args.paths)
         for t in range(cfg.horizon + 1)
-    ]
+    )
     writer.add_table("inventory_paths", ("path", "t", "inventory"), csv_rows(rows))
     writer.write()
     return EXIT_OK
 
 
 def cmd_compare_twamm(args):
-    _check_paths(args)
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
+    _check_paths(args, cfg)
     sigma_grid = parse_grid(args.grid)
     writer = RunWriter("compare-twamm", args.out, record, seed=args.seed)
     results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)

@@ -1,13 +1,14 @@
 """Timed liquidation against a mispricing signal, plus a TWAMM benchmark.
 
 A user unwinds an inventory on a constant-product pool over a block horizon.
-Arbitrageurs keep the log mispricing between the pool and an external market
-clamped inside the fee band each block; trading moves it further through a
-deterministic log price impact. The optimal trade schedule is the solution of
-a finite-horizon dynamic program over (inventory, mispricing), solved by
-backward induction with Gauss-Hermite quadrature over the noise and bilinear
-interpolation on the grid. The benchmark splits the inventory uniformly over
-the horizon for a single gas fee.
+Each block, arbitrageurs first clamp the log mispricing between the pool and
+an external market into the fee band; the user then trades at the clamped
+price; noise and the trade's deterministic log price impact then move the
+mispricing to the next block's value. The optimal trade schedule is the
+solution of a finite-horizon dynamic program over (inventory, mispricing),
+solved by backward induction with Gauss-Hermite quadrature over the noise and
+bilinear interpolation on a grid that spans the fee band. The benchmark splits
+the inventory uniformly over the horizon for a single gas fee.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ _MODES = (MULTIPLICATIVE, ADDITIVE)
 
 # Memory budget of one `value_iteration` solve, checked by `MdpConfig` from
 # the grid sizes before anything is allocated. The paper's 200-block config
-# needs about 133 MB by the same estimate.
+# needs about 133 MB by the same estimate. `check_paths` holds a simulation's
+# path arrays to the same budget.
 MAX_SOLVE_BYTES = 10**9
 
 
@@ -87,7 +89,6 @@ class MdpConfig:
     n_actions: int = 51
     quad_order: int = 9
     dynamics: str = MULTIPLICATIVE
-    z_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         check_finite(
@@ -95,7 +96,6 @@ class MdpConfig:
             gas=self.gas,
             inventory_cost=self.inventory_cost,
             discount=self.discount,
-            z_bounds=self.z_bounds,
         )
         if self.horizon < 1:
             raise ValueError("horizon must be at least one block")
@@ -189,11 +189,16 @@ def exchange_at_price(trade_size, price, liquidity):
 
 
 def reward(inventory, z, trade_size, cfg: MdpConfig, pool: PoolParams):
-    """Per-block reward: price-improvement of the trade minus gas and carry."""
+    """Per-block reward: price-improvement of the trade minus gas and carry.
+
+    Arbitrage clamps z into the fee band first, so the trade is priced at the
+    clamped mispricing; noise and impact move z only after it.
+    """
     if np.any(trade_size > np.asarray(inventory) * (1 + 1e-12)):
         raise ValueError("trade size exceeds inventory")
+    zc = clamp_mispricing(z, pool.fee_bound_upper, pool.fee_bound_lower)
     improvement = exchange_at_price(
-        trade_size, pool.external_price * np.exp(-np.asarray(z, dtype=float)), pool.liquidity
+        trade_size, pool.external_price * np.exp(-zc), pool.liquidity
     ) - exchange_at_price(trade_size, pool.external_price, pool.liquidity)
     return improvement - cfg.gas * (np.asarray(trade_size) > 0) - cfg.inventory_cost * np.asarray(inventory)
 
@@ -203,34 +208,18 @@ def _gauss_hermite(order):
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
 
 
-def required_z_bounds(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
-    """Mispricing range reachable from the fee band in one block."""
-    drift = (params.drift - params.volatility**2 / 2.0) * params.dt
-    spread = 4.0 * params.volatility * math.sqrt(params.dt)
-    if cfg.dynamics == MULTIPLICATIVE:
-        # The transition scales the clamped value, so the band scales by the
-        # largest one-block factor (trade impact only shrinks it).
-        factor = max(1.0, math.exp(drift + spread))
-        return -pool.fee_bound_lower * factor, pool.fee_bound_upper * factor
-    worst_price = pool.external_price * math.exp(pool.fee_bound_lower)
-    max_impact = -float(jump(cfg.inventory, worst_price, pool.liquidity))
-    lo = -pool.fee_bound_lower - spread + min(0.0, drift) - max_impact
-    hi = pool.fee_bound_upper + spread + max(0.0, drift)
-    return lo, hi
+def _grids(cfg, pool):
+    """Inventory grid, and the mispricing grid spanning the fee band.
 
-
-def _grids(cfg, pool, params):
-    lo, hi = required_z_bounds(cfg, pool, params)
-    if cfg.z_bounds is not None:
-        zlo, zhi = cfg.z_bounds
-        if zlo > lo + 1e-15 or zhi < hi - 1e-15:
-            raise ValueError(
-                f"mispricing grid {cfg.z_bounds} does not cover the reachable "
-                f"range; use at least ({lo!r}, {hi!r})"
-            )
-        lo, hi = zlo, zhi
-    if hi <= lo:
-        hi = lo + max(1e-12, abs(lo) * 1e-9, 1e-12)
+    A block first clamps the mispricing into the band, then trades at the
+    clamped price, then moves by noise and impact. Reward, transition, value
+    and action thus depend on z only through the clamp, so values off the band
+    equal those at its nearer end, which is where `_bracket` puts them. A
+    zero-width band is widened by 1e-12 to give the grid a step.
+    """
+    lo, hi = -pool.fee_bound_lower, pool.fee_bound_upper
+    if hi == lo:
+        hi = lo + 1e-12
     inv = np.linspace(0.0, cfg.inventory, cfg.n_inventory)
     z = np.linspace(lo, hi, cfg.n_mispricing)
     return inv, z
@@ -253,7 +242,8 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
 
     Actions are fractions of the current inventory; the expectation over the
     noise uses Gauss-Hermite quadrature with the next mispricing clamped to
-    the grid ends, and the next state is looked up by bilinear interpolation.
+    the fee band, the grid's ends, and the next state is looked up by
+    bilinear interpolation.
 
     The interpolation does not depend on the block, so the mispricing half of
     each backup is built once: per action, a CSR operator that is
@@ -277,7 +267,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     """
     from scipy import sparse
 
-    inv_grid, z_grid = _grids(cfg, pool, params)
+    inv_grid, z_grid = _grids(cfg, pool)
     n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
     cells = n_i * n_z
     eps, quad_w = _gauss_hermite(cfg.quad_order)
@@ -347,14 +337,32 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     return vf, policy
 
 
+def check_paths(n_paths, horizon):
+    """Refuse a path count whose simulation arrays would pass `MAX_SOLVE_BYTES`.
+
+    A simulation, or a TWAMM comparison at one volatility, holds at most three
+    float arrays of n_paths x (horizon + 1) at once: noise, inventory and
+    rewards of the policy, or its kept inventory and rewards and the uniform
+    split's noise.
+    """
+    if n_paths < 1:
+        raise ValueError("need at least one path")
+    need = 3 * 8 * n_paths * (horizon + 1)
+    if need > MAX_SOLVE_BYTES:
+        raise ValueError(
+            f"{n_paths} paths of {horizon} blocks would need about {need / 1e6:.0f} MB, "
+            f"over the {MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer paths"
+        )
+
+
 def _noise_matrix(n_paths, horizon, seed):
     # Path generators keyed by (seed, path index): reproducible regardless of
     # evaluation order, and shared across strategies for common random numbers.
-    if n_paths < 1:
-        raise ValueError("need at least one path")
-    return np.stack(
-        [np.random.default_rng([seed, p]).standard_normal(horizon) for p in range(n_paths)]
-    )
+    check_paths(n_paths, horizon)
+    eps = np.empty((n_paths, horizon))
+    for p in range(n_paths):
+        eps[p] = np.random.default_rng([seed, p]).standard_normal(horizon)
+    return eps
 
 
 def simulate_policy(

@@ -49,6 +49,15 @@ def _number(record, key, path, default=_sentinel):
     return float(value) if value is not None else None
 
 
+def _integer(record, key, path):
+    """A required integer field; JSON `true`/`false` are refused, not read as 1/0."""
+    value = _get(record, key, path)
+    if not _is_index(value):
+        field = f"{path}.{key}" if path else key
+        raise ConfigError(f"field {field!r} must be an integer", field)
+    return value
+
+
 def _list(record, key, path, valid, kind, default=_sentinel):
     """A list field every entry of which passes `valid`; a bad one names `path`."""
     values = _get(record, key, path, list, default)
@@ -96,8 +105,8 @@ def order_from_dict(record, path="order") -> LimitOrder:
         lambda: LimitOrder(
             _number(record, "price", path),
             _number(record, "volume", path),
-            _get(record, "input", path, int),
-            _get(record, "output", path, int),
+            _integer(record, "input", path),
+            _integer(record, "output", path),
         ),
         path,
     )
@@ -121,7 +130,7 @@ def problem_to_dict(problem: RoutingProblem) -> dict:
 
 
 def problem_from_dict(record) -> RoutingProblem:
-    n_assets = _get(record, "n_assets", "", int)
+    n_assets = _integer(record, "n_assets", "")
     markets = []
     for i, m in enumerate(_get(record, "markets", "", list, default=[])):
         path = f"markets[{i}]"
@@ -136,8 +145,8 @@ def problem_from_dict(record) -> RoutingProblem:
     liq = _get(utility, "liquidate", "utility", dict)
     util = _wrap(
         lambda: Liquidate(
-            _get(liq, "input", "utility.liquidate", int),
-            _get(liq, "output", "utility.liquidate", int),
+            _integer(liq, "input", "utility.liquidate"),
+            _integer(liq, "output", "utility.liquidate"),
             _number(liq, "budget", "utility.liquidate"),
         ),
         "utility.liquidate",
@@ -148,29 +157,31 @@ def problem_from_dict(record) -> RoutingProblem:
 
 
 def liquidation_config_from_dict(record):
-    """Returns (MdpConfig, PoolParams, MispricingParams, z0)."""
+    """Returns (MdpConfig, PoolParams, MispricingParams, z0).
+
+    The `mdp` block passes only the keys it holds, so `MdpConfig` supplies
+    the defaults; a key `MdpConfig` does not take, such as the removed
+    `z_bounds`, is refused with `"field": "mdp"`.
+    """
     mdp = _get(record, "mdp", "", dict)
     pool = _get(record, "pool", "", dict)
     mis = _get(record, "mispricing", "", dict)
-    z_bounds = _get(mdp, "z_bounds", "mdp", list, default=None)
-    if z_bounds and (len(z_bounds) != 2 or not all(map(_is_number, z_bounds))):
-        raise ConfigError("field 'mdp.z_bounds' must hold two finite numbers", "mdp")
-    cfg = _wrap(
-        lambda: MdpConfig(
-            horizon=_get(mdp, "horizon", "mdp", int),
-            inventory=_number(mdp, "inventory", "mdp"),
-            gas=_number(mdp, "gas", "mdp"),
-            inventory_cost=_number(mdp, "inventory_cost", "mdp"),
-            discount=_number(mdp, "discount", "mdp"),
-            n_inventory=_get(mdp, "n_inventory", "mdp", int, default=101),
-            n_mispricing=_get(mdp, "n_mispricing", "mdp", int, default=101),
-            n_actions=_get(mdp, "n_actions", "mdp", int, default=51),
-            quad_order=_get(mdp, "quad_order", "mdp", int, default=9),
-            dynamics=_get(mdp, "dynamics", "mdp", str, default="multiplicative"),
-            z_bounds=tuple(z_bounds) if z_bounds else None,
-        ),
-        "mdp",
+    kwargs = dict(
+        horizon=_integer(mdp, "horizon", "mdp"),
+        inventory=_number(mdp, "inventory", "mdp"),
+        gas=_number(mdp, "gas", "mdp"),
+        inventory_cost=_number(mdp, "inventory_cost", "mdp"),
+        discount=_number(mdp, "discount", "mdp"),
     )
+    for key in ("n_inventory", "n_mispricing", "n_actions", "quad_order"):
+        if key in mdp:
+            kwargs[key] = _integer(mdp, key, "mdp")
+    if "dynamics" in mdp:
+        kwargs["dynamics"] = _get(mdp, "dynamics", "mdp", str)
+    unknown = sorted(set(mdp) - set(kwargs))
+    if unknown:
+        raise ConfigError(f"unknown mdp keys {unknown}", "mdp")
+    cfg = _wrap(lambda: MdpConfig(**kwargs), "mdp")
     pool_params = _wrap(
         lambda: PoolParams(
             reserve_in=_number(pool, "reserve_in", "pool"),

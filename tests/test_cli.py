@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,11 +13,12 @@ import pytest
 import hookroute
 from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
 from hookroute.cli import RunWriter, _build_parser, _fmt, csv_rows, main, parse_grid
-from hookroute.liquidation import value_iteration
+from hookroute.liquidation import MAX_SOLVE_BYTES, MdpConfig, check_paths, value_iteration
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.serialize import (
     ConfigError,
     hook_scenario_from_dict,
+    hook_sweeps_from_dict,
     liquidation_config_from_dict,
     market_from_dict,
     market_to_dict,
@@ -331,6 +333,88 @@ class TestErrorContracts:
         assert err["field"] == "mdp"
         assert "budget" in err["detail"]
 
+    @pytest.mark.parametrize(
+        "command, path, value, field",
+        [
+            ("route", ("n_assets",), True, "n_assets"),
+            ("route", ("orders", 0, "input"), False, "orders[0].input"),
+            ("route", ("orders", 0, "output"), True, "orders[0].output"),
+            ("route", ("utility", "liquidate", "input"), False, "utility.liquidate.input"),
+            ("route", ("utility", "liquidate", "output"), True, "utility.liquidate.output"),
+        ]
+        + [
+            ("liquidate-solve", ("mdp", key), True, f"mdp.{key}")
+            for key in ("horizon", "n_inventory", "n_mispricing", "n_actions", "quad_order")
+        ],
+    )
+    def test_boolean_integers_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, path, value, field
+    ):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("solve_curve", "value_iteration"):
+            monkeypatch.setattr(cli_mod, name, never)
+        record = json.loads(json.dumps(ROUTE_PROBLEM if command == "route" else LIQ_CONFIG))
+        target = record
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        config = write_json(tmp_path / "config.json", record)
+        argv = [command, "--problem" if command == "route" else "--config", config, "--out", str(tmp_path)]
+        argv += ["--s", "0:1:2"] if command == "route" else []
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == field
+        assert "integer" in err["detail"]
+
+    @pytest.mark.parametrize("key, value", [("z_bounds", [-0.1, 0.1]), ("n_mispricng", 51)])
+    def test_unknown_mdp_keys_refused_before_solving(self, tmp_path, capsys, monkeypatch, key, value):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(cli_mod, "value_iteration", never)
+        record = json.loads(json.dumps(LIQ_CONFIG))
+        record["mdp"][key] = value
+        path = write_json(tmp_path / "liq.json", record)
+        assert main(["liquidate-solve", "--config", path, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["field"] == "mdp"
+        assert key in err["detail"]
+
+    def test_mdp_defaults_come_from_the_dataclass(self):
+        required = {"horizon": 12, "inventory": 100.0, "gas": 2.0, "inventory_cost": 0.1, "discount": 0.01}
+        cfg, _, _, _ = liquidation_config_from_dict(dict(LIQ_CONFIG, mdp=required))
+        assert cfg == MdpConfig(**required)
+        cfg, _, _, _ = liquidation_config_from_dict(LIQ_CONFIG)
+        assert cfg == MdpConfig(**LIQ_CONFIG["mdp"])
+
+    @pytest.mark.parametrize("command", ["liquidate-simulate", "compare-twamm"])
+    def test_oversized_paths_refused_before_solving(self, tmp_path, capsys, monkeypatch, command):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("value_iteration", "simulate_policy", "compare_vs_twamm"):
+            monkeypatch.setattr(cli_mod, name, never)
+        # Three float arrays of paths x (horizon + 1) just pass the budget.
+        paths = MAX_SOLVE_BYTES // (3 * 8 * (LIQ_CONFIG["mdp"]["horizon"] + 1)) + 1
+        config = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        argv = [command, "--config", config, "--paths", str(paths), "--out", str(tmp_path)]
+        argv += ["--grid", "0:1:2"] if command == "compare-twamm" else []
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == "paths"
+        assert "budget" in err["detail"]
+        check_paths(paths - 1, LIQ_CONFIG["mdp"]["horizon"])
+
     def test_unknown_scenario_exit_2(self, tmp_path, capsys):
         assert main(["route", "--problem", "tableX", "--s", "0:1:2", "--out", str(tmp_path)]) == 2
 
@@ -509,7 +593,6 @@ class TestNonFiniteInputs:
             ("mdp", "gas", math.inf, "mdp"),
             ("mdp", "inventory", math.nan, "mdp"),
             ("mdp", "inventory_cost", math.inf, "mdp"),
-            ("mdp", "z_bounds", [-0.1, math.nan], "mdp"),
             ("pool", "reserve_in", math.inf, "pool"),
             ("pool", "fee_bound_lower", math.nan, "pool"),
             ("pool", "external_price", math.inf, "pool"),
@@ -789,3 +872,23 @@ class TestReproduceScript:
             liquidation_config_from_dict(record)
         for run_dir, bench in [(carry[1], workloads.LIQUIDATION_CONFIG), ("twamm", workloads.TWAMM_CONFIG)]:
             assert without_horizon(written[os.path.join(run_dir, "config.json")]) == without_horizon(bench)
+
+
+class TestReadme:
+    def test_json_examples_load(self):
+        """Every JSON block of README.md loads: route problem, liquidation and hook config."""
+        loaders = {
+            "n_assets": (problem_from_dict,),
+            "mdp": (liquidation_config_from_dict,),
+            "total_trade": (hook_scenario_from_dict, hook_sweeps_from_dict),
+        }
+        with open(os.path.join(REPO, "README.md")) as handle:
+            blocks = re.findall(r"```json\n(.*?)```", handle.read(), re.S)
+        kinds = []
+        for block in blocks:
+            record = json.loads(block)
+            [kind] = [key for key in loaders if key in record]
+            for load in loaders[kind]:
+                load(record)
+            kinds.append(kind)
+        assert sorted(kinds) == sorted(loaders)

@@ -16,7 +16,6 @@ from hookroute.liquidation import (
     compare_vs_twamm,
     exchange_at_price,
     jump,
-    required_z_bounds,
     reward,
     simulate_policy,
     step_mispricing,
@@ -170,19 +169,12 @@ class TestValueIteration:
             with pytest.raises(ValueError, match="finite"):
                 small_cfg(**{field: bad})
         with pytest.raises(ValueError, match="finite"):
-            small_cfg(z_bounds=(-0.1, bad))
-        with pytest.raises(ValueError, match="finite"):
             PoolParams(1e5, bad, 0.003, 0.003)
         with pytest.raises(ValueError, match="finite"):
             PoolParams(1e5, 5e8, 0.003, 0.003, external_price=bad)
         for args in ((bad, 1.0, 1.0), (0.0, bad, 1.0), (0.0, 1.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 MispricingParams(*args)
-
-    def test_grid_bounds_validated(self):
-        cfg = small_cfg(z_bounds=(-0.001, 0.001))
-        with pytest.raises(ValueError, match="reachable"):
-            value_iteration(cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
 
     def test_refinement_stability(self):
         pool = small_pool()
@@ -199,7 +191,7 @@ class TestValueIteration:
 
 def reference_value_iteration(cfg, pool, params):
     """Per-block gather loop that `value_iteration` replaced, kept as the reference."""
-    inv_grid, z_grid = _grids(cfg, pool, params)
+    inv_grid, z_grid = _grids(cfg, pool)
     n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
     eps, quad_w = _gauss_hermite(cfg.quad_order)
     fracs = np.linspace(0.0, 1.0, n_a)
@@ -256,27 +248,33 @@ def reference_value_iteration(cfg, pool, params):
     return values, actions
 
 
+def skewed_pool():
+    """A fee band of [-0.005, 0.02]: asymmetric, and wider above than below."""
+    return PoolParams(1e5, 5000 * 1e5, 0.02, 0.005)
+
+
 def _equivalence_cases():
     grid = dict(horizon=6, n_inventory=11, n_mispricing=13, n_actions=7, quad_order=5)
+    pool = small_pool()
     for dynamics in (MULTIPLICATIVE, ADDITIVE):
         for volatility in (0.0, 0.5, 8.0):
-            yield pytest.param(dict(grid, dynamics=dynamics), volatility, id=f"{dynamics}-{volatility}")
-    yield pytest.param(dict(grid, z_bounds=(-0.01, 0.02)), 8.0, id="z_bounds")
-    yield pytest.param(dict(grid, dynamics=ADDITIVE, z_bounds=(-3.0, 2.5)), 0.5, id="additive-z_bounds")
-    yield pytest.param(dict(grid, inventory=0.0), 0.5, id="inventory=0")
-    yield pytest.param(dict(grid, inventory=0.0, dynamics=ADDITIVE), 8.0, id="additive-inventory=0")
-    # Past 2**14 points, n - 1 - 1e-12 rounds to n - 1; nine nodes reach
-    # beyond the grid's four standard deviations, so positions clip there.
+            yield pytest.param(dict(grid, dynamics=dynamics), volatility, pool, id=f"{dynamics}-{volatility}")
+        yield pytest.param(dict(grid, dynamics=dynamics), 0.5, skewed_pool(), id=f"{dynamics}-asymmetric-band")
+    yield pytest.param(dict(grid, inventory=0.0), 0.5, pool, id="inventory=0")
+    yield pytest.param(dict(grid, inventory=0.0, dynamics=ADDITIVE), 8.0, pool, id="additive-inventory=0")
+    # Past 2**14 points, n - 1 - 1e-12 rounds to n - 1; the nodes reach
+    # beyond the band, so positions clip there.
     yield pytest.param(
         dict(horizon=2, n_inventory=2, n_mispricing=20001, n_actions=3, quad_order=9, dynamics=ADDITIVE),
         0.5,
+        pool,
         id="wide-z-grid",
     )
 
 
-def assert_matches_reference(cfg, params):
+def assert_matches_reference(cfg, params, pool=None):
     """Solve with `value_iteration` and check every block against the reference loop."""
-    pool = small_pool()
+    pool = pool or small_pool()
     ref_values, ref_actions = reference_value_iteration(cfg, pool, params)
     vf, pol = value_iteration(cfg, pool, params)
     scale = max(1.0, np.abs(ref_values).max())
@@ -286,14 +284,14 @@ def assert_matches_reference(cfg, params):
 
 
 class TestBackupOperator:
-    @pytest.mark.parametrize("overrides, volatility", _equivalence_cases())
-    def test_matches_reference_loop(self, overrides, volatility):
-        assert_matches_reference(small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0))
+    @pytest.mark.parametrize("overrides, volatility, pool", _equivalence_cases())
+    def test_matches_reference_loop(self, overrides, volatility, pool):
+        assert_matches_reference(small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0), pool)
 
-    # These grids reach the fixed point after 10 (multiplicative) and 11
-    # (additive) backups, so a 30-block horizon stops early and a 6-block one
+    # These grids reach the fixed point after 10 (multiplicative) and 3
+    # (additive) backups, so a 30-block horizon stops early and a 2-block one
     # runs every backup; the reference loop runs every backup either way.
-    @pytest.mark.parametrize("horizon", [30, 6])
+    @pytest.mark.parametrize("horizon", [30, 2])
     @pytest.mark.parametrize("dynamics", [MULTIPLICATIVE, ADDITIVE])
     def test_fixed_point_stop(self, horizon, dynamics):
         cfg = small_cfg(
@@ -399,17 +397,52 @@ class TestCompareVsTwamm:
             )
 
 
-class TestBounds:
-    def test_multiplicative_band_is_reachable_set(self):
-        pool = small_pool()
-        cfg = small_cfg()
-        lo, hi = required_z_bounds(cfg, pool, MispricingParams(0.0, 8.0, 1.0))
-        assert lo == pytest.approx(-0.003)
-        assert hi == pytest.approx(0.003)
+class TestFeeBand:
+    """The mispricing grid is the fee band; off the band, only the clamp counts."""
 
-    def test_additive_covers_diffusion(self):
-        pool = small_pool()
-        cfg = small_cfg(dynamics=ADDITIVE)
-        lo, hi = required_z_bounds(cfg, pool, MispricingParams(0.0, 0.002, 1.0))
-        assert hi >= 0.003 + 4 * 0.002 - 1e-12
-        assert lo <= -0.003 - 4 * 0.002
+    @pytest.mark.parametrize("pool", [small_pool(), skewed_pool()], ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("volatility", [0.0, 1.0, 4.0, 8.0])
+    @pytest.mark.parametrize("dynamics", [MULTIPLICATIVE, ADDITIVE])
+    def test_grid_is_the_band(self, dynamics, volatility, pool):
+        cfg = small_cfg(horizon=3, n_inventory=5, n_mispricing=21, n_actions=3, quad_order=3, dynamics=dynamics)
+        vf, policy = value_iteration(cfg, pool, MispricingParams(0.0, volatility, 1.0))
+        band = np.linspace(-pool.fee_bound_lower, pool.fee_bound_upper, cfg.n_mispricing)
+        assert np.array_equal(vf.mispricing_grid, band)
+        assert np.array_equal(policy.mispricing_grid, band)
+
+    @pytest.mark.parametrize("pool", [small_pool(), skewed_pool()], ids=["symmetric", "asymmetric"])
+    def test_reward_priced_at_the_clamp(self, pool):
+        cfg = small_cfg()
+        lower, upper = -pool.fee_bound_lower, pool.fee_bound_upper
+        z = np.array([-1.0, lower - 1e-4, upper + 1e-4, 2.0])
+        clamped = clamp_mispricing(z, pool.fee_bound_upper, pool.fee_bound_lower)
+        assert np.array_equal(clamped, [lower, lower, upper, upper])
+        for trade in (0.0, 10.0, cfg.inventory):
+            off_band = reward(cfg.inventory, z, trade, cfg, pool)
+            assert np.array_equal(off_band, reward(cfg.inventory, clamped, trade, cfg, pool))
+
+    @pytest.mark.parametrize("dynamics", [MULTIPLICATIVE, ADDITIVE])
+    def test_zero_width_band_solves(self, dynamics):
+        pool = PoolParams(1e5, 5000 * 1e5, 0.0, 0.0)
+        cfg = small_cfg(horizon=5, dynamics=dynamics)
+        params = MispricingParams(0.0, 2.0, 1.0)
+        vf, policy = value_iteration(cfg, pool, params)
+        assert vf.mispricing_grid[0] == 0.0
+        assert vf.mispricing_grid[-1] == 1e-12
+        assert np.all(np.isfinite(vf.values))
+        # Both grid ends clamp to the one point of the band.
+        assert np.array_equal(vf.values[..., 0], vf.values[..., -1])
+        sim = simulate_policy(policy, cfg, pool, params, 4, seed=1)
+        assert np.all(np.isfinite(sim.outputs))
+
+    @pytest.mark.parametrize("volatility", [2.0, 4.0, 6.0])
+    def test_twamm_config_sells_out_and_beats_uniform_split(self, volatility):
+        # The twamm config of scripts/reproduce.py, cut to 10 blocks.
+        pool = PoolParams(1e5, 5000 * 1e5, 0.003, 0.003)
+        cfg = MdpConfig(horizon=10, inventory=100.0, gas=2.0, inventory_cost=0.1, discount=0.01)
+        params = MispricingParams(0.0, volatility, 1.0)
+        _, policy = value_iteration(cfg, pool, params)
+        sim = simulate_policy(policy, cfg, pool, params, 50, seed=11, z0=-0.003)
+        assert np.all(sim.inventory[:, -1] == 0.0)
+        [(_, mean, _)] = compare_vs_twamm([volatility], cfg, pool, params, 50, seed=11, z0=-0.003)
+        assert mean > 0.0
