@@ -7,16 +7,12 @@ from .cfmm import (
     PRODUCT,
     SUM,
     LimitOrder,
-    LiquidityStep,
     Market,
     ModifiedExchangeCurve,
     Trade2,
     compose_with_order,
     forward_exchange,
-    limit_order_contains,
-    liquidity_step_sequence,
     marginal_rate,
-    minkowski_contains,
     modified_forward_exchange,
     solve_breakpoint,
     trading_function,
@@ -27,16 +23,12 @@ __all__ = [
     "PRODUCT",
     "SUM",
     "LimitOrder",
-    "LiquidityStep",
     "Market",
     "ModifiedExchangeCurve",
     "Trade2",
     "compose_with_order",
     "forward_exchange",
-    "limit_order_contains",
-    "liquidity_step_sequence",
     "marginal_rate",
-    "minkowski_contains",
     "modified_forward_exchange",
     "solve_breakpoint",
     "trading_function",

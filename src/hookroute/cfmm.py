@@ -46,6 +46,8 @@ class Market:
             raise ValueError(f"unknown market kind {self.kind!r}")
         if self.kind in (PRODUCT, SUM) and len(self.reserves) != 2:
             raise ValueError(f"{self.kind} market needs exactly 2 reserves")
+        if len(self.reserves) < 2:
+            raise ValueError("a market needs at least 2 reserves")
         if self.kind == GEOMETRIC_MEAN:
             if self.weights is None:
                 raise ValueError("geometric_mean market needs weights")
@@ -178,37 +180,6 @@ def _check_pair(market: Market, input_index: int, output_index: int):
         raise ValueError("input and output index must differ")
 
 
-def limit_order_contains(order: LimitOrder, trade: Trade2) -> bool:
-    """Feasibility of a trade against the order's trapezoidal trading set."""
-    return order.price * trade.z1 - trade.z2 >= 0 and trade.z2 <= order.volume
-
-
-def best_order_output(orders, amount_in: float) -> float:
-    """Max combined output for `amount_in` split across orders (greedy by price)."""
-    remaining = amount_in
-    total = 0.0
-    for order in sorted(orders, key=lambda o: -o.price):
-        if remaining <= 0:
-            break
-        take = min(remaining, order.volume / order.price) if order.price > 0 else 0.0
-        total += order.price * take
-        remaining -= take
-    return total
-
-
-def minkowski_contains(orders, trade: Trade2, tol: float = 1e-9) -> bool:
-    """Membership in the Minkowski sum of the orders' trading sets.
-
-    A point decomposes across orders iff its output is at most the best
-    achievable output for its input, which the greedy price-ordered fill
-    attains exactly (the per-order output curves are concave and separable).
-    """
-    pairs = {(o.input_asset, o.output_asset) for o in orders}
-    if len(pairs) > 1:
-        raise ValueError("orders must share one asset pair")
-    return trade.z2 <= best_order_output(orders, trade.z1) + tol
-
-
 @dataclass(frozen=True)
 class ModifiedExchangeCurve:
     """A market's output curve spliced with one limit order.
@@ -271,37 +242,3 @@ def modified_forward_exchange(curve: ModifiedExchangeCurve, amount_in: float) ->
     if amount_in < d2:
         return base(d1) + price * (amount_in - d1)
     return base(amount_in - (d2 - d1)) + price * (d2 - d1)
-
-
-@dataclass(frozen=True)
-class LiquidityStep:
-    """Rectangular liquidity block of fixed area `volume` around `center`."""
-
-    center: float
-    halfwidth: float
-    volume: float
-
-    def __post_init__(self):
-        if self.center <= 0:
-            raise ValueError("center price must be positive")
-        if self.halfwidth <= 0:
-            raise ValueError("halfwidth must be positive")
-        if self.volume < 0:
-            raise ValueError("volume must be nonnegative")
-
-    @property
-    def height(self) -> float:
-        # Area is exactly volume: height * (2 * halfwidth).
-        return self.volume / (2.0 * self.halfwidth)
-
-    def density(self, price: float) -> float:
-        if abs(price - self.center) <= self.halfwidth:
-            return self.height
-        return 0.0
-
-
-def liquidity_step_sequence(price: float, volume: float, halfwidths) -> list[LiquidityStep]:
-    """Steps of shrinking width and constant area around a limit price."""
-    if any(h <= 0 for h in halfwidths):
-        raise ValueError("halfwidths must be positive")
-    return [LiquidityStep(price, h, volume) for h in halfwidths]

@@ -254,9 +254,9 @@ def limit_order_subproblem(order: LimitOrder, nu: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _dual_value(problem, nu):
-    util = problem.utility
-    pools, orders = _trading_sets(problem)
+def _dual_value(prog, nu):
+    util = prog.utility
+    pools, orders = prog.trading_sets
     value = util.budget * nu[util.input_asset]
     for market, assets in pools:
         value += _geometric_subproblem(market, nu[list(assets)])[2]
@@ -305,13 +305,14 @@ def _check_route_exists(problem):
 
 
 class _Program:
-    """The scaled convex primal of one problem: its data, index maps, the
-    asset rows A x = b and the fixed part of the Newton matrix."""
+    """The scaled convex primal of one problem: its utility and trading sets
+    (which `_dual_value` reads), index maps, the asset rows A x = b and the
+    fixed part of the Newton matrix."""
 
     def __init__(self, problem):
         n = problem.n_assets
-        util = problem.utility
-        pools, orders = _trading_sets(problem)
+        self.utility = util = problem.utility
+        self.trading_sets = pools, orders = _trading_sets(problem)
         pool, asset, reserve, fee, coef = [], [], [], [], []
         for p, (market, assets) in enumerate(pools):
             weights = market.exponents
@@ -504,7 +505,7 @@ def _max_step(value, change):
     return 1.0 if worst >= -1.0 else -1.0 / worst
 
 
-def _interior_point(problem, prog, max_iter):
+def _interior_point(prog, max_iter):
     """Mehrotra predictor-corrector on the scaled convex primal.
 
     The pairs of primal slacks p and multipliers z are the bounds of x
@@ -539,7 +540,7 @@ def _interior_point(problem, prog, max_iter):
         point[fills][z[nx:nb] > p[nx:nb]] = 1.0
         d, r, y, psi = prog.trades(point)
         prices = prog.prices(z[prog.slack : nx])
-        bound = _dual_value(problem, prices)
+        bound = _dual_value(prog, prices)
         gap = bound - float(psi[prog.out])
         return (d, r, y, psi, prices, gap), gap <= TOL * max(1.0, abs(bound))
 
@@ -639,7 +640,7 @@ def solve_routing(problem: RoutingProblem, max_iter: int = 200) -> RoutingSoluti
         return _zero_solution(problem)
     _check_route_exists(problem)
     prog = _Program(problem)
-    (d, r, y, psi, prices, gap), passed, iterations = _interior_point(problem, prog, max_iter)
+    (d, r, y, psi, prices, gap), passed, iterations = _interior_point(prog, max_iter)
 
     market_trades = []
     leg, pair = 0, len(problem.orders)

@@ -1,9 +1,26 @@
-"""JSON schemas for markets, orders, routing problems, and run configs."""
+"""JSON schemas for markets, orders, routing problems, and run configs.
+
+Each record kind declares its keys once, in a spec: a dict from each JSON
+key to a `_Key` naming the dataclass attribute it fills (the key itself
+unless given), the reader of its value, and its default. A key is
+`_REQUIRED`, has a default, or is `_OMIT`ted so that the dataclass default
+applies; a `_Key(None)` is legal but read by another function. One reader,
+`_record`, reads every record through its spec: it refuses a non-object,
+any key outside the spec and a missing required key, and returns the values
+by attribute; `_build` passes them to the constructor. The `*_to_dict`
+functions write records through the same specs.
+
+Every refusal is a `ConfigError` whose `field` names the culprit: an
+unknown key names the record that holds it (the key itself at the top
+level), a wrong-typed scalar names `path.key`, a bad list names its record,
+and a value the constructor refuses names the record.
+"""
 
 from __future__ import annotations
 
 import json
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,48 +38,44 @@ class ConfigError(Exception):
         self.field = field
 
 
-_sentinel = object()
+_REQUIRED = object()
+_OMIT = object()
 
 
-def _get(record, key, path, expected=None, default=_sentinel):
+class _Key(NamedTuple):
+    read: Callable | None  # (value, path, key) -> value; None: read elsewhere
+    default: object = _REQUIRED
+    attr: str | None = None  # the attribute it fills, if not the key
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _object(record, path):
     if not isinstance(record, dict):
         raise ConfigError(f"{path or 'the top level'} must be a JSON object", path)
-    field = f"{path}.{key}" if path else key
-    if key not in record:
-        if default is not _sentinel:
-            return default
-        raise ConfigError(f"missing required field {field!r}", field)
-    value = record[key]
-    if expected is not None and not isinstance(value, expected):
-        names = expected if isinstance(expected, tuple) else (expected,)
+    return record
+
+
+def _record(record, path, spec):
+    """The values of `record`, a JSON object at `path`, by attribute."""
+    unknown = sorted(set(_object(record, path)) - set(spec))
+    if unknown:
         raise ConfigError(
-            f"field {field!r} must be {'/'.join(t.__name__ for t in names)}", field
+            f"unknown keys {unknown} in {path or 'the top level'}, which takes {list(spec)}",
+            path or unknown[0],
         )
-    return value
-
-
-def _number(record, key, path, default=_sentinel):
-    value = _get(record, key, path, (int, float), default)
-    if isinstance(value, bool):
-        field = f"{path}.{key}" if path else key
-        raise ConfigError(f"field {field!r} must be a number", field)
-    return float(value) if value is not None else None
-
-
-def _integer(record, key, path):
-    """A required integer field; JSON `true`/`false` are refused, not read as 1/0."""
-    value = _get(record, key, path)
-    if not _is_index(value):
-        field = f"{path}.{key}" if path else key
-        raise ConfigError(f"field {field!r} must be an integer", field)
-    return value
-
-
-def _list(record, key, path, valid, kind, default=_sentinel):
-    """A list field every entry of which passes `valid`; a bad one names `path`."""
-    values = _get(record, key, path, list, default)
-    if values is not None and not all(map(valid, values)):
-        raise ConfigError(f"field '{path}.{key}' must hold {kind}", path)
+    values = {}
+    for key, entry in spec.items():
+        if entry.read is None:
+            continue
+        if key in record:
+            values[entry.attr or key] = entry.read(record[key], path, key)
+        elif entry.default is _REQUIRED:
+            raise ConfigError(f"missing required field {_join(path, key)!r}", _join(path, key))
+        elif entry.default is not _OMIT:
+            values[entry.attr or key] = entry.default
     return values
 
 
@@ -73,171 +86,19 @@ def _wrap(fn, field):
         raise ConfigError(str(exc), field) from exc
 
 
-def market_to_dict(market: Market) -> dict:
-    record = {"kind": market.kind, "reserves": list(market.reserves), "fee": market.fee}
-    if market.weights is not None:
-        record["weights"] = list(market.weights)
+def _build(cls, record, path, spec):
+    values = _record(record, path, spec)
+    return _wrap(lambda: cls(**values), path)
+
+
+def _to_dict(obj, spec):
+    """The record of `obj` by `spec`: tuples as lists, None values left out."""
+    record = {}
+    for key, entry in spec.items():
+        value = getattr(obj, entry.attr or key)
+        if value is not None:
+            record[key] = list(value) if isinstance(value, tuple) else value
     return record
-
-
-def market_from_dict(record, path="market") -> Market:
-    kind = _get(record, "kind", path, str)
-    reserves = _list(record, "reserves", path, _is_number, "finite numbers")
-    fee = _number(record, "fee", path, default=1.0)
-    weights = _list(record, "weights", path, _is_number, "finite numbers", default=None)
-    return _wrap(
-        lambda: Market(kind, tuple(reserves), fee, tuple(weights) if weights else None),
-        path,
-    )
-
-
-def order_to_dict(order: LimitOrder) -> dict:
-    return {
-        "price": order.price,
-        "volume": order.volume,
-        "input": order.input_asset,
-        "output": order.output_asset,
-    }
-
-
-def order_from_dict(record, path="order") -> LimitOrder:
-    return _wrap(
-        lambda: LimitOrder(
-            _number(record, "price", path),
-            _number(record, "volume", path),
-            _integer(record, "input", path),
-            _integer(record, "output", path),
-        ),
-        path,
-    )
-
-
-def problem_to_dict(problem: RoutingProblem) -> dict:
-    return {
-        "n_assets": problem.n_assets,
-        "markets": [
-            dict(market_to_dict(m), assets=list(assets)) for m, assets in problem.markets
-        ],
-        "orders": [order_to_dict(o) for o in problem.orders],
-        "utility": {
-            "liquidate": {
-                "input": problem.utility.input_asset,
-                "output": problem.utility.output_asset,
-                "budget": problem.utility.budget,
-            }
-        },
-    }
-
-
-def problem_from_dict(record) -> RoutingProblem:
-    n_assets = _integer(record, "n_assets", "")
-    markets = []
-    for i, m in enumerate(_get(record, "markets", "", list, default=[])):
-        path = f"markets[{i}]"
-        market = market_from_dict(m, path)
-        assets = _list(m, "assets", path, _is_index, "integers")
-        markets.append((market, tuple(assets)))
-    orders = [
-        order_from_dict(o, f"orders[{i}]")
-        for i, o in enumerate(_get(record, "orders", "", list, default=[]))
-    ]
-    utility = _get(record, "utility", "", dict)
-    liq = _get(utility, "liquidate", "utility", dict)
-    util = _wrap(
-        lambda: Liquidate(
-            _integer(liq, "input", "utility.liquidate"),
-            _integer(liq, "output", "utility.liquidate"),
-            _number(liq, "budget", "utility.liquidate"),
-        ),
-        "utility.liquidate",
-    )
-    problem = _wrap(lambda: RoutingProblem(n_assets, markets, orders, util), "")
-    _wrap(lambda: check_solve_size(problem), "n_assets")
-    return problem
-
-
-def liquidation_config_from_dict(record):
-    """Returns (MdpConfig, PoolParams, MispricingParams, z0).
-
-    The `mdp` block passes only the keys it holds, so `MdpConfig` supplies
-    the defaults; a key `MdpConfig` does not take, such as the removed
-    `z_bounds`, is refused with `"field": "mdp"`.
-    """
-    mdp = _get(record, "mdp", "", dict)
-    pool = _get(record, "pool", "", dict)
-    mis = _get(record, "mispricing", "", dict)
-    kwargs = dict(
-        horizon=_integer(mdp, "horizon", "mdp"),
-        inventory=_number(mdp, "inventory", "mdp"),
-        gas=_number(mdp, "gas", "mdp"),
-        inventory_cost=_number(mdp, "inventory_cost", "mdp"),
-        discount=_number(mdp, "discount", "mdp"),
-    )
-    for key in ("n_inventory", "n_mispricing", "n_actions", "quad_order"):
-        if key in mdp:
-            kwargs[key] = _integer(mdp, key, "mdp")
-    if "dynamics" in mdp:
-        kwargs["dynamics"] = _get(mdp, "dynamics", "mdp", str)
-    unknown = sorted(set(mdp) - set(kwargs))
-    if unknown:
-        raise ConfigError(f"unknown mdp keys {unknown}", "mdp")
-    cfg = _wrap(lambda: MdpConfig(**kwargs), "mdp")
-    pool_params = _wrap(
-        lambda: PoolParams(
-            reserve_in=_number(pool, "reserve_in", "pool"),
-            reserve_out=_number(pool, "reserve_out", "pool"),
-            fee_bound_upper=_number(pool, "fee_bound_upper", "pool"),
-            fee_bound_lower=_number(pool, "fee_bound_lower", "pool"),
-            external_price=_number(pool, "external_price", "pool", default=None),
-        ),
-        "pool",
-    )
-    mis_params = _wrap(
-        lambda: MispricingParams(
-            drift=_number(mis, "drift", "mispricing"),
-            volatility=_number(mis, "volatility", "mispricing"),
-            dt=_number(mis, "dt", "mispricing"),
-        ),
-        "mispricing",
-    )
-    z0 = _finite_number(record, "z0", "", default=0.0)
-    return cfg, pool_params, mis_params, z0
-
-
-def _finite_number(record, key, path, default=_sentinel):
-    value = _number(record, key, path, default)
-    if value is not None and not math.isfinite(value):
-        field = f"{path}.{key}" if path else key
-        raise ConfigError(f"field {field!r} must be finite", field)
-    return value
-
-
-def _reserve_pair(record, key):
-    pair = _get(record, key, "", list)
-    if len(pair) != 2 or not all(map(_is_number, pair)):
-        raise ConfigError(f"field {key!r} must hold two finite numbers", key)
-    return tuple(pair)
-
-
-def variance_from_dict(record, path="variance") -> VarianceSpec:
-    form = _get(record, "form", path, str)
-    exponent = _finite_number(record, "exponent", path, default=None)
-    scale = _finite_number(record, "scale", path)
-    return _wrap(lambda: VarianceSpec(form, scale, exponent), path)
-
-
-def hook_scenario_from_dict(record) -> HookScenario:
-    """A hook scenario; every number must be finite, and a bad one is named."""
-    total_trade = _finite_number(record, "total_trade", "")
-    cpmm = _reserve_pair(record, "cpmm_reserves")
-    hook = _reserve_pair(record, "hook_reserves")
-    curvature = _finite_number(record, "curvature", "")
-    variance = variance_from_dict(_get(record, "variance", "", dict))
-    risk_aversion = _finite_number(record, "risk_aversion", "")
-    return _wrap(
-        lambda: HookScenario(total_trade, cpmm, hook, curvature, variance, risk_aversion),
-        "",
-    )
 
 
 def _is_number(value):
@@ -253,11 +114,179 @@ def _is_index(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-_SWEEP_DEFAULTS = {
-    "forms": (list(FORMS), lambda v: isinstance(v, str), "variance form names"),
-    "curvature_values": (np.linspace(0.0, 1.0, 50).tolist(), _is_number, "finite numbers"),
-    "scale_values": (np.logspace(-3, 3, 25).tolist(), _is_number, "finite numbers"),
+def _scalar(valid, kind, convert=None):
+    """A reader of one value; a bad one names `path.key`."""
+
+    def read(value, path, key):
+        if not valid(value):
+            raise ConfigError(f"field {_join(path, key)!r} must be {kind}", _join(path, key))
+        return convert(value) if convert else value
+
+    return read
+
+
+def _list_of(valid, kind, size_ok=lambda n: True, convert=tuple):
+    """A reader of a list whose every entry passes `valid`; a bad one names its record."""
+
+    def read(value, path, key):
+        if not (isinstance(value, list) and size_ok(len(value)) and all(map(valid, value))):
+            raise ConfigError(f"field {_join(path, key)!r} must be a list of {kind}", path or key)
+        return convert(value)
+
+    return read
+
+
+def _each(read_one):
+    """A reader of a list of records, entry i read by `read_one` as `key[i]`."""
+
+    def read(value, path, key):
+        if not isinstance(value, list):
+            raise ConfigError(f"field {_join(path, key)!r} must be a list", _join(path, key))
+        return [read_one(entry, path, f"{key}[{i}]") for i, entry in enumerate(value)]
+
+    return read
+
+
+def _nested(cls, spec):
+    """A reader of a record at `path.key`, built into `cls`."""
+    return lambda value, path, key: _build(cls, value, _join(path, key), spec)
+
+
+# A non-finite float is left for the constructor, which names its record.
+_NUMBER = _scalar(lambda v: _is_number(v) or isinstance(v, float), "a number", float)
+_FINITE = _scalar(_is_number, "a finite number", float)
+_INTEGER = _scalar(_is_index, "an integer")
+_STRING = _scalar(lambda v: isinstance(v, str), "a string")
+_FINITE_LIST = _list_of(_is_number, "finite numbers")
+_PAIR = _list_of(_is_number, "two finite numbers", lambda n: n == 2)
+
+_MARKET = {
+    "kind": _Key(_STRING),
+    "reserves": _Key(_FINITE_LIST),
+    "fee": _Key(_NUMBER, 1.0),
+    "weights": _Key(_FINITE_LIST, None),
 }
+_ORDER = {
+    "price": _Key(_NUMBER),
+    "volume": _Key(_NUMBER),
+    "input": _Key(_INTEGER, attr="input_asset"),
+    "output": _Key(_INTEGER, attr="output_asset"),
+}
+_LIQUIDATE = {
+    "input": _Key(_INTEGER, attr="input_asset"),
+    "output": _Key(_INTEGER, attr="output_asset"),
+    "budget": _Key(_NUMBER),
+}
+# A problem's market also maps its assets to the problem's, and its utility
+# record holds one `liquidate` record.
+_PROBLEM_MARKET = dict(_MARKET, assets=_Key(_list_of(_is_index, "integers")))
+_UTILITY = {"liquidate": _Key(_nested(Liquidate, _LIQUIDATE))}
+_PROBLEM = {
+    "n_assets": _Key(_INTEGER),
+    "markets": _Key(
+        _each(_nested(lambda assets, **market: (Market(**market), assets), _PROBLEM_MARKET)), []
+    ),
+    "orders": _Key(_each(_nested(LimitOrder, _ORDER)), []),
+    "utility": _Key(_nested(lambda liquidate: liquidate, _UTILITY)),
+}
+
+_MDP = {
+    "horizon": _Key(_INTEGER),
+    "inventory": _Key(_NUMBER),
+    "gas": _Key(_NUMBER),
+    "inventory_cost": _Key(_NUMBER),
+    "discount": _Key(_NUMBER),
+    "n_inventory": _Key(_INTEGER, _OMIT),
+    "n_mispricing": _Key(_INTEGER, _OMIT),
+    "n_actions": _Key(_INTEGER, _OMIT),
+    "quad_order": _Key(_INTEGER, _OMIT),
+    "dynamics": _Key(_STRING, _OMIT),
+}
+_POOL = {
+    "reserve_in": _Key(_NUMBER),
+    "reserve_out": _Key(_NUMBER),
+    "fee_bound_upper": _Key(_NUMBER),
+    "fee_bound_lower": _Key(_NUMBER),
+    "external_price": _Key(_NUMBER, None),
+}
+_MISPRICING = {"drift": _Key(_NUMBER), "volatility": _Key(_NUMBER), "dt": _Key(_NUMBER)}
+_LIQUIDATION = {
+    "mdp": _Key(_nested(MdpConfig, _MDP)),
+    "pool": _Key(_nested(PoolParams, _POOL)),
+    "mispricing": _Key(_nested(MispricingParams, _MISPRICING)),
+    "z0": _Key(_FINITE, 0.0),
+}
+
+_VARIANCE = {"form": _Key(_STRING), "scale": _Key(_FINITE), "exponent": _Key(_FINITE, None)}
+_HOOK = {
+    "total_trade": _Key(_FINITE),
+    "cpmm_reserves": _Key(_PAIR),
+    "hook_reserves": _Key(_PAIR),
+    "curvature": _Key(_FINITE),
+    "variance": _Key(_nested(VarianceSpec, _VARIANCE)),
+    "risk_aversion": _Key(_FINITE),
+    "sweeps": _Key(None),  # hook_sweeps_from_dict
+    "targets": _Key(None),  # hook_targets_from_dict
+}
+_FORM_NAMES = _list_of(lambda v: isinstance(v, str), "one or more variance form names", bool, list)
+_SWEEP_VALUES = _list_of(_is_number, "one or more finite numbers", bool, list)
+_SWEEPS = {
+    "forms": _Key(_FORM_NAMES, list(FORMS)),
+    "curvature_values": _Key(_SWEEP_VALUES, np.linspace(0.0, 1.0, 50).tolist()),
+    "scale_values": _Key(_SWEEP_VALUES, np.logspace(-3, 3, 25).tolist()),
+}
+_TARGETS = _list_of(_is_number, "one or more finite numbers", bool, lambda ts: [float(t) for t in ts])
+
+
+def market_to_dict(market: Market) -> dict:
+    return _to_dict(market, _MARKET)
+
+
+def market_from_dict(record, path="market") -> Market:
+    return _build(Market, record, path, _MARKET)
+
+
+def order_to_dict(order: LimitOrder) -> dict:
+    return _to_dict(order, _ORDER)
+
+
+def order_from_dict(record, path="order") -> LimitOrder:
+    return _build(LimitOrder, record, path, _ORDER)
+
+
+def problem_to_dict(problem: RoutingProblem) -> dict:
+    return {
+        "n_assets": problem.n_assets,
+        "markets": [
+            dict(market_to_dict(m), assets=list(assets)) for m, assets in problem.markets
+        ],
+        "orders": [order_to_dict(o) for o in problem.orders],
+        "utility": {"liquidate": _to_dict(problem.utility, _LIQUIDATE)},
+    }
+
+
+def problem_from_dict(record) -> RoutingProblem:
+    problem = _build(RoutingProblem, record, "", _PROBLEM)
+    _wrap(lambda: check_solve_size(problem), "n_assets")
+    return problem
+
+
+def liquidation_config_from_dict(record):
+    """Returns (MdpConfig, PoolParams, MispricingParams, z0).
+
+    An `mdp` key left out takes the `MdpConfig` default.
+    """
+    values = _record(record, "", _LIQUIDATION)
+    return values["mdp"], values["pool"], values["mispricing"], values["z0"]
+
+
+def variance_from_dict(record, path="variance") -> VarianceSpec:
+    return _build(VarianceSpec, record, path, _VARIANCE)
+
+
+def hook_scenario_from_dict(record) -> HookScenario:
+    """A hook scenario; every number must be finite, and a bad one is named."""
+    return _build(HookScenario, record, "", _HOOK)
 
 
 def hook_sweeps_from_dict(record):
@@ -266,22 +295,12 @@ def hook_sweeps_from_dict(record):
     An absent key takes its default: every variance form, 50 curvatures on
     [0, 1] and 25 log-spaced scales on [1e-3, 1e3]. A present key must hold
     a nonempty list of valid values; anything else, unknown keys included,
-    is refused here, before any search runs.
+    is refused here with `"field": "sweeps"`, before any search runs.
     """
-    sweeps = _get(record, "sweeps", "", dict, default={})
-    unknown = sorted(set(sweeps) - set(_SWEEP_DEFAULTS))
-    if unknown:
-        raise ConfigError(
-            f"unknown sweeps keys {unknown}, expected some of {list(_SWEEP_DEFAULTS)}", "sweeps"
-        )
-    values = []
-    for key, (default, valid, kind) in _SWEEP_DEFAULTS.items():
-        value = sweeps.get(key, default)
-        if not isinstance(value, list) or not value or not all(map(valid, value)):
-            raise ConfigError(f"sweeps.{key} must be a nonempty list of {kind}", "sweeps")
-        values.append(value)
-    _wrap(lambda: check_sweep(*values), "sweeps")
-    return tuple(values)
+    values = _record(_object(record, "").get("sweeps", {}), "sweeps", _SWEEPS)
+    sweep = values["forms"], values["curvature_values"], values["scale_values"]
+    _wrap(lambda: check_sweep(*sweep), "sweeps")
+    return sweep
 
 
 def hook_targets_from_dict(record):
@@ -290,10 +309,7 @@ def hook_targets_from_dict(record):
     It must be a nonempty list of finite numbers (booleans are refused);
     anything else is refused here, before any search runs.
     """
-    targets = _get(record, "targets", "", list)
-    if not targets or not all(map(_is_number, targets)):
-        raise ConfigError("field 'targets' must be a nonempty list of finite numbers", "targets")
-    return [float(t) for t in targets]
+    return _TARGETS(_object(record, "").get("targets"), "", "targets")
 
 
 def load_json(path):

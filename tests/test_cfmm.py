@@ -10,15 +10,11 @@ from hookroute.cfmm import (
     PRODUCT,
     SUM,
     LimitOrder,
-    LiquidityStep,
     Market,
     Trade2,
     compose_with_order,
     forward_exchange,
-    limit_order_contains,
-    liquidity_step_sequence,
     marginal_rate,
-    minkowski_contains,
     modified_forward_exchange,
     solve_breakpoint,
     trading_function,
@@ -53,6 +49,16 @@ class TestTradingFunction:
             Market(GEOMETRIC_MEAN, (1, 1), weights=(1, -1))
         with pytest.raises(ValueError):
             Market("parabola", (1, 1))
+
+    def test_bad_order(self):
+        with pytest.raises(ValueError):
+            LimitOrder(0.0, 2.0, 0, 1)
+        with pytest.raises(ValueError):
+            LimitOrder(0.5, -1.0, 0, 1)
+        with pytest.raises(ValueError):
+            LimitOrder(0.5, 2.0, 1, 1)
+        with pytest.raises(ValueError):
+            Trade2(-1, 0)
 
 
 class TestNonFiniteRefused:
@@ -167,77 +173,6 @@ class TestMarginalRate:
         # Quadrature oracle: integrating the marginal rate gives the output.
         total, _ = quad(lambda t: marginal_rate(market, 0, 1, t), 0.0, 5.0, limit=200)
         assert total == pytest.approx(forward_exchange(market, 0, 1, 5.0), abs=1e-8)
-
-
-class TestLimitOrderSet:
-    def test_vertex_of_trapezoid(self):
-        order = LimitOrder(0.5, 2.0, 0, 1)
-        assert limit_order_contains(order, Trade2(4, 2))
-
-    def test_origin(self):
-        assert limit_order_contains(LimitOrder(0.5, 2.0, 0, 1), Trade2(0, 0))
-
-    def test_price_violation(self):
-        assert not limit_order_contains(LimitOrder(0.5, 2.0, 0, 1), Trade2(1, 1))
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            LimitOrder(0.0, 2.0, 0, 1)
-        with pytest.raises(ValueError):
-            LimitOrder(0.5, -1.0, 0, 1)
-        with pytest.raises(ValueError):
-            LimitOrder(0.5, 2.0, 1, 1)
-        with pytest.raises(ValueError):
-            Trade2(-1, 0)
-
-    @given(
-        a1=st.floats(0, 10),
-        b1=st.floats(0, 10),
-        t=st.floats(0, 1),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_convexity(self, a1, b1, t):
-        order = LimitOrder(0.5, 2.0, 0, 1)
-        # Strictly interior points: float rounding of the combination must
-        # not be able to cross the boundary.
-        pa = Trade2(a1, min(0.5 * a1, 2.0) * 0.99)
-        pb = Trade2(b1, min(0.5 * b1, 1.0) * 0.99)
-        assert limit_order_contains(order, pa) and limit_order_contains(order, pb)
-        mid = Trade2(t * pa.z1 + (1 - t) * pb.z1, t * pa.z2 + (1 - t) * pb.z2)
-        assert limit_order_contains(order, mid)
-
-
-class TestMinkowski:
-    def test_sum_of_feasible_vertices(self):
-        orders = [LimitOrder(0.5, 40, 0, 1), LimitOrder(0.2, 20, 0, 1)]
-        assert minkowski_contains(orders, Trade2(180, 60))
-
-    def test_infeasible_point(self):
-        orders = [LimitOrder(0.5, 40, 0, 1), LimitOrder(0.2, 20, 0, 1)]
-        assert not minkowski_contains(orders, Trade2(120, 60))
-
-    def test_single_order_reduces_to_contains(self):
-        order = LimitOrder(0.7, 3.0, 0, 1)
-        for z1, z2 in [(0, 0), (2, 1.4), (10, 3.0), (1, 1.0), (10, 3.5)]:
-            assert minkowski_contains([order], Trade2(z1, z2)) == limit_order_contains(
-                order, Trade2(z1, z2)
-            )
-
-    @given(z1=st.floats(0, 30), z2=st.floats(0, 10))
-    @settings(max_examples=100, deadline=None)
-    def test_split_order_equivalence(self, z1, z2):
-        # k identical orders of volume V cover the same set as one of volume kV.
-        order = LimitOrder(0.4, 3.0, 0, 1)
-        merged = LimitOrder(0.4, 6.0, 0, 1)
-        t = Trade2(z1, z2)
-        assert minkowski_contains([order, order], t, tol=0.0) == limit_order_contains(merged, t)
-        assert minkowski_contains([merged], t, tol=0.0) == limit_order_contains(merged, t)
-
-    def test_mixed_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            minkowski_contains(
-                [LimitOrder(0.5, 1, 0, 1), LimitOrder(0.5, 1, 0, 2)], Trade2(1, 0.5)
-            )
 
 
 def reference_breakpoint(market, order, input_index=0, output_index=1):
@@ -379,27 +314,3 @@ class TestModifiedCurve:
         assert modified_forward_exchange(curve, curve.delta2 + 1.0) == pytest.approx(
             4.0 + forward_exchange(curve.market, 0, 1, 1.0)
         )
-
-
-class TestLiquiditySteps:
-    def test_height(self):
-        step = LiquidityStep(1.0, 0.5, 2.0)
-        assert step.height == 2.0
-
-    def test_area_is_volume(self):
-        for h in (0.5, 0.25, 0.125, 1e-6):
-            step = LiquidityStep(3.0, h, 7.0)
-            assert step.height * 2 * step.halfwidth == pytest.approx(7.0, rel=1e-15)
-
-    def test_halving_width_doubles_height(self):
-        seq = liquidity_step_sequence(1.0, 2.0, [0.5, 0.25])
-        assert seq[1].height == 2 * seq[0].height
-
-    def test_density(self):
-        step = LiquidityStep(1.0, 0.1, 2.0)
-        assert step.density(1.05) == step.height
-        assert step.density(2.0) == 0.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            liquidity_step_sequence(1.0, 2.0, [0.5, 0.0])

@@ -15,6 +15,7 @@ from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
 from hookroute.cli import RunWriter, _build_parser, _fmt, csv_rows, main, parse_grid
 from hookroute.liquidation import MAX_SOLVE_BYTES, MdpConfig, check_paths, value_iteration
 from hookroute.routing import Liquidate, RoutingProblem
+from hookroute.scenarios import SCENARIOS
 from hookroute.serialize import (
     ConfigError,
     hook_scenario_from_dict,
@@ -121,6 +122,41 @@ class TestSerialize:
                 }
             )
         assert err.value.field == "markets[0]"
+
+    @pytest.mark.parametrize(
+        "problem",
+        [SCENARIOS[name](1.0) for name in sorted(SCENARIOS)]
+        + [
+            RoutingProblem(
+                4,
+                [
+                    (Market(GEOMETRIC_MEAN, (3, 0.2, 1), 0.98, weights=(3, 2, 1)), (3, 0, 2)),
+                    (Market(SUM, (10, 10), 0.99), (1, 2)),
+                ],
+                [LimitOrder(0.5, 40.0, 3, 1)],
+                Liquidate(3, 1, 7.5),
+            )
+        ],
+        ids=sorted(SCENARIOS) + ["weighted"],
+    )
+    def test_round_trip_through_the_specs(self, problem):
+        record = problem_to_dict(problem)
+        assert problem_to_dict(problem_from_dict(record)) == record
+
+    def test_out_of_range_values_refused(self):
+        with pytest.raises(ConfigError) as err:
+            market_from_dict({"kind": "product", "reserves": [1, 1], "fee": 10**400})
+        assert err.value.field == "market.fee"
+        with pytest.raises(ConfigError) as err:
+            market_from_dict({"kind": "geometric_mean", "reserves": [], "weights": []})
+        assert err.value.field == "market"
+
+    def test_weights_left_out_when_absent(self):
+        # A route manifest hashes this record, so an absent key must stay absent.
+        assert market_to_dict(Market(PRODUCT, (10, 1), 0.99)) == {
+            "kind": "product", "reserves": [10.0, 1.0], "fee": 0.99
+        }
+        assert market_to_dict(Market(GEOMETRIC_MEAN, (3, 1), weights=(2, 1)))["weights"] == [2.0, 1.0]
 
 
 class TestGridSyntax:
@@ -513,6 +549,58 @@ class TestErrorContracts:
         assert err["field"] == field
 
 
+class TestUnknownKeys:
+    """Every record kind refuses a key it does not declare, before any solve or search."""
+
+    @pytest.mark.parametrize(
+        "command, path, key, field",
+        [
+            ("route", (), "extra", "extra"),
+            ("route", ("markets", 0), "fees", "markets[0]"),
+            ("route", ("orders", 0), "prise", "orders[0]"),
+            ("route", ("utility",), "maximize", "utility"),
+            ("route", ("utility", "liquidate"), "budjet", "utility.liquidate"),
+            ("liquidate-solve", (), "zo", "zo"),
+            ("liquidate-solve", ("mdp",), "z_bounds", "mdp"),
+            ("liquidate-solve", ("pool",), "external_prise", "pool"),
+            ("liquidate-solve", ("mispricing",), "volatilty", "mispricing"),
+            ("hook-mean-variance", (), "sweep", "sweep"),
+            ("hook-mean-variance", ("variance",), "exponnent", "variance"),
+            ("hook-mean-variance", ("sweeps",), "curvatures", "sweeps"),
+        ],
+        ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
+    )
+    def test_unknown_key_refused_before_solving(self, tmp_path, capsys, monkeypatch, command, path, key, field):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier"):
+            monkeypatch.setattr(cli_mod, name, never)
+        base = {"route": ROUTE_PROBLEM, "liquidate-solve": LIQ_CONFIG}.get(command, HOOK_CONFIG)
+        record = json.loads(json.dumps(base))
+        target = record
+        for step in path:
+            target = target[step]
+        target[key] = 1.0
+        config = write_json(tmp_path / "config.json", record)
+        argv = [command, "--problem" if command == "route" else "--config", config, "--out", str(tmp_path)]
+        argv += ["--s", "1:1:1"] if command == "route" else []
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "config_parse"
+        assert err["field"] == field
+        assert repr(key) in err["detail"]
+
+    def test_hook_frontier_refuses_a_misspelt_key(self, tmp_path, capsys):
+        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, target=[10.0]))
+        assert main(["hook-frontier", "--config", path, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["field"] == "target"
+        assert "'target'" in err["detail"]
+
+
 class TestNonFiniteInputs:
     """NaN, infinities and oversized problems are refused, with the field named, before any solve."""
 
@@ -892,3 +980,12 @@ class TestReadme:
                 load(record)
             kinds.append(kind)
         assert sorted(kinds) == sorted(loaders)
+
+    def test_python_sketch_runs(self):
+        """The README's library sketch runs, with its imports from the package root."""
+        with open(os.path.join(REPO, "README.md")) as handle:
+            [block] = re.findall(r"```python\n(.*?)```", handle.read(), re.S)
+        namespace = {}
+        exec(compile(block, "README.md", "exec"), namespace)
+        assert namespace["sol"].status == "optimal"
+        assert namespace["curve"].order.price == 0.5
