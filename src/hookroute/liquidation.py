@@ -340,10 +340,9 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
 def check_paths(n_paths, horizon):
     """Refuse a path count whose simulation arrays would pass `MAX_SOLVE_BYTES`.
 
-    A simulation, or a TWAMM comparison at one volatility, holds at most three
-    float arrays of n_paths x (horizon + 1) at once: noise, inventory and
-    rewards of the policy, or its kept inventory and rewards and the uniform
-    split's noise.
+    A simulation, or a TWAMM comparison, holds at most three float arrays of
+    n_paths x (horizon + 1) at once: the noise, which a comparison draws
+    once for all its volatilities, and the policy's inventory and rewards.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -377,7 +376,12 @@ def simulate_policy(
     """Monte Carlo of the stored policy: nearest-grid action, inventory-capped."""
     if policy.action_index.shape != (cfg.horizon, cfg.n_inventory, cfg.n_mispricing):
         raise ValueError("policy shape does not match the configuration")
-    eps = _noise_matrix(n_paths, cfg.horizon, seed)
+    return _simulate(policy, cfg, pool, params, _noise_matrix(n_paths, cfg.horizon, seed), seed, z0)
+
+
+def _simulate(policy, cfg, pool, params, eps, seed, z0):
+    """`simulate_policy` on a drawn noise matrix, one row per path."""
+    n_paths = len(eps)
     inv_grid, z_grid = policy.inventory_grid, policy.mispricing_grid
     step_i = (inv_grid[1] - inv_grid[0]) or 1.0
     dz = z_grid[1] - z_grid[0]
@@ -408,8 +412,8 @@ def simulate_policy(
     return SimResult(inv_path, reward_path, outputs, seed)
 
 
-def _twamm_path_values(cfg, pool, params, n_paths, seed, z0):
-    eps = _noise_matrix(n_paths, cfg.horizon, seed)
+def _twamm_path_values(cfg, pool, params, eps, z0):
+    n_paths = len(eps)
     slice_size = cfg.inventory / cfg.horizon
     z = np.full(n_paths, float(z0))
     totals = np.zeros(n_paths)
@@ -429,7 +433,8 @@ def twamm_value(
     z0: float = 0.0,
 ) -> float:
     """Expected output of splitting the inventory uniformly for one gas fee."""
-    return float(np.mean(_twamm_path_values(cfg, pool, params, n_paths, seed, z0)))
+    eps = _noise_matrix(n_paths, cfg.horizon, seed)
+    return float(np.mean(_twamm_path_values(cfg, pool, params, eps, z0)))
 
 
 def compare_vs_twamm(
@@ -443,17 +448,19 @@ def compare_vs_twamm(
 ):
     """Mean excess output of the optimal schedule over the uniform split.
 
-    Uses common random numbers: both strategies see identical noise paths per
-    volatility. Returns (sigma, mean excess, standard error) triples.
+    Uses common random numbers: both strategies, at every volatility, see
+    the same noise paths, drawn once. Returns (sigma, mean excess, standard
+    error) triples.
     """
+    eps = _noise_matrix(n_paths, cfg.horizon, seed)
     results = []
     for sigma in sigma_grid:
         if sigma < 0:
             raise ValueError("volatility must be nonnegative")
         params_s = MispricingParams(params.drift, float(sigma), params.dt)
         _, policy = value_iteration(cfg, pool, params_s)
-        sim = simulate_policy(policy, cfg, pool, params_s, n_paths, seed, z0)
-        tw = _twamm_path_values(cfg, pool, params_s, n_paths, seed, z0)
+        sim = _simulate(policy, cfg, pool, params_s, eps, seed, z0)
+        tw = _twamm_path_values(cfg, pool, params_s, eps, z0)
         excess = sim.outputs - tw
         stderr = float(np.std(excess, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
         results.append((float(sigma), float(np.mean(excess)), stderr))

@@ -7,10 +7,14 @@ amounts under its invariant, each order's fill in its box, and a
 nonnegative balance of every asset. A constant-sum pool is exactly two
 limit orders, one per direction, each paying the fee in the other asset per
 unit tendered up to that asset's reserve (`_sum_orders`), so the program
-has one pool kind. `solve_routing` solves it with one primal-dual
-interior-point method (Mehrotra predictor-corrector) in numpy.
+has one pool kind. One primal-dual interior-point method (Mehrotra
+predictor-corrector) in numpy solves it at a list of budgets at once: each
+budget is a lane, the program is built once, and each Newton step is one
+stacked solve over the lanes. `solve_curve` runs a budget grid this way and
+`solve_routing` is the batch of one; no lane's arithmetic reads another's,
+so the two agree bit for bit.
 
-Every solve is certified by the exact dual: at strictly positive asset
+Every lane is certified alone by the exact dual: at strictly positive asset
 prices, the budget's worth plus each pool's and order's best response
 bounds the output of any feasible route. An order fills fully or not at
 all. Every log-invariant pool (a product pool is the unit-weight
@@ -24,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,7 @@ STATUS_MAX_ITER = "max_iter"
 # A solve is `optimal` when its dual bound exceeds its output by at most
 # TOL * max(1, |bound|).
 TOL = 1e-7
+MAX_ITER = 200
 
 
 class NoFeasibleRouteError(Exception):
@@ -125,12 +131,16 @@ def _trading_sets(problem):
 
 
 def check_solve_size(problem: RoutingProblem):
-    """Refuse a problem whose Newton matrices would exceed MAX_SOLVE_BYTES.
+    """Refuse a problem whose Newton matrices would exceed MAX_SOLVE_BYTES
+    even for one budget, and return the bytes one budget's matrices need.
 
-    A solve holds three dense square matrices at once, 8 bytes an entry:
-    the template in `_Program`, its per-iteration copy and the factor of
-    `np.linalg.solve`. Each has a row per leg's tendered and received
-    amount, per order, per pool and two per asset.
+    Each budget of a solve is a lane (`_interior_point`) that holds two
+    dense square matrices, 8 bytes an entry: its template (`_Program.lanes`)
+    and the template's per-iteration copy; the stacked `np.linalg.solve`
+    factors one lane's matrix at a time. Three matrices per lane bound all
+    of this, so a chunk holds MAX_SOLVE_BYTES over the returned count of
+    lanes. Each matrix has a row per leg's tendered and received amount,
+    per order, per pool and two per asset.
     """
     pools, orders = _trading_sets(problem)
     legs = sum(market.n_assets for market, _ in pools)
@@ -142,6 +152,7 @@ def check_solve_size(problem: RoutingProblem):
             f"{size}-row Newton matrices, over the {MAX_SOLVE_BYTES / 1e6:.0f} MB "
             "budget; use fewer assets, pools or orders"
         )
+    return need
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +265,9 @@ def limit_order_subproblem(order: LimitOrder, nu: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def _dual_value(prog, nu):
-    util = prog.utility
+def _dual_value(prog, nu, budget):
     pools, orders = prog.trading_sets
-    value = util.budget * nu[util.input_asset]
+    value = budget * nu[prog.input]
     for market, assets in pools:
         value += _geometric_subproblem(market, nu[list(assets)])[2]
     for order in orders:
@@ -304,14 +314,31 @@ def _check_route_exists(problem):
 # ---------------------------------------------------------------------------
 
 
+class _Lanes(NamedTuple):
+    """The parts of a `_Program` that depend on the budget, one row per budget:
+    the budget, each asset's scale, the balance offsets h and b = -h / scale,
+    and the fixed part of the Newton matrix, which holds the asset rows A."""
+
+    budget: np.ndarray
+    scale: np.ndarray
+    h: np.ndarray
+    b: np.ndarray
+    kkt: np.ndarray
+
+    def take(self, keep):
+        return _Lanes(*(a[keep] for a in self))
+
+
 class _Program:
-    """The scaled convex primal of one problem: its utility and trading sets
-    (which `_dual_value` reads), index maps, the asset rows A x = b and the
-    fixed part of the Newton matrix."""
+    """The scaled convex primal of one problem at any budget: its utility's
+    assets and trading sets (which `_dual_value` reads), index maps, the
+    budget-free part of each asset's scale and where each iteration writes
+    the Newton matrix. `lanes` adds the parts that depend on the budget."""
 
     def __init__(self, problem):
-        n = problem.n_assets
-        self.utility = util = problem.utility
+        self.n_assets = n = problem.n_assets
+        util = problem.utility
+        self.input, self.out = util.input_asset, util.output_asset
         self.trading_sets = pools, orders = _trading_sets(problem)
         pool, asset, reserve, fee, coef = [], [], [], [], []
         for p, (market, assets) in enumerate(pools):
@@ -333,41 +360,27 @@ class _Program:
         self.volume = np.array([o.volume for o in orders])
         self.price = np.array([o.price for o in orders])
 
+        # Each asset's scale before the budget; `lanes` lifts the input
+        # asset's to the budget and sets any still zero to 1.
         scale = np.zeros(n)
         np.maximum.at(scale, self.asset, self.reserve)
         np.maximum.at(scale, self.order_out, self.volume)
         np.maximum.at(scale, self.order_in, self.volume / self.price)
-        scale[util.input_asset] = max(scale[util.input_asset], util.budget)
-        scale[scale == 0.0] = 1.0
         self.scale = scale
-        self.h = np.zeros(n)
-        self.h[util.input_asset] = util.budget
-        self.out = util.output_asset
 
         n_legs, n_orders = len(pool), len(orders)
         self.n_legs, self.n_pools = n_legs, len(pools)
         self.nx = nx = 2 * n_legs + n_orders + n
         self.slack = 2 * n_legs + n_orders
         self.fills = slice(2 * n_legs, self.slack)
-        legs, fills = np.arange(n_legs), np.arange(nx)[self.fills]
-        a_mat = np.zeros((n, nx))
-        a_mat[self.asset, legs] = -self.reserve / scale[self.asset]
-        a_mat[self.asset, n_legs + legs] = self.reserve / scale[self.asset]
-        a_mat[self.order_out, fills] = self.volume / scale[self.order_out]
-        a_mat[self.order_in, fills] = -self.volume / self.price / scale[self.order_in]
-        a_mat[np.arange(n), self.slack + np.arange(n)] = -1.0
-        self.a_mat = a_mat
-        self.b = -self.h / scale
         self.c = np.zeros(nx)
         self.c[self.slack + self.out] = -1.0
 
         # Augmented Newton matrix [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0]:
-        # A is fixed, the rest is written each iteration at these flat indices.
-        size = nx + self.n_pools + n
-        self.kkt = np.zeros((size, size))
-        self.kkt[nx + self.n_pools :, :nx] = a_mat
-        self.kkt[:nx, nx + self.n_pools :] = a_mat.T
-        rows = nx + self.pool
+        # A is fixed per budget (`lanes`), the rest is written each
+        # iteration at these flat indices.
+        self.size = size = nx + self.n_pools + n
+        legs, rows = np.arange(n_legs), nx + self.pool
         self.flat = np.concatenate(
             [
                 np.arange(nx) * (size + 1),
@@ -380,6 +393,26 @@ class _Program:
                 (nx + np.arange(self.n_pools)) * (size + 1),
             ]
         )
+
+    def lanes(self, budgets):
+        """The parts that depend on the budget (`_Lanes`), one row per entry
+        of the float array `budgets`."""
+        lanes, n, nx, n_legs = len(budgets), self.n_assets, self.nx, self.n_legs
+        scale = np.tile(self.scale, (lanes, 1))
+        scale[:, self.input] = np.maximum(scale[:, self.input], budgets)
+        scale[scale == 0.0] = 1.0
+        h = np.zeros((lanes, n))
+        h[:, self.input] = budgets
+        legs, fills = np.arange(n_legs), np.arange(nx)[self.fills]
+        kkt = np.zeros((lanes, self.size, self.size))
+        a_mat = kkt[:, nx + self.n_pools :, :nx]
+        a_mat[:, self.asset, legs] = -self.reserve / scale[:, self.asset]
+        a_mat[:, self.asset, n_legs + legs] = self.reserve / scale[:, self.asset]
+        a_mat[:, self.order_out, fills] = self.volume / scale[:, self.order_out]
+        a_mat[:, self.order_in, fills] = -self.volume / self.price / scale[:, self.order_in]
+        a_mat[:, np.arange(n), self.slack + np.arange(n)] = -1.0
+        kkt[:, :nx, nx + self.n_pools :] = a_mat.transpose(0, 2, 1)
+        return _Lanes(budgets, scale, h, -h / scale, kkt)
 
     def start(self):
         # Small trades, half-filled orders, unit slacks: interior to every
@@ -394,14 +427,18 @@ class _Program:
         return 1.0 + self.fee * d - r
 
     def pools(self, x):
-        """Leg reserves q (`reserves`), pool rows f and the legs' Jacobian factors."""
-        d, r = x[: self.n_legs], x[self.n_legs : 2 * self.n_legs]
-        q = self.reserves(d, r)
-        f = -np.bincount(self.pool, self.coef * np.log(q), self.n_pools)
-        return q, f, self.coef / q
+        """Per lane (row of x), leg reserves q (`reserves`), pool rows f and
+        the legs' Jacobian factors."""
+        q = self.reserves(x[:, : self.n_legs], x[:, self.n_legs : 2 * self.n_legs])
+        # Each row's pool sums, offset per row so that one bincount adds
+        # every row's legs in the order a bincount of that row alone would.
+        lanes = len(x)
+        index = (np.arange(lanes)[:, None] * self.n_pools + self.pool).ravel()
+        f = -np.bincount(index, (self.coef * np.log(q)).ravel(), lanes * self.n_pools)
+        return q, f.reshape(lanes, self.n_pools), self.coef / q
 
-    def trades(self, x):
-        """Exactly feasible trades near x, in the problem's units.
+    def trades(self, x, h):
+        """Exactly feasible trades near x, in the problem's units, for balance offsets h.
 
         Clips x to its bounds and nets each leg (tendering and receiving one
         asset in one pool leaves the same reserve with less spent). Then, in
@@ -411,18 +448,17 @@ class _Program:
         each order's fill and psi; no trade at all if eight rounds
         leave an asset overspent.
         """
-        n_legs, fee = self.n_legs, self.fee
+        n_legs, fee, n = self.n_legs, self.fee, self.n_assets
         d = np.maximum(x[:n_legs], 0.0)
         r = np.maximum(x[n_legs : 2 * n_legs], 0.0)
         d, r = np.maximum(d - r / fee, 0.0), np.maximum(r - fee * d, 0.0)
         y = np.clip(x[self.fills], 0.0, 1.0)
-        n = len(self.h)
         for _ in range(8):
             r *= self._invariant_scale(d, r)[self.pool]
             d_abs, r_abs, fill = d * self.reserve, r * self.reserve, y * self.volume
             spent = np.bincount(self.asset, d_abs, n) + np.bincount(self.order_in, fill / self.price, n)
             made = np.bincount(self.asset, r_abs, n) + np.bincount(self.order_out, fill, n)
-            left = made + self.h - spent
+            left = made + h - spent
             if left.min() >= 0.0:
                 return d_abs, r_abs, fill, made - spent
             cut = self._cuts(d, r, fill, spent, made, left)
@@ -430,7 +466,6 @@ class _Program:
             y *= 1.0 - cut[self.order_in]
         zero = np.zeros(n_legs)
         return zero, zero, np.zeros(len(y)), np.zeros(n)
-
     def _cuts(self, d, r, fill, spent, made, left):
         """Fractions of each asset's spending to cut so that none is overspent.
 
@@ -441,7 +476,7 @@ class _Program:
         end up short, where need brings each to a margin of 1e-13 of its
         flow.
         """
-        n, pool, fee = len(self.h), self.pool, self.fee
+        n, pool, fee = self.n_assets, self.pool, self.fee
         q = self.reserves(d, r)
         w = self.coef
         tender = w * fee * d / q
@@ -492,122 +527,177 @@ class _Program:
             t[low] = np.maximum(t[low] + (phi[low] - 2e-14) / slope[low], 0.0)
         return t
 
-    def prices(self, z_slack):
-        """Asset prices from the slack multipliers, output asset at 1."""
-        nu = z_slack / self.scale
-        nu[self.out] += 1.0 / self.scale[self.out]
+    def prices(self, z_slack, scale):
+        """Asset prices from one lane's slack multipliers and scale, output asset at 1."""
+        nu = z_slack / scale
+        nu[self.out] += 1.0 / scale[self.out]
         return nu / nu[self.out]
 
 
 def _max_step(value, change):
-    """Largest step in [0, 1] that keeps value + step * change >= 0, for value > 0."""
-    worst = float((change / value).min(initial=0.0))
-    return 1.0 if worst >= -1.0 else -1.0 / worst
+    """Per row, the largest step in [0, 1] that keeps value + step * change >= 0, for value > 0."""
+    worst = (change / value).min(axis=1, initial=0.0)
+    return -1.0 / np.minimum(worst, -1.0)
 
 
-def _interior_point(prog, max_iter):
-    """Mehrotra predictor-corrector on the scaled convex primal.
+def _dot(a, b):
+    """Per row, a[i] @ b[i]."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _matvec(m, v):
+    """Per row, m[i] @ v[i]."""
+    return np.matmul(m, v[:, :, None])[:, :, 0]
+
+
+def _stacked_solve(kkt, rhs):
+    """Per row, the solution of kkt[i] s = rhs[i]: one LAPACK solve each, so
+    every row gets the bits its own solve would."""
+    return np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+
+
+def _newton_solve(kkt, rhs):
+    """`_stacked_solve`, with a NaN row for each singular matrix: the stack is
+    solved again row by row when any of them is."""
+    try:
+        return _stacked_solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = np.full_like(rhs, np.nan)
+        for i in range(len(rhs)):
+            try:
+                sol[i] = _stacked_solve(kkt[i : i + 1], rhs[i : i + 1])[0]
+            except np.linalg.LinAlgError:
+                pass
+        return sol
+
+
+def _interior_point(prog, budgets, max_iter):
+    """Mehrotra predictor-corrector on the scaled convex primal, at each budget.
 
     The pairs of primal slacks p and multipliers z are the bounds of x
     (x >= 0, and 1 - y >= 0 on the fills) and the pool rows (u >= 0
     with f(x) + u = 0, multiplier lam). The asset rows A x = b may start
     violated, so no strictly feasible start is needed. Each Newton step
     solves the augmented system [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0].
-    Once the estimated gap is well inside TOL, each iterate is rounded to
-    exactly feasible trades and certified by `_dual_value` at the slack
-    multipliers. Returns the last rounded trades with their prices and
-    gap, whether they are certified, and the iteration count.
-    """
-    nx, n_legs, n_pools = prog.nx, prog.n_legs, prog.n_pools
-    fills, fee, pool = prog.fills, prog.fee, prog.pool
-    a_mat, a_t = prog.a_mat, prog.a_mat.T
-    nb = nx + fills.stop - fills.start
-    p = np.ones(nb + n_pools)
-    z = np.ones(nb + n_pools)
-    p[:nx] = prog.start()
-    p[nx:nb] = 1.0 - p[fills]  # kept apart: 1 - y rounds to 0 near the cap
-    x, u, lam = p[:nx], p[nb:], z[nb:]  # views, updated with p and z
-    nu = np.zeros(len(prog.h))
-    out_scale = prog.scale[prog.out]
-    worth = np.zeros(len(prog.h))
-    worth[prog.out] = 1.0
 
-    def certify():
+    Every budget is a lane: a row of each state array, stepped together
+    with the others, and each predictor and corrector is one stacked solve
+    over the lanes. No arithmetic mixes lanes, so each lane's result is bit
+    for bit that of the batch of it alone. Once a lane's estimated gap is
+    well inside TOL, each iterate is rounded to exactly feasible trades and
+    certified by `_dual_value` at the slack multipliers. A lane leaves the
+    batch once it is certified, its estimate falls to 1e-6 or below, it
+    reaches `max_iter` steps, or its step is not positive (a singular Newton
+    matrix gives a NaN step). Returns, per budget, the last rounded trades
+    with their prices and gap, whether they are certified, and the
+    iteration count.
+    """
+    nx, n_legs, n_pools, slack, out = prog.nx, prog.n_legs, prog.n_pools, prog.slack, prog.out
+    fills, fee, pool = prog.fills, prog.fee, prog.pool
+    nb = nx + fills.stop - fills.start
+    lanes = prog.lanes(np.asarray(budgets, dtype=float))
+    ids = np.arange(len(budgets))
+    p = np.ones((len(ids), nb + n_pools))
+    z = np.ones_like(p)
+    p[:, :nx] = prog.start()
+    p[:, nx:nb] = 1.0 - p[:, fills]  # kept apart: 1 - y rounds to 0 near the cap
+    nu = np.zeros((len(ids), prog.n_assets))
+    results = [None] * len(ids)
+
+    def certify(i):
         # A fill whose bound's multiplier exceeds its slack is put on that
         # bound.
+        x = p[i, :nx]
         point = x.copy()
-        point[fills][z[fills] > x[fills]] = 0.0
-        point[fills][z[nx:nb] > p[nx:nb]] = 1.0
-        d, r, y, psi = prog.trades(point)
-        prices = prog.prices(z[prog.slack : nx])
-        bound = _dual_value(prog, prices)
-        gap = bound - float(psi[prog.out])
+        point[fills][z[i, fills] > x[fills]] = 0.0
+        point[fills][z[i, nx:nb] > p[i, nx:nb]] = 1.0
+        d, r, y, psi = prog.trades(point, lanes.h[i])
+        prices = prog.prices(z[i, slack:nx], lanes.scale[i])
+        bound = _dual_value(prog, prices, lanes.budget[i])
+        gap = bound - float(psi[out])
         return (d, r, y, psi, prices, gap), gap <= TOL * max(1.0, abs(bound))
 
     iterations = 0
-    while True:
+    while len(ids):
+        x, u, lam = p[:, :nx], p[:, nb:], z[:, nb:]
         q, f, jac = prog.pools(x)
-        lam_legs = lam[pool]
-        grad = prog.c - z[:nx] + a_t @ nu
-        grad[fills] += z[nx:nb]
-        grad[:n_legs] -= fee * jac * lam_legs
-        grad[n_legs : 2 * n_legs] += jac * lam_legs
-        r_p = a_mat @ x - prog.b
+        r_p = _matvec(lanes.kkt[:, nx + n_pools :, :nx], x) - lanes.b
         r_f = f + u
 
         # Complementarity plus the multiplier-weighted row violations
         # estimates the gap in units of the output's scale. Certify once the
         # estimate is well inside TOL; give up once it is far below, where
         # steps no longer change the trades.
-        worth[:] = z[prog.slack : nx]
-        worth[prog.out] += 1.0
-        estimate = p @ z + lam @ np.abs(r_f) + worth @ np.abs(r_p)
-        estimate /= 0.1 * TOL * max(1.0 / out_scale, x[prog.slack + prog.out])
-        if estimate <= 1.0 or iterations >= max_iter:
-            result, passed = certify()
-            if passed or estimate <= 1e-6 or iterations >= max_iter:
-                return result, passed, iterations
+        worth = z[:, slack:nx].copy()
+        worth[:, out] += 1.0
+        pz = _dot(p, z)
+        estimate = pz + _dot(lam, np.abs(r_f)) + _dot(worth, np.abs(r_p))
+        estimate /= 0.1 * TOL * np.maximum(1.0 / lanes.scale[:, out], x[:, slack + out])
+        done = np.zeros(len(ids), dtype=bool)
+        for i in np.flatnonzero((estimate <= 1.0) | (iterations >= max_iter)):
+            result, passed = certify(i)
+            if passed or estimate[i] <= 1e-6 or iterations >= max_iter:
+                results[ids[i]] = result, passed, iterations
+                done[i] = True
+        if done.any():
+            keep = ~done
+            p, z, nu, ids, pz, q, jac, r_p, r_f = (a[keep] for a in (p, z, nu, ids, pz, q, jac, r_p, r_f))
+            lanes = lanes.take(keep)
+            if not len(ids):
+                break
+            x, u, lam = p[:, :nx], p[:, nb:], z[:, nb:]
 
-        ratio = z[:nb] / p[:nb]
+        a_mat = lanes.kkt[:, nx + n_pools :, :nx]
+        lam_legs = lam[:, pool]
+        grad = prog.c - z[:, :nx] + _matvec(a_mat.transpose(0, 2, 1), nu)
+        grad[:, fills] += z[:, nx:nb]
+        grad[:, :n_legs] -= fee * jac * lam_legs
+        grad[:, n_legs : 2 * n_legs] += jac * lam_legs
+        ratio = z[:, :nb] / p[:, :nb]
         hess = lam_legs * prog.coef / (q * q)
-        diag = ratio[:nx].copy()
-        diag[fills] += ratio[nx:]
-        diag[:n_legs] += hess * fee * fee
-        diag[n_legs : 2 * n_legs] += hess
+        diag = ratio[:, :nx].copy()
+        diag[:, fills] += ratio[:, nx:]
+        diag[:, :n_legs] += hess * fee * fee
+        diag[:, n_legs : 2 * n_legs] += hess
         off = -hess * fee
         jd = -fee * jac
-        kkt = prog.kkt.copy()
-        kkt.flat[prog.flat] = np.concatenate([diag, off, off, jd, jac, jd, jac, -u / lam])
+        kkt = lanes.kkt.copy()
+        kkt.reshape(len(ids), -1)[:, prog.flat] = np.concatenate(
+            [diag, off, off, jd, jac, jd, jac, -u / lam], axis=1
+        )
 
         def newton(r_c):
-            part = r_c[:nb] / p[:nb]
-            top = part[:nx] - grad
-            top[fills] -= part[nx:]
-            sol = np.linalg.solve(kkt, np.concatenate([top, -r_f - r_c[nb:] / lam, -r_p]))
+            part = r_c[:, :nb] / p[:, :nb]
+            top = part[:, :nx] - grad
+            top[:, fills] -= part[:, nx:]
+            sol = _newton_solve(kkt, np.concatenate([top, -r_f - r_c[:, nb:] / lam, -r_p], axis=1))
             dp = np.empty_like(p)
-            dp[:nx] = sol[:nx]
-            dp[nx:nb] = -sol[fills]
-            dp[nb:] = (r_c[nb:] - u * sol[nx : nx + n_pools]) / lam
+            dp[:, :nx] = sol[:, :nx]
+            dp[:, nx:nb] = -sol[:, fills]
+            dp[:, nb:] = (r_c[:, nb:] - u * sol[:, nx : nx + n_pools]) / lam
             dz = (r_c - z * dp) / p
-            dq = fee * sol[:n_legs] - sol[n_legs : 2 * n_legs]
-            a_p = min(_max_step(p, dp), _max_step(0.9 * q, dq))
-            return dp, dz, sol[nx + n_pools :], a_p, _max_step(z, dz)
+            dq = fee * sol[:, :n_legs] - sol[:, n_legs : 2 * n_legs]
+            a_p = np.minimum(_max_step(p, dp), _max_step(0.9 * q, dq))
+            return dp, dz, sol[:, nx + n_pools :], a_p, _max_step(z, dz)
 
-        try:
-            dp, dz, _, a_p, a_d = newton(-p * z)
-            mu = p @ z / len(p)
-            mu_aff = (p + a_p * dp) @ (z + a_d * dz) / len(p)
-            dp, dz, dnu, a_p, a_d = newton((mu_aff / mu) ** 3 * mu - p * z - dp * dz)
-        except np.linalg.LinAlgError:
-            break
-        if not (a_p > 0.0 and a_d > 0.0):  # also catches NaN
-            break
-        p += 0.99 * a_p * dp
-        z += 0.99 * a_d * dz
-        nu += 0.99 * a_d * dnu
+        dp, dz, _, a_p, a_d = newton(-p * z)
+        mu = pz / p.shape[1]
+        mu_aff = _dot(p + a_p[:, None] * dp, z + a_d[:, None] * dz) / p.shape[1]
+        # Scalar powers: numpy's array power is less exactly rounded than libm's.
+        target = np.array([(a / m) ** 3 * m for a, m in zip(mu_aff, mu)])
+        dp, dz, dnu, a_p, a_d = newton(target[:, None] - p * z - dp * dz)
+
+        moves = (a_p > 0.0) & (a_d > 0.0)  # also catches NaN
+        if not moves.all():
+            for i in np.flatnonzero(~moves):
+                results[ids[i]] = (*certify(i), iterations)
+            p, z, nu, ids, dp, dz, dnu, a_p, a_d = (a[moves] for a in (p, z, nu, ids, dp, dz, dnu, a_p, a_d))
+            lanes = lanes.take(moves)
+        p += (0.99 * a_p)[:, None] * dp
+        z += (0.99 * a_d)[:, None] * dz
+        nu += (0.99 * a_d)[:, None] * dnu
         iterations += 1
-    result, passed = certify()
-    return result, passed, iterations
+    return results
 
 
 def _zero_solution(problem):
@@ -620,28 +710,9 @@ def _zero_solution(problem):
     )
 
 
-def solve_routing(problem: RoutingProblem, max_iter: int = 200) -> RoutingSolution:
-    """Solve the routing problem to a relative primal-dual gap of `TOL`.
-
-    One primal-dual interior-point solve of the convex primal, of at most
-    `max_iter` Newton steps. A solve is `optimal` only when the exact dual
-    bound at the solve's prices (`dual_prices`, output asset at 1) exceeds
-    the output of the returned, exactly feasible trades by at most
-    TOL * max(1, |bound|); `gap` is the bound minus that output. Otherwise
-    the status is `max_iter`, and the trades are still feasible. A
-    constant-sum pool's trades are its two orders' fills (f_ab, f_ba):
-    tendered (f_ab, f_ba) / fee and received (f_ba, f_ab). Raises
-    ValueError, before allocating anything per asset, for a problem
-    `check_solve_size` refuses.
-    """
-    check_solve_size(problem)
-    util = problem.utility
-    if util.budget == 0:
-        return _zero_solution(problem)
-    _check_route_exists(problem)
-    prog = _Program(problem)
-    (d, r, y, psi, prices, gap), passed, iterations = _interior_point(prog, max_iter)
-
+def _solution(problem, result):
+    """One lane's `_interior_point` result as the problem's RoutingSolution."""
+    (d, r, y, psi, prices, gap), passed, iterations = result
     market_trades = []
     leg, pair = 0, len(problem.orders)
     for market, _ in problem.markets:
@@ -658,7 +729,7 @@ def solve_routing(problem: RoutingProblem, max_iter: int = 200) -> RoutingSoluti
         psi=psi,
         market_trades=market_trades,
         order_trades=order_trades,
-        utility_value=float(psi[util.output_asset]),
+        utility_value=float(psi[problem.utility.output_asset]),
         status=STATUS_OPTIMAL if passed else STATUS_MAX_ITER,
         dual_prices=prices,
         gap=gap,
@@ -666,25 +737,59 @@ def solve_routing(problem: RoutingProblem, max_iter: int = 200) -> RoutingSoluti
     )
 
 
+def _solve_budgets(problem, budgets, max_iter):
+    """Solutions at a nondecreasing list of nonnegative budgets; the
+    problem's own budget is not read. Every positive budget is a lane of
+    one program, in consecutive chunks of as many lanes as fit
+    MAX_SOLVE_BYTES."""
+    lane_bytes = check_solve_size(problem)
+    solutions = [_zero_solution(problem) for s in budgets if s == 0]
+    positive = budgets[len(solutions) :]
+    if positive:
+        _check_route_exists(problem)
+        prog = _Program(problem)
+        chunk = MAX_SOLVE_BYTES // lane_bytes
+        for start in range(0, len(positive), chunk):
+            results = _interior_point(prog, positive[start : start + chunk], max_iter)
+            solutions.extend(_solution(problem, result) for result in results)
+    return solutions
+
+
+def solve_routing(problem: RoutingProblem, max_iter: int = MAX_ITER) -> RoutingSolution:
+    """Solve the routing problem to a relative primal-dual gap of `TOL`.
+
+    One primal-dual interior-point solve of the convex primal, of at most
+    `max_iter` Newton steps: the batch of one lane (`_interior_point`). A
+    solve is `optimal` only when the exact dual bound at the solve's prices
+    (`dual_prices`, output asset at 1) exceeds the output of the returned,
+    exactly feasible trades by at most TOL * max(1, |bound|); `gap` is the
+    bound minus that output. Otherwise the status is `max_iter`, and the
+    trades are still feasible. A constant-sum pool's trades are its two
+    orders' fills (f_ab, f_ba): tendered (f_ab, f_ba) / fee and received
+    (f_ba, f_ab). Raises ValueError, before allocating anything per asset,
+    for a problem `check_solve_size` refuses.
+    """
+    return _solve_budgets(problem, [problem.utility.budget], max_iter)[0]
+
+
 def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
-    """Solve across a budget grid, one independent solve per budget."""
+    """Solve across a nondecreasing budget grid, one solution per budget.
+
+    A budget of 0 gets the zero solution. The others are lanes of one
+    batched interior-point solve over one program, run in consecutive
+    chunks of as many lanes as fit the MAX_SOLVE_BYTES budget
+    (`check_solve_size`). Each lane is certified alone, and its solution
+    is bit for bit what `solve_routing` returns at its budget.
+    """
     grid = list(s_grid)
     if any(s < 0 for s in grid):
         raise ValueError("budgets must be nonnegative")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("budget grid must be nondecreasing")
     util = problem.utility
-    return [
-        solve_routing(
-            RoutingProblem(
-                problem.n_assets,
-                problem.markets,
-                problem.orders,
-                Liquidate(util.input_asset, util.output_asset, s),
-            )
-        )
-        for s in grid
-    ]
+    for s in grid:
+        Liquidate(util.input_asset, util.output_asset, s)  # refuses a non-finite budget
+    return _solve_budgets(problem, grid, MAX_ITER)
 
 
 def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingSolution:

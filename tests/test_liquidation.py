@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hookroute import liquidation
 from hookroute.liquidation import (
     ADDITIVE,
     MAX_SOLVE_BYTES,
@@ -389,6 +390,28 @@ class TestCompareVsTwamm:
         a = compare_vs_twamm([0.5, 2.0], cfg, pool, params, 12, seed=21, z0=-0.003)
         b = compare_vs_twamm([0.5, 2.0], cfg, pool, params, 12, seed=21, z0=-0.003)
         assert a == b
+
+    def test_noise_drawn_once(self, monkeypatch):
+        # Every volatility's policy simulation and uniform split read one
+        # noise matrix: the one simulate_policy and twamm_value draw alone.
+        draws = []
+        original = liquidation._noise_matrix
+
+        def counted(*args):
+            draws.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(liquidation, "_noise_matrix", counted)
+        pool, cfg = small_pool(), small_cfg(horizon=15)
+        params = MispricingParams(0.0, 1.0, 1.0)
+        results = compare_vs_twamm([0.0, 0.5, 2.0], cfg, pool, params, 12, seed=21, z0=-0.003)
+        assert draws == [(12, 15, 21)]
+        for sigma, mean, _ in results:
+            params = MispricingParams(0.0, sigma, 1.0)
+            _, policy = value_iteration(cfg, pool, params)
+            sim = simulate_policy(policy, cfg, pool, params, 12, seed=21, z0=-0.003)
+            tw = twamm_value(cfg, pool, params, 12, seed=21, z0=-0.003)
+            assert mean == pytest.approx(np.mean(sim.outputs) - tw, rel=0.0, abs=1e-9 * abs(tw))
 
     def test_negative_volatility_rejected(self):
         with pytest.raises(ValueError):

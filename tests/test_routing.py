@@ -40,6 +40,39 @@ def pair_problem(legs, budget):
     return RoutingProblem(2, markets, orders, Liquidate(0, 1, budget))
 
 
+def solution_bits(sol):
+    """Everything a solution reports, compared bit for bit."""
+    return (
+        sol.status,
+        sol.iterations,
+        sol.utility_value,
+        sol.gap,
+        sol.psi.tobytes(),
+        None if sol.dual_prices is None else sol.dual_prices.tobytes(),
+        [(d.tobytes(), r.tobytes()) for d, r in sol.market_trades],
+        sol.order_trades,
+    )
+
+
+def at_budget(problem, budget):
+    util = problem.utility
+    utility = Liquidate(util.input_asset, util.output_asset, budget)
+    return RoutingProblem(problem.n_assets, problem.markets, problem.orders, utility)
+
+
+def paper_sweeps():
+    """The paper's four curves: pigou with and without its order, table1 with and without its orders."""
+    table1 = table1_problem(0.0)
+    no_orders = RoutingProblem(table1.n_assets, table1.markets, [], table1.utility)
+    pigou_grid, table1_grid = np.linspace(0.0, 20.0, 100), np.linspace(0.0, 500.0, 100)
+    return [
+        (pigou_problem(0.0), pigou_grid),
+        (pigou_problem(0.0, with_order=False), pigou_grid),
+        (table1, table1_grid),
+        (no_orders, table1_grid),
+    ]
+
+
 def assert_feasible(problem, sol, tol=1e-8):
     res = solution_residuals(problem, sol)
     assert res["reconstruction"] <= tol
@@ -472,16 +505,7 @@ class TestSolveRouting:
         assert u1 == pytest.approx(u2, abs=1e-6)
 
     def test_paper_sweeps_all_certified(self):
-        table1 = table1_problem(0.0)
-        no_orders = RoutingProblem(table1.n_assets, table1.markets, [], table1.utility)
-        pigou_grid, table1_grid = np.linspace(0.0, 20.0, 100), np.linspace(0.0, 500.0, 100)
-        sweeps = [
-            (pigou_problem(0.0), pigou_grid),
-            (pigou_problem(0.0, with_order=False), pigou_grid),
-            (table1, table1_grid),
-            (no_orders, table1_grid),
-        ]
-        for problem, grid in sweeps:
+        for problem, grid in paper_sweeps():
             for s, sol in zip(grid, solve_curve(problem, grid)):
                 assert sol.status == "optimal", s
                 assert sol.gap <= 1e-7 * max(1.0, sol.utility_value + sol.gap)
@@ -614,6 +638,131 @@ class TestOutputCurve:
             s for s, sol in zip(grid[1:], sols[1:]) if sol.dual_prices[0] <= order.price + 1e-6
         )
         assert abs(crossing - curve.delta1) <= 2 * step
+
+
+def hostile_sweeps():
+    sweeps = []
+    for seed in TestAdversarialCertification.HARD_SEEDS + tuple(range(4000, 4020)):
+        problem = adversarial_instance(seed)
+        try:
+            routing._check_route_exists(problem)
+        except NoFeasibleRouteError:
+            continue
+        sweeps.append((problem, np.linspace(0.0, 2.0 * problem.utility.budget, 5)))
+    return sweeps
+
+
+class TestLaneBatch:
+    """A curve's budgets are lanes of one batched solve; no lane sees another."""
+
+    def test_lane_independent_of_batch(self, monkeypatch):
+        sweeps = paper_sweeps() + hostile_sweeps()
+        needs = [routing.check_solve_size(problem) for problem, _ in sweeps]
+        alone = [[solution_bits(solve_routing(at_budget(p, s))) for s in grid] for p, grid in sweeps]
+        for (problem, grid), expected in zip(sweeps, alone):
+            assert [solution_bits(sol) for sol in solve_curve(problem, grid)] == expected
+            thinned = [solution_bits(sol) for sol in solve_curve(problem, grid[::3])]
+            assert thinned == expected[::3]
+
+        # A byte budget of seven lanes splits each grid into chunks.
+        chunks = []
+        original = routing._interior_point
+
+        def counted(prog, budgets, max_iter):
+            chunks.append(len(budgets))
+            return original(prog, budgets, max_iter)
+
+        monkeypatch.setattr(routing, "_interior_point", counted)
+        for (problem, grid), expected, need in zip(sweeps, alone, needs):
+            monkeypatch.setattr(routing, "MAX_SOLVE_BYTES", 7 * need)
+            chunks.clear()
+            assert [solution_bits(sol) for sol in solve_curve(problem, grid)] == expected
+            positive = np.count_nonzero(grid)
+            assert chunks == [7] * (positive // 7) + ([positive % 7] if positive % 7 else [])
+
+    def test_oversized_lane_refused_with_one_lane_per_chunk(self, monkeypatch):
+        problem, grid = paper_sweeps()[2]
+        need = routing.check_solve_size(problem)
+        monkeypatch.setattr(routing, "MAX_SOLVE_BYTES", need - 1)
+        with pytest.raises(ValueError, match="Newton matrices"):
+            solve_curve(problem, grid)
+        monkeypatch.setattr(routing, "MAX_SOLVE_BYTES", need)
+        curve = solve_curve(problem, grid[:6])
+        assert [solution_bits(sol) for sol in curve] == [
+            solution_bits(solve_routing(at_budget(problem, s))) for s in grid[:6]
+        ]
+
+    def test_stacked_solves_per_curve(self, monkeypatch):
+        # Structural guard: each step is one predictor and one corrector
+        # solve over every lane still running, not one pair per budget.
+        calls = []
+        original = routing._stacked_solve
+
+        def counted(kkt, rhs):
+            calls.append(len(kkt))
+            return original(kkt, rhs)
+
+        monkeypatch.setattr(routing, "_stacked_solve", counted)
+        problem, grid = paper_sweeps()[2]
+        iterations = [sol.iterations for sol in solve_curve(problem, grid)]
+        assert len(calls) <= 2 * max(iterations) + 2
+        assert sum(calls) == 2 * sum(iterations)
+
+
+class TestLaneFailure:
+    """A lane whose Newton step fails stops alone, at its last rounding."""
+
+    # Above the pool's reserve of 10 each budget is its input asset's
+    # scale, so each lane's asset rows of the Newton matrix differ.
+    GRID = np.linspace(11.0, 20.0, 10)
+    TARGET = 4
+
+    def failing_solve(self, monkeypatch, problem, fail):
+        """Patch the stacked solve: from the seventh call that holds the
+        target lane on (the predictor of its fourth step), `fail` rewrites
+        that lane's solution or raises."""
+        n = problem.n_assets
+        rows = routing._Program(problem).lanes(self.GRID[self.TARGET : self.TARGET + 1]).kkt[0, -n:]
+        original = routing._stacked_solve
+        seen = [0]
+
+        def solve(kkt, rhs):
+            hit = (kkt[:, -n:] == rows).all(axis=(1, 2))
+            sol = original(kkt, rhs)
+            if hit.any():
+                seen[0] += 1
+                if seen[0] >= 7:
+                    fail(sol, hit)
+            return sol
+
+        monkeypatch.setattr(routing, "_stacked_solve", solve)
+        return seen
+
+    @pytest.mark.parametrize("with_order", [True, False])
+    @pytest.mark.parametrize("failure", ["singular", "nan_step"])
+    def test_failing_lane_stops_alone(self, monkeypatch, with_order, failure):
+        problem = pigou_problem(0.0, with_order=with_order)
+        clean = [solution_bits(sol) for sol in solve_curve(problem, self.GRID)]
+        # The state the failing lane stops in: its fourth iterate, rounded.
+        stopped = solution_bits(solve_routing(at_budget(problem, self.GRID[self.TARGET]), max_iter=3))
+
+        def fail(sol, hit):
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            sol[hit] = np.nan
+
+        seen = self.failing_solve(monkeypatch, problem, fail)
+        curve = [solution_bits(sol) for sol in solve_curve(problem, self.GRID)]
+        assert seen[0] >= 7
+        for k, (got, want) in enumerate(zip(curve, clean)):
+            if k != self.TARGET:
+                assert got == want, k
+        assert curve[self.TARGET] == stopped
+        assert stopped[:2] == ("max_iter", 3)
+        seen[0] = 0
+        alone = solve_routing(at_budget(problem, self.GRID[self.TARGET]))
+        assert solution_bits(alone) == stopped
+        assert_feasible(at_budget(problem, self.GRID[self.TARGET]), alone)
 
 
 class TestBruteForce:
