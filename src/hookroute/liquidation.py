@@ -26,7 +26,7 @@ _MODES = (MULTIPLICATIVE, ADDITIVE)
 
 # Memory budget of one `value_iteration` solve, checked by `MdpConfig` from
 # the grid sizes before anything is allocated. The paper's 200-block config
-# needs about 133 MB by the same estimate. `check_paths` holds a simulation's
+# needs about 274 MB by the same estimate. `check_paths` holds a simulation's
 # path arrays to the same budget.
 MAX_SOLVE_BYTES = 10**9
 
@@ -109,16 +109,28 @@ class MdpConfig:
             raise ValueError("grids need at least two points")
         if self.dynamics not in _MODES:
             raise ValueError(f"dynamics must be one of {_MODES}")
-        # Operator entries (8-byte value, 4-byte column) at their bound of two
-        # per quadrature node, plus the stored values and int16 actions.
-        cells = self.n_inventory * self.n_mispricing
-        need = 12 * 2 * self.quad_order * self.n_actions * cells + 10 * self.horizon * cells
+        need = self.solve_bytes
         if need > MAX_SOLVE_BYTES:
             raise ValueError(
                 f"the solve would need about {need / 1e6:.0f} MB, over the "
                 f"{MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer grid points, "
                 "actions, quadrature nodes or blocks"
             )
+
+    @property
+    def solve_bytes(self) -> int:
+        """An upper bound on the peak bytes of `value_iteration`, from the grid sizes.
+
+        Per (action, state) row: at most two operator entries per quadrature
+        node (8-byte value, 4-byte column), counted twice because the build
+        holds the shared rows, never more entries, next to the operator; and
+        32 bytes for the gather's row index and index pointers, the rewards
+        and a backup's arrays. Per (state, node): 128 bytes of one build
+        chunk's temporaries. Per (block, state): a stored value and an int16
+        action.
+        """
+        q, cells = self.quad_order, self.n_inventory * self.n_mispricing
+        return cells * ((48 * q + 32) * self.n_actions + 128 * q + 10 * self.horizon)
 
 
 @dataclass
@@ -237,6 +249,24 @@ def _bracket(pos, n):
     return lo, 1.0 - (pos - lo)
 
 
+def _two_point_rows(lo, w_lo, w_hi, shape):
+    """CSR matrix weighting the grid neighbours lo and lo + 1 of each point.
+
+    `lo`, `w_lo` and `w_hi` hold one entry per point, and the points fill the
+    rows in order, the same number to each row.
+    """
+    from scipy import sparse
+
+    return sparse.csr_matrix(
+        (
+            np.stack((w_lo, w_hi), axis=-1).ravel(),
+            np.stack((lo, lo + 1), axis=-1).ravel(),
+            np.arange(0, 2 * lo.size + 1, 2 * lo.size // shape[0]),
+        ),
+        shape=shape,
+    )
+
+
 def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     """Backward induction over the (inventory, mispricing) grid.
 
@@ -245,17 +275,22 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     the fee band, the grid's ends, and the next state is looked up by
     bilinear interpolation.
 
-    The interpolation does not depend on the block, so the mispricing half of
-    each backup is built once: per action, a CSR operator that is
-    block-diagonal over inventory and maps the values at the next inventory to
-    the discounted expectation over the quadrature nodes, with the two
-    z-neighbours of every node summed into one entry per grid column. It holds
-    at most 2 * quad_order entries per state (about 2.3M on the paper's
-    101 x 101 grid with 51 actions and 9 nodes, out of 9.4M before summing).
-    A block then interpolates the next values in inventory for each action,
-    applies that action's operator, adds the rewards and keeps the first best
-    action. `MdpConfig` refuses grids whose solve would exceed
-    `MAX_SOLVE_BYTES`.
+    Nothing but the values depends on the block, so a backup's two linear
+    maps are built once, each as one CSR matrix over all actions. The first
+    interpolates the next values in inventory: a row per (action, inventory)
+    pair, with the two bracket weights of (1 - frac) * I. The second is
+    block-diagonal, an n_z-row block per pair; it maps the pair's
+    interpolated values to the discounted expectation over the quadrature
+    nodes, with the two z-neighbours of every node summed into one entry per
+    grid column. Such a row depends on z and the trade size frac * I alone,
+    so the rows of each distinct size are built once and gathered into every
+    pair that trades it: 2305 sizes for the 5151 pairs of the paper's
+    101 x 101 grid with 51 actions and 9 nodes, whose operator holds about
+    2.3M entries (at most 2 * quad_order per row, 9.4M before summing). A
+    backup is then two sparse products, the rewards added, and the first
+    best action kept. `MdpConfig` refuses grids whose solve would exceed
+    `MAX_SOLVE_BYTES`; its estimate bounds the peak, reached while the
+    gather holds the shared rows next to the operator.
 
     Backward induction stops at its fixed point. A backup is a function of
     the next block's values alone, so once a block's values equal the next
@@ -271,56 +306,49 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
     cells = n_i * n_z
     eps, quad_w = _gauss_hermite(cfg.quad_order)
-    n_e = len(eps)
     fracs = np.linspace(0.0, 1.0, n_a)
     dz = z_grid[1] - z_grid[0]
     step_i = (inv_grid[1] - inv_grid[0]) or 1.0  # degenerate zero-inventory grid
-
-    # Per action: the inventory bracket of (1 - frac) * I, the z-operator and
-    # the rewards, all shared across blocks.
-    inv_lo = np.empty((n_a, n_i), dtype=np.int64)
-    inv_w = np.empty((n_a, n_i, 1))
-    ops = []
-    rewards = np.empty((n_a, cells))
-    block_start = (np.arange(n_i) * n_z)[:, None, None]
-    indptr = np.arange(0, 2 * n_e * cells + 1, 2 * n_e)
     node_w = cfg.discount * quad_w
-    for k, frac in enumerate(fracs):
-        inv_lo[k], inv_w[k, :, 0] = _bracket(inv_grid * (1.0 - frac) / step_i, n_i)
-        delta = inv_grid * frac
+
+    # A row of the z-operator depends on z and the trade size alone: build the
+    # n_z rows of each distinct size once, n_i sizes at a time. Sizes match
+    # as floats, so a shared row is exactly the row its pairs would build.
+    delta = inv_grid * fracs[:, None]
+    sizes, which = np.unique(delta, return_inverse=True)
+    chunks = []
+    for start in range(0, len(sizes), n_i):
+        size = sizes[start : start + n_i]
         z_next = step_mispricing(
-            z_grid[None, :, None],
-            delta[:, None, None],
-            eps[None, None, :],
-            params,
-            pool,
-            cfg.dynamics,
+            z_grid[None, :, None], size[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
         )
         lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
-        cols = block_start + lo
-        op = sparse.csr_matrix(
-            (
-                np.stack((node_w * w, node_w * (1.0 - w)), axis=-1).ravel(),
-                np.stack((cols, cols + 1), axis=-1).ravel(),
-                indptr,
-            ),
-            shape=(cells, cells),
-        )
-        op.sum_duplicates()
-        ops.append(op)
-        rewards[k] = reward(inv_grid[:, None], z_grid[None, :], delta[:, None], cfg, pool).ravel()
-    inv_hi = inv_lo + 1
-    inv_w_hi = 1.0 - inv_w
+        chunk = _two_point_rows(lo, node_w * w, node_w * (1.0 - w), (len(size) * n_z, n_z))
+        chunk.sum_duplicates()
+        chunks.append(chunk)
+    shared = sparse.vstack(chunks, format="csr")
+    del chunks
+    # Gather each (action, inventory) block's rows, then shift its columns to
+    # the block's slot of the interpolated values. A per-row constant shift
+    # keeps every row sorted and free of duplicates. The chunks and the shared
+    # rows are dropped as soon as they are copied: `MdpConfig.solve_bytes`
+    # counts no more than the shared rows next to the operator.
+    op = shared[(which.reshape(-1, 1) * n_z + np.arange(n_z)).ravel()]
+    del shared
+    op.indices += np.repeat(np.arange(0, n_a * cells, n_z, dtype=np.int32), np.diff(op.indptr[::n_z]))
+    op = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n_a * cells, n_a * cells))
+
+    # Inventory interpolation: row (action, inventory) brackets (1 - frac) * I.
+    inv_lo, inv_w = _bracket(inv_grid * (1.0 - fracs[:, None]) / step_i, n_i)
+    interp = _two_point_rows(inv_lo, inv_w, 1.0 - inv_w, (n_a * n_i, n_i))
+    rewards = reward(inv_grid[:, None], z_grid, delta[:, :, None], cfg, pool).reshape(n_a, cells)
 
     values = np.zeros((cfg.horizon, n_i, n_z))
     actions = np.zeros((cfg.horizon, n_i, n_z), dtype=np.int16)
-    q = np.empty((n_a, cells))
     cell = np.arange(cells)
     v_next = np.zeros((n_i, n_z))
     for t in range(cfg.horizon - 1, -1, -1):
-        for k in range(n_a):
-            v_at_inv = inv_w[k] * v_next[inv_lo[k]] + inv_w_hi[k] * v_next[inv_hi[k]]
-            q[k] = ops[k] @ v_at_inv.ravel()
+        q = (op @ (interp @ v_next).ravel()).reshape(n_a, cells)
         q += rewards
         # argmax keeps the first of tied actions, the smallest trade.
         best = q.argmax(axis=0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hookroute.liquidation import (
     step_mispricing,
     twamm_value,
     value_iteration,
+    _bracket,
     _gauss_hermite,
     _grids,
 )
@@ -29,6 +31,12 @@ from hookroute.liquidation import (
 
 def small_pool():
     return PoolParams(1e5, 5000 * 1e5, 0.003, 0.003)
+
+
+# The paper's grid: 101 x 101 states, 51 actions, 9 quadrature nodes.
+PAPER_GRID = dict(n_inventory=101, n_mispricing=101, n_actions=51, quad_order=9)
+# The paper's TWAMM comparison config, with `small_pool()`.
+PAPER_TWAMM = dict(PAPER_GRID, horizon=100, inventory=100.0)
 
 
 def small_cfg(**kw):
@@ -249,6 +257,75 @@ def reference_value_iteration(cfg, pool, params):
     return values, actions
 
 
+def reference_operator_value_iteration(cfg, pool, params):
+    """Per-action CSR operators that the one operator over all actions replaced.
+
+    Each action builds its own (cells x cells) z-operator from that action's
+    trade sizes, and each backup applies the 51 of them one by one. Kept as
+    the bit-for-bit reference: the shared rows must sum the same entries in
+    the same order.
+    """
+    from scipy import sparse
+
+    inv_grid, z_grid = _grids(cfg, pool)
+    n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
+    cells = n_i * n_z
+    eps, quad_w = _gauss_hermite(cfg.quad_order)
+    n_e = len(eps)
+    fracs = np.linspace(0.0, 1.0, n_a)
+    dz = z_grid[1] - z_grid[0]
+    step_i = (inv_grid[1] - inv_grid[0]) or 1.0
+
+    inv_lo = np.empty((n_a, n_i), dtype=np.int64)
+    inv_w = np.empty((n_a, n_i, 1))
+    ops = []
+    rewards = np.empty((n_a, cells))
+    block_start = (np.arange(n_i) * n_z)[:, None, None]
+    indptr = np.arange(0, 2 * n_e * cells + 1, 2 * n_e)
+    node_w = cfg.discount * quad_w
+    for k, frac in enumerate(fracs):
+        inv_lo[k], inv_w[k, :, 0] = _bracket(inv_grid * (1.0 - frac) / step_i, n_i)
+        delta = inv_grid * frac
+        z_next = step_mispricing(
+            z_grid[None, :, None], delta[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
+        )
+        lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
+        cols = block_start + lo
+        op = sparse.csr_matrix(
+            (
+                np.stack((node_w * w, node_w * (1.0 - w)), axis=-1).ravel(),
+                np.stack((cols, cols + 1), axis=-1).ravel(),
+                indptr,
+            ),
+            shape=(cells, cells),
+        )
+        op.sum_duplicates()
+        ops.append(op)
+        rewards[k] = reward(inv_grid[:, None], z_grid[None, :], delta[:, None], cfg, pool).ravel()
+    inv_hi = inv_lo + 1
+    inv_w_hi = 1.0 - inv_w
+
+    values = np.zeros((cfg.horizon, n_i, n_z))
+    actions = np.zeros((cfg.horizon, n_i, n_z), dtype=np.int16)
+    q = np.empty((n_a, cells))
+    cell = np.arange(cells)
+    v_next = np.zeros((n_i, n_z))
+    for t in range(cfg.horizon - 1, -1, -1):
+        for k in range(n_a):
+            v_at_inv = inv_w[k] * v_next[inv_lo[k]] + inv_w_hi[k] * v_next[inv_hi[k]]
+            q[k] = ops[k] @ v_at_inv.ravel()
+        q += rewards
+        best = q.argmax(axis=0)
+        actions[t] = best.reshape(n_i, n_z)
+        values[t] = q[best, cell].reshape(n_i, n_z)
+        if values[t].tobytes() == v_next.tobytes():
+            values[:t] = values[t]
+            actions[:t] = actions[t]
+            break
+        v_next = values[t]
+    return values, actions
+
+
 def skewed_pool():
     """A fee band of [-0.005, 0.02]: asymmetric, and wider above than below."""
     return PoolParams(1e5, 5000 * 1e5, 0.02, 0.005)
@@ -303,6 +380,86 @@ class TestBackupOperator:
             assert vf.backups < horizon
         else:
             assert vf.backups == horizon
+
+    @pytest.mark.parametrize(
+        "overrides, volatility, pool",
+        [
+            *_equivalence_cases(),
+            # The benchmark's liquidation and TWAMM configs at three blocks.
+            pytest.param(dict(PAPER_GRID, horizon=3), 8.0, small_pool(), id="bench-liquidation"),
+            pytest.param(dict(PAPER_GRID, horizon=3, inventory=100.0), 0.0, small_pool(), id="bench-twamm"),
+        ],
+    )
+    def test_bit_equal_to_per_action_operators(self, overrides, volatility, pool):
+        cfg, params = small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0)
+        ref_values, ref_actions = reference_operator_value_iteration(cfg, pool, params)
+        vf, pol = value_iteration(cfg, pool, params)
+        assert vf.values.tobytes() == ref_values.tobytes()
+        assert pol.action_index.tobytes() == ref_actions.tobytes()
+
+    def test_rows_built_once_per_distinct_trade_size(self, monkeypatch):
+        points = []
+
+        def counted(z, trade_size, noise, *args):
+            points.append(np.broadcast(z, trade_size, noise).size)
+            return step_mispricing(z, trade_size, noise, *args)
+
+        monkeypatch.setattr(liquidation, "step_mispricing", counted)
+        value_iteration(small_cfg(horizon=1, **PAPER_GRID), small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        # The 51 x 101 (action, inventory) pairs trade 2305 distinct sizes; a
+        # size's rows take 101 mispricings x 9 nodes.
+        assert sum(points) == 2305 * 101 * 9
+
+    def test_backup_is_two_sparse_products(self, monkeypatch):
+        from scipy import sparse
+
+        products = []
+        matmul = sparse.csr_matrix.__matmul__
+
+        def counted(self, other):
+            products.append(self.shape)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted)
+        vf, _ = value_iteration(small_cfg(horizon=3), small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        assert vf.backups == 3
+        assert len(products) == 2 * vf.backups
+
+    @pytest.mark.parametrize(
+        "overrides, volatility, pool",
+        [
+            *(
+                pytest.param(dict(PAPER_TWAMM, dynamics=d), s, small_pool(), id=f"{d}-{s}")
+                for d in (MULTIPLICATIVE, ADDITIVE)
+                for s in (0.0, 1.0, 8.0)
+            ),
+            pytest.param(
+                dict(horizon=2, n_inventory=2, n_mispricing=20001, n_actions=3, quad_order=9, dynamics=ADDITIVE),
+                0.5,
+                small_pool(),
+                id="wide-z-grid",
+            ),
+            # Selling nothing or everything: every nonzero trade size is
+            # distinct, and a wide band leaves few duplicate columns to sum.
+            pytest.param(
+                dict(horizon=5, n_inventory=101, n_mispricing=101, n_actions=2, quad_order=9),
+                0.3,
+                PoolParams(1e5, 5000 * 1e5, 2.0, 2.0),
+                id="distinct-sizes",
+            ),
+        ],
+    )
+    def test_memory_estimate_bounds_the_peak(self, overrides, volatility, pool):
+        cfg, params = small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0)
+        # Warm up first, so that scipy's import is not traced.
+        value_iteration(small_cfg(horizon=1, n_inventory=3, n_mispricing=3, n_actions=2), pool, params)
+        tracemalloc.start()
+        try:
+            value_iteration(cfg, pool, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cfg.solve_bytes
 
     def test_memory_budget(self):
         small_cfg(horizon=200, n_inventory=101, n_mispricing=101, n_actions=51, quad_order=9)
