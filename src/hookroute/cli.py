@@ -160,20 +160,16 @@ def _solve_curve_strict(problem, grid):
 
 def cmd_pigou(args):
     grid = parse_grid(args.grid)
-    record = {"grid": args.grid, "with_order": args.with_order}
-    writer = RunWriter("pigou", args.out, record)
-    if args.with_order:
-        sols = _solve_curve_strict(pigou_problem(0.0), grid)
-        plain = _solve_curve_strict(pigou_problem(0.0, with_order=False), grid)
-        rows = [
-            (s, sol.utility_value, base.utility_value)
-            for s, sol, base in zip(grid, sols, plain)
-        ]
-        writer.add_table("pigou_output", ("s", "u", "u_no_order"), csv_rows(rows))
-    else:
-        sols = _solve_curve_strict(pigou_problem(0.0, with_order=False), grid)
-        rows = [(s, sol.utility_value) for s, sol in zip(grid, sols)]
-        writer.add_table("pigou_output", ("s", "u"), csv_rows(rows))
+    # The order is always included; the record keeps the hash of runs that
+    # chose it with --with-order.
+    writer = RunWriter("pigou", args.out, {"grid": args.grid, "with_order": True})
+    sols = _solve_curve_strict(pigou_problem(0.0), grid)
+    plain = _solve_curve_strict(pigou_problem(0.0, with_order=False), grid)
+    rows = [
+        (s, sol.utility_value, base.utility_value)
+        for s, sol, base in zip(grid, sols, plain)
+    ]
+    writer.add_table("pigou_output", ("s", "u", "u_no_order"), csv_rows(rows))
     writer.write()
     return EXIT_OK
 
@@ -363,7 +359,6 @@ _GNUPLOT_TEMPLATES = {
         'plot DATA using 1:2 with lines title "with order", '
         'DATA using 1:3 with lines title "without order"'
     ),
-    ("s", "u"): 'plot DATA using 1:2 with lines title "output"',
     ("s", "u_with_orders", "u_without_orders"): (
         'plot DATA using 1:2 with lines title "with orders", '
         'DATA using 1:3 with lines title "without orders"'
@@ -430,9 +425,7 @@ def _build_parser():
 
     p = sub.add_parser("pigou", help="two-link network output curve")
     p.add_argument("--grid", required=True, help="input sweep start:stop:count")
-    flag = p.add_mutually_exclusive_group()
-    flag.add_argument("--with-order", dest="with_order", action="store_true", default=True)
-    flag.add_argument("--no-order", dest="with_order", action="store_false")
+    p.add_argument("--with-order", action="store_true", help="accepted; the order is always included")
     common(p)
     p.set_defaults(fn=cmd_pigou)
 

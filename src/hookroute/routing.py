@@ -37,7 +37,6 @@ from .cfmm import (
     LimitOrder,
     Market,
     Trade2,
-    forward_exchange,
     forward_exchange_batch,
     trading_function,
 )
@@ -103,9 +102,9 @@ class RoutingSolution:
     order_trades: list[Trade2]
     utility_value: float
     status: str
-    dual_prices: np.ndarray | None = None
-    gap: float = 0.0
-    iterations: int = 0
+    dual_prices: np.ndarray | None
+    gap: float
+    iterations: int
 
 
 def _sum_orders(market, assets):
@@ -276,26 +275,19 @@ def _dual_value(prog, nu, budget):
     return value
 
 
-def _check_route_exists(problem):
-    adj = [set() for _ in range(problem.n_assets)]
-    for _, assets in problem.markets:
-        for a in assets:
-            adj[a].update(b for b in assets if b != a)
-    for order in problem.orders:
-        adj[order.input_asset].add(order.output_asset)
-    start, goal = problem.utility.input_asset, problem.utility.output_asset
-    seen, frontier = {start}, [start]
-    while frontier:
-        node = frontier.pop()
-        if node == goal:
-            return
-        for nxt in adj[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    raise NoFeasibleRouteError(
-        f"no feasible route from asset {start} to asset {goal}"
-    )
+def _check_route_exists(prog):
+    """Refuse a program whose output asset no chain of pools and orders
+    reaches from its input asset. Each round, a pool that touches a reached
+    asset reaches all of its assets and an order reaches its output from a
+    reached input; `n_assets` rounds reach every asset that can be."""
+    reach = np.zeros(prog.n_assets, dtype=bool)
+    reach[prog.input] = True
+    for _ in range(prog.n_assets):
+        touched = np.bincount(prog.pool, reach[prog.asset], prog.n_pools) > 0
+        reach[prog.asset[touched[prog.pool]]] = True
+        reach[prog.order_out[reach[prog.order_in]]] = True
+    if not reach[prog.out]:
+        raise NoFeasibleRouteError(f"no feasible route from asset {prog.input} to asset {prog.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -700,16 +692,6 @@ def _interior_point(prog, budgets, max_iter):
     return results
 
 
-def _zero_solution(problem):
-    return RoutingSolution(
-        psi=np.zeros(problem.n_assets),
-        market_trades=[(np.zeros(m.n_assets), np.zeros(m.n_assets)) for m, _ in problem.markets],
-        order_trades=[Trade2(0.0, 0.0) for _ in problem.orders],
-        utility_value=0.0,
-        status=STATUS_OPTIMAL,
-    )
-
-
 def _solution(problem, result):
     """One lane's `_interior_point` result as the problem's RoutingSolution."""
     (d, r, y, psi, prices, gap), passed, iterations = result
@@ -739,15 +721,20 @@ def _solution(problem, result):
 
 def _solve_budgets(problem, budgets, max_iter):
     """Solutions at a nondecreasing list of nonnegative budgets; the
-    problem's own budget is not read. Every positive budget is a lane of
-    one program, in consecutive chunks of as many lanes as fit
-    MAX_SOLVE_BYTES."""
+    problem's own budget is not read. A zero budget trades nothing and is
+    certified with a zero gap. Every positive budget is a lane of one
+    program, whose route `_check_route_exists` checks first, in
+    consecutive chunks of as many lanes as fit MAX_SOLVE_BYTES."""
     lane_bytes = check_solve_size(problem)
-    solutions = [_zero_solution(problem) for s in budgets if s == 0]
+    prog = _Program(problem)
+    # (d, r, y, psi) lengths; each zero budget gets arrays of its own, since
+    # a solution's trades are views of them.
+    sizes = (prog.n_legs, prog.n_legs, len(prog.volume), prog.n_assets)
+    zero = [((*map(np.zeros, sizes), None, 0.0), True, 0) for s in budgets if s == 0]
+    solutions = [_solution(problem, result) for result in zero]
     positive = budgets[len(solutions) :]
     if positive:
-        _check_route_exists(problem)
-        prog = _Program(problem)
+        _check_route_exists(prog)
         chunk = MAX_SOLVE_BYTES // lane_bytes
         for start in range(0, len(positive), chunk):
             results = _interior_point(prog, positive[start : start + chunk], max_iter)
@@ -775,15 +762,14 @@ def solve_routing(problem: RoutingProblem, max_iter: int = MAX_ITER) -> RoutingS
 def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
     """Solve across a nondecreasing budget grid, one solution per budget.
 
-    A budget of 0 gets the zero solution. The others are lanes of one
-    batched interior-point solve over one program, run in consecutive
-    chunks of as many lanes as fit the MAX_SOLVE_BYTES budget
-    (`check_solve_size`). Each lane is certified alone, and its solution
-    is bit for bit what `solve_routing` returns at its budget.
+    `Liquidate` refuses a negative or non-finite budget. A budget of 0
+    trades nothing, optimally. The others are lanes of one batched
+    interior-point solve over one program, run in consecutive chunks of as
+    many lanes as fit the MAX_SOLVE_BYTES budget (`check_solve_size`).
+    Each lane is certified alone, and its solution is bit for bit what
+    `solve_routing` returns at its budget.
     """
     grid = list(s_grid)
-    if any(s < 0 for s in grid):
-        raise ValueError("budgets must be nonnegative")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise ValueError("budget grid must be nondecreasing")
     util = problem.utility
@@ -792,12 +778,13 @@ def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
     return _solve_budgets(problem, grid, MAX_ITER)
 
 
-def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingSolution:
-    """Grid-search oracle for small single-hop instances.
+def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> float:
+    """Grid-search oracle for small single-hop instances: the best output found.
 
     Every leg must trade the utility pair directly; the budget is split
     across legs on a simplex grid and each leg is valued by its own output
-    curve. Only meant as an independent check at oracle scale.
+    curve, and the best split's total output is returned (0.0 with no
+    legs). Only meant as an independent check at oracle scale.
     """
     if len(problem.markets) > 2 or len(problem.orders) > 2:
         raise ValueError("oracle limited to at most 2 markets and 2 orders")
@@ -816,7 +803,7 @@ def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingS
 
     n_legs = len(legs)
     if n_legs == 0:
-        return _zero_solution(problem)
+        return 0.0
     if grid_resolution ** max(n_legs - 1, 1) > 10**7:
         raise ValueError("grid too large for the brute-force oracle")
 
@@ -829,8 +816,7 @@ def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingS
 
     s = util.budget
     if n_legs == 1:
-        alloc = np.array([[s]])
-        totals = leg_value(legs[0], alloc[:, 0])
+        totals = leg_value(legs[0], np.array([s]))
     else:
         axes = [np.linspace(0.0, s, grid_resolution) for _ in range(n_legs - 1)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -841,41 +827,7 @@ def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> RoutingS
         totals = np.zeros(alloc.shape[0])
         for col, leg in enumerate(legs):
             totals += leg_value(leg, alloc[:, col])
-    best_idx = int(np.argmax(totals))
-    best_alloc = alloc[best_idx]
-    value = float(totals[best_idx])
-
-    psi = np.zeros(problem.n_assets)
-    market_trades = []
-    order_trades = []
-    m_i = 0
-    for col, leg in enumerate(legs):
-        amt = float(best_alloc[col])
-        if leg[0] == "market":
-            _, market, i, o = leg
-            out = forward_exchange(market, i, o, amt)
-            d, r = np.zeros(market.n_assets), np.zeros(market.n_assets)
-            d[i], r[o] = amt, out
-            market_trades.append((d, r))
-            assets = problem.markets[m_i][1]
-            psi[assets[i]] -= amt
-            psi[assets[o]] += out
-            m_i += 1
-        else:
-            order = leg[1]
-            z2 = min(order.price * amt, order.volume)
-            z1 = z2 / order.price
-            order_trades.append(Trade2(z1, z2))
-            psi[order.input_asset] -= z1
-            psi[order.output_asset] += z2
-    return RoutingSolution(
-        psi=psi,
-        market_trades=market_trades,
-        order_trades=order_trades,
-        utility_value=value,
-        status=STATUS_OPTIMAL,
-        dual_prices=None,
-    )
+    return float(totals.max())
 
 
 def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> dict:

@@ -280,10 +280,6 @@ def liquidation_config_from_dict(record):
     return values["mdp"], values["pool"], values["mispricing"], values["z0"]
 
 
-def variance_from_dict(record, path="variance") -> VarianceSpec:
-    return _build(VarianceSpec, record, path, _VARIANCE)
-
-
 def hook_scenario_from_dict(record) -> HookScenario:
     """A hook scenario; every number must be finite, and a bad one is named."""
     return _build(HookScenario, record, "", _HOOK)

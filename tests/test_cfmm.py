@@ -314,3 +314,28 @@ class TestModifiedCurve:
         assert modified_forward_exchange(curve, curve.delta2 + 1.0) == pytest.approx(
             4.0 + forward_exchange(curve.market, 0, 1, 1.0)
         )
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Market(PRODUCT, (1.0, 2.0, 3.0)), "exactly 2 reserves"),
+            (lambda: Market(SUM, (1.0, 2.0, 3.0)), "exactly 2 reserves"),
+            (lambda: Market(GEOMETRIC_MEAN, (1.0, 2.0, 3.0)), "needs weights"),
+            (lambda: Market(GEOMETRIC_MEAN, (1.0, 2.0, 3.0), weights=(1.0, 1.0)), "length mismatch"),
+            (lambda: Market(PRODUCT, (1.0, 2.0), weights=(1.0, 1.0)), "takes no weights"),
+            (lambda: trading_function(cpmm(10, 10), (10.0, -1.0)), "nonnegative"),
+            (lambda: marginal_rate(cpmm(10, 10), 0, 1, -1.0), "nonnegative"),
+            (
+                lambda: modified_forward_exchange(compose_with_order(cpmm(10, 10), LimitOrder(0.5, 2.0, 0, 1)), -1.0),
+                "nonnegative",
+            ),
+            (lambda: forward_exchange(cpmm(10, 10), 0, 2, 1.0), "out of range"),
+            (lambda: forward_exchange(cpmm(10, 10), -1, 1, 1.0), "out of range"),
+            (lambda: forward_exchange(cpmm(10, 10), 1, 1, 1.0), "must differ"),
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

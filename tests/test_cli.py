@@ -460,6 +460,7 @@ class TestErrorContracts:
         + [
             (["emit-gnuplot", "x.csv"], ["--out", "x"]),
             (["route", "--problem", "table1"], ["--grid", "0:1:2"]),
+            (["pigou", "--grid", "0:1:2"], ["--no-order"]),
         ],
         ids=lambda v: " ".join(v),
     )
@@ -468,6 +469,32 @@ class TestErrorContracts:
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(argv + removed)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("frontier_without_targets", "targets"),
+            ("gnuplot_missing_csv", "csv"),
+            ("missing_config", ""),
+            ("markets_not_a_list", "markets"),
+            ("negative_budget", ""),
+        ],
+    )
+    def test_refusal_is_exit_2(self, tmp_path, capsys, case, field):
+        hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
+        problem = write_json(tmp_path / "problem.json", dict(ROUTE_PROBLEM, markets=5))
+        out = ["--out", str(tmp_path / "run")]
+        argv = {
+            "frontier_without_targets": ["hook-frontier", "--config", hook] + out,
+            "gnuplot_missing_csv": ["emit-gnuplot", str(tmp_path / "missing.csv")],
+            "missing_config": ["liquidate-solve", "--config", str(tmp_path / "missing.json")] + out,
+            "markets_not_a_list": ["route", "--problem", problem, "--s", "0:1:2"] + out,
+            "negative_budget": ["route", "--problem", "table1", "--s=-1:1:3"] + out,
+        }[case]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["field"]) == ("config_parse", field)
+        assert not (tmp_path / "run").exists()
 
     def test_route_without_budget_sweep_is_exit_2(self, tmp_path, capsys):
         assert main(["route", "--problem", "table1", "--out", str(tmp_path)]) == 2

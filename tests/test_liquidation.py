@@ -626,3 +626,40 @@ class TestFeeBand:
         assert np.all(sim.inventory[:, -1] == 0.0)
         [(_, mean, _)] = compare_vs_twamm([volatility], cfg, pool, params, 50, seed=11, z0=-0.003)
         assert mean > 0.0
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: small_cfg(horizon=0), "horizon"),
+            (lambda: small_cfg(inventory=-1.0), "inventory must be nonnegative"),
+            (lambda: small_cfg(gas=-1.0), "gas and inventory cost"),
+            (lambda: small_cfg(inventory_cost=-1.0), "gas and inventory cost"),
+            (lambda: small_cfg(discount=0.0), "discount"),
+            (lambda: small_cfg(discount=1.5), "discount"),
+            (lambda: small_cfg(n_inventory=1), "at least two points"),
+            (lambda: small_cfg(quad_order=1), "at least two points"),
+            (lambda: small_cfg(dynamics="linear"), "dynamics"),
+            (lambda: PoolParams(0.0, 1.0, 0.003, 0.003), "reserves must be positive"),
+            (lambda: PoolParams(1.0, -1.0, 0.003, 0.003), "reserves must be positive"),
+            (lambda: PoolParams(1.0, 1.0, -0.003, 0.003), "fee bounds"),
+            (lambda: PoolParams(1.0, 1.0, 0.003, -0.003), "fee bounds"),
+            (lambda: PoolParams(1.0, 1.0, 0.003, 0.003, external_price=0.0), "external price"),
+            (lambda: MispricingParams(0.0, -1.0, 1.0), "volatility"),
+            (lambda: MispricingParams(0.0, 1.0, 0.0), "dt must be positive"),
+            (lambda: clamp_mispricing(0.0, -0.003, 0.003), "fee bounds"),
+            (lambda: clamp_mispricing(0.0, 0.003, -0.003), "fee bounds"),
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_policy_of_another_shape_refused(self):
+        cfg = small_cfg(horizon=2, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
+        params = MispricingParams(0.0, 1.0, 1.0)
+        _, policy = value_iteration(cfg, small_pool(), params)
+        other = small_cfg(horizon=3, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
+        with pytest.raises(ValueError, match="policy shape"):
+            simulate_policy(policy, other, small_pool(), params, 2, seed=0)

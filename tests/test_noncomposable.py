@@ -333,3 +333,36 @@ class TestFrontier:
                 assert combined_return(s, pt.hook_trade) >= pt.target_return - 1e-6
                 # Minimality: a hair less trade misses the target.
                 assert combined_return(s, pt.hook_trade - 1e-6) <= pt.target_return + 1e-3
+
+
+def hook(**kw):
+    base = dict(
+        total_trade=100.0,
+        cpmm_reserves=(100.0, 100.0),
+        hook_reserves=(100.0, 100.0),
+        curvature=0.5,
+        variance=VarianceSpec(LINEAR, 1.0),
+        risk_aversion=1.0,
+    )
+    base.update(kw)
+    return HookScenario(**base)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: hook(total_trade=0.0), "total trade"),
+            (lambda: hook(cpmm_reserves=(100.0, 0.0)), "reserves must be positive"),
+            (lambda: hook(hook_reserves=(-1.0, 100.0)), "reserves must be positive"),
+            (lambda: hook(curvature=-0.1), "curvature"),
+            (lambda: hook(curvature=1.1), "curvature"),
+            (lambda: hook(risk_aversion=-1.0), "risk aversion"),
+            (lambda: VarianceSpec(LINEAR, -1.0), "scale must be nonnegative"),
+            (lambda: efficient_frontier(scenario(), [1.0, math.nan]), "finite"),
+            (lambda: efficient_frontier(scenario(), [math.inf]), "finite"),
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -645,11 +645,137 @@ def hostile_sweeps():
     for seed in TestAdversarialCertification.HARD_SEEDS + tuple(range(4000, 4020)):
         problem = adversarial_instance(seed)
         try:
-            routing._check_route_exists(problem)
+            routing._check_route_exists(routing._Program(problem))
         except NoFeasibleRouteError:
             continue
         sweeps.append((problem, np.linspace(0.0, 2.0 * problem.utility.budget, 5)))
     return sweeps
+
+
+def reference_route_exists(problem):
+    """Depth-first search over adjacency sets: each pool joins all of its
+    assets both ways, each order joins its input to its output."""
+    adj = [set() for _ in range(problem.n_assets)]
+    for _, assets in problem.markets:
+        for a in assets:
+            adj[a].update(b for b in assets if b != a)
+    for order in problem.orders:
+        adj[order.input_asset].add(order.output_asset)
+    start, goal = problem.utility.input_asset, problem.utility.output_asset
+    seen, frontier = {start}, [start]
+    while frontier:
+        node = frontier.pop()
+        if node == goal:
+            return True
+        for nxt in adj[node]:
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
+def route_exists(problem):
+    try:
+        routing._check_route_exists(routing._Program(problem))
+    except NoFeasibleRouteError as exc:
+        util = problem.utility
+        assert str(exc) == f"no feasible route from asset {util.input_asset} to asset {util.output_asset}"
+        return False
+    return True
+
+
+@st.composite
+def small_networks(draw):
+    """Networks of 2-6 assets with 0-3 pools of every kind and 0-3 orders,
+    some of zero volume; assets may be isolated."""
+    n = draw(st.integers(2, 6))
+
+    def distinct(k):
+        return tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+
+    markets = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from([PRODUCT, SUM, GEOMETRIC_MEAN]))
+        k = draw(st.integers(2, min(n, 4))) if kind == GEOMETRIC_MEAN else 2
+        weights = (1.0,) * k if kind == GEOMETRIC_MEAN else None
+        markets.append((Market(kind, (1.0,) * k, 0.99, weights=weights), distinct(k)))
+    orders = [
+        LimitOrder(1.0, draw(st.sampled_from([0.0, 1.0])), *distinct(2))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return RoutingProblem(n, markets, orders, Liquidate(*distinct(2), 1.0))
+
+
+class TestRouteCheck:
+    """The route check on the program's index arrays finds the routes a
+    search over the problem's adjacency sets finds."""
+
+    def test_agrees_on_hostile_networks(self):
+        seeds = TestAdversarialCertification.HARD_SEEDS + tuple(range(4000, 4020))
+        outcomes = [route_exists(adversarial_instance(seed)) for seed in seeds]
+        assert outcomes == [reference_route_exists(adversarial_instance(seed)) for seed in seeds]
+        assert any(outcomes) and not all(outcomes)
+
+    @given(small_networks())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_on_small_networks(self, problem):
+        assert route_exists(problem) == reference_route_exists(problem)
+
+
+class TestZeroBudget:
+    def test_zero_solutions_trade_nothing_apart(self):
+        problem = table1_problem(0.0)
+        first, second, positive = solve_curve(problem, [0.0, 0.0, 5.0])
+        assert positive.utility_value > 0.0
+        for sol in (first, second):
+            assert (sol.status, sol.utility_value, sol.gap, sol.iterations) == ("optimal", 0.0, 0.0, 0)
+            assert sol.dual_prices is None
+            assert np.array_equal(sol.psi, np.zeros(problem.n_assets))
+            assert [(d.tolist(), r.tolist()) for d, r in sol.market_trades] == [
+                ([0.0] * m.n_assets, [0.0] * m.n_assets) for m, _ in problem.markets
+            ]
+            assert sol.order_trades == [Trade2(0.0, 0.0)] * len(problem.orders)
+        first.psi[0] = 1.0
+        first.market_trades[0][0][0] = 1.0
+        assert second.psi[0] == 0.0 and second.market_trades[0][0][0] == 0.0
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Liquidate(0, 1, -1.0), "finite and nonnegative"),
+            (lambda: Liquidate(0, 1, math.inf), "finite and nonnegative"),
+            (lambda: Liquidate(0, 0, 1.0), "must differ"),
+            (lambda: pair_problem([Market(GEOMETRIC_MEAN, (1.0, 1.0, 1.0), weights=(1.0,) * 3)], 1.0), "length"),
+            (lambda: RoutingProblem(2, [(Market(PRODUCT, (1.0, 1.0)), (0, 2))], [], Liquidate(0, 1, 1.0)), "range"),
+            (lambda: RoutingProblem(2, [(Market(PRODUCT, (1.0, 1.0)), (1, 1))], [], Liquidate(0, 1, 1.0)), "distinct"),
+            (lambda: RoutingProblem(2, [], [LimitOrder(1.0, 1.0, 0, 2)], Liquidate(0, 1, 1.0)), "order asset"),
+            (lambda: RoutingProblem(2, [], [], Liquidate(0, 2, 1.0)), "utility asset"),
+            (lambda: solve_curve(pigou_problem(0.0), [1.0, 0.5]), "nondecreasing"),
+            (lambda: solve_curve(pigou_problem(0.0), [-1.0, 0.0]), "finite and nonnegative"),
+            (lambda: solve_curve(pigou_problem(0.0), [0.0, math.nan]), "finite and nonnegative"),
+            (
+                lambda: brute_force_route(
+                    RoutingProblem(3, [(Market(PRODUCT, (1.0, 1.0)), (0, 2))], [], Liquidate(0, 1, 1.0)), 10
+                ),
+                "every market",
+            ),
+            (
+                lambda: brute_force_route(
+                    RoutingProblem(2, [], [LimitOrder(1.0, 1.0, 1, 0)], Liquidate(0, 1, 1.0)), 10
+                ),
+                "every order",
+            ),
+            (lambda: brute_force_route(pigou_problem(1.0), 10**8), "grid too large"),
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    def test_oracle_without_legs_is_zero(self):
+        assert brute_force_route(RoutingProblem(2, [], [], Liquidate(0, 1, 1.0)), 10) == 0.0
 
 
 class TestLaneBatch:
@@ -768,19 +894,19 @@ class TestLaneFailure:
 class TestBruteForce:
     def test_single_market_equals_forward_exchange(self):
         m = Market(PRODUCT, (10, 10), 0.98)
-        sol = brute_force_route(pair_problem([m], 7.0), 100)
-        assert sol.utility_value == pytest.approx(forward_exchange(m, 0, 1, 7.0), rel=1e-12)
+        value = brute_force_route(pair_problem([m], 7.0), 100)
+        assert value == pytest.approx(forward_exchange(m, 0, 1, 7.0), rel=1e-12)
 
     def test_order_only_piecewise_fill(self):
         order = LimitOrder(0.4, 3.0, 0, 1)
-        assert brute_force_route(pair_problem([order], 2.0), 50).utility_value == pytest.approx(0.8)
-        assert brute_force_route(pair_problem([order], 50.0), 50).utility_value == pytest.approx(3.0)
+        assert brute_force_route(pair_problem([order], 2.0), 50) == pytest.approx(0.8)
+        assert brute_force_route(pair_problem([order], 50.0), 50) == pytest.approx(3.0)
 
     def test_pigou_agreement(self):
         problem = pigou_problem(9.0)
         bf = brute_force_route(problem, 10**4)
         sv = solve_routing(problem)
-        assert sv.utility_value == pytest.approx(bf.utility_value, rel=1e-3)
+        assert sv.utility_value == pytest.approx(bf, rel=1e-3)
 
     def test_refuses_large_instances(self):
         legs = [Market(PRODUCT, (10, 10), 1.0)] * 3
@@ -840,7 +966,7 @@ class TestRandomInstancesAgainstOracle:
         problem = random_instance(rng)
         bf = brute_force_route(problem, 4000)
         sv = solve_routing(problem)
-        assert sv.utility_value == pytest.approx(bf.utility_value, rel=1e-3, abs=1e-9)
+        assert sv.utility_value == pytest.approx(bf, rel=1e-3, abs=1e-9)
         res = solution_residuals(problem, sv)
         assert res["budget_slack"] >= -1e-8
         assert res["market_residual"] <= 1e-8
@@ -995,7 +1121,7 @@ class TestHonestBound:
         rng = np.random.default_rng(20240501)
         for _ in range(50):
             problem = random_instance(rng)
-            oracle = brute_force_route(problem, 10**4).utility_value
+            oracle = brute_force_route(problem, 10**4)
             sol = solve_routing(problem)
             assert sol.status == "optimal"
             assert sol.utility_value + sol.gap >= oracle - 1e-12 * max(1.0, oracle)
