@@ -66,6 +66,15 @@ def parse_grid(text):
     return np.linspace(start, stop, count)
 
 
+def _nonnegative_grid(text, what):
+    """A `parse_grid` sweep of budgets or volatilities; its start, the least
+    value, must not be negative."""
+    grid = parse_grid(text)
+    if grid[0] < 0:
+        raise ConfigError(f"grid {text!r}: {what} must be nonnegative", "grid")
+    return grid
+
+
 def _fmt(value):
     # Floats first: they fill most cells of the large tables.
     if isinstance(value, (float, np.floating)):
@@ -159,7 +168,7 @@ def _solve_curve_strict(problem, grid):
 
 
 def cmd_pigou(args):
-    grid = parse_grid(args.grid)
+    grid = _nonnegative_grid(args.grid, "budget")
     # The order is always included; the record keeps the hash of runs that
     # chose it with --with-order.
     writer = RunWriter("pigou", args.out, {"grid": args.grid, "with_order": True})
@@ -187,7 +196,7 @@ def _load_problem(spec_text):
 def cmd_route(args):
     if args.s is None:
         raise ConfigError("route needs --s", "grid")
-    grid = parse_grid(args.s)
+    grid = _nonnegative_grid(args.s, "budget")
     problem = _load_problem(args.problem)
     record = {"problem": problem_to_dict(problem), "grid": args.s}
     writer = RunWriter("route", args.out, record)
@@ -235,8 +244,11 @@ def _dump_times(text, horizon):
     return times
 
 
-def _check_paths(args, cfg):
-    """Refuse --paths before any solve: too few, or too many for memory."""
+def _check_sampling(args, cfg):
+    """Refuse --seed and --paths before any solve: a negative seed, too few
+    paths, or too many for memory."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed {args.seed}: the seed must be nonnegative", "seed")
     try:
         check_paths(args.paths, cfg.horizon)
     except ValueError as exc:
@@ -286,7 +298,7 @@ def cmd_liquidate_solve(args):
 def cmd_liquidate_simulate(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
-    _check_paths(args, cfg)
+    _check_sampling(args, cfg)
     writer = RunWriter("liquidate-simulate", args.out, record, seed=args.seed)
     _, policy = value_iteration(cfg, pool, params)
     sim = simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
@@ -303,8 +315,8 @@ def cmd_liquidate_simulate(args):
 def cmd_compare_twamm(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
-    _check_paths(args, cfg)
-    sigma_grid = parse_grid(args.grid)
+    _check_sampling(args, cfg)
+    sigma_grid = _nonnegative_grid(args.grid, "volatility")
     writer = RunWriter("compare-twamm", args.out, record, seed=args.seed)
     results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
     writer.add_table("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))
@@ -474,13 +486,26 @@ def _build_parser():
     return parser
 
 
+def _grid_values_joined(argv):
+    """argv with each grid option joined to a value that starts with one "-"
+    (`--grid -5:70:3` as `--grid=-5:70:3`), which argparse would read as an
+    option."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--s", "--grid") and arg.startswith("-") and not arg.startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def _fail(code, kind, detail, field=""):
     print(json.dumps({"error": kind, "detail": detail, "field": field}, sort_keys=True))
     return code
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_grid_values_joined(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except ConfigError as exc:

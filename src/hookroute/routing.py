@@ -102,7 +102,7 @@ class RoutingSolution:
     order_trades: list[Trade2]
     utility_value: float
     status: str
-    dual_prices: np.ndarray | None
+    dual_prices: np.ndarray
     gap: float
     iterations: int
 
@@ -720,25 +720,18 @@ def _solution(problem, result):
 
 
 def _solve_budgets(problem, budgets, max_iter):
-    """Solutions at a nondecreasing list of nonnegative budgets; the
-    problem's own budget is not read. A zero budget trades nothing and is
-    certified with a zero gap. Every positive budget is a lane of one
-    program, whose route `_check_route_exists` checks first, in
-    consecutive chunks of as many lanes as fit MAX_SOLVE_BYTES."""
+    """Solutions at a list of nonnegative budgets; the problem's own budget
+    is not read. Every budget, 0 included, is a lane of one program, whose
+    route `_check_route_exists` checks first, in consecutive chunks of as
+    many lanes as fit MAX_SOLVE_BYTES."""
     lane_bytes = check_solve_size(problem)
     prog = _Program(problem)
-    # (d, r, y, psi) lengths; each zero budget gets arrays of its own, since
-    # a solution's trades are views of them.
-    sizes = (prog.n_legs, prog.n_legs, len(prog.volume), prog.n_assets)
-    zero = [((*map(np.zeros, sizes), None, 0.0), True, 0) for s in budgets if s == 0]
-    solutions = [_solution(problem, result) for result in zero]
-    positive = budgets[len(solutions) :]
-    if positive:
-        _check_route_exists(prog)
-        chunk = MAX_SOLVE_BYTES // lane_bytes
-        for start in range(0, len(positive), chunk):
-            results = _interior_point(prog, positive[start : start + chunk], max_iter)
-            solutions.extend(_solution(problem, result) for result in results)
+    _check_route_exists(prog)
+    chunk = MAX_SOLVE_BYTES // lane_bytes
+    solutions = []
+    for start in range(0, len(budgets), chunk):
+        results = _interior_point(prog, budgets[start : start + chunk], max_iter)
+        solutions.extend(_solution(problem, result) for result in results)
     return solutions
 
 
@@ -760,18 +753,16 @@ def solve_routing(problem: RoutingProblem, max_iter: int = MAX_ITER) -> RoutingS
 
 
 def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
-    """Solve across a nondecreasing budget grid, one solution per budget.
+    """Solve across a budget grid, one solution per budget, in grid order.
 
-    `Liquidate` refuses a negative or non-finite budget. A budget of 0
-    trades nothing, optimally. The others are lanes of one batched
-    interior-point solve over one program, run in consecutive chunks of as
-    many lanes as fit the MAX_SOLVE_BYTES budget (`check_solve_size`).
-    Each lane is certified alone, and its solution is bit for bit what
-    `solve_routing` returns at its budget.
+    `Liquidate` refuses a negative or non-finite budget. Every budget, 0
+    included, is a lane of one batched interior-point solve over one
+    program, run in consecutive chunks of as many lanes as fit the
+    MAX_SOLVE_BYTES budget (`check_solve_size`). Each lane is certified
+    alone, so its solution is bit for bit what `solve_routing` returns at
+    its budget, whatever the grid's order.
     """
     grid = list(s_grid)
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise ValueError("budget grid must be nondecreasing")
     util = problem.utility
     for s in grid:
         Liquidate(util.input_asset, util.output_asset, s)  # refuses a non-finite budget

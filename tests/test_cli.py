@@ -354,6 +354,14 @@ class TestErrorContracts:
         assert main(["route", "--problem", path, "--s", "1:2:2", "--out", str(tmp_path)]) == 4
         assert json.loads(capsys.readouterr().out)["error"] == "infeasible"
 
+    def test_infeasible_zero_budget_is_exit_4(self, tmp_path, capsys):
+        # A zero budget is solved like any other, so a network with no route
+        # is refused at it too.
+        record = dict(ROUTE_PROBLEM, n_assets=4, utility={"liquidate": {"input": 0, "output": 3, "budget": 1.0}})
+        path = write_json(tmp_path / "p.json", record)
+        assert main(["route", "--problem", path, "--s", "0:0:1", "--out", str(tmp_path)]) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == "infeasible"
+
     def test_oversized_grid_refused_before_solving(self, tmp_path, capsys, monkeypatch):
         import hookroute.cli as cli_mod
 
@@ -477,7 +485,10 @@ class TestErrorContracts:
             ("gnuplot_missing_csv", "csv"),
             ("missing_config", ""),
             ("markets_not_a_list", "markets"),
-            ("negative_budget", ""),
+            ("negative_budget", "grid"),
+            ("negative_budget_spaced", "grid"),
+            ("negative_pigou_budget", "grid"),
+            ("negative_pigou_budget_spaced", "grid"),
         ],
     )
     def test_refusal_is_exit_2(self, tmp_path, capsys, case, field):
@@ -490,11 +501,21 @@ class TestErrorContracts:
             "missing_config": ["liquidate-solve", "--config", str(tmp_path / "missing.json")] + out,
             "markets_not_a_list": ["route", "--problem", problem, "--s", "0:1:2"] + out,
             "negative_budget": ["route", "--problem", "table1", "--s=-1:1:3"] + out,
+            "negative_budget_spaced": ["route", "--problem", "table1", "--s", "-1:1:3"] + out,
+            "negative_pigou_budget": ["pigou", "--grid=-1:1:3"] + out,
+            "negative_pigou_budget_spaced": ["pigou", "--grid", "-1:1:3"] + out,
         }[case]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)
         assert (err["error"], err["field"]) == ("config_parse", field)
         assert not (tmp_path / "run").exists()
+
+    def test_frontier_grid_may_start_below_zero(self, tmp_path):
+        hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
+        assert main(["hook-frontier", "--config", hook, "--grid", "-5:70:3", "--out", str(tmp_path)]) == 0
+        _, rows = read_rows(tmp_path / "frontier.csv")
+        assert [row[0] for row in rows] == ["-5.0", "32.5", "70.0"]
+        assert rows[0] == ["-5.0", "0.0", "0.0", "true"]
 
     def test_route_without_budget_sweep_is_exit_2(self, tmp_path, capsys):
         assert main(["route", "--problem", "table1", "--out", str(tmp_path)]) == 2
@@ -559,6 +580,10 @@ class TestErrorContracts:
             (["liquidate-solve", "--dump-times", "0,12"], "dump-times"),
             (["liquidate-simulate", "--paths", "0"], "paths"),
             (["compare-twamm", "--grid", "0:1:2", "--paths", "-3"], "paths"),
+            (["compare-twamm", "--grid=-1:1:3"], "grid"),
+            (["compare-twamm", "--grid", "-1:1:3"], "grid"),
+            (["liquidate-simulate", "--seed", "-1"], "seed"),
+            (["compare-twamm", "--grid", "0:1:2", "--seed", "-1"], "seed"),
         ],
     )
     def test_bad_options_named_before_solving(self, tmp_path, capsys, monkeypatch, argv, field):

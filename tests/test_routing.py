@@ -48,7 +48,7 @@ def solution_bits(sol):
         sol.utility_value,
         sol.gap,
         sol.psi.tobytes(),
-        None if sol.dual_prices is None else sol.dual_prices.tobytes(),
+        sol.dual_prices.tobytes(),
         [(d.tobytes(), r.tobytes()) for d, r in sol.market_trades],
         sol.order_trades,
     )
@@ -723,21 +723,56 @@ class TestRouteCheck:
 
 
 class TestZeroBudget:
-    def test_zero_solutions_trade_nothing_apart(self):
+    """A zero budget is a lane like any other: its optimum is the network's
+    closed-loop arbitrage, certified by the same dual bound."""
+
+    def test_zero_lanes_certified(self):
+        for problem, grid in paper_sweeps() + hostile_sweeps():
+            assert grid[0] == 0.0
+            sol = solve_curve(problem, grid)[0]
+            assert sol.status == "optimal"
+            assert sol.dual_prices is not None
+            bound = sol.utility_value + sol.gap
+            assert sol.gap <= routing.TOL * max(1.0, abs(bound))
+            res = solution_residuals(at_budget(problem, 0.0), sol)
+            assert max(res["reconstruction"], res["market_residual"], res["order_slack"]) <= 1e-8
+            assert res["budget_slack"] >= -1e-8
+
+    @pytest.mark.parametrize("with_orders", [True, False])
+    def test_table1_arbitrage(self, with_orders):
+        problem = table1_problem(0.0)
+        if not with_orders:
+            problem = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
+        sol = solve_routing(problem)
+        assert sol.status == "optimal"
+        assert sol.utility_value == pytest.approx(16.707880468, rel=1e-7)
+        # A pure cycle: the input asset and the intermediate asset net to zero.
+        assert abs(sol.psi[0]) <= 1e-8 and abs(sol.psi[1]) <= 1e-8
+
+    @pytest.mark.parametrize("with_order", [True, False])
+    def test_pigou_has_no_arbitrage(self, with_order):
+        sol = solve_routing(pigou_problem(0.0, with_order=with_order))
+        assert (sol.status, sol.utility_value) == ("optimal", 0.0)
+
+    def test_zero_solutions_certified_apart(self):
         problem = table1_problem(0.0)
         first, second, positive = solve_curve(problem, [0.0, 0.0, 5.0])
-        assert positive.utility_value > 0.0
+        assert positive.utility_value > first.utility_value > 0.0
+        assert solution_bits(first) == solution_bits(second)
         for sol in (first, second):
-            assert (sol.status, sol.utility_value, sol.gap, sol.iterations) == ("optimal", 0.0, 0.0, 0)
-            assert sol.dual_prices is None
-            assert np.array_equal(sol.psi, np.zeros(problem.n_assets))
-            assert [(d.tolist(), r.tolist()) for d, r in sol.market_trades] == [
-                ([0.0] * m.n_assets, [0.0] * m.n_assets) for m, _ in problem.markets
-            ]
-            assert sol.order_trades == [Trade2(0.0, 0.0)] * len(problem.orders)
+            assert sol.status == "optimal"
+            assert_feasible(problem, sol)
         first.psi[0] = 1.0
         first.market_trades[0][0][0] = 1.0
-        assert second.psi[0] == 0.0 and second.market_trades[0][0][0] == 0.0
+        first.dual_prices[0] = 0.0
+        assert second.psi[0] != 1.0 and second.market_trades[0][0][0] != 1.0 and second.dual_prices[0] != 0.0
+
+    def test_disconnected_zero_budget_refused(self):
+        problem = RoutingProblem(3, [(Market(PRODUCT, (10.0, 10.0), 1.0), (0, 1))], [], Liquidate(0, 2, 0.0))
+        with pytest.raises(NoFeasibleRouteError):
+            solve_curve(problem, [0.0])
+        with pytest.raises(NoFeasibleRouteError):
+            solve_routing(problem)
 
 
 class TestRefusals:
@@ -752,7 +787,6 @@ class TestRefusals:
             (lambda: RoutingProblem(2, [(Market(PRODUCT, (1.0, 1.0)), (1, 1))], [], Liquidate(0, 1, 1.0)), "distinct"),
             (lambda: RoutingProblem(2, [], [LimitOrder(1.0, 1.0, 0, 2)], Liquidate(0, 1, 1.0)), "order asset"),
             (lambda: RoutingProblem(2, [], [], Liquidate(0, 2, 1.0)), "utility asset"),
-            (lambda: solve_curve(pigou_problem(0.0), [1.0, 0.5]), "nondecreasing"),
             (lambda: solve_curve(pigou_problem(0.0), [-1.0, 0.0]), "finite and nonnegative"),
             (lambda: solve_curve(pigou_problem(0.0), [0.0, math.nan]), "finite and nonnegative"),
             (
@@ -803,8 +837,17 @@ class TestLaneBatch:
             monkeypatch.setattr(routing, "MAX_SOLVE_BYTES", 7 * need)
             chunks.clear()
             assert [solution_bits(sol) for sol in solve_curve(problem, grid)] == expected
-            positive = np.count_nonzero(grid)
-            assert chunks == [7] * (positive // 7) + ([positive % 7] if positive % 7 else [])
+            assert chunks == [7] * (len(grid) // 7) + ([len(grid) % 7] if len(grid) % 7 else [])
+
+    def test_shuffled_grid_gives_each_budget_its_solve(self):
+        # No ordering rule: a grid in any order, zeros anywhere, gives each
+        # budget what its own solve gives.
+        rng = np.random.default_rng(0)
+        for problem, grid in paper_sweeps()[2:] + hostile_sweeps():
+            shuffled = rng.permutation(grid)
+            assert shuffled.tolist() != sorted(shuffled.tolist())
+            expected = [solution_bits(solve_routing(at_budget(problem, s))) for s in shuffled]
+            assert [solution_bits(sol) for sol in solve_curve(problem, shuffled)] == expected
 
     def test_oversized_lane_refused_with_one_lane_per_chunk(self, monkeypatch):
         problem, grid = paper_sweeps()[2]
