@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .liquidation import check_paths, compare_vs_twamm, simulate_policy, value_iteration
+from .liquidation import MAX_SOLVE_BYTES, check_paths, compare_vs_twamm, simulate_policy, value_iteration
 # `solve_mean_variance` is unused here, but the benchmark's tracer
 # (bench/spans.py) rebinds it in this module.
 from .noncomposable import efficient_frontier, mean_variance_sweep, solve_mean_variance
@@ -48,7 +48,8 @@ class SolverFailure(Exception):
 
 
 def parse_grid(text):
-    """Inclusive start:stop:count sweep syntax."""
+    """Inclusive start:stop:count sweep syntax. A count whose float grid alone
+    would pass `MAX_SOLVE_BYTES` is refused before anything is allocated."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must look like start:stop:count", "grid")
@@ -61,6 +62,12 @@ def parse_grid(text):
         raise ConfigError(f"grid {text!r}: start and stop must be finite", "grid")
     if count < 1:
         raise ConfigError("grid count must be at least 1", "grid")
+    if 8 * count > MAX_SOLVE_BYTES:
+        raise ConfigError(
+            f"grid count {count} would need {8 * count / 1e6:.0f} MB for the grid alone, "
+            f"over the {MAX_SOLVE_BYTES / 1e6:.0f} MB budget",
+            "grid",
+        )
     if stop < start:
         raise ConfigError("grid stop must not precede start", "grid")
     return np.linspace(start, stop, count)
@@ -366,61 +373,6 @@ def cmd_hook_frontier(args):
     return EXIT_OK
 
 
-_GNUPLOT_TEMPLATES = {
-    ("s", "u", "u_no_order"): (
-        'plot DATA using 1:2 with lines title "with order", '
-        'DATA using 1:3 with lines title "without order"'
-    ),
-    ("s", "u_with_orders", "u_without_orders"): (
-        'plot DATA using 1:2 with lines title "with orders", '
-        'DATA using 1:3 with lines title "without orders"'
-    ),
-    ("s", "market_id", "asset_id", "amount"): (
-        'plot DATA using 1:4 with points title "per-market trades"'
-    ),
-    ("path", "t", "inventory"): 'plot DATA using 2:3 with points title "inventory"',
-    ("sigma", "mean_excess", "stderr"): (
-        'plot DATA using 1:2:3 with yerrorlines title "excess over uniform split"'
-    ),
-    ("alpha", "beta", "variance_form", "delta_star", "objective"): (
-        'plot DATA using 1:4 with points title "hook trade"'
-    ),
-    ("tau", "delta_star", "variance_star", "feasible"): (
-        'plot DATA using 1:3 with lines title "minimum variance"'
-    ),
-    ("t", "I", "z", "value", "action"): 'splot DATA using 2:3:4 with points title "value"',
-}
-
-
-def cmd_emit_gnuplot(args):
-    path = args.csv
-    if not os.path.exists(path):
-        raise ConfigError(f"no such CSV: {path}", "csv")
-    header = None
-    with open(path) as handle:
-        for line in handle:
-            if not line.startswith("#"):
-                header = tuple(line.strip().split(","))
-                break
-    template = _GNUPLOT_TEMPLATES.get(header)
-    if template is None:
-        print(f"warning: unrecognized CSV schema {header}, no script written", file=sys.stderr)
-        return EXIT_OK
-    script = "\n".join(
-        [
-            "set datafile separator ','",
-            f'DATA = "{os.path.abspath(path)}"',
-            f"set xlabel '{header[0]}'",
-            template,
-            "pause -1",
-        ]
-    )
-    out = os.path.splitext(path)[0] + ".gp"
-    _atomic_write(out, [script + "\n"])
-    print(out)
-    return EXIT_OK
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hookroute",
@@ -478,10 +430,6 @@ def _build_parser():
     p.add_argument("--grid", help="target sweep start:stop:count")
     common(p)
     p.set_defaults(fn=cmd_hook_frontier)
-
-    p = sub.add_parser("emit-gnuplot", help="write a plotting stub for a CSV")
-    p.add_argument("csv")
-    p.set_defaults(fn=cmd_emit_gnuplot)
 
     return parser
 

@@ -154,9 +154,7 @@ class Policy:
 @dataclass
 class SimResult:
     inventory: np.ndarray  # (n_paths, horizon + 1)
-    rewards: np.ndarray  # (n_paths, horizon)
     outputs: np.ndarray  # (n_paths,) realized numeraire net of gas
-    seed: int
 
 
 def clamp_mispricing(z: float, upper: float, lower: float):
@@ -368,9 +366,10 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
 def check_paths(n_paths, horizon):
     """Refuse a path count whose simulation arrays would pass `MAX_SOLVE_BYTES`.
 
-    A simulation, or a TWAMM comparison, holds at most three float arrays of
-    n_paths x (horizon + 1) at once: the noise, which a comparison draws
-    once for all its volatilities, and the policy's inventory and rewards.
+    A simulation, or a TWAMM comparison, holds two float arrays of
+    n_paths x (horizon + 1): the noise, which a comparison draws once for
+    all its volatilities, and the policy's inventory path. The bound counts
+    three, leaving one array of headroom.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -404,10 +403,10 @@ def simulate_policy(
     """Monte Carlo of the stored policy: nearest-grid action, inventory-capped."""
     if policy.action_index.shape != (cfg.horizon, cfg.n_inventory, cfg.n_mispricing):
         raise ValueError("policy shape does not match the configuration")
-    return _simulate(policy, cfg, pool, params, _noise_matrix(n_paths, cfg.horizon, seed), seed, z0)
+    return _simulate(policy, cfg, pool, params, _noise_matrix(n_paths, cfg.horizon, seed), z0)
 
 
-def _simulate(policy, cfg, pool, params, eps, seed, z0):
+def _simulate(policy, cfg, pool, params, eps, z0):
     """`simulate_policy` on a drawn noise matrix, one row per path."""
     n_paths = len(eps)
     inv_grid, z_grid = policy.inventory_grid, policy.mispricing_grid
@@ -417,7 +416,6 @@ def _simulate(policy, cfg, pool, params, eps, seed, z0):
     inventory = np.full(n_paths, cfg.inventory)
     z = np.full(n_paths, float(z0))
     inv_path = np.empty((n_paths, cfg.horizon + 1))
-    reward_path = np.empty((n_paths, cfg.horizon))
     outputs = np.zeros(n_paths)
     inv_path[:, 0] = inventory
     for t in range(cfg.horizon):
@@ -433,11 +431,10 @@ def _simulate(policy, cfg, pool, params, eps, seed, z0):
             - cfg.gas,
             0.0,
         )
-        reward_path[:, t] = reward(inventory, z, delta, cfg, pool)
         inventory = inventory - delta
         z = step_mispricing(z, delta, eps[:, t], params, pool, cfg.dynamics)
         inv_path[:, t + 1] = inventory
-    return SimResult(inv_path, reward_path, outputs, seed)
+    return SimResult(inv_path, outputs)
 
 
 def _twamm_path_values(cfg, pool, params, eps, z0):
@@ -450,19 +447,6 @@ def _twamm_path_values(cfg, pool, params, eps, z0):
         totals += pool.external_price * np.exp(-z_star) * slice_size
         z = step_mispricing(z, slice_size, eps[:, t], params, pool, cfg.dynamics)
     return totals - cfg.gas
-
-
-def twamm_value(
-    cfg: MdpConfig,
-    pool: PoolParams,
-    params: MispricingParams,
-    n_paths: int,
-    seed: int,
-    z0: float = 0.0,
-) -> float:
-    """Expected output of splitting the inventory uniformly for one gas fee."""
-    eps = _noise_matrix(n_paths, cfg.horizon, seed)
-    return float(np.mean(_twamm_path_values(cfg, pool, params, eps, z0)))
 
 
 def compare_vs_twamm(
@@ -487,7 +471,7 @@ def compare_vs_twamm(
             raise ValueError("volatility must be nonnegative")
         params_s = MispricingParams(params.drift, float(sigma), params.dt)
         _, policy = value_iteration(cfg, pool, params_s)
-        sim = _simulate(policy, cfg, pool, params_s, eps, seed, z0)
+        sim = _simulate(policy, cfg, pool, params_s, eps, z0)
         tw = _twamm_path_values(cfg, pool, params_s, eps, z0)
         excess = sim.outputs - tw
         stderr = float(np.std(excess, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0

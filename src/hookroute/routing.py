@@ -456,8 +456,8 @@ class _Program:
             cut = self._cuts(d, r, fill, spent, made, left)
             d *= 1.0 - cut[self.asset]
             y *= 1.0 - cut[self.order_in]
-        zero = np.zeros(n_legs)
-        return zero, zero, np.zeros(len(y)), np.zeros(n)
+        return np.zeros(n_legs), np.zeros(n_legs), np.zeros(len(y)), np.zeros(n)
+
     def _cuts(self, d, r, fill, spent, made, left):
         """Fractions of each asset's spending to cut so that none is overspent.
 

@@ -7,8 +7,8 @@ unless given), the reader of its value, and its default. A key is
 applies; a `_Key(None)` is legal but read by another function. One reader,
 `_record`, reads every record through its spec: it refuses a non-object,
 any key outside the spec and a missing required key, and returns the values
-by attribute; `_build` passes them to the constructor. The `*_to_dict`
-functions write records through the same specs.
+by attribute; `_build` passes them to the constructor. `problem_to_dict`
+writes records through the same specs.
 
 Every refusal is a `ConfigError` whose `field` names the culprit: an
 unknown key names the record that holds it (the key itself at the top
@@ -238,29 +238,13 @@ _SWEEPS = {
 _TARGETS = _list_of(_is_number, "one or more finite numbers", bool, lambda ts: [float(t) for t in ts])
 
 
-def market_to_dict(market: Market) -> dict:
-    return _to_dict(market, _MARKET)
-
-
-def market_from_dict(record, path="market") -> Market:
-    return _build(Market, record, path, _MARKET)
-
-
-def order_to_dict(order: LimitOrder) -> dict:
-    return _to_dict(order, _ORDER)
-
-
-def order_from_dict(record, path="order") -> LimitOrder:
-    return _build(LimitOrder, record, path, _ORDER)
-
-
 def problem_to_dict(problem: RoutingProblem) -> dict:
     return {
         "n_assets": problem.n_assets,
         "markets": [
-            dict(market_to_dict(m), assets=list(assets)) for m, assets in problem.markets
+            dict(_to_dict(m, _MARKET), assets=list(assets)) for m, assets in problem.markets
         ],
-        "orders": [order_to_dict(o) for o in problem.orders],
+        "orders": [_to_dict(o, _ORDER) for o in problem.orders],
         "utility": {"liquidate": _to_dict(problem.utility, _LIQUIDATE)},
     }
 

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import math
@@ -21,10 +22,6 @@ from hookroute.serialize import (
     hook_scenario_from_dict,
     hook_sweeps_from_dict,
     liquidation_config_from_dict,
-    market_from_dict,
-    market_to_dict,
-    order_from_dict,
-    order_to_dict,
     problem_from_dict,
     problem_to_dict,
 )
@@ -84,20 +81,22 @@ def reference_rows(vf, policy, times):
                 yield ",".join(map(_fmt, (t, inv, z, value, action))) + "\n"
 
 
+def one_market_record(market):
+    """A two-asset problem record holding `market`, a market record, alone."""
+    return {
+        "n_assets": 2,
+        "markets": [dict(market, assets=[0, 1])],
+        "orders": [],
+        "utility": {"liquidate": {"input": 0, "output": 1, "budget": 1}},
+    }
+
+
+def market_record(market):
+    """`market`'s record as `problem_to_dict` writes it, in a two-asset problem."""
+    return problem_to_dict(RoutingProblem(2, [(market, (0, 1))], [], Liquidate(0, 1, 1.0)))["markets"][0]
+
+
 class TestSerialize:
-    def test_market_round_trip(self):
-        markets = [
-            Market(PRODUCT, (10, 1), 0.99),
-            Market(SUM, (10, 10), 0.99),
-            Market(GEOMETRIC_MEAN, (3, 0.2, 1), 0.98, weights=(3, 2, 1)),
-        ]
-        for market in markets:
-            assert market_from_dict(market_to_dict(market)) == market
-
-    def test_order_round_trip(self):
-        order = LimitOrder(0.5, 40.0, 0, 2)
-        assert order_from_dict(order_to_dict(order)) == order
-
     def test_problem_round_trip(self):
         problem = RoutingProblem(
             3,
@@ -110,17 +109,10 @@ class TestSerialize:
 
     def test_field_names_in_errors(self):
         with pytest.raises(ConfigError) as err:
-            market_from_dict({"kind": "product"})
-        assert err.value.field == "market.reserves"
+            problem_from_dict(one_market_record({"kind": "product"}))
+        assert err.value.field == "markets[0].reserves"
         with pytest.raises(ConfigError) as err:
-            problem_from_dict(
-                {
-                    "n_assets": 2,
-                    "markets": [{"kind": "product", "reserves": [1, -1], "assets": [0, 1]}],
-                    "orders": [],
-                    "utility": {"liquidate": {"input": 0, "output": 1, "budget": 1}},
-                }
-            )
+            problem_from_dict(one_market_record({"kind": "product", "reserves": [1, -1]}))
         assert err.value.field == "markets[0]"
 
     @pytest.mark.parametrize(
@@ -145,18 +137,18 @@ class TestSerialize:
 
     def test_out_of_range_values_refused(self):
         with pytest.raises(ConfigError) as err:
-            market_from_dict({"kind": "product", "reserves": [1, 1], "fee": 10**400})
-        assert err.value.field == "market.fee"
+            problem_from_dict(one_market_record({"kind": "product", "reserves": [1, 1], "fee": 10**400}))
+        assert err.value.field == "markets[0].fee"
         with pytest.raises(ConfigError) as err:
-            market_from_dict({"kind": "geometric_mean", "reserves": [], "weights": []})
-        assert err.value.field == "market"
+            problem_from_dict(one_market_record({"kind": "geometric_mean", "reserves": [], "weights": []}))
+        assert err.value.field == "markets[0]"
 
     def test_weights_left_out_when_absent(self):
         # A route manifest hashes this record, so an absent key must stay absent.
-        assert market_to_dict(Market(PRODUCT, (10, 1), 0.99)) == {
-            "kind": "product", "reserves": [10.0, 1.0], "fee": 0.99
+        assert market_record(Market(PRODUCT, (10, 1), 0.99)) == {
+            "kind": "product", "reserves": [10.0, 1.0], "fee": 0.99, "assets": [0, 1]
         }
-        assert market_to_dict(Market(GEOMETRIC_MEAN, (3, 1), weights=(2, 1)))["weights"] == [2.0, 1.0]
+        assert market_record(Market(GEOMETRIC_MEAN, (3, 1), weights=(2, 1)))["weights"] == [2.0, 1.0]
 
 
 class TestGridSyntax:
@@ -165,7 +157,7 @@ class TestGridSyntax:
         assert grid[0] == 0.0 and grid[-1] == 10.0 and len(grid) == 5
 
     def test_bad_grids(self):
-        for text in ("0:10", "a:b:c", "0:10:0", "5:1:3"):
+        for text in ("0:10", "a:b:c", "0:10:0", "5:1:3", f"0:10:{MAX_SOLVE_BYTES // 8 + 1}"):
             with pytest.raises(ConfigError):
                 parse_grid(text)
 
@@ -250,35 +242,6 @@ class TestCommands:
         header, rows = read_rows(out / "frontier.csv")
         assert header == ["tau", "delta_star", "variance_star", "feasible"]
 
-    def test_gnuplot_stub(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        main(["pigou", "--grid", "0:4:3", "--out", str(out)])
-        csv_path = str(out / "pigou_output.csv")
-        assert main(["emit-gnuplot", csv_path]) == 0
-        assert os.path.exists(str(out / "pigou_output.gp"))
-
-    def test_gnuplot_unknown_schema_warns(self, tmp_path, capsys):
-        weird = tmp_path / "weird.csv"
-        weird.write_text("a,b,c\n1,2,3\n")
-        assert main(["emit-gnuplot", str(weird)]) == 0
-        assert "unrecognized" in capsys.readouterr().err
-        assert not os.path.exists(str(tmp_path / "weird.gp"))
-
-    def test_gnuplot_recognizes_every_emitted_schema(self, tmp_path):
-        liq = write_json(tmp_path / "liq.json", LIQ_CONFIG)
-        hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
-        out = tmp_path / "all"
-        main(["route", "--problem", "table1", "--s", "0:100:3", "--out", str(out)])
-        main(["liquidate-solve", "--config", liq, "--out", str(out)])
-        main(["liquidate-simulate", "--config", liq, "--paths", "2", "--seed", "1", "--out", str(out)])
-        main(["compare-twamm", "--config", liq, "--grid", "0:1:2", "--paths", "2", "--seed", "1", "--out", str(out)])
-        main(["hook-mean-variance", "--config", hook, "--out", str(out)])
-        main(["hook-frontier", "--config", hook, "--grid", "0:30:3", "--out", str(out)])
-        for name in os.listdir(out):
-            if name.endswith(".csv"):
-                assert main(["emit-gnuplot", str(out / name)]) == 0
-                assert os.path.exists(str(out / name)[:-4] + ".gp"), name
-
     def test_dump_all_times(self, tmp_path):
         cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
         out = tmp_path / "run"
@@ -312,7 +275,6 @@ VALID_ARGVS = [
     ["compare-twamm", "--config", "c.json", "--grid", "0:1:2"],
     ["hook-mean-variance", "--config", "c.json"],
     ["hook-frontier", "--config", "c.json"],
-    ["emit-gnuplot", "x.csv"],
 ]
 
 
@@ -466,14 +428,15 @@ class TestErrorContracts:
         "argv, removed",
         [(argv, ["--format", "csv"]) for argv in VALID_ARGVS]
         + [
-            (["emit-gnuplot", "x.csv"], ["--out", "x"]),
+            ([], ["emit-gnuplot", "x.csv"]),
             (["route", "--problem", "table1"], ["--grid", "0:1:2"]),
             (["pigou", "--grid", "0:1:2"], ["--no-order"]),
         ],
         ids=lambda v: " ".join(v),
     )
     def test_removed_options_refused_by_parser(self, argv, removed):
-        _build_parser().parse_args(argv)
+        if argv:
+            _build_parser().parse_args(argv)
         with pytest.raises(SystemExit) as exc:
             _build_parser().parse_args(argv + removed)
         assert exc.value.code == 2
@@ -482,13 +445,14 @@ class TestErrorContracts:
         "case, field",
         [
             ("frontier_without_targets", "targets"),
-            ("gnuplot_missing_csv", "csv"),
             ("missing_config", ""),
             ("markets_not_a_list", "markets"),
             ("negative_budget", "grid"),
             ("negative_budget_spaced", "grid"),
             ("negative_pigou_budget", "grid"),
             ("negative_pigou_budget_spaced", "grid"),
+            ("huge_route_grid", "grid"),
+            ("huge_frontier_grid", "grid"),
         ],
     )
     def test_refusal_is_exit_2(self, tmp_path, capsys, case, field):
@@ -497,13 +461,15 @@ class TestErrorContracts:
         out = ["--out", str(tmp_path / "run")]
         argv = {
             "frontier_without_targets": ["hook-frontier", "--config", hook] + out,
-            "gnuplot_missing_csv": ["emit-gnuplot", str(tmp_path / "missing.csv")],
             "missing_config": ["liquidate-solve", "--config", str(tmp_path / "missing.json")] + out,
             "markets_not_a_list": ["route", "--problem", problem, "--s", "0:1:2"] + out,
             "negative_budget": ["route", "--problem", "table1", "--s=-1:1:3"] + out,
             "negative_budget_spaced": ["route", "--problem", "table1", "--s", "-1:1:3"] + out,
             "negative_pigou_budget": ["pigou", "--grid=-1:1:3"] + out,
             "negative_pigou_budget_spaced": ["pigou", "--grid", "-1:1:3"] + out,
+            # Grids whose float array alone would pass MAX_SOLVE_BYTES.
+            "huge_route_grid": ["route", "--problem", "table1", "--s", "0:1:100000000000"] + out,
+            "huge_frontier_grid": ["hook-frontier", "--config", hook, "--grid", "0:70:100000000000"] + out,
         }[case]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)
@@ -1012,6 +978,13 @@ class TestReproduceScript:
             liquidation_config_from_dict(record)
         for run_dir, bench in [(carry[1], workloads.LIQUIDATION_CONFIG), ("twamm", workloads.TWAMM_CONFIG)]:
             assert without_horizon(written[os.path.join(run_dir, "config.json")]) == without_horizon(bench)
+
+
+    def test_every_command_is_a_step(self, tmp_path, monkeypatch):
+        """The CLI's subcommands are exactly the commands the battery runs."""
+        reproduce = load_by_path(monkeypatch, "reproduce", os.path.join(REPO, "scripts", "reproduce.py"))
+        [subparsers] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == {argv[0] for _, argv in reproduce.steps(str(tmp_path))}
 
 
 class TestReadme:

@@ -21,7 +21,6 @@ from hookroute.liquidation import (
     reward,
     simulate_policy,
     step_mispricing,
-    twamm_value,
     value_iteration,
     _bracket,
     _gauss_hermite,
@@ -506,7 +505,13 @@ class TestSimulation:
         a = simulate_policy(pol, cfg, pool, params, 8, seed=11, z0=-0.001)
         b = simulate_policy(pol, cfg, pool, params, 8, seed=11, z0=-0.001)
         assert np.array_equal(a.outputs, b.outputs)
-        assert np.array_equal(a.rewards, b.rewards)
+        assert np.array_equal(a.inventory, b.inventory)
+
+
+def twamm_mean(cfg, pool, params, n_paths, seed, z0=0.0):
+    """Mean output of the uniform split over `n_paths` noise paths drawn from `seed`."""
+    eps = liquidation._noise_matrix(n_paths, cfg.horizon, seed)
+    return float(np.mean(liquidation._twamm_path_values(cfg, pool, params, eps, z0)))
 
 
 class TestTwamm:
@@ -515,19 +520,19 @@ class TestTwamm:
         pool = PoolParams(1e15, 5000 * 1e15, 0.003, 0.003)
         cfg = small_cfg(horizon=20)
         params = MispricingParams(0.0, 0.0, 1.0)
-        value = twamm_value(cfg, pool, params, 10, seed=0)
+        value = twamm_mean(cfg, pool, params, 10, seed=0)
         assert value == pytest.approx(5000.0 * cfg.inventory - cfg.gas, rel=1e-9)
 
     def test_gas_shifts_value_exactly(self):
         pool = small_pool()
         params = MispricingParams(0.0, 3.0, 1.0)
-        lo = twamm_value(small_cfg(gas=2.0), pool, params, 30, seed=5, z0=-0.001)
-        hi = twamm_value(small_cfg(gas=2.5), pool, params, 30, seed=5, z0=-0.001)
+        lo = twamm_mean(small_cfg(gas=2.0), pool, params, 30, seed=5, z0=-0.001)
+        hi = twamm_mean(small_cfg(gas=2.5), pool, params, 30, seed=5, z0=-0.001)
         assert lo - hi == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_order_still_pays_gas(self):
         cfg = small_cfg(inventory=0.0)
-        value = twamm_value(cfg, small_pool(), MispricingParams(0, 1, 1), 10, seed=2)
+        value = twamm_mean(cfg, small_pool(), MispricingParams(0, 1, 1), 10, seed=2)
         assert value == pytest.approx(-cfg.gas)
 
 
@@ -550,7 +555,7 @@ class TestCompareVsTwamm:
 
     def test_noise_drawn_once(self, monkeypatch):
         # Every volatility's policy simulation and uniform split read one
-        # noise matrix: the one simulate_policy and twamm_value draw alone.
+        # noise matrix: the one simulate_policy and twamm_mean draw alone.
         draws = []
         original = liquidation._noise_matrix
 
@@ -567,7 +572,7 @@ class TestCompareVsTwamm:
             params = MispricingParams(0.0, sigma, 1.0)
             _, policy = value_iteration(cfg, pool, params)
             sim = simulate_policy(policy, cfg, pool, params, 12, seed=21, z0=-0.003)
-            tw = twamm_value(cfg, pool, params, 12, seed=21, z0=-0.003)
+            tw = twamm_mean(cfg, pool, params, 12, seed=21, z0=-0.003)
             assert mean == pytest.approx(np.mean(sim.outputs) - tw, rel=0.0, abs=1e-9 * abs(tw))
 
     def test_negative_volatility_rejected(self):

@@ -767,6 +767,16 @@ class TestZeroBudget:
         first.dual_prices[0] = 0.0
         assert second.psi[0] != 1.0 and second.market_trades[0][0][0] != 1.0 and second.dual_prices[0] != 0.0
 
+    def test_no_trade_fallback_legs_apart(self):
+        # Seed 45 at budget 0 leaves an asset overspent after every round of
+        # cuts, so its trades are the no-trade fallback.
+        sol = solve_routing(at_budget(adversarial_instance(45), 0.0))
+        for tendered, received in sol.market_trades:
+            assert not np.shares_memory(tendered, received)
+        tendered, received = sol.market_trades[0]
+        tendered[0] = 1.0
+        assert received[0] == 0.0
+
     def test_disconnected_zero_budget_refused(self):
         problem = RoutingProblem(3, [(Market(PRODUCT, (10.0, 10.0), 1.0), (0, 1))], [], Liquidate(0, 2, 0.0))
         with pytest.raises(NoFeasibleRouteError):
