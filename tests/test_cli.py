@@ -97,6 +97,22 @@ def market_record(market):
 
 
 class TestSerialize:
+    def test_market_round_trip(self):
+        markets = [
+            Market(PRODUCT, (10, 1), 0.99),
+            Market(SUM, (10, 10), 0.99),
+            Market(GEOMETRIC_MEAN, (3, 0.2, 1), 0.98, weights=(3, 2, 1)),
+        ]
+        for market in markets:
+            assets = tuple(range(market.n_assets))
+            problem = RoutingProblem(3, [(market, assets)], [], Liquidate(0, 1, 1.0))
+            assert problem_from_dict(problem_to_dict(problem)).markets == [(market, assets)]
+
+    def test_order_round_trip(self):
+        order = LimitOrder(0.5, 40.0, 0, 2)
+        problem = RoutingProblem(3, [(Market(PRODUCT, (10, 1), 0.99), (0, 1))], [order], Liquidate(0, 2, 1.0))
+        assert problem_from_dict(problem_to_dict(problem)).orders == [order]
+
     def test_problem_round_trip(self):
         problem = RoutingProblem(
             3,
@@ -453,6 +469,7 @@ class TestErrorContracts:
             ("negative_pigou_budget_spaced", "grid"),
             ("huge_route_grid", "grid"),
             ("huge_frontier_grid", "grid"),
+            ("huge_pigou_grid", "grid"),
         ],
     )
     def test_refusal_is_exit_2(self, tmp_path, capsys, case, field):
@@ -470,6 +487,7 @@ class TestErrorContracts:
             # Grids whose float array alone would pass MAX_SOLVE_BYTES.
             "huge_route_grid": ["route", "--problem", "table1", "--s", "0:1:100000000000"] + out,
             "huge_frontier_grid": ["hook-frontier", "--config", hook, "--grid", "0:70:100000000000"] + out,
+            "huge_pigou_grid": ["pigou", "--grid", "0:1:100000000000"] + out,
         }[case]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)
@@ -548,6 +566,7 @@ class TestErrorContracts:
             (["compare-twamm", "--grid", "0:1:2", "--paths", "-3"], "paths"),
             (["compare-twamm", "--grid=-1:1:3"], "grid"),
             (["compare-twamm", "--grid", "-1:1:3"], "grid"),
+            (["compare-twamm", "--grid", "0:8:100000000000"], "grid"),
             (["liquidate-simulate", "--seed", "-1"], "seed"),
             (["compare-twamm", "--grid", "0:1:2", "--seed", "-1"], "seed"),
         ],
