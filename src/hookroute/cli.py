@@ -30,7 +30,6 @@ from .serialize import (
     ConfigError,
     hook_scenario_from_dict,
     hook_sweeps_from_dict,
-    hook_targets_from_dict,
     liquidation_config_from_dict,
     load_json,
     problem_from_dict,
@@ -356,12 +355,7 @@ def cmd_hook_mean_variance(args):
 def cmd_hook_frontier(args):
     record = load_json(args.config)
     scenario = hook_scenario_from_dict(record)
-    if args.grid:
-        taus = parse_grid(args.grid)
-    elif "targets" in record:
-        taus = hook_targets_from_dict(record)
-    else:
-        raise ConfigError("hook-frontier needs --grid or a 'targets' list", "targets")
+    taus = parse_grid(args.grid)
     writer = RunWriter("hook-frontier", args.out, record)
     points = efficient_frontier(scenario, taus)
     writer.add_table(
@@ -427,7 +421,7 @@ def _build_parser():
 
     p = sub.add_parser("hook-frontier", help="minimum variance per target return")
     p.add_argument("--config", required=True)
-    p.add_argument("--grid", help="target sweep start:stop:count")
+    p.add_argument("--grid", required=True, help="target sweep start:stop:count")
     common(p)
     p.set_defaults(fn=cmd_hook_frontier)
 

@@ -26,6 +26,7 @@ O(n^2) splits are checked. No scipy module is used.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -131,24 +132,29 @@ def _trading_sets(problem):
 
 def check_solve_size(problem: RoutingProblem):
     """Refuse a problem whose Newton matrices would exceed MAX_SOLVE_BYTES
-    even for one budget, and return the bytes one budget's matrices need.
+    even for one budget, and return the bytes one budget needs.
 
-    Each budget of a solve is a lane (`_interior_point`) that holds two
-    dense square matrices, 8 bytes an entry: its template (`_Program.lanes`)
-    and the template's per-iteration copy; the stacked `np.linalg.solve`
-    factors one lane's matrix at a time. Three matrices per lane bound all
-    of this, so a chunk holds MAX_SOLVE_BYTES over the returned count of
-    lanes. Each matrix has a row per leg's tendered and received amount,
-    per order, per pool and two per asset.
+    Each budget of a solve is a lane (`_interior_point`), and each lane's
+    Newton step is one n x n matrix over the n assets (`_newton_solver`),
+    8 bytes an entry, summed by a bincount over the matrix's terms: one per
+    leg, one per ordered pair of legs in a pool, four per order and one per
+    asset. A lane holds two such matrices (the sum and the copy LAPACK
+    factors), four arrays over the terms and 48 vectors over the augmented
+    system's rows (two per leg, one per order, pool and asset). Certifying
+    a lane also holds a dense assets x pools array each for what every pool
+    pays out and takes in, and an assets x assets loss matrix (`_cuts`);
+    all lanes could round at once, so each is counted per lane. A chunk of
+    lanes holds MAX_SOLVE_BYTES over the returned count.
     """
     pools, orders = _trading_sets(problem)
-    legs = sum(market.n_assets for market, _ in pools)
-    size = 2 * legs + len(orders) + len(pools) + 2 * problem.n_assets
-    need = 3 * 8 * size * size
+    n, sizes = problem.n_assets, [market.n_assets for market, _ in pools]
+    legs, terms = sum(sizes), sum(k * (k + 1) for k in sizes) + 4 * len(orders) + n
+    rows = 2 * legs + len(orders) + len(pools) + n
+    need = 8 * (3 * n * n + 4 * terms + 48 * rows + 2 * n * len(pools))
     if need > MAX_SOLVE_BYTES:
         raise ValueError(
             f"the routing solve would need about {need / 1e6:.0f} MB for its "
-            f"{size}-row Newton matrices, over the {MAX_SOLVE_BYTES / 1e6:.0f} MB "
+            f"{n}-row Newton matrices, over the {MAX_SOLVE_BYTES / 1e6:.0f} MB "
             "budget; use fewer assets, pools or orders"
         )
     return need
@@ -309,13 +315,13 @@ def _check_route_exists(prog):
 class _Lanes(NamedTuple):
     """The parts of a `_Program` that depend on the budget, one row per budget:
     the budget, each asset's scale, the balance offsets h and b = -h / scale,
-    and the fixed part of the Newton matrix, which holds the asset rows A."""
+    and the values of the asset rows A's entries (`_Program.a_row`)."""
 
     budget: np.ndarray
     scale: np.ndarray
     h: np.ndarray
     b: np.ndarray
-    kkt: np.ndarray
+    a: np.ndarray
 
     def take(self, keep):
         return _Lanes(*(a[keep] for a in self))
@@ -324,16 +330,18 @@ class _Lanes(NamedTuple):
 class _Program:
     """The scaled convex primal of one problem at any budget: its utility's
     assets and trading sets (which `_dual_value` reads), index maps, the
-    budget-free part of each asset's scale and where each iteration writes
-    the Newton matrix. `lanes` adds the parts that depend on the budget."""
+    budget-free part of each asset's scale and where each entry of the
+    reduced Newton matrix lands. `lanes` adds the parts that depend on the
+    budget."""
 
     def __init__(self, problem):
         self.n_assets = n = problem.n_assets
         util = problem.utility
         self.input, self.out = util.input_asset, util.output_asset
         self.trading_sets = pools, orders = _trading_sets(problem)
-        pool, asset, reserve, fee, coef = [], [], [], [], []
+        pool, asset, reserve, fee, coef, pair = [], [], [], [], [], []
         for p, (market, assets) in enumerate(pools):
+            pair.extend(itertools.product(range(len(pool), len(pool) + len(assets)), repeat=2))
             weights = market.exponents
             total_w = sum(weights)
             for a, res, w in zip(assets, market.reserves, weights):
@@ -368,43 +376,40 @@ class _Program:
         self.c = np.zeros(nx)
         self.c[self.slack + self.out] = -1.0
 
-        # Augmented Newton matrix [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0]:
-        # A is fixed per budget (`lanes`), the rest is written each
-        # iteration at these flat indices.
-        self.size = size = nx + self.n_pools + n
-        legs, rows = np.arange(n_legs), nx + self.pool
-        self.flat = np.concatenate(
-            [
-                np.arange(nx) * (size + 1),
-                legs * size + n_legs + legs,
-                (n_legs + legs) * size + legs,
-                rows * size + legs,
-                rows * size + n_legs + legs,
-                legs * size + rows,
-                (n_legs + legs) * size + rows,
-                (nx + np.arange(self.n_pools)) * (size + 1),
-            ]
+        # A's entries, at most two per column: each leg's tendered and
+        # received amount, each fill's output and input asset, each slack.
+        legs, fills, assets = np.arange(n_legs), np.arange(nx)[self.fills], np.arange(n)
+        self.a_row = np.concatenate([self.asset, self.asset, self.order_out, self.order_in, assets])
+        self.a_col = np.concatenate([legs, n_legs + legs, fills, fills, self.slack + assets])
+
+        # Where the terms of the reduced Newton matrix A G A' land in a
+        # lane's n x n (`_newton_solver`): each leg's own term, each ordered
+        # pair of legs of one pool, and each ordered pair of entries in one
+        # fill's or slack's column of A.
+        self.pair = first, second = np.array(pair, dtype=int).reshape(-1, 2).T
+        e_out = 2 * n_legs + np.arange(n_orders)
+        e_in, e_slack = e_out + n_orders, 2 * n_legs + 2 * n_orders + assets
+        self.entry_pair = e1, e2 = (
+            np.concatenate([e_out, e_out, e_in, e_in, e_slack]),
+            np.concatenate([e_out, e_in, e_out, e_in, e_slack]),
+        )
+        self.s_index = np.concatenate(
+            [self.asset * (n + 1), self.asset[first] * n + self.asset[second], self.a_row[e1] * n + self.a_row[e2]]
         )
 
     def lanes(self, budgets):
         """The parts that depend on the budget (`_Lanes`), one row per entry
         of the float array `budgets`."""
-        lanes, n, nx, n_legs = len(budgets), self.n_assets, self.nx, self.n_legs
+        lanes, n = len(budgets), self.n_assets
         scale = np.tile(self.scale, (lanes, 1))
         scale[:, self.input] = np.maximum(scale[:, self.input], budgets)
         scale[scale == 0.0] = 1.0
         h = np.zeros((lanes, n))
         h[:, self.input] = budgets
-        legs, fills = np.arange(n_legs), np.arange(nx)[self.fills]
-        kkt = np.zeros((lanes, self.size, self.size))
-        a_mat = kkt[:, nx + self.n_pools :, :nx]
-        a_mat[:, self.asset, legs] = -self.reserve / scale[:, self.asset]
-        a_mat[:, self.asset, n_legs + legs] = self.reserve / scale[:, self.asset]
-        a_mat[:, self.order_out, fills] = self.volume / scale[:, self.order_out]
-        a_mat[:, self.order_in, fills] = -self.volume / self.price / scale[:, self.order_in]
-        a_mat[:, np.arange(n), self.slack + np.arange(n)] = -1.0
-        kkt[:, :nx, nx + self.n_pools :] = a_mat.transpose(0, 2, 1)
-        return _Lanes(budgets, scale, h, -h / scale, kkt)
+        leg, made = self.reserve / scale[:, self.asset], self.volume / scale[:, self.order_out]
+        spent = self.volume / self.price / scale[:, self.order_in]
+        a = np.concatenate([-leg, leg, made, -spent, np.full((lanes, n), -1.0)], axis=1)
+        return _Lanes(budgets, scale, h, -h / scale, a)
 
     def start(self):
         # Small trades, half-filled orders, unit slacks: interior to every
@@ -422,12 +427,15 @@ class _Program:
         """Per lane (row of x), leg reserves q (`reserves`), pool rows f and
         the legs' Jacobian factors."""
         q = self.reserves(x[:, : self.n_legs], x[:, self.n_legs : 2 * self.n_legs])
-        # Each row's pool sums, offset per row so that one bincount adds
-        # every row's legs in the order a bincount of that row alone would.
-        lanes = len(x)
-        index = (np.arange(lanes)[:, None] * self.n_pools + self.pool).ravel()
-        f = -np.bincount(index, (self.coef * np.log(q)).ravel(), lanes * self.n_pools)
-        return q, f.reshape(lanes, self.n_pools), self.coef / q
+        return q, -_lane_sums(self.pool, self.coef * np.log(q), self.n_pools), self.coef / q
+
+    def amul(self, lanes, x):
+        """Per lane, A x."""
+        return _lane_sums(self.a_row, lanes.a * x[:, self.a_col], self.n_assets)
+
+    def atmul(self, lanes, v):
+        """Per lane, A' v."""
+        return _lane_sums(self.a_col, lanes.a * v[:, self.a_row], self.nx)
 
     def trades(self, x, h):
         """Exactly feasible trades near x, in the problem's units, for balance offsets h.
@@ -537,30 +545,92 @@ def _dot(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _matvec(m, v):
-    """Per row, m[i] @ v[i]."""
-    return np.matmul(m, v[:, :, None])[:, :, 0]
+def _lane_sums(index, values, size):
+    """Per row of `values`, its entries summed into `size` bins by `index`.
+    One bincount adds every row, each offset by its row so that it adds its
+    entries in the order a bincount of that row alone would."""
+    lanes = len(values)
+    flat = (np.arange(lanes)[:, None] * size + index).ravel()
+    return np.bincount(flat, values.ravel(), lanes * size).reshape(lanes, size)
 
 
-def _stacked_solve(kkt, rhs):
-    """Per row, the solution of kkt[i] s = rhs[i]: one LAPACK solve each, so
-    every row gets the bits its own solve would."""
-    return np.linalg.solve(kkt, rhs[:, :, None])[:, :, 0]
+def _stacked_solve(matrices, rhs):
+    """Per row, the solution of matrices[i] s = rhs[i]: one LAPACK solve
+    each, so every row gets the bits its own solve would."""
+    return np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
 
 
-def _newton_solve(kkt, rhs):
+def _newton_solve(matrices, rhs):
     """`_stacked_solve`, with a NaN row for each singular matrix: the stack is
     solved again row by row when any of them is."""
     try:
-        return _stacked_solve(kkt, rhs)
+        return _stacked_solve(matrices, rhs)
     except np.linalg.LinAlgError:
         sol = np.full_like(rhs, np.nan)
         for i in range(len(rhs)):
             try:
-                sol[i] = _stacked_solve(kkt[i : i + 1], rhs[i : i + 1])[0]
+                sol[i] = _stacked_solve(matrices[i : i + 1], rhs[i : i + 1])[0]
             except np.linalg.LinAlgError:
                 pass
         return sol
+
+
+def _newton_solver(prog, lanes, ratio, q, jac, lam, u):
+    """Per lane, the Newton system of `_interior_point` at one iterate, as a
+    function solve(top, m, e) -> (dx, dl, dnu) of its right-hand side:
+
+        [H + D   Df'    A'] [dx ]   [top]
+        [Df      -u/lam 0 ] [dl ] = [m  ]
+        [A       0      0 ] [dnu]   [e  ]
+
+    D is the barrier diagonal `ratio` (the fills' two bounds added) and H
+    the pools' Hessian. H + D is diagonal but for each leg's 2 x 2 block on
+    (d, r), and each pool adds one row g of Df on its legs, so the block M =
+    [H + D, Df'; Df, -u/lam] inverts pool by pool in closed form (`back`).
+    Eliminating (dx, dl) onto the asset rows leaves S dnu = A back(top, m) - e
+    with S = A G A', G the x block of M^-1 (Boyd & Vandenberghe, Convex
+    Optimization, App. C.4): n x n, symmetric positive definite, a term per
+    leg, a rank-one term per pool over its assets and a term per fill and
+    slack. One stacked solve of S gives dnu, a singular S NaN, and
+    back(top - A' dnu, m) gives (dx, dl).
+
+    Each leg's block [[rd + f^2 hess, -f hess], [-f hess, rr + hess]] has
+    determinant delta = rd rr + hess (f^2 rr + rd), a sum of positive terms,
+    so its inverse [[cr + ch, f ch], [f ch, cd + f^2 ch]] (cr, cd, ch = rr,
+    rd, hess over delta) loses nothing to cancellation as the fee nears 1.
+    """
+    n, n_legs, n_pools, nx, pool, fee = prog.n_assets, prog.n_legs, prog.n_pools, prog.nx, prog.pool, prog.fee
+    hess = lam[:, pool] * prog.coef / (q * q)
+    rd, rr = ratio[:, :n_legs], ratio[:, n_legs : 2 * n_legs]
+    delta = rd * rr + hess * (fee * fee * rr + rd)
+    cr, cd, ch = rr / delta, rd / delta, hess / delta
+    # With g = jac (-f, 1) on a pool's legs and B their blocks of H + D:
+    # sigma = u / lam + g' B^-1 g per pool, and w = A B^-1 g at each leg.
+    sigma = u / lam + _lane_sums(pool, jac * jac * (fee * fee * cr + cd), n_pools)
+    # The fills' and slacks' diagonal, each fill's two bounds added.
+    rest = ratio[:, 2 * n_legs : nx].copy()
+    rest[:, : ratio.shape[1] - nx] += ratio[:, nx:]
+    ad, ar = lanes.a[:, :n_legs], lanes.a[:, n_legs : 2 * n_legs]
+    w = jac * (cd * ar - fee * cr * ad)
+    (first, second), (e1, e2) = prog.pair, prog.entry_pair
+    legs = ad * ad * cr + ar * ar * cd + ch * (ad + fee * ar) ** 2
+    pairs = -w[:, first] * w[:, second] / sigma[:, pool[first]]
+    columns = lanes.a[:, e1] * lanes.a[:, e2] / rest[:, prog.a_col[e1] - 2 * n_legs]
+    s = _lane_sums(prog.s_index, np.concatenate([legs, pairs, columns], axis=1), n * n).reshape(-1, n, n)
+
+    def back(t, m):
+        td, tr = t[:, :n_legs], t[:, n_legs : 2 * n_legs]
+        dl = (_lane_sums(pool, jac * (cd * tr - fee * cr * td), n_pools) - m) / sigma
+        jdl = jac * dl[:, pool]
+        both = ch * (td + fee * tr)
+        dx = [cr * td + both + fee * cr * jdl, cd * tr + fee * both - cd * jdl, t[:, 2 * n_legs :] / rest]
+        return np.concatenate(dx, axis=1), dl
+
+    def solve(top, m, e):
+        dnu = _newton_solve(s, prog.amul(lanes, back(top, m)[0]) - e)
+        return (*back(top - prog.atmul(lanes, dnu), m), dnu)
+
+    return solve
 
 
 def _interior_point(prog, budgets, max_iter):
@@ -570,7 +640,9 @@ def _interior_point(prog, budgets, max_iter):
     (x >= 0, and 1 - y >= 0 on the fills) and the pool rows (u >= 0
     with f(x) + u = 0, multiplier lam). The asset rows A x = b may start
     violated, so no strictly feasible start is needed. Each Newton step
-    solves the augmented system [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0].
+    solves the augmented system [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0]
+    by block elimination onto the asset rows (`_newton_solver`): one n x n
+    matrix per lane, n the number of assets.
 
     Every budget is a lane: a row of each state array, stepped together
     with the others, and each predictor and corrector is one stacked solve
@@ -613,7 +685,7 @@ def _interior_point(prog, budgets, max_iter):
     while len(ids):
         x, u, lam = p[:, :nx], p[:, nb:], z[:, nb:]
         q, f, jac = prog.pools(x)
-        r_p = _matvec(lanes.kkt[:, nx + n_pools :, :nx], x) - lanes.b
+        r_p = prog.amul(lanes, x) - lanes.b
         r_f = f + u
 
         # Complementarity plus the multiplier-weighted row violations
@@ -639,38 +711,26 @@ def _interior_point(prog, budgets, max_iter):
                 break
             x, u, lam = p[:, :nx], p[:, nb:], z[:, nb:]
 
-        a_mat = lanes.kkt[:, nx + n_pools :, :nx]
         lam_legs = lam[:, pool]
-        grad = prog.c - z[:, :nx] + _matvec(a_mat.transpose(0, 2, 1), nu)
+        grad = prog.c - z[:, :nx] + prog.atmul(lanes, nu)
         grad[:, fills] += z[:, nx:nb]
         grad[:, :n_legs] -= fee * jac * lam_legs
         grad[:, n_legs : 2 * n_legs] += jac * lam_legs
-        ratio = z[:, :nb] / p[:, :nb]
-        hess = lam_legs * prog.coef / (q * q)
-        diag = ratio[:, :nx].copy()
-        diag[:, fills] += ratio[:, nx:]
-        diag[:, :n_legs] += hess * fee * fee
-        diag[:, n_legs : 2 * n_legs] += hess
-        off = -hess * fee
-        jd = -fee * jac
-        kkt = lanes.kkt.copy()
-        kkt.reshape(len(ids), -1)[:, prog.flat] = np.concatenate(
-            [diag, off, off, jd, jac, jd, jac, -u / lam], axis=1
-        )
+        solve = _newton_solver(prog, lanes, z[:, :nb] / p[:, :nb], q, jac, lam, u)
 
         def newton(r_c):
             part = r_c[:, :nb] / p[:, :nb]
             top = part[:, :nx] - grad
             top[:, fills] -= part[:, nx:]
-            sol = _newton_solve(kkt, np.concatenate([top, -r_f - r_c[:, nb:] / lam, -r_p], axis=1))
+            dx, dl, dnu = solve(top, -r_f - r_c[:, nb:] / lam, -r_p)
             dp = np.empty_like(p)
-            dp[:, :nx] = sol[:, :nx]
-            dp[:, nx:nb] = -sol[:, fills]
-            dp[:, nb:] = (r_c[:, nb:] - u * sol[:, nx : nx + n_pools]) / lam
+            dp[:, :nx] = dx
+            dp[:, nx:nb] = -dx[:, fills]
+            dp[:, nb:] = (r_c[:, nb:] - u * dl) / lam
             dz = (r_c - z * dp) / p
-            dq = fee * sol[:, :n_legs] - sol[:, n_legs : 2 * n_legs]
+            dq = fee * dx[:, :n_legs] - dx[:, n_legs : 2 * n_legs]
             a_p = np.minimum(_max_step(p, dp), _max_step(0.9 * q, dq))
-            return dp, dz, sol[:, nx + n_pools :], a_p, _max_step(z, dz)
+            return dp, dz, dnu, a_p, _max_step(z, dz)
 
         dp, dz, _, a_p, a_d = newton(-p * z)
         mu = pz / p.shape[1]

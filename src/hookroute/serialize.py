@@ -226,7 +226,6 @@ _HOOK = {
     "variance": _Key(_nested(VarianceSpec, _VARIANCE)),
     "risk_aversion": _Key(_FINITE),
     "sweeps": _Key(None),  # hook_sweeps_from_dict
-    "targets": _Key(None),  # hook_targets_from_dict
 }
 _FORM_NAMES = _list_of(lambda v: isinstance(v, str), "one or more variance form names", bool, list)
 _SWEEP_VALUES = _list_of(_is_number, "one or more finite numbers", bool, list)
@@ -235,7 +234,6 @@ _SWEEPS = {
     "curvature_values": _Key(_SWEEP_VALUES, np.linspace(0.0, 1.0, 50).tolist()),
     "scale_values": _Key(_SWEEP_VALUES, np.logspace(-3, 3, 25).tolist()),
 }
-_TARGETS = _list_of(_is_number, "one or more finite numbers", bool, lambda ts: [float(t) for t in ts])
 
 
 def problem_to_dict(problem: RoutingProblem) -> dict:
@@ -281,15 +279,6 @@ def hook_sweeps_from_dict(record):
     sweep = values["forms"], values["curvature_values"], values["scale_values"]
     _wrap(lambda: check_sweep(*sweep), "sweeps")
     return sweep
-
-
-def hook_targets_from_dict(record):
-    """The `targets` list of a hook config: the frontier's return targets.
-
-    It must be a nonempty list of finite numbers (booleans are refused);
-    anything else is refused here, before any search runs.
-    """
-    return _TARGETS(_object(record, "").get("targets"), "", "targets")
 
 
 def load_json(path):

@@ -25,6 +25,7 @@ from hookroute.serialize import (
     problem_from_dict,
     problem_to_dict,
 )
+from test_routing import scale_network
 
 LIQ_CONFIG = {
     "mdp": {
@@ -209,6 +210,17 @@ class TestCommands:
         path = write_json(tmp_path / "problem.json", problem_to_dict(problem))
         assert main(["route", "--problem", path, "--s", "0:5:4", "--out", str(tmp_path / "o")]) == 0
 
+    def test_route_problem_file_at_scale(self, tmp_path):
+        # 200 assets and 2000 pools: each budget's Newton step is one 200 x 200 matrix.
+        path = write_json(tmp_path / "net.json", problem_to_dict(scale_network(0, 200, 2000)))
+        out = tmp_path / "o"
+        assert main(["route", "--problem", path, "--s", "0:100:5", "--out", str(out)]) == 0
+        header, rows = read_rows(out / "route_output.csv")
+        assert header == ["s", "u_with_orders", "u_without_orders"]
+        assert [float(row[0]) for row in rows] == [0.0, 25.0, 50.0, 75.0, 100.0]
+        assert all(float(u) > 0.0 for row in rows for u in row[1:])
+        assert read_rows(out / "route_trades.csv")[1]
+
     def test_liquidate_solve_dump(self, tmp_path):
         cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
         out = tmp_path / "run"
@@ -290,7 +302,7 @@ VALID_ARGVS = [
     ["liquidate-simulate", "--config", "c.json"],
     ["compare-twamm", "--config", "c.json", "--grid", "0:1:2"],
     ["hook-mean-variance", "--config", "c.json"],
-    ["hook-frontier", "--config", "c.json"],
+    ["hook-frontier", "--config", "c.json", "--grid", "0:1:2"],
 ]
 
 
@@ -460,7 +472,7 @@ class TestErrorContracts:
     @pytest.mark.parametrize(
         "case, field",
         [
-            ("frontier_without_targets", "targets"),
+            ("frontier_targets_key", "targets"),
             ("missing_config", ""),
             ("markets_not_a_list", "markets"),
             ("negative_budget", "grid"),
@@ -474,10 +486,11 @@ class TestErrorContracts:
     )
     def test_refusal_is_exit_2(self, tmp_path, capsys, case, field):
         hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
+        targets = write_json(tmp_path / "targets.json", dict(HOOK_CONFIG, targets=[10.0]))
         problem = write_json(tmp_path / "problem.json", dict(ROUTE_PROBLEM, markets=5))
         out = ["--out", str(tmp_path / "run")]
         argv = {
-            "frontier_without_targets": ["hook-frontier", "--config", hook] + out,
+            "frontier_targets_key": ["hook-frontier", "--config", targets, "--grid", "0:70:3"] + out,
             "missing_config": ["liquidate-solve", "--config", str(tmp_path / "missing.json")] + out,
             "markets_not_a_list": ["route", "--problem", problem, "--s", "0:1:2"] + out,
             "negative_budget": ["route", "--problem", "table1", "--s=-1:1:3"] + out,
@@ -551,7 +564,9 @@ class TestErrorContracts:
             monkeypatch.setattr(cli_mod, name, never)
         path = write_json(tmp_path / "config.json", record)
         argv = [command, "--problem" if command == "route" else "--config", path, "--out", str(tmp_path)]
-        argv += {"route": ["--s", "0:1:2"], "compare-twamm": ["--grid", "0:1:2"]}.get(command, [])
+        argv += {"route": ["--s", "0:1:2"], "compare-twamm": ["--grid", "0:1:2"], "hook-frontier": ["--grid", "0:1:2"]}.get(
+            command, []
+        )
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config_parse"
@@ -632,7 +647,7 @@ class TestUnknownKeys:
 
     def test_hook_frontier_refuses_a_misspelt_key(self, tmp_path, capsys):
         path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, target=[10.0]))
-        assert main(["hook-frontier", "--config", path, "--out", str(tmp_path)]) == 2
+        assert main(["hook-frontier", "--config", path, "--grid", "0:70:3", "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["field"] == "target"
         assert "'target'" in err["detail"]
@@ -813,8 +828,9 @@ class TestHookSweeps:
         assert err["error"] == "config_parse"
         assert err["field"] == field
 
-    @pytest.mark.parametrize("targets", [5, [], ["a", 3], [True, 3.0], [1.0, math.inf], [math.nan]])
-    def test_bad_targets_refused_before_searching(self, tmp_path, capsys, monkeypatch, targets):
+    @pytest.mark.parametrize("targets", [[10, 20.5], 5, [], ["a", 3], [True, 3.0], [1.0, math.inf], [math.nan]])
+    def test_targets_key_refused_before_searching(self, tmp_path, capsys, monkeypatch, targets):
+        # The frontier's targets come from --grid alone; a `targets` key is unknown.
         import hookroute.cli as cli_mod
 
         def never(*args):
@@ -822,16 +838,17 @@ class TestHookSweeps:
 
         monkeypatch.setattr(cli_mod, "efficient_frontier", never)
         path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, targets=targets))
-        assert main(["hook-frontier", "--config", path, "--out", str(tmp_path)]) == 2
+        assert main(["hook-frontier", "--config", path, "--grid", "0:70:3", "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config_parse"
         assert err["field"] == "targets"
+        assert "unknown keys ['targets']" in err["detail"]
 
-    def test_targets_list_sets_the_frontier(self, tmp_path):
-        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, targets=[10, 20.5]))
-        assert main(["hook-frontier", "--config", path, "--out", str(tmp_path)]) == 0
-        _, rows = read_rows(tmp_path / "frontier.csv")
-        assert [row[0] for row in rows] == ["10.0", "20.5"]
+    def test_frontier_needs_grid(self, tmp_path):
+        path = write_json(tmp_path / "hook.json", HOOK_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["hook-frontier", "--config", path, "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_defaults_and_row_order(self, tmp_path):
         record = {k: v for k, v in HOOK_CONFIG.items() if k != "sweeps"}

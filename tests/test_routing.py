@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -767,13 +768,15 @@ class TestZeroBudget:
         first.dual_prices[0] = 0.0
         assert second.psi[0] != 1.0 and second.market_trades[0][0][0] != 1.0 and second.dual_prices[0] != 0.0
 
-    def test_no_trade_fallback_legs_apart(self):
-        # Seed 45 at budget 0 leaves an asset overspent after every round of
-        # cuts, so its trades are the no-trade fallback.
-        sol = solve_routing(at_budget(adversarial_instance(45), 0.0))
-        for tendered, received in sol.market_trades:
-            assert not np.shares_memory(tendered, received)
-        tendered, received = sol.market_trades[0]
+    def test_no_trade_fallback_legs_apart(self, monkeypatch):
+        # With every cut zero, the half-filled order of the start point
+        # overspends the zero budget after every round, so the trades are the
+        # no-trade fallback.
+        monkeypatch.setattr(routing._Program, "_cuts", lambda self, *args: np.zeros(self.n_assets))
+        prog = routing._Program(pigou_problem(0.0))
+        tendered, received, fills, psi = prog.trades(prog.start(), np.zeros(prog.n_assets))
+        assert not (tendered.any() or received.any() or fills.any() or psi.any())
+        assert not np.shares_memory(tendered, received)
         tendered[0] = 1.0
         assert received[0] == 0.0
 
@@ -892,22 +895,30 @@ class TestLaneFailure:
     """A lane whose Newton step fails stops alone, at its last rounding."""
 
     # Above the pool's reserve of 10 each budget is its input asset's
-    # scale, so each lane's asset rows of the Newton matrix differ.
+    # scale, so each lane's Newton matrices differ.
     GRID = np.linspace(11.0, 20.0, 10)
     TARGET = 4
 
     def failing_solve(self, monkeypatch, problem, fail):
         """Patch the stacked solve: from the seventh call that holds the
         target lane on (the predictor of its fourth step), `fail` rewrites
-        that lane's solution or raises."""
-        n = problem.n_assets
-        rows = routing._Program(problem).lanes(self.GRID[self.TARGET : self.TARGET + 1]).kkt[0, -n:]
+        that lane's solution or raises. A row is the target lane's when its
+        matrix is one that a solve of that lane alone factors."""
         original = routing._stacked_solve
+        recorded = []
+
+        def record(matrices, rhs):
+            recorded.extend(matrices.copy())
+            return original(matrices, rhs)
+
+        monkeypatch.setattr(routing, "_stacked_solve", record)
+        solve_routing(at_budget(problem, self.GRID[self.TARGET]))
         seen = [0]
 
-        def solve(kkt, rhs):
-            hit = (kkt[:, -n:] == rows).all(axis=(1, 2))
-            sol = original(kkt, rhs)
+        def solve(matrices, rhs):
+            hit = np.array([any(np.array_equal(m, r) for r in recorded) for m in matrices])
+            assert hit.sum() <= 1
+            sol = original(matrices, rhs)
             if hit.any():
                 seen[0] += 1
                 if seen[0] >= 7:
@@ -942,6 +953,83 @@ class TestLaneFailure:
         alone = solve_routing(at_budget(problem, self.GRID[self.TARGET]))
         assert solution_bits(alone) == stopped
         assert_feasible(at_budget(problem, self.GRID[self.TARGET]), alone)
+
+
+def reference_newton_solve(prog, lanes, ratio, q, jac, lam, u, top, m, e):
+    """The Newton system of `routing._newton_solver`, written out densely per
+    lane as the augmented matrix [H + D, Df', A'; Df, -u/lam, 0; A, 0, 0]
+    and solved by `np.linalg.solve`. Returns (dx, dl, dnu)."""
+    n, nx, n_legs, n_pools = prog.n_assets, prog.nx, prog.n_legs, prog.n_pools
+    size = nx + n_pools + n
+    legs, rows, fills = np.arange(n_legs), nx + prog.pool, np.arange(nx)[prog.fills]
+    kkt = np.zeros((len(top), size, size))
+    a_mat = kkt[:, nx + n_pools :, :nx]
+    scale = lanes.scale
+    a_mat[:, prog.asset, legs] = -prog.reserve / scale[:, prog.asset]
+    a_mat[:, prog.asset, n_legs + legs] = prog.reserve / scale[:, prog.asset]
+    a_mat[:, prog.order_out, fills] = prog.volume / scale[:, prog.order_out]
+    a_mat[:, prog.order_in, fills] = -prog.volume / prog.price / scale[:, prog.order_in]
+    a_mat[:, np.arange(n), prog.slack + np.arange(n)] = -1.0
+    kkt[:, :nx, nx + n_pools :] = a_mat.transpose(0, 2, 1)
+
+    flat = np.concatenate(
+        [
+            np.arange(nx) * (size + 1),
+            legs * size + n_legs + legs,
+            (n_legs + legs) * size + legs,
+            rows * size + legs,
+            rows * size + n_legs + legs,
+            legs * size + rows,
+            (n_legs + legs) * size + rows,
+            (nx + np.arange(n_pools)) * (size + 1),
+        ]
+    )
+    fee = prog.fee
+    hess = lam[:, prog.pool] * prog.coef / (q * q)
+    diag = ratio[:, :nx].copy()
+    diag[:, prog.fills] += ratio[:, nx:]
+    diag[:, :n_legs] += hess * fee * fee
+    diag[:, n_legs : 2 * n_legs] += hess
+    off, jd = -hess * fee, -fee * jac
+    kkt.reshape(len(top), -1)[:, flat] = np.concatenate([diag, off, off, jd, jac, jd, jac, -u / lam], axis=1)
+    sol = np.linalg.solve(kkt, np.concatenate([top, m, e], axis=1)[:, :, None])[:, :, 0]
+    return sol[:, :nx], sol[:, nx : nx + n_pools], sol[:, nx + n_pools :]
+
+
+class TestNewtonStep:
+    """The reduced Newton step against the dense augmented system."""
+
+    @staticmethod
+    def interior_state(rng, prog, lanes):
+        """Random strictly interior multipliers, slacks and right-hand sides."""
+        k, nb = len(lanes.budget), prog.nx + prog.fills.stop - prog.fills.start
+        x = rng.uniform(0.0, 0.3, (k, prog.nx))
+        q, _, jac = prog.pools(x)
+        ratio = 10.0 ** rng.uniform(-2.0, 2.0, (k, nb))
+        lam, u = (10.0 ** rng.uniform(-2.0, 1.0, (k, prog.n_pools)) for _ in range(2))
+        rhs = [rng.normal(size=(k, size)) for size in (prog.nx, prog.n_pools, prog.n_assets)]
+        return (ratio, q, jac, lam, u), rhs
+
+    PROBLEMS = {
+        "pigou": lambda: pigou_problem(0.0),
+        "table1": lambda: table1_problem(0.0),
+        **{f"hostile{seed}": lambda seed=seed: adversarial_instance(seed) for seed in (3022, 4061, 4477, 7138)},
+        "20/80": lambda: scale_network(0, 20, 80),
+    }
+
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_matches_dense_system(self, name):
+        problem = self.PROBLEMS[name]()
+        rng = np.random.default_rng(0)
+        prog = routing._Program(problem)
+        budget = problem.utility.budget
+        lanes = prog.lanes(np.array([0.0, budget, 3.0 * budget]))
+        for _ in range(5):
+            state, rhs = self.interior_state(rng, prog, lanes)
+            got = routing._newton_solver(prog, lanes, *state)(*rhs)
+            want = reference_newton_solve(prog, lanes, *state, *rhs)
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= 1e-10 * max(1.0, np.abs(w).max())
 
 
 class TestBruteForce:
@@ -1155,7 +1243,7 @@ def scale_network(seed, n_assets, n_pools):
 
 
 class TestScaleNetworks:
-    @pytest.mark.parametrize("shape", [(10, 30), (20, 80)])
+    @pytest.mark.parametrize("shape", [(10, 30), (20, 80), (60, 400), (200, 2000)])
     @pytest.mark.parametrize("seed", range(3))
     def test_certified_at_scale(self, seed, shape):
         problem = scale_network(seed, *shape)
@@ -1165,6 +1253,19 @@ class TestScaleNetworks:
         assert sol.status == "optimal"
         assert sol.gap <= 1e-7 * max(1.0, sol.utility_value + sol.gap)
         assert_feasible(problem, sol)
+
+    @pytest.mark.parametrize("lanes", [1, 20])
+    def test_traced_peak_within_charge(self, lanes):
+        # `check_solve_size` charges each lane; a chunk's lanes must fit it.
+        problem = scale_network(0, 200, 2000)
+        tracemalloc.start()
+        try:
+            curve = solve_curve(problem, np.linspace(0.0, 100.0, lanes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {sol.status for sol in curve} == {"optimal"}
+        assert peak <= lanes * routing.check_solve_size(problem)
 
 
 class TestHonestBound:
