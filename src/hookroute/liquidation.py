@@ -282,11 +282,12 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     nodes, with the two z-neighbours of every node summed into one entry per
     grid column. Such a row depends on z and the trade size frac * I alone,
     so the rows of each distinct size are built once and gathered into every
-    pair that trades it: 2305 sizes for the 5151 pairs of the paper's
+    pair that trades it, in (inventory, mispricing, action) order, so that
+    each state's actions are adjacent: 2305 sizes for the 5151 pairs of the paper's
     101 x 101 grid with 51 actions and 9 nodes, whose operator holds about
     2.3M entries (at most 2 * quad_order per row, 9.4M before summing). A
     backup is then two sparse products, the rewards added, and the first
-    best action kept. `MdpConfig` refuses grids whose solve would exceed
+    best action of each state kept. `MdpConfig` refuses grids whose solve would exceed
     `MAX_SOLVE_BYTES`; its estimate bounds the peak, reached while the
     gather holds the shared rows next to the operator.
 
@@ -326,32 +327,34 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
         chunks.append(chunk)
     shared = sparse.vstack(chunks, format="csr")
     del chunks
-    # Gather each (action, inventory) block's rows, then shift its columns to
-    # the block's slot of the interpolated values. A per-row constant shift
-    # keeps every row sorted and free of duplicates. The chunks and the shared
-    # rows are dropped as soon as they are copied: `MdpConfig.solve_bytes`
-    # counts no more than the shared rows next to the operator.
-    op = shared[(which.reshape(-1, 1) * n_z + np.arange(n_z)).ravel()]
+    # Gather the row of each (inventory, mispricing, action), then shift its
+    # columns to its (action, inventory) block's slot of the interpolated
+    # values. A per-row constant shift keeps every row sorted and free of
+    # duplicates. The chunks and the shared rows are dropped as soon as they
+    # are copied: `MdpConfig.solve_bytes` counts no more than the shared rows
+    # next to the operator.
+    op = shared[(which.reshape(n_a, n_i).T[:, None, :] * n_z + np.arange(n_z)[:, None]).ravel()]
     del shared
-    op.indices += np.repeat(np.arange(0, n_a * cells, n_z, dtype=np.int32), np.diff(op.indptr[::n_z]))
+    slot = (np.arange(n_i, dtype=np.int32)[:, None, None] + n_i * np.arange(n_a, dtype=np.int32)) * n_z
+    op.indices += np.repeat(np.broadcast_to(slot, (n_i, n_z, n_a)).ravel(), np.diff(op.indptr))
     op = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n_a * cells, n_a * cells))
 
     # Inventory interpolation: row (action, inventory) brackets (1 - frac) * I.
     inv_lo, inv_w = _bracket(inv_grid * (1.0 - fracs[:, None]) / step_i, n_i)
     interp = _two_point_rows(inv_lo, inv_w, 1.0 - inv_w, (n_a * n_i, n_i))
-    rewards = reward(inv_grid[:, None], z_grid, delta[:, :, None], cfg, pool).reshape(n_a, cells)
+    rewards = reward(inv_grid[:, None], z_grid, delta[:, :, None], cfg, pool).transpose(1, 2, 0).reshape(cells, n_a)
 
     values = np.zeros((cfg.horizon, n_i, n_z))
     actions = np.zeros((cfg.horizon, n_i, n_z), dtype=np.int16)
     cell = np.arange(cells)
     v_next = np.zeros((n_i, n_z))
     for t in range(cfg.horizon - 1, -1, -1):
-        q = (op @ (interp @ v_next).ravel()).reshape(n_a, cells)
+        q = (op @ (interp @ v_next).ravel()).reshape(cells, n_a)
         q += rewards
         # argmax keeps the first of tied actions, the smallest trade.
-        best = q.argmax(axis=0)
+        best = q.argmax(axis=1)
         actions[t] = best.reshape(n_i, n_z)
-        values[t] = q[best, cell].reshape(n_i, n_z)
+        values[t] = q[cell, best].reshape(n_i, n_z)
         if values[t].tobytes() == v_next.tobytes():
             values[:t] = values[t]
             actions[:t] = actions[t]

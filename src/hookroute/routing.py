@@ -14,14 +14,16 @@ stacked solve over the lanes. `solve_curve` runs a budget grid this way and
 `solve_routing` is the batch of one; no lane's arithmetic reads another's,
 so the two agree bit for bit.
 
-Every lane is certified alone by the exact dual: at strictly positive asset
+Every lane is certified by the exact dual: at strictly positive asset
 prices, the budget's worth plus each pool's and order's best response
 bounds the output of any feasible route. An order fills fully or not at
 all. Every log-invariant pool (a product pool is the unit-weight
 geometric-mean pool) has one best response: it sorts its assets by price
 times reserve over exponent, and its KKT conditions make the tendered
 assets a prefix and the received ones a suffix of that order, so only
-O(n^2) splits are checked. No scipy module is used.
+O(n^2) splits are checked. The lanes due for a certificate are rounded and
+bounded together, over the program's index arrays like the Newton step,
+each by its own arithmetic. No scipy module is used.
 """
 
 from __future__ import annotations
@@ -141,16 +143,17 @@ def check_solve_size(problem: RoutingProblem):
     asset. A lane holds two such matrices (the sum and the copy LAPACK
     factors), four arrays over the terms and 48 vectors over the augmented
     system's rows (two per leg, one per order, pool and asset). Certifying
-    a lane also holds a dense assets x pools array each for what every pool
-    pays out and takes in, and an assets x assets loss matrix (`_cuts`);
-    all lanes could round at once, so each is counted per lane. A chunk of
-    lanes holds MAX_SOLVE_BYTES over the returned count.
+    holds, per lane, an assets x assets loss matrix while it cuts (`_cuts`)
+    and twelve arrays over the best response's splits, (k + 1)(k + 2) / 2
+    for a pool of k legs (`_best_responses`). A chunk of lanes holds
+    MAX_SOLVE_BYTES over the returned count.
     """
     pools, orders = _trading_sets(problem)
     n, sizes = problem.n_assets, [market.n_assets for market, _ in pools]
     legs, terms = sum(sizes), sum(k * (k + 1) for k in sizes) + 4 * len(orders) + n
     rows = 2 * legs + len(orders) + len(pools) + n
-    need = 8 * (3 * n * n + 4 * terms + 48 * rows + 2 * n * len(pools))
+    splits = sum((k + 1) * (k + 2) // 2 for k in sizes)
+    need = 8 * (3 * n * n + 4 * terms + 48 * rows + 12 * splits)
     if need > MAX_SOLVE_BYTES:
         raise ValueError(
             f"the routing solve would need about {need / 1e6:.0f} MB for its "
@@ -161,15 +164,16 @@ def check_solve_size(problem: RoutingProblem):
 
 
 # ---------------------------------------------------------------------------
-# Best-response subproblems: maximize nu . (received - tendered) over a
-# trading set. Each returns (tendered, received, value).
+# Best responses: maximize nu . (received - tendered) over a trading set.
 # ---------------------------------------------------------------------------
 
 
-def _geometric_subproblem(market, nu):
-    """Exact best response for a log-invariant pool: geometric mean or product.
+def _best_responses(prog, nu):
+    """Every log-invariant pool's exact best response at each lane's prices
+    nu (lanes, n): its value per (lane, pool), and what each leg tenders
+    and receives, d and r per (lane, leg).
 
-    The weights w are `market.exponents`, all 1 for a product pool.
+    The weights w are the pools' exponents, all 1 for a product pool.
     Stationarity fixes each traded reserve to c * w_i / nu_i (scaled by the
     fee on the tendered side) for a scalar c pinned by the invariant. With
     rho_i = nu_i * R_i / w_i, asset i is tendered iff rho_i <= fee * c,
@@ -178,52 +182,46 @@ def _geometric_subproblem(market, nu):
     O(n^2) (prefix, suffix) splits fixes c in closed form from running sums.
     A split whose trades point the right way (tendered reserves grow,
     received ones shrink) is a feasible trade, and the optimal split is one
-    of them, so the best of these is the best response.
+    of them, so the best of these is the best response. The pools of one
+    size are answered together: each split of each lane and pool is an
+    entry of one array, and the first best split is kept.
     """
-    w = market.exponents
-    reserves = market.reserves
-    fee = market.fee
-    n = len(reserves)
-    nu = nu.tolist()
-    rho = [p * r / wi for p, r, wi in zip(nu, reserves, w)]
-    order = sorted(range(n), key=rho.__getitem__)
-    log_rho = [math.log(rho[i]) for i in order]
-    log_fee = math.log(fee)
-
-    # Running sums over the rho order of w, w * log(rho) and nu * R.
-    cum_w, cum_wl, cum_v = [0.0], [0.0], [0.0]
-    for k, i in enumerate(order):
-        cum_w.append(cum_w[-1] + w[i])
-        cum_wl.append(cum_wl[-1] + w[i] * log_rho[k])
-        cum_v.append(cum_v[-1] + nu[i] * reserves[i])
-
-    tol = 1e-9
-    best = None
-    best_value = -math.inf
-    # Tender the first k assets in rho order and receive those from m on.
-    for k in range(n + 1):
-        for m in range(k, n + 1):
-            if k == 0 and m == n:
-                continue  # everything held
-            w_traded = cum_w[k] + cum_w[n] - cum_w[m]
-            log_c = (cum_wl[k] + cum_wl[n] - cum_wl[m] - cum_w[k] * log_fee) / w_traded
-            if k > 0 and log_rho[k - 1] > log_fee + log_c + tol:
-                continue
-            if m < n and log_rho[m] < log_c - tol:
-                continue
-            c = math.exp(log_c)
-            value = cum_v[k] / fee + cum_v[n] - cum_v[m] - c * w_traded
-            if value > best_value:
-                best, best_value = (k, m, c), value
-    if best is None or best_value <= 0.0:
-        return np.zeros(n), np.zeros(n), 0.0
-    k, m, c = best
-    d, r = np.zeros(n), np.zeros(n)
-    for i in order[:k]:
-        d[i] = max((c * fee * w[i] / nu[i] - reserves[i]) / fee, 0.0)
-    for i in order[m:]:
-        r[i] = max(reserves[i] - c * w[i] / nu[i], 0.0)
-    return d, r, best_value
+    lanes, inf = len(nu), np.inf
+    value = np.zeros((lanes, prog.n_pools))
+    d, r = np.zeros((lanes, prog.n_legs)), np.zeros((lanes, prog.n_legs))
+    for members, legs, k, m in prog.groups:
+        w, res, fee = prog.weight[legs], prog.reserve[legs], prog.fee[legs[:, :1]]
+        price = nu[:, prog.asset[legs]]
+        worth = price * res
+        rho = worth / w
+        # Each pool's legs in rho order, as flat indices into w and into the
+        # (lane, pool, leg) arrays.
+        order = np.argsort(rho, axis=-1, kind="stable")
+        in_pool = order + np.arange(0, legs.size, legs.shape[1])[:, None]
+        in_lane = in_pool + np.arange(0, lanes * legs.size, legs.size)[:, None, None]
+        log_rho, log_fee, pad = np.log(rho.take(in_lane)), np.log(fee), np.ones((*rho.shape[:2], 1))
+        # Running sums over the rho order of w, w * log(rho) and nu * R, 0 first.
+        w_sorted = w.take(in_pool)
+        sums = np.stack([w_sorted, w_sorted * log_rho, worth.take(in_lane)])
+        cum_w, cum_wl, cum_v = np.cumsum(np.concatenate([0.0 * sums[..., :1], sums], -1), -1)
+        # Tender the first k assets in rho order and receive those from m on.
+        w_traded = cum_w[..., k] + cum_w[..., -1:] - cum_w[..., m]
+        log_c = (cum_wl[..., k] + cum_wl[..., -1:] - cum_wl[..., m] - cum_w[..., k] * log_fee) / w_traded
+        # log rho of the last tendered and the first received asset, -inf and
+        # inf where there is none.
+        edges = np.concatenate([-inf * pad, log_rho, inf * pad], -1)
+        ok = ~(edges[..., k] > log_fee + log_c + 1e-9) & ~(edges[..., m + 1] < log_c - 1e-9)
+        c = np.exp(log_c)
+        split = cum_v[..., k] / fee + cum_v[..., -1:] - cum_v[..., m] - c * w_traded
+        split[~ok] = -inf
+        best = split.argmax(-1)[..., None]
+        at = best + np.arange(0, split.size, len(k)).reshape(best.shape)
+        top, c = split.take(at), c.take(at)
+        trade, rank = top > 0.0, np.argsort(order, -1)
+        value[:, members] = np.where(trade, top, 0.0)[..., 0]
+        d[:, legs] = np.where(trade & (rank < k[best]), np.maximum((c * fee * w / price - res) / fee, 0.0), 0.0)
+        r[:, legs] = np.where(trade & (rank >= m[best]), np.maximum(res - c * w / price, 0.0), 0.0)
+    return value, d, r
 
 
 def _positive(nu):
@@ -238,15 +236,18 @@ def arbitrage_subproblem(market: Market, assets, nu: np.ndarray):
     """Best response of one market to global prices.
 
     Returns ((tendered, received), value) in the market's local indexing.
-    A constant-sum market answers as its two orders (`_sum_orders`), so at
-    exact indifference both directions fill; the value is unaffected.
+    A log-invariant pool answers as the one lane and one pool of
+    `_best_responses`. A constant-sum market answers as its two orders
+    (`_sum_orders`), so at exact indifference both directions fill; the
+    value is unaffected.
     """
     nu = _positive(nu)
     if market.kind == SUM:
         (ab, v_ab), (ba, v_ba) = (limit_order_subproblem(o, nu) for o in _sum_orders(market, assets))
         return (np.array([ab.z1, ba.z1]), np.array([ba.z2, ab.z2])), v_ab + v_ba
-    d, r, val = _geometric_subproblem(market, nu[list(assets)])
-    return (d, r), val
+    prog = _Program(RoutingProblem(len(nu), [(market, assets)], [], Liquidate(assets[0], assets[1], 0.0)))
+    value, d, r = _best_responses(prog, nu[None])
+    return (d[0], r[0]), float(value[0, 0])
 
 
 def limit_order_subproblem(order: LimitOrder, nu: np.ndarray):
@@ -271,14 +272,13 @@ def limit_order_subproblem(order: LimitOrder, nu: np.ndarray):
 
 
 def _dual_value(prog, nu, budget):
-    pools, orders = prog.trading_sets
-    value = budget * nu[prog.input]
-    for market, assets in pools:
-        value += _geometric_subproblem(market, nu[list(assets)])[2]
-    for order in orders:
-        margin = nu[order.output_asset] * order.price - nu[order.input_asset]
-        value += max(margin, 0.0) * order.volume / order.price
-    return value
+    """Per lane, the dual bound at prices nu (lanes, n) and the lane's budget:
+    the budget's worth, each pool's and then each order's best-response
+    value, summed in that order by `_lane_sums`."""
+    margin = nu[:, prog.order_out] * prog.price - nu[:, prog.order_in]
+    orders = np.maximum(margin, 0.0) * prog.volume / prog.price
+    terms = np.concatenate([(budget * nu[:, prog.input])[:, None], _best_responses(prog, nu)[0], orders], axis=1)
+    return _lane_sums(np.zeros(terms.shape[1], dtype=int), terms, 1)[:, 0]
 
 
 def _check_route_exists(prog):
@@ -329,32 +329,41 @@ class _Lanes(NamedTuple):
 
 class _Program:
     """The scaled convex primal of one problem at any budget: its utility's
-    assets and trading sets (which `_dual_value` reads), index maps, the
-    budget-free part of each asset's scale and where each entry of the
-    reduced Newton matrix lands. `lanes` adds the parts that depend on the
-    budget."""
+    assets, index maps over its legs, pools and orders (which the Newton
+    step, the rounding and the dual all read), the budget-free part of each
+    asset's scale and where each entry of the reduced Newton matrix lands.
+    `lanes` adds the parts that depend on the budget."""
 
     def __init__(self, problem):
         self.n_assets = n = problem.n_assets
         util = problem.utility
         self.input, self.out = util.input_asset, util.output_asset
-        self.trading_sets = pools, orders = _trading_sets(problem)
-        pool, asset, reserve, fee, coef, pair = [], [], [], [], [], []
+        pools, orders = _trading_sets(problem)
+        pool, asset, reserve, fee, weight, pair = [], [], [], [], [], []
         for p, (market, assets) in enumerate(pools):
             pair.extend(itertools.product(range(len(pool), len(pool) + len(assets)), repeat=2))
-            weights = market.exponents
-            total_w = sum(weights)
-            for a, res, w in zip(assets, market.reserves, weights):
+            for a, res, w in zip(assets, market.reserves, market.exponents):
                 pool.append(p)
                 asset.append(a)
                 reserve.append(res)
                 fee.append(market.fee)
-                coef.append(w / total_w)
+                weight.append(w)
         self.pool = np.array(pool, dtype=int)
         self.asset = np.array(asset, dtype=int)
         self.reserve = np.array(reserve)
         self.fee = np.array(fee)
-        self.coef = np.array(coef)
+        self.weight = np.array(weight)
+        self.coef = self.weight / np.bincount(self.pool, self.weight)[self.pool]
+        # The pools of each size k, their legs (pools, k), which are
+        # consecutive, and the splits of `_best_responses`: tender the first
+        # i legs in rho order and receive those from j on, for i <= j but
+        # i = 0, j = k (all held).
+        sizes = np.bincount(self.pool, minlength=len(pools))
+        first_leg = np.cumsum(sizes) - sizes
+        self.groups = []
+        for k in np.unique(sizes):
+            i, j = np.delete(np.triu_indices(k + 1), k, axis=1)
+            self.groups.append((np.flatnonzero(sizes == k), first_leg[sizes == k, None] + np.arange(k), i, j))
         self.order_in = np.array([o.input_asset for o in orders], dtype=int)
         self.order_out = np.array([o.output_asset for o in orders], dtype=int)
         self.volume = np.array([o.volume for o in orders])
@@ -387,6 +396,7 @@ class _Program:
         # pair of legs of one pool, and each ordered pair of entries in one
         # fill's or slack's column of A.
         self.pair = first, second = np.array(pair, dtype=int).reshape(-1, 2).T
+        self.pair_index = self.asset[first] * n + self.asset[second]
         e_out = 2 * n_legs + np.arange(n_orders)
         e_in, e_slack = e_out + n_orders, 2 * n_legs + 2 * n_orders + assets
         self.entry_pair = e1, e2 = (
@@ -394,7 +404,7 @@ class _Program:
             np.concatenate([e_out, e_in, e_out, e_in, e_slack]),
         )
         self.s_index = np.concatenate(
-            [self.asset * (n + 1), self.asset[first] * n + self.asset[second], self.a_row[e1] * n + self.a_row[e2]]
+            [self.asset * (n + 1), self.pair_index, self.a_row[e1] * n + self.a_row[e2]]
         )
 
     def lanes(self, budgets):
@@ -438,56 +448,62 @@ class _Program:
         return _lane_sums(self.a_col, lanes.a * v[:, self.a_row], self.nx)
 
     def trades(self, x, h):
-        """Exactly feasible trades near x, in the problem's units, for balance offsets h.
+        """Per lane (row of x), exactly feasible trades near x, in the
+        problem's units, for balance offsets h.
 
         Clips x to its bounds and nets each leg (tendering and receiving one
         asset in one pool leaves the same reserve with less spent). Then, in
         turns, scales each pool's received legs down until its invariant
         holds with a margin, and cuts the spending of every asset spent
-        beyond its budget. Returns each leg's tendered and received amount,
-        each order's fill and psi; no trade at all if eight rounds
-        leave an asset overspent.
+        beyond its budget, in each lane still short. Returns each leg's
+        tendered and received amount, each order's fill and psi; no trade
+        at all in a lane that eight rounds leave with an asset overspent.
         """
         n_legs, fee, n = self.n_legs, self.fee, self.n_assets
-        d = np.maximum(x[:n_legs], 0.0)
-        r = np.maximum(x[n_legs : 2 * n_legs], 0.0)
+        d = np.maximum(x[:, :n_legs], 0.0)
+        r = np.maximum(x[:, n_legs : 2 * n_legs], 0.0)
         d, r = np.maximum(d - r / fee, 0.0), np.maximum(r - fee * d, 0.0)
-        y = np.clip(x[self.fills], 0.0, 1.0)
+        y = np.clip(x[:, self.fills], 0.0, 1.0)
+        short = np.arange(len(x))
+        found = [np.zeros((len(x), size)) for size in (n_legs, n_legs, y.shape[1], n)]
         for _ in range(8):
-            r *= self._invariant_scale(d, r)[self.pool]
+            r *= self._invariant_scale(d, r)[:, self.pool]
             d_abs, r_abs, fill = d * self.reserve, r * self.reserve, y * self.volume
-            spent = np.bincount(self.asset, d_abs, n) + np.bincount(self.order_in, fill / self.price, n)
-            made = np.bincount(self.asset, r_abs, n) + np.bincount(self.order_out, fill, n)
+            spent = _lane_sums(self.asset, d_abs, n) + _lane_sums(self.order_in, fill / self.price, n)
+            made = _lane_sums(self.asset, r_abs, n) + _lane_sums(self.order_out, fill, n)
             left = made + h - spent
-            if left.min() >= 0.0:
-                return d_abs, r_abs, fill, made - spent
-            cut = self._cuts(d, r, fill, spent, made, left)
-            d *= 1.0 - cut[self.asset]
-            y *= 1.0 - cut[self.order_in]
-        return np.zeros(n_legs), np.zeros(n_legs), np.zeros(len(y)), np.zeros(n)
+            done = left.min(axis=1) >= 0.0
+            for out, value in zip(found, (d_abs, r_abs, fill, made - spent)):
+                out[short[done]] = value[done]
+            keep = ~done
+            short, d, r, y, h, fill, spent, made, left = (a[keep] for a in (short, d, r, y, h, fill, spent, made, left))
+            if not len(short):
+                break
+            cut = np.array([self._cuts(*(a[i] for a in (d, r, fill, spent, made, left))) for i in range(len(short))])
+            d *= 1.0 - cut[:, self.asset]
+            y *= 1.0 - cut[:, self.order_in]
+        return found
 
     def _cuts(self, d, r, fill, spent, made, left):
-        """Fractions of each asset's spending to cut so that none is overspent.
+        """One lane's fractions of each asset's spending to cut so that none
+        is overspent.
 
         Cutting what a pool tenders makes it give back less of everything it
         pays out, so cuts spread along the trades, loops included. To first
         order the loss at asset b per unit fraction cut at asset a is
-        M[b, a]; the cuts c solve (spent - M) c = need on the assets that
-        end up short, where need brings each to a margin of 1e-13 of its
-        flow.
+        M[b, a], a term per ordered pair of legs in a pool and one per
+        order; the cuts c solve (spent - M) c = need on the assets that end
+        up short, where need brings each to a margin of 1e-13 of its flow.
         """
-        n, pool, fee = self.n_assets, self.pool, self.fee
+        n, pool, fee, (first, second) = self.n_assets, self.pool, self.fee, self.pair
         q = self.reserves(d, r)
         w = self.coef
         tender = w * fee * d / q
         pay = w * r / q
         total_pay = np.bincount(pool, pay, self.n_pools)
-        share = np.zeros((n, self.n_pools))
-        share[self.asset, pool] = self.reserve * r / np.where(total_pay > 0.0, total_pay, 1.0)[pool]
-        source = np.zeros((self.n_pools, n))
-        source[pool, self.asset] = tender
-        loss = share @ source
-        np.add.at(loss, (self.order_out, self.order_in), fill)
+        share = self.reserve * r / np.where(total_pay > 0.0, total_pay, 1.0)[pool]
+        index = np.concatenate([self.pair_index, self.order_out * n + self.order_in])
+        loss = np.bincount(index, np.concatenate([share[first] * tender[second], fill]), n * n).reshape(n, n)
 
         margin = 1e-13 * (spent + made)
         need = margin - left
@@ -509,18 +525,19 @@ class _Program:
         return cut
 
     def _invariant_scale(self, d, r):
-        """Per pool, the largest t <= 1 such that receiving t * r keeps its invariant.
+        """Per lane and pool, the largest t <= 1 such that receiving t * r
+        keeps its invariant.
 
         Newton steps on the log invariant, which is concave and falling in t,
         so they approach its root from above; they aim at 2e-14 and stop at
         1e-14, which keeps rounding on the feasible side.
         """
         pool, n_pools, w = self.pool, self.n_pools, self.coef
-        t = np.ones(n_pools)
+        t = np.ones((len(d), n_pools))
         for _ in range(60):
-            q = self.reserves(d, t[pool] * r)
-            phi = np.bincount(pool, w * np.log(q), n_pools)
-            slope = np.bincount(pool, w * r / q, n_pools)
+            q = self.reserves(d, t[:, pool] * r)
+            phi = _lane_sums(pool, w * np.log(q), n_pools)
+            slope = _lane_sums(pool, w * r / q, n_pools)
             low = (phi < 1e-14) & (slope > 1e-300)
             if not low.any():
                 break
@@ -528,10 +545,10 @@ class _Program:
         return t
 
     def prices(self, z_slack, scale):
-        """Asset prices from one lane's slack multipliers and scale, output asset at 1."""
+        """Per lane, asset prices from the slack multipliers and scale, output asset at 1."""
         nu = z_slack / scale
-        nu[self.out] += 1.0 / scale[self.out]
-        return nu / nu[self.out]
+        nu[:, self.out] += 1.0 / scale[:, self.out]
+        return nu / nu[:, self.out, None]
 
 
 def _max_step(value, change):
@@ -648,13 +665,14 @@ def _interior_point(prog, budgets, max_iter):
     with the others, and each predictor and corrector is one stacked solve
     over the lanes. No arithmetic mixes lanes, so each lane's result is bit
     for bit that of the batch of it alone. Once a lane's estimated gap is
-    well inside TOL, each iterate is rounded to exactly feasible trades and
-    certified by `_dual_value` at the slack multipliers. A lane leaves the
-    batch once it is certified, its estimate falls to 1e-6 or below, it
-    reaches `max_iter` steps, or its step is not positive (a singular Newton
-    matrix gives a NaN step). Returns, per budget, the last rounded trades
-    with their prices and gap, whether they are certified, and the
-    iteration count.
+    well inside TOL, each iterate is rounded to exactly feasible trades
+    (`_Program.trades`) and certified by `_dual_value` at the slack
+    multipliers: one call per step for all such lanes, and one for the
+    lanes whose step fails. A lane leaves the batch once it is certified,
+    its estimate falls to 1e-6 or below, it reaches `max_iter` steps, or its
+    step is not positive (a singular Newton matrix gives a NaN step).
+    Returns, per budget, the last rounded trades with their prices and gap,
+    whether they are certified, and the iteration count.
     """
     nx, n_legs, n_pools, slack, out = prog.nx, prog.n_legs, prog.n_pools, prog.slack, prog.out
     fills, fee, pool = prog.fills, prog.fee, prog.pool
@@ -668,18 +686,24 @@ def _interior_point(prog, budgets, max_iter):
     nu = np.zeros((len(ids), prog.n_assets))
     results = [None] * len(ids)
 
-    def certify(i):
-        # A fill whose bound's multiplier exceeds its slack is put on that
-        # bound.
-        x = p[i, :nx]
-        point = x.copy()
-        point[fills][z[i, fills] > x[fills]] = 0.0
-        point[fills][z[i, nx:nb] > p[i, nx:nb]] = 1.0
-        d, r, y, psi = prog.trades(point, lanes.h[i])
-        prices = prog.prices(z[i, slack:nx], lanes.scale[i])
-        bound = _dual_value(prog, prices, lanes.budget[i])
-        gap = bound - float(psi[out])
-        return (d, r, y, psi, prices, gap), gap <= TOL * max(1.0, abs(bound))
+    def certify(rows, stop):
+        # Rounds the lanes `rows` to trades and bounds them by the dual at
+        # their prices. Records each lane that is certified or where `stop`
+        # holds, and returns which are recorded. A fill whose bound's
+        # multiplier exceeds its slack is put on that bound.
+        point = p[rows, :nx]
+        on_bound = point[:, fills]
+        on_bound[z[rows, fills] > point[:, fills]] = 0.0
+        on_bound[z[rows, nx:nb] > p[rows, nx:nb]] = 1.0
+        d, r, y, psi = prog.trades(point, lanes.h[rows])
+        prices = prog.prices(z[rows, slack:nx], lanes.scale[rows])
+        bound = _dual_value(prog, prices, lanes.budget[rows])
+        gap = bound - psi[:, out]
+        passed = gap <= TOL * np.maximum(1.0, np.abs(bound))
+        ended = passed | stop
+        for j in np.flatnonzero(ended):
+            results[ids[rows[j]]] = (d[j], r[j], y[j], psi[j], prices[j], gap[j]), passed[j], iterations
+        return ended
 
     iterations = 0
     while len(ids):
@@ -698,11 +722,9 @@ def _interior_point(prog, budgets, max_iter):
         estimate = pz + _dot(lam, np.abs(r_f)) + _dot(worth, np.abs(r_p))
         estimate /= 0.1 * TOL * np.maximum(1.0 / lanes.scale[:, out], x[:, slack + out])
         done = np.zeros(len(ids), dtype=bool)
-        for i in np.flatnonzero((estimate <= 1.0) | (iterations >= max_iter)):
-            result, passed = certify(i)
-            if passed or estimate[i] <= 1e-6 or iterations >= max_iter:
-                results[ids[i]] = result, passed, iterations
-                done[i] = True
+        due = np.flatnonzero((estimate <= 1.0) | (iterations >= max_iter))
+        if len(due):
+            done[due] = certify(due, (estimate[due] <= 1e-6) | (iterations >= max_iter))
         if done.any():
             keep = ~done
             p, z, nu, ids, pz, q, jac, r_p, r_f = (a[keep] for a in (p, z, nu, ids, pz, q, jac, r_p, r_f))
@@ -741,8 +763,7 @@ def _interior_point(prog, budgets, max_iter):
 
         moves = (a_p > 0.0) & (a_d > 0.0)  # also catches NaN
         if not moves.all():
-            for i in np.flatnonzero(~moves):
-                results[ids[i]] = (*certify(i), iterations)
+            certify(np.flatnonzero(~moves), True)
             p, z, nu, ids, dp, dz, dnu, a_p, a_d = (a[moves] for a in (p, z, nu, ids, dp, dz, dnu, a_p, a_d))
             lanes = lanes.take(moves)
         p += (0.99 * a_p)[:, None] * dp
@@ -818,9 +839,9 @@ def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
     `Liquidate` refuses a negative or non-finite budget. Every budget, 0
     included, is a lane of one batched interior-point solve over one
     program, run in consecutive chunks of as many lanes as fit the
-    MAX_SOLVE_BYTES budget (`check_solve_size`). Each lane is certified
-    alone, so its solution is bit for bit what `solve_routing` returns at
-    its budget, whatever the grid's order.
+    MAX_SOLVE_BYTES budget (`check_solve_size`). No lane's arithmetic,
+    certificate included, reads another's, so each solution is bit for bit
+    what `solve_routing` returns at its budget, whatever the grid's order.
     """
     grid = list(s_grid)
     util = problem.utility

@@ -233,16 +233,77 @@ def reference_geometric_subproblem(market, nu):
     return np.clip(d[best], 0.0, None), np.clip(r[best], 0.0, None), float(vals[best])
 
 
+def reference_sorted_split(market, nu):
+    """A log-invariant pool's best response at its assets' prices nu, one
+    (prefix, suffix) split of the rho order at a time, in scalar Python.
+    Returns (tendered, received, value)."""
+    w = market.exponents
+    reserves = market.reserves
+    fee = market.fee
+    n = len(reserves)
+    nu = nu.tolist()
+    rho = [p * r / wi for p, r, wi in zip(nu, reserves, w)]
+    order = sorted(range(n), key=rho.__getitem__)
+    log_rho = [math.log(rho[i]) for i in order]
+    log_fee = math.log(fee)
+
+    # Running sums over the rho order of w, w * log(rho) and nu * R.
+    cum_w, cum_wl, cum_v = [0.0], [0.0], [0.0]
+    for k, i in enumerate(order):
+        cum_w.append(cum_w[-1] + w[i])
+        cum_wl.append(cum_wl[-1] + w[i] * log_rho[k])
+        cum_v.append(cum_v[-1] + nu[i] * reserves[i])
+
+    tol = 1e-9
+    best = None
+    best_value = -math.inf
+    # Tender the first k assets in rho order and receive those from m on.
+    for k in range(n + 1):
+        for m in range(k, n + 1):
+            if k == 0 and m == n:
+                continue  # everything held
+            w_traded = cum_w[k] + cum_w[n] - cum_w[m]
+            log_c = (cum_wl[k] + cum_wl[n] - cum_wl[m] - cum_w[k] * log_fee) / w_traded
+            if k > 0 and log_rho[k - 1] > log_fee + log_c + tol:
+                continue
+            if m < n and log_rho[m] < log_c - tol:
+                continue
+            c = math.exp(log_c)
+            value = cum_v[k] / fee + cum_v[n] - cum_v[m] - c * w_traded
+            if value > best_value:
+                best, best_value = (k, m, c), value
+    if best is None or best_value <= 0.0:
+        return np.zeros(n), np.zeros(n), 0.0
+    k, m, c = best
+    d, r = np.zeros(n), np.zeros(n)
+    for i in order[:k]:
+        d[i] = max((c * fee * w[i] / nu[i] - reserves[i]) / fee, 0.0)
+    for i in order[m:]:
+        r[i] = max(reserves[i] - c * w[i] / nu[i], 0.0)
+    return d, r, best_value
+
+
+def assert_best_response_close(market, nu, got, want):
+    """The bounds of the sorted split: value within 1e-12 nu . R (the pool's
+    worth at the prices, which bounds the value), trades within 1e-9 max R."""
+    (d, r, value), (ref_d, ref_r, ref_value) = got, want
+    assert abs(value - ref_value) <= 1e-12 * float(nu @ np.asarray(market.reserves))
+    size = max(market.reserves)
+    assert np.abs(d - ref_d).max() <= 1e-9 * size
+    assert np.abs(r - ref_r).max() <= 1e-9 * size
+
+
 @st.composite
-def geometric_pools(draw):
-    """Pools of 2-7 assets with prices; copied assets give exact ties in rho."""
-    base = draw(st.integers(1, 7))
+def geometric_pools(draw, max_assets=7):
+    """Pools of 2 to `max_assets` assets with prices; copied assets give
+    exact ties in rho."""
+    base = draw(st.integers(1, max_assets))
     positive = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     assets = [
         (draw(positive(0.05, 500.0)), draw(positive(0.3, 5.0)), draw(positive(0.05, 20.0)))
         for _ in range(base)
     ]
-    copies = draw(st.lists(st.integers(0, base - 1), min_size=max(0, 2 - base), max_size=7 - base))
+    copies = draw(st.lists(st.integers(0, base - 1), min_size=max(0, 2 - base), max_size=max_assets - base))
     assets += [assets[i] for i in copies]
     order = draw(st.permutations(range(len(assets))))
     reserves, weights, nu = zip(*(assets[i] for i in order))
@@ -250,19 +311,45 @@ def geometric_pools(draw):
     return Market(GEOMETRIC_MEAN, reserves, fee, weights=weights), np.array(nu)
 
 
+@st.composite
+def pool_networks(draw):
+    """Up to four geometric pools of 2-20 assets each on assets of their own,
+    and one to three lanes of prices: the first lane's with exact ties in
+    rho, the others' drawn afresh."""
+    pools = draw(st.lists(geometric_pools(max_assets=20), min_size=1, max_size=4))
+    markets, first = [], 0
+    for market, _ in pools:
+        markets.append((market, tuple(range(first, first + market.n_assets))))
+        first += market.n_assets
+    lanes = [np.concatenate([nu for _, nu in pools])]
+    price = st.floats(0.05, 20.0, allow_nan=False, allow_infinity=False)
+    lanes += [np.array(draw(st.lists(price, min_size=first, max_size=first))) for _ in range(draw(st.integers(0, 2)))]
+    return RoutingProblem(first, markets, [], Liquidate(0, 1, 1.0)), np.array(lanes)
+
+
 class TestGeometricSortedSplit:
     @given(geometric_pools())
     @settings(max_examples=300, deadline=None)
     def test_matches_full_enumeration(self, pool):
         market, nu = pool
-        d, r, value = routing._geometric_subproblem(market, nu)
-        ref_d, ref_r, ref_value = reference_geometric_subproblem(market, nu)
-        # nu . R, the pool's worth at the prices, bounds the best-response value.
-        scale = float(nu @ np.asarray(market.reserves))
-        assert abs(value - ref_value) <= 1e-12 * scale
-        size = max(market.reserves)
-        assert np.abs(d - ref_d).max() <= 1e-9 * size
-        assert np.abs(r - ref_r).max() <= 1e-9 * size
+        (d, r), value = arbitrage_subproblem(market, range(market.n_assets), nu)
+        assert_best_response_close(market, nu, (d, r, value), reference_geometric_subproblem(market, nu))
+
+    @given(pool_networks())
+    @settings(max_examples=200, deadline=None)
+    def test_lanes_match_sorted_split(self, network):
+        # Every lane and pool of one batched call against the scalar split.
+        problem, nu = network
+        prog = routing._Program(problem)
+        values, d, r = routing._best_responses(prog, nu)
+        for lane in range(len(nu)):
+            leg = 0
+            for p, (market, assets) in enumerate(problem.markets):
+                legs = slice(leg, leg + market.n_assets)
+                got = d[lane, legs], r[lane, legs], values[lane, p]
+                local = nu[lane, list(assets)]
+                assert_best_response_close(market, local, got, reference_sorted_split(market, local))
+                leg = legs.stop
 
     @pytest.mark.parametrize("n", [12, 20])
     def test_large_pool_certifies(self, n):
@@ -770,15 +857,19 @@ class TestZeroBudget:
 
     def test_no_trade_fallback_legs_apart(self, monkeypatch):
         # With every cut zero, the half-filled order of the start point
-        # overspends the zero budget after every round, so the trades are the
-        # no-trade fallback.
+        # overspends the first lane's zero budget after every round, so its
+        # trades are the no-trade fallback; the second lane's balances cover
+        # the start point's trades.
         monkeypatch.setattr(routing._Program, "_cuts", lambda self, *args: np.zeros(self.n_assets))
         prog = routing._Program(pigou_problem(0.0))
-        tendered, received, fills, psi = prog.trades(prog.start(), np.zeros(prog.n_assets))
-        assert not (tendered.any() or received.any() or fills.any() or psi.any())
+        h = np.zeros((2, prog.n_assets))
+        h[1] = 100.0
+        tendered, received, fills, psi = prog.trades(np.tile(prog.start(), (2, 1)), h)
+        assert not (tendered[0].any() or received[0].any() or fills[0].any() or psi[0].any())
+        assert fills[1].all() and psi[1].any()
         assert not np.shares_memory(tendered, received)
-        tendered[0] = 1.0
-        assert received[0] == 0.0
+        tendered[0, 0] = 1.0
+        assert received[0, 0] == 0.0
 
     def test_disconnected_zero_budget_refused(self):
         problem = RoutingProblem(3, [(Market(PRODUCT, (10.0, 10.0), 1.0), (0, 1))], [], Liquidate(0, 2, 0.0))
@@ -851,6 +942,23 @@ class TestLaneBatch:
             chunks.clear()
             assert [solution_bits(sol) for sol in solve_curve(problem, grid)] == expected
             assert chunks == [7] * (len(grid) // 7) + ([len(grid) % 7] if len(grid) % 7 else [])
+
+    def test_certify_lane_independent_of_batch(self):
+        # The rounding and the dual bound give each lane of a batch, bit for
+        # bit, what they give the batch of that lane alone, at random
+        # iterates and prices.
+        rng = np.random.default_rng(0)
+        for problem, grid in paper_sweeps() + hostile_sweeps():
+            prog = routing._Program(problem)
+            lanes = prog.lanes(np.asarray(grid, dtype=float))
+            nu = 10.0 ** rng.uniform(-1.0, 1.0, (len(grid), prog.n_assets))
+            x = rng.uniform(0.0, 0.3, (len(grid), prog.nx))
+            bounds = routing._dual_value(prog, nu, lanes.budget)
+            trades = prog.trades(x, lanes.h)
+            for i in range(len(grid)):
+                alone = slice(i, i + 1)
+                assert routing._dual_value(prog, nu[alone], lanes.budget[alone]).tobytes() == bounds[alone].tobytes()
+                assert [a.tobytes() for a in prog.trades(x[alone], lanes.h[alone])] == [a[alone].tobytes() for a in trades]
 
     def test_shuffled_grid_gives_each_budget_its_solve(self):
         # No ordering rule: a grid in any order, zeros anywhere, gives each
@@ -1254,7 +1362,7 @@ class TestScaleNetworks:
         assert sol.gap <= 1e-7 * max(1.0, sol.utility_value + sol.gap)
         assert_feasible(problem, sol)
 
-    @pytest.mark.parametrize("lanes", [1, 20])
+    @pytest.mark.parametrize("lanes", [1, 20, 100])
     def test_traced_peak_within_charge(self, lanes):
         # `check_solve_size` charges each lane; a chunk's lanes must fit it.
         problem = scale_network(0, 200, 2000)
