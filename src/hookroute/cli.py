@@ -1,8 +1,9 @@
 """Batch command-line front end: run a scenario, emit CSV data and a manifest.
 
-Every command resolves its config, runs the owning module, and writes its
-outputs atomically together with a manifest JSON. Reruns with identical
-config and seed produce byte-identical CSV bodies.
+Every command resolves its config, runs the owning module, and returns its
+manifest record and its tables; `main` writes them with `write_run`, each
+table atomically, then the manifest. Reruns with identical config and seed
+produce byte-identical CSV bodies.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .liquidation import MAX_SOLVE_BYTES, check_paths, compare_vs_twamm, simulat
 # `solve_mean_variance` is unused here, but the benchmark's tracer
 # (bench/spans.py) rebinds it in this module.
 from .noncomposable import efficient_frontier, mean_variance_sweep, solve_mean_variance
-from .routing import NoFeasibleRouteError, RoutingProblem, STATUS_OPTIMAL, solve_curve
+from .routing import NoFeasibleRouteError, RoutingProblem, STATUS_OPTIMAL, solution_bytes, solve_curve
 from .scenarios import SCENARIOS, pigou_problem
 from .serialize import (
     ConfigError,
-    hook_scenario_from_dict,
-    hook_sweeps_from_dict,
+    hook_config_from_dict,
     liquidation_config_from_dict,
     load_json,
     problem_from_dict,
@@ -112,55 +112,42 @@ def _atomic_write(path, chunks):
         raise
 
 
-class RunWriter:
-    """Collects output tables for one command and writes them plus a manifest.
+def write_run(args, record, tables):
+    """Write the run of `args.command` into `args.out`: each table as
+    `<name>.csv`, then a manifest listing them.
 
-    A table's body is CSV text: any iterable of strings, each ending in a
-    newline, a generator included (`csv_rows` formats tuples). `write` reads
-    it once and streams it to disk below the comment and header lines.
+    A table is (name, columns, body), its body CSV text: any iterable of
+    strings, each ending in a newline, a generator included (`csv_rows`
+    formats tuples). It is read once and streamed to disk below a
+    `# manifest: <hash>` line, a `# seed: <n>` line when the command takes
+    `--seed`, and the header. The hash covers the command, its config
+    `record` and its seed.
     """
-
-    def __init__(self, command, out_dir, config_record, seed=None):
-        self.command = command
-        self.out_dir = out_dir
-        self.seed = seed
-        canonical = json.dumps(
-            {"command": command, "config": config_record, "seed": seed},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        self.config_hash = hashlib.sha256(canonical.encode()).hexdigest()
-        self.tables = []  # (name, columns, text)
-
-    def add_table(self, name, columns, text):
-        self.tables.append((name, list(columns), text))
-
-    def _csv_lines(self, columns, text):
-        yield f"# manifest: {self.config_hash}\n"
-        if self.seed is not None:
-            yield f"# seed: {self.seed}\n"
-        yield ",".join(columns) + "\n"
-        yield from text
-
-    def write(self):
-        os.makedirs(self.out_dir, exist_ok=True)
-        outputs = []
-        for name, columns, text in self.tables:
-            filename = f"{name}.csv"
-            _atomic_write(os.path.join(self.out_dir, filename), self._csv_lines(columns, text))
-            outputs.append(filename)
-        manifest = {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": __version__,
-            "outputs": outputs,
-        }
-        _atomic_write(
-            os.path.join(self.out_dir, f"{self.command.replace('-', '_')}_manifest.json"),
-            [json.dumps(manifest, sort_keys=True, indent=1) + "\n"],
-        )
-        return outputs
+    seed = getattr(args, "seed", None)
+    canonical = json.dumps(
+        {"command": args.command, "config": record, "seed": seed},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    config_hash = hashlib.sha256(canonical.encode()).hexdigest()
+    comments = f"# manifest: {config_hash}\n" + ("" if seed is None else f"# seed: {seed}\n")
+    os.makedirs(args.out, exist_ok=True)
+    outputs = []
+    for name, columns, body in tables:
+        outputs.append(f"{name}.csv")
+        lines = itertools.chain([comments, ",".join(columns) + "\n"], body)
+        _atomic_write(os.path.join(args.out, outputs[-1]), lines)
+    manifest = {
+        "command": args.command,
+        "config_hash": config_hash,
+        "seed": seed,
+        "version": __version__,
+        "outputs": outputs,
+    }
+    _atomic_write(
+        os.path.join(args.out, f"{args.command.replace('-', '_')}_manifest.json"),
+        [json.dumps(manifest, sort_keys=True, indent=1) + "\n"],
+    )
 
 
 def _solve_curve_strict(problem, grid):
@@ -173,25 +160,40 @@ def _solve_curve_strict(problem, grid):
     return solutions
 
 
+def _order_curves(problem, grid):
+    """Solve `problem` over `grid` with its orders and without them; return
+    the with-orders solutions and the CSV rows (s, u with, u without).
+    A grid whose two curves' solutions would pass MAX_SOLVE_BYTES is
+    refused before either solve."""
+    stripped = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
+    need = len(grid) * (solution_bytes(problem) + solution_bytes(stripped))
+    if need > MAX_SOLVE_BYTES:
+        raise ConfigError(
+            f"{len(grid)} budgets would hold about {need / 1e6:.0f} MB of solutions, "
+            f"over the {MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer budgets",
+            "grid",
+        )
+    with_orders = _solve_curve_strict(problem, grid)
+    without_orders = _solve_curve_strict(stripped, grid)
+    rows = (
+        (s, a.utility_value, b.utility_value)
+        for s, a, b in zip(grid, with_orders, without_orders)
+    )
+    return with_orders, csv_rows(rows)
+
+
 def cmd_pigou(args):
     grid = _nonnegative_grid(args.grid, "budget")
+    _, rows = _order_curves(pigou_problem(0.0), grid)
     # The order is always included; the record keeps the hash of runs that
     # chose it with --with-order.
-    writer = RunWriter("pigou", args.out, {"grid": args.grid, "with_order": True})
-    sols = _solve_curve_strict(pigou_problem(0.0), grid)
-    plain = _solve_curve_strict(pigou_problem(0.0, with_order=False), grid)
-    rows = [
-        (s, sol.utility_value, base.utility_value)
-        for s, sol, base in zip(grid, sols, plain)
-    ]
-    writer.add_table("pigou_output", ("s", "u", "u_no_order"), csv_rows(rows))
-    writer.write()
-    return EXIT_OK
+    record = {"grid": args.grid, "with_order": True}
+    return record, [("pigou_output", ("s", "u", "u_no_order"), rows)]
 
 
 def _load_problem(spec_text):
     if os.path.exists(spec_text):
-        return problem_from_dict(load_json(spec_text))
+        return problem_from_dict(load_json(spec_text, "problem"))
     if spec_text in SCENARIOS:
         return SCENARIOS[spec_text](0.0)
     raise ConfigError(
@@ -204,37 +206,26 @@ def cmd_route(args):
         raise ConfigError("route needs --s", "grid")
     grid = _nonnegative_grid(args.s, "budget")
     problem = _load_problem(args.problem)
+    with_orders, rows = _order_curves(problem, grid)
+
+    def trade_rows():
+        for s, sol in zip(grid, with_orders):
+            for market_id, ((_, assets), (tendered, received)) in enumerate(
+                zip(problem.markets, sol.market_trades)
+            ):
+                for local, asset in enumerate(assets):
+                    yield s, market_id, asset, received[local] - tendered[local]
+            for market_id, (order, trade) in enumerate(
+                zip(problem.orders, sol.order_trades), len(problem.markets)
+            ):
+                yield s, market_id, order.input_asset, -trade.z1
+                yield s, market_id, order.output_asset, trade.z2
+
     record = {"problem": problem_to_dict(problem), "grid": args.s}
-    writer = RunWriter("route", args.out, record)
-
-    with_orders = _solve_curve_strict(problem, grid)
-    stripped = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
-    without_orders = _solve_curve_strict(stripped, grid)
-    writer.add_table(
-        "route_output",
-        ("s", "u_with_orders", "u_without_orders"),
-        csv_rows(
-            [
-                (s, a.utility_value, b.utility_value)
-                for s, a, b in zip(grid, with_orders, without_orders)
-            ]
-        ),
-    )
-
-    trade_rows = []
-    for s, sol in zip(grid, with_orders):
-        for market_id, ((_, assets), (tendered, received)) in enumerate(
-            zip(problem.markets, sol.market_trades)
-        ):
-            for local, asset in enumerate(assets):
-                trade_rows.append((s, market_id, asset, received[local] - tendered[local]))
-        for j, (order, trade) in enumerate(zip(problem.orders, sol.order_trades)):
-            market_id = len(problem.markets) + j
-            trade_rows.append((s, market_id, order.input_asset, -trade.z1))
-            trade_rows.append((s, market_id, order.output_asset, trade.z2))
-    writer.add_table("route_trades", ("s", "market_id", "asset_id", "amount"), csv_rows(trade_rows))
-    writer.write()
-    return EXIT_OK
+    return record, [
+        ("route_output", ("s", "u_with_orders", "u_without_orders"), rows),
+        ("route_trades", ("s", "market_id", "asset_id", "amount"), csv_rows(trade_rows())),
+    ]
 
 
 def _dump_times(text, horizon):
@@ -265,7 +256,6 @@ def cmd_liquidate_solve(args):
     record = load_json(args.config)
     cfg, pool, params, _ = liquidation_config_from_dict(record)
     times = _dump_times(args.dump_times, cfg.horizon)
-    writer = RunWriter("liquidate-solve", args.out, record)
     vf, policy = value_iteration(cfg, pool, params)
     # Every cell but t is a float, which `_fmt` writes as its repr.
     fractions = policy.action_fractions.tolist()
@@ -296,16 +286,13 @@ def cmd_liquidate_solve(args):
                 cache[b] = text
             yield f"{t}," + text.replace("\n", f"\n{t},") + "\n"
 
-    writer.add_table("liquidation_solution", ("t", "I", "z", "value", "action"), chunks())
-    writer.write()
-    return EXIT_OK
+    return record, [("liquidation_solution", ("t", "I", "z", "value", "action"), chunks())]
 
 
 def cmd_liquidate_simulate(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
-    writer = RunWriter("liquidate-simulate", args.out, record, seed=args.seed)
     _, policy = value_iteration(cfg, pool, params)
     sim = simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
     rows = (
@@ -313,9 +300,7 @@ def cmd_liquidate_simulate(args):
         for p in range(args.paths)
         for t in range(cfg.horizon + 1)
     )
-    writer.add_table("inventory_paths", ("path", "t", "inventory"), csv_rows(rows))
-    writer.write()
-    return EXIT_OK
+    return record, [("inventory_paths", ("path", "t", "inventory"), csv_rows(rows))]
 
 
 def cmd_compare_twamm(args):
@@ -323,48 +308,30 @@ def cmd_compare_twamm(args):
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
     sigma_grid = _nonnegative_grid(args.grid, "volatility")
-    writer = RunWriter("compare-twamm", args.out, record, seed=args.seed)
     results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
-    writer.add_table("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))
-    writer.write()
-    return EXIT_OK
+    return record, [("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))]
 
 
 def cmd_hook_mean_variance(args):
     record = load_json(args.config)
-    scenario = hook_scenario_from_dict(record)
-    forms, curvatures, scales = hook_sweeps_from_dict(record)
-    writer = RunWriter("hook-mean-variance", args.out, record)
+    scenario, (forms, curvatures, scales) = hook_config_from_dict(record)
     trades, objectives = mean_variance_sweep(scenario, forms, curvatures, scales)
-    points = itertools.product(forms, curvatures, scales)
-    rows = [
+    rows = (
         (curvature, scale, form, trade, objective)
         for (form, curvature, scale), trade, objective in zip(
-            points, trades.ravel().tolist(), objectives.ravel().tolist()
+            itertools.product(forms, curvatures, scales), trades.flat, objectives.flat
         )
-    ]
-    writer.add_table(
-        "mean_variance",
-        ("alpha", "beta", "variance_form", "delta_star", "objective"),
-        csv_rows(rows),
     )
-    writer.write()
-    return EXIT_OK
+    columns = ("alpha", "beta", "variance_form", "delta_star", "objective")
+    return record, [("mean_variance", columns, csv_rows(rows))]
 
 
 def cmd_hook_frontier(args):
     record = load_json(args.config)
-    scenario = hook_scenario_from_dict(record)
-    taus = parse_grid(args.grid)
-    writer = RunWriter("hook-frontier", args.out, record)
-    points = efficient_frontier(scenario, taus)
-    writer.add_table(
-        "frontier",
-        ("tau", "delta_star", "variance_star", "feasible"),
-        csv_rows([(p.target_return, p.hook_trade, p.variance, p.feasible) for p in points]),
-    )
-    writer.write()
-    return EXIT_OK
+    scenario, _ = hook_config_from_dict(record)
+    points = efficient_frontier(scenario, parse_grid(args.grid))
+    rows = ((p.target_return, p.hook_trade, p.variance, p.feasible) for p in points)
+    return record, [("frontier", ("tau", "delta_star", "variance_star", "feasible"), csv_rows(rows))]
 
 
 def _build_parser():
@@ -449,7 +416,7 @@ def _fail(code, kind, detail, field=""):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_grid_values_joined(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        record, tables = args.fn(args)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, "config_parse", str(exc), exc.field)
     except ValueError as exc:
@@ -458,6 +425,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_SOLVER, "solver_nonconvergence", str(exc))
     except NoFeasibleRouteError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
+    write_run(args, record, tables)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -16,12 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cfmm import check_finite
+from .liquidation import MAX_SOLVE_BYTES
 
 CONSTANT = "constant"
 LINEAR = "linear"
 SUPERLINEAR = "superlinear"
 QUADRATIC = "quadratic"
 FORMS = (CONSTANT, LINEAR, SUPERLINEAR, QUADRATIC)
+
+# Bytes charged per (form, curvature, scale) point of a sweep. The traced
+# peak of a `hook-mean-variance` run, config lists included, is about 175
+# bytes a point for one form over a square grid and 222 for one form over
+# one curvature and many scales; more forms share the search's arrays.
+SWEEP_POINT_BYTES = 256
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
@@ -151,8 +158,16 @@ def _golden_max(fn, lo, hi, tol):
 
 
 def check_sweep(forms, curvatures, scales):
-    """Raise ValueError unless every form is known, every curvature lies in
+    """Raise ValueError unless the sweep's points fit MAX_SOLVE_BYTES at
+    SWEEP_POINT_BYTES each, every form is known, every curvature lies in
     [0, 1] and every variance scale is nonnegative."""
+    points = len(forms) * len(curvatures) * len(scales)
+    if points * SWEEP_POINT_BYTES > MAX_SOLVE_BYTES:
+        raise ValueError(
+            f"the sweep's {points} points would need about "
+            f"{points * SWEEP_POINT_BYTES / 1e6:.0f} MB, over the "
+            f"{MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer forms, curvatures or scales"
+        )
     unknown = [form for form in forms if form not in FORMS]
     if unknown:
         raise ValueError(f"variance forms must be among {FORMS}, got {unknown}")

@@ -163,6 +163,22 @@ def check_solve_size(problem: RoutingProblem):
     return need
 
 
+def solution_bytes(problem: RoutingProblem):
+    """An upper bound on the bytes one `RoutingSolution` of `problem` holds,
+    which a curve holds once per budget: 16 per asset (psi and the dual
+    prices) and per market leg (tendered and received), 320 per market (a
+    tuple of two trade arrays, each with a 112-byte header), 256 per order
+    (its `Trade2`) and 2048 for the rest. Traced: 1.3 KB on the pigou
+    network, 2.5 KB on table1, 625 KB on a 200-asset, 2000-pool network."""
+    legs = sum(market.n_assets for market, _ in problem.markets)
+    return (
+        2048
+        + 16 * (problem.n_assets + legs)
+        + 320 * len(problem.markets)
+        + 256 * len(problem.orders)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Best responses: maximize nu . (received - tendered) over a trading set.
 # ---------------------------------------------------------------------------

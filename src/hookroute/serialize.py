@@ -4,11 +4,10 @@ Each record kind declares its keys once, in a spec: a dict from each JSON
 key to a `_Key` naming the dataclass attribute it fills (the key itself
 unless given), the reader of its value, and its default. A key is
 `_REQUIRED`, has a default, or is `_OMIT`ted so that the dataclass default
-applies; a `_Key(None)` is legal but read by another function. One reader,
-`_record`, reads every record through its spec: it refuses a non-object,
-any key outside the spec and a missing required key, and returns the values
-by attribute; `_build` passes them to the constructor. `problem_to_dict`
-writes records through the same specs.
+applies. One reader, `_record`, reads every record through its spec: it
+refuses a non-object, any key outside the spec and a missing required key,
+and returns the values by attribute; `_build` passes them to the
+constructor. `problem_to_dict` writes records through the same specs.
 
 Every refusal is a `ConfigError` whose `field` names the culprit: an
 unknown key names the record that holds it (the key itself at the top
@@ -43,7 +42,7 @@ _OMIT = object()
 
 
 class _Key(NamedTuple):
-    read: Callable | None  # (value, path, key) -> value; None: read elsewhere
+    read: Callable  # (value, path, key) -> value
     default: object = _REQUIRED
     attr: str | None = None  # the attribute it fills, if not the key
 
@@ -68,8 +67,6 @@ def _record(record, path, spec):
         )
     values = {}
     for key, entry in spec.items():
-        if entry.read is None:
-            continue
         if key in record:
             values[entry.attr or key] = entry.read(record[key], path, key)
         elif entry.default is _REQUIRED:
@@ -218,6 +215,23 @@ _LIQUIDATION = {
 }
 
 _VARIANCE = {"form": _Key(_STRING), "scale": _Key(_FINITE), "exponent": _Key(_FINITE, None)}
+_FORM_NAMES = _list_of(lambda v: isinstance(v, str), "one or more variance form names", bool, list)
+_SWEEP_VALUES = _list_of(_is_number, "one or more finite numbers", bool, list)
+_SWEEPS = {
+    "forms": _Key(_FORM_NAMES, list(FORMS)),
+    "curvature_values": _Key(_SWEEP_VALUES, np.linspace(0.0, 1.0, 50).tolist()),
+    "scale_values": _Key(_SWEEP_VALUES, np.logspace(-3, 3, 25).tolist()),
+}
+
+
+def _sweeps(value, path, key):
+    """A `sweeps` record as (forms, curvatures, scales); any refusal names it."""
+    values = _record(value, key, _SWEEPS)
+    sweep = values["forms"], values["curvature_values"], values["scale_values"]
+    _wrap(lambda: check_sweep(*sweep), key)
+    return sweep
+
+
 _HOOK = {
     "total_trade": _Key(_FINITE),
     "cpmm_reserves": _Key(_PAIR),
@@ -225,14 +239,7 @@ _HOOK = {
     "curvature": _Key(_FINITE),
     "variance": _Key(_nested(VarianceSpec, _VARIANCE)),
     "risk_aversion": _Key(_FINITE),
-    "sweeps": _Key(None),  # hook_sweeps_from_dict
-}
-_FORM_NAMES = _list_of(lambda v: isinstance(v, str), "one or more variance form names", bool, list)
-_SWEEP_VALUES = _list_of(_is_number, "one or more finite numbers", bool, list)
-_SWEEPS = {
-    "forms": _Key(_FORM_NAMES, list(FORMS)),
-    "curvature_values": _Key(_SWEEP_VALUES, np.linspace(0.0, 1.0, 50).tolist()),
-    "scale_values": _Key(_SWEEP_VALUES, np.logspace(-3, 3, 25).tolist()),
+    "sweeps": _Key(_sweeps, _sweeps({}, "", "sweeps")),
 }
 
 
@@ -262,31 +269,30 @@ def liquidation_config_from_dict(record):
     return values["mdp"], values["pool"], values["mispricing"], values["z0"]
 
 
-def hook_scenario_from_dict(record) -> HookScenario:
-    """A hook scenario; every number must be finite, and a bad one is named."""
-    return _build(HookScenario, record, "", _HOOK)
+def hook_config_from_dict(record):
+    """Returns (HookScenario, (forms, curvatures, scales)).
 
-
-def hook_sweeps_from_dict(record):
-    """The `sweeps` block of a hook config as (forms, curvatures, scales).
-
-    An absent key takes its default: every variance form, 50 curvatures on
-    [0, 1] and 25 log-spaced scales on [1e-3, 1e3]. A present key must hold
-    a nonempty list of valid values; anything else, unknown keys included,
-    is refused here with `"field": "sweeps"`, before any search runs.
+    Every number of the scenario must be finite, and a bad one is named. An
+    absent `sweeps` key takes every variance form, 50 curvatures on [0, 1]
+    and 25 log-spaced scales on [1e-3, 1e3]. A present one must hold a
+    nonempty list of valid values under each key it has, and `check_sweep`
+    must pass the sweep; anything else, unknown keys and too many points
+    included, is refused with `"field": "sweeps"`.
     """
-    values = _record(_object(record, "").get("sweeps", {}), "sweeps", _SWEEPS)
-    sweep = values["forms"], values["curvature_values"], values["scale_values"]
-    _wrap(lambda: check_sweep(*sweep), "sweeps")
-    return sweep
+    values = _record(record, "", _HOOK)
+    sweep = values.pop("sweeps")
+    return _wrap(lambda: HookScenario(**values), ""), sweep
 
 
-def load_json(path):
+def load_json(path, option="config"):
+    """The JSON record at `path`, which the command-line `option` names; an
+    unreadable file is refused naming the option, malformed JSON naming its
+    line and column."""
     try:
         with open(path) as handle:
             return json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}", "") from exc
+        raise ConfigError(f"cannot read {option} {path}: {exc}", option) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path}: {exc.msg}", f"line {exc.lineno} column {exc.colno}"

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import importlib.util
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,14 +15,14 @@ import pytest
 
 import hookroute
 from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
-from hookroute.cli import RunWriter, _build_parser, _fmt, csv_rows, main, parse_grid
+from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, write_run
 from hookroute.liquidation import MAX_SOLVE_BYTES, MdpConfig, check_paths, value_iteration
+from hookroute.noncomposable import SWEEP_POINT_BYTES
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.scenarios import SCENARIOS
 from hookroute.serialize import (
     ConfigError,
-    hook_scenario_from_dict,
-    hook_sweeps_from_dict,
+    hook_config_from_dict,
     liquidation_config_from_dict,
     problem_from_dict,
     problem_to_dict,
@@ -317,6 +319,76 @@ ROUTE_PROBLEM = {
 }
 
 
+def contract_runs(tmp_path):
+    """Each command's options on a small config, and its tables in write order."""
+    liq = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+    hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
+    return {
+        "pigou": (["--grid", "0:2:3"], ["pigou_output"]),
+        "route": (["--problem", "table1", "--s", "0:100:3"], ["route_output", "route_trades"]),
+        "liquidate-solve": (["--config", liq], ["liquidation_solution"]),
+        "liquidate-simulate": (["--config", liq, "--paths", "2"], ["inventory_paths"]),
+        "compare-twamm": (["--config", liq, "--grid", "0:1:2", "--paths", "2"], ["twamm_comparison"]),
+        "hook-mean-variance": (["--config", hook], ["mean_variance"]),
+        "hook-frontier": (["--config", hook, "--grid", "0:40:3"], ["frontier"]),
+    }
+
+
+def listed(directory):
+    return sorted(os.listdir(directory)) if directory.exists() else []
+
+
+class TestRunContract:
+    """What a run leaves in --out: its CSVs and a manifest naming them, or nothing."""
+
+    @pytest.mark.parametrize("command", [argv[0] for argv in VALID_ARGVS])
+    def test_manifest_lists_the_csvs_in_table_order(self, tmp_path, command):
+        runs = contract_runs(tmp_path)
+        [subparsers] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(runs) == set(subparsers.choices)
+        options, tables = runs[command]
+        out = tmp_path / "run"
+        assert main([command, *options, "--out", str(out)]) == 0
+        manifest_name = f"{command.replace('-', '_')}_manifest.json"
+        manifest = json.loads((out / manifest_name).read_text())
+        assert manifest["command"] == command
+        assert manifest["outputs"] == [f"{table}.csv" for table in tables]
+        assert listed(out) == sorted(manifest["outputs"] + [manifest_name])
+        for name in manifest["outputs"]:
+            first = (out / name).read_text().split("\n", 1)[0]
+            assert first == f"# manifest: {manifest['config_hash']}"
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [(argv[0], 2) for argv in VALID_ARGVS] + [("pigou", 3), ("route", 3), ("route", 4)],
+    )
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch, command, code):
+        import hookroute.cli as cli_mod
+
+        options, _ = contract_runs(tmp_path)[command]
+        if code == 2:
+            bad = write_json(tmp_path / "bad.json", 5)
+            options = [bad if o.endswith(".json") else o for o in options]
+            options = [o.replace(":3", ":0") if command in ("pigou", "route") else o for o in options]
+        elif code == 3:
+            original = cli_mod.solve_curve
+
+            def stalled(problem, grid):
+                solutions = original(problem, grid)
+                for sol in solutions:
+                    sol.status = "max_iter"
+                return solutions
+
+            monkeypatch.setattr(cli_mod, "solve_curve", stalled)
+        else:
+            no_route = dict(ROUTE_PROBLEM, n_assets=4, utility={"liquidate": {"input": 0, "output": 3, "budget": 1.0}})
+            options = ["--problem", write_json(tmp_path / "p.json", no_route), "--s", "0:1:3"]
+        out = tmp_path / "run"
+        assert main([command, *options, "--out", str(out)]) == code
+        assert json.loads(capsys.readouterr().out)["error"]
+        assert listed(out) == []
+
+
 class TestErrorContracts:
     def test_malformed_json_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -473,7 +545,9 @@ class TestErrorContracts:
         "case, field",
         [
             ("frontier_targets_key", "targets"),
-            ("missing_config", ""),
+            ("missing_config", "config"),
+            ("config_is_a_directory", "config"),
+            ("problem_is_a_directory", "problem"),
             ("markets_not_a_list", "markets"),
             ("negative_budget", "grid"),
             ("negative_budget_spaced", "grid"),
@@ -492,6 +566,8 @@ class TestErrorContracts:
         argv = {
             "frontier_targets_key": ["hook-frontier", "--config", targets, "--grid", "0:70:3"] + out,
             "missing_config": ["liquidate-solve", "--config", str(tmp_path / "missing.json")] + out,
+            "config_is_a_directory": ["hook-mean-variance", "--config", str(tmp_path)] + out,
+            "problem_is_a_directory": ["route", "--problem", str(tmp_path), "--s", "0:1:2"] + out,
             "markets_not_a_list": ["route", "--problem", problem, "--s", "0:1:2"] + out,
             "negative_budget": ["route", "--problem", "table1", "--s=-1:1:3"] + out,
             "negative_budget_spaced": ["route", "--problem", "table1", "--s", "-1:1:3"] + out,
@@ -506,6 +582,35 @@ class TestErrorContracts:
         err = json.loads(capsys.readouterr().out)
         assert (err["error"], err["field"]) == ("config_parse", field)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "command, problem, grid",
+        [
+            ("pigou", None, "0:20:200000"),
+            ("route", "table1", "0:500:200000"),
+            ("route", "200/2000", "0:100:5000"),
+        ],
+    )
+    def test_grid_whose_solutions_would_not_fit_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, command, problem, grid
+    ):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli_mod, "solve_curve", never)
+        argv = [command, "--out", str(tmp_path / "run")]
+        if command == "pigou":
+            argv += ["--grid", grid]
+        else:
+            if problem == "200/2000":
+                problem = write_json(tmp_path / "net.json", problem_to_dict(scale_network(0, 200, 2000)))
+            argv += ["--problem", problem, "--s", grid]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["field"]) == ("config_parse", "grid")
+        assert "budget" in err["detail"]
 
     def test_frontier_grid_may_start_below_zero(self, tmp_path):
         hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
@@ -779,20 +884,48 @@ class TestHookSweeps:
             {"scale_values": 1.0},
             {"scale_values": [math.inf]},
             {"curvatures": [0.5]},
+            5,
+            # 4 forms x 1000 x 1000 points at SWEEP_POINT_BYTES pass MAX_SOLVE_BYTES.
+            {"curvature_values": [0.5] * 1000, "scale_values": [1.0] * 1000},
         ],
     )
-    def test_bad_sweeps_refused_before_searching(self, tmp_path, capsys, monkeypatch, sweeps):
+    @pytest.mark.parametrize("command", ["hook-mean-variance", "hook-frontier"])
+    def test_bad_sweeps_refused_before_searching(self, tmp_path, capsys, monkeypatch, command, sweeps):
         import hookroute.cli as cli_mod
 
         def never(*args):
             raise AssertionError("the search ran")
 
         monkeypatch.setattr(cli_mod, "mean_variance_sweep", never)
+        monkeypatch.setattr(cli_mod, "efficient_frontier", never)
         path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, sweeps=sweeps))
-        assert main(["hook-mean-variance", "--config", path, "--out", str(tmp_path)]) == 2
+        argv = [command, "--config", path, "--out", str(tmp_path / "run")]
+        if command == "hook-frontier":
+            argv += ["--grid", "0:40:5"]
+        assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"] == "config_parse"
         assert err["field"] == "sweeps"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("forms, curvatures, scales", [(1, 200, 200), (1, 1, 40000), (4, 100, 100)])
+    def test_traced_peak_within_sweep_charge(self, tmp_path, forms, curvatures, scales):
+        # A run's traced peak, config lists and rows included, stays within
+        # SWEEP_POINT_BYTES per (form, curvature, scale) point.
+        sweeps = {
+            "forms": ["linear", "quadratic", "superlinear", "constant"][:forms],
+            "curvature_values": np.linspace(0.0, 1.0, curvatures).tolist(),
+            "scale_values": np.logspace(-3, 3, scales).tolist(),
+        }
+        argv = ["hook-mean-variance", "--config", write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, sweeps=sweeps))]
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= forms * curvatures * scales * SWEEP_POINT_BYTES
 
     @pytest.mark.parametrize(
         "change, field",
@@ -949,14 +1082,18 @@ class TestDeterminism:
             assert (a / filename).read_bytes() == (b / filename).read_bytes(), filename
 
     def test_csv_layout(self, tmp_path):
-        writer = RunWriter("demo", str(tmp_path), {"a": 1}, seed=3)
+        args = argparse.Namespace(command="demo", out=str(tmp_path), seed=3)
         rows = ((i, i / 4, i > 0, "n") for i in range(2))
-        writer.add_table("t", ("i", "x", "flag", "name"), csv_rows(rows))
-        writer.write()
+        write_run(args, {"a": 1}, [("t", ("i", "x", "flag", "name"), csv_rows(rows))])
+        config_hash = hashlib.sha256(b'{"command":"demo","config":{"a":1},"seed":3}').hexdigest()
         assert (tmp_path / "t.csv").read_text() == (
-            f"# manifest: {writer.config_hash}\n# seed: 3\n"
+            f"# manifest: {config_hash}\n# seed: 3\n"
             "i,x,flag,name\n0,0.0,false,n\n1,0.25,true,n\n"
         )
+        assert json.loads((tmp_path / "demo_manifest.json").read_text()) == {
+            "command": "demo", "config_hash": config_hash, "seed": 3,
+            "version": hookroute.__version__, "outputs": ["t.csv"],
+        }
 
     def test_manifest_hash_stable(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1008,7 +1145,7 @@ class TestReproduceScript:
         assert read == {os.path.join(out, path) for path in written}
 
         hook = written.pop(os.path.join("hooks", "config.json"))
-        hook_scenario_from_dict(hook)
+        hook_config_from_dict(hook)
         assert hook == workloads.HOOK_CONFIG
         for record in written.values():
             liquidation_config_from_dict(record)
@@ -1029,7 +1166,7 @@ class TestReadme:
         loaders = {
             "n_assets": (problem_from_dict,),
             "mdp": (liquidation_config_from_dict,),
-            "total_trade": (hook_scenario_from_dict, hook_sweeps_from_dict),
+            "total_trade": (hook_config_from_dict,),
         }
         with open(os.path.join(REPO, "README.md")) as handle:
             blocks = re.findall(r"```json\n(.*?)```", handle.read(), re.S)

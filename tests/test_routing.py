@@ -1375,6 +1375,28 @@ class TestScaleNetworks:
         assert {sol.status for sol in curve} == {"optimal"}
         assert peak <= lanes * routing.check_solve_size(problem)
 
+    @pytest.mark.parametrize("network", ["pigou", "table1", "200/2000"])
+    @pytest.mark.parametrize("with_orders", [True, False])
+    def test_held_solutions_within_charge(self, network, with_orders):
+        # `solution_bytes` charges each solution a curve holds, within a
+        # factor of three of what it traces.
+        problem = {"pigou": pigou_problem, "table1": table1_problem}.get(
+            network, lambda s: scale_network(0, 200, 2000)
+        )(0.0)
+        if not with_orders:
+            problem = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
+        budgets = 10 if network == "200/2000" else 100
+        solve_curve(problem, [1.0])
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            curve = solve_curve(problem, np.linspace(0.0, 10.0, budgets))
+            held = (tracemalloc.get_traced_memory()[0] - held) / budgets
+        finally:
+            tracemalloc.stop()
+        assert {sol.status for sol in curve} == {"optimal"}
+        assert held <= routing.solution_bytes(problem) <= 3 * held
+
 
 class TestHonestBound:
     def test_bound_covers_oracle_value(self):
