@@ -22,12 +22,27 @@ SUM = "sum"
 
 _KINDS = (PRODUCT, GEOMETRIC_MEAN, SUM)
 
+# The memory budget of any one solve, simulation, sweep or grid. Each family
+# estimates the bytes its own arrays need; `check_budget` refuses one that
+# would pass this budget, before anything is allocated.
+MAX_SOLVE_BYTES = 10**9
+
 
 def check_finite(**values):
     """Refuse NaN and infinities, which JSON configs can carry (`NaN`, `Infinity`)."""
     for name, value in values.items():
         if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
+
+
+def check_budget(need, what, fewer):
+    """Refuse `what` when its estimated `need` in bytes passes
+    MAX_SOLVE_BYTES; the ValueError suggests using fewer of `fewer`."""
+    if need > MAX_SOLVE_BYTES:
+        raise ValueError(
+            f"{what} would need about {need / 1e6:.0f} MB, over the "
+            f"{MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer {fewer}"
+        )
 
 
 @dataclass(frozen=True)

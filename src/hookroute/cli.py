@@ -21,10 +21,11 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .liquidation import MAX_SOLVE_BYTES, check_paths, compare_vs_twamm, simulate_policy, value_iteration
+from .cfmm import check_budget
+from .liquidation import check_paths, compare_vs_twamm, simulate_policy, value_iteration
 # `solve_mean_variance` is unused here, but the benchmark's tracer
 # (bench/spans.py) rebinds it in this module.
-from .noncomposable import efficient_frontier, mean_variance_sweep, solve_mean_variance
+from .noncomposable import SWEEP_POINT_BYTES, efficient_frontier, mean_variance_sweep, solve_mean_variance
 from .routing import NoFeasibleRouteError, RoutingProblem, STATUS_OPTIMAL, solution_bytes, solve_curve
 from .scenarios import SCENARIOS, pigou_problem
 from .serialize import (
@@ -46,9 +47,12 @@ class SolverFailure(Exception):
     pass
 
 
-def parse_grid(text):
-    """Inclusive start:stop:count sweep syntax. A count whose float grid alone
-    would pass `MAX_SOLVE_BYTES` is refused before anything is allocated."""
+def _grid_bounds(text, point_bytes=8, what=None):
+    """(start, stop, count) of the inclusive start:stop:count sweep `text`,
+    checked without allocating anything. A grid whose points, at
+    `point_bytes` each (its float and what a command holds per point), would
+    pass the memory budget is refused. When `what` names a nonnegative
+    quantity, the start, the grid's least value, must not be negative."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"grid {text!r} must look like start:stop:count", "grid")
@@ -61,24 +65,20 @@ def parse_grid(text):
         raise ConfigError(f"grid {text!r}: start and stop must be finite", "grid")
     if count < 1:
         raise ConfigError("grid count must be at least 1", "grid")
-    if 8 * count > MAX_SOLVE_BYTES:
-        raise ConfigError(
-            f"grid count {count} would need {8 * count / 1e6:.0f} MB for the grid alone, "
-            f"over the {MAX_SOLVE_BYTES / 1e6:.0f} MB budget",
-            "grid",
-        )
+    try:
+        check_budget(count * point_bytes, f"the grid's {count} points", "grid points")
+    except ValueError as exc:
+        raise ConfigError(f"grid {text!r}: {exc}", "grid") from exc
     if stop < start:
         raise ConfigError("grid stop must not precede start", "grid")
-    return np.linspace(start, stop, count)
-
-
-def _nonnegative_grid(text, what):
-    """A `parse_grid` sweep of budgets or volatilities; its start, the least
-    value, must not be negative."""
-    grid = parse_grid(text)
-    if grid[0] < 0:
+    if what is not None and start < 0:
         raise ConfigError(f"grid {text!r}: {what} must be nonnegative", "grid")
-    return grid
+    return start, stop, count
+
+
+def parse_grid(text, point_bytes=8, what=None):
+    """The sweep `text` as an array, once `_grid_bounds` has checked it."""
+    return np.linspace(*_grid_bounds(text, point_bytes, what))
 
 
 def _fmt(value):
@@ -160,31 +160,25 @@ def _solve_curve_strict(problem, grid):
     return solutions
 
 
-def _order_curves(problem, grid):
-    """Solve `problem` over `grid` with its orders and without them; return
-    the with-orders solutions and the CSV rows (s, u with, u without).
-    A grid whose two curves' solutions would pass MAX_SOLVE_BYTES is
-    refused before either solve."""
+def _order_curves(problem, text):
+    """Solve `problem` over the budget grid `text` with its orders and
+    without them; return the grid, the with-orders solutions and the CSV
+    rows (s, u with, u without). Each budget is charged its float and a
+    solution of each curve, so a grid that would not fit is refused before
+    it is allocated."""
     stripped = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
-    need = len(grid) * (solution_bytes(problem) + solution_bytes(stripped))
-    if need > MAX_SOLVE_BYTES:
-        raise ConfigError(
-            f"{len(grid)} budgets would hold about {need / 1e6:.0f} MB of solutions, "
-            f"over the {MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer budgets",
-            "grid",
-        )
+    grid = parse_grid(text, 8 + solution_bytes(problem) + solution_bytes(stripped), "budget")
     with_orders = _solve_curve_strict(problem, grid)
     without_orders = _solve_curve_strict(stripped, grid)
     rows = (
         (s, a.utility_value, b.utility_value)
         for s, a, b in zip(grid, with_orders, without_orders)
     )
-    return with_orders, csv_rows(rows)
+    return grid, with_orders, csv_rows(rows)
 
 
 def cmd_pigou(args):
-    grid = _nonnegative_grid(args.grid, "budget")
-    _, rows = _order_curves(pigou_problem(0.0), grid)
+    _, _, rows = _order_curves(pigou_problem(0.0), args.grid)
     # The order is always included; the record keeps the hash of runs that
     # chose it with --with-order.
     record = {"grid": args.grid, "with_order": True}
@@ -204,9 +198,11 @@ def _load_problem(spec_text):
 def cmd_route(args):
     if args.s is None:
         raise ConfigError("route needs --s", "grid")
-    grid = _nonnegative_grid(args.s, "budget")
+    # A bad --s, one whose floats alone would not fit included, is named
+    # before the problem is read.
+    _grid_bounds(args.s, what="budget")
     problem = _load_problem(args.problem)
-    with_orders, rows = _order_curves(problem, grid)
+    grid, with_orders, rows = _order_curves(problem, args.s)
 
     def trade_rows():
         for s, sol in zip(grid, with_orders):
@@ -307,7 +303,7 @@ def cmd_compare_twamm(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
-    sigma_grid = _nonnegative_grid(args.grid, "volatility")
+    sigma_grid = parse_grid(args.grid, what="volatility")
     results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
     return record, [("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))]
 
@@ -329,7 +325,7 @@ def cmd_hook_mean_variance(args):
 def cmd_hook_frontier(args):
     record = load_json(args.config)
     scenario, _ = hook_config_from_dict(record)
-    points = efficient_frontier(scenario, parse_grid(args.grid))
+    points = efficient_frontier(scenario, parse_grid(args.grid, SWEEP_POINT_BYTES))
     rows = ((p.target_return, p.hook_trade, p.variance, p.feasible) for p in points)
     return record, [("frontier", ("tau", "delta_star", "variance_star", "feasible"), csv_rows(rows))]
 

@@ -18,17 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfmm import check_finite
+from .cfmm import check_budget, check_finite
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 _MODES = (MULTIPLICATIVE, ADDITIVE)
-
-# Memory budget of one `value_iteration` solve, checked by `MdpConfig` from
-# the grid sizes before anything is allocated. The paper's 200-block config
-# needs about 274 MB by the same estimate. `check_paths` holds a simulation's
-# path arrays to the same budget.
-MAX_SOLVE_BYTES = 10**9
 
 
 @dataclass(frozen=True)
@@ -109,13 +103,7 @@ class MdpConfig:
             raise ValueError("grids need at least two points")
         if self.dynamics not in _MODES:
             raise ValueError(f"dynamics must be one of {_MODES}")
-        need = self.solve_bytes
-        if need > MAX_SOLVE_BYTES:
-            raise ValueError(
-                f"the solve would need about {need / 1e6:.0f} MB, over the "
-                f"{MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer grid points, "
-                "actions, quadrature nodes or blocks"
-            )
+        check_budget(self.solve_bytes, "the solve", "grid points, actions, quadrature nodes or blocks")
 
     @property
     def solve_bytes(self) -> int:
@@ -288,7 +276,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     2.3M entries (at most 2 * quad_order per row, 9.4M before summing). A
     backup is then two sparse products, the rewards added, and the first
     best action of each state kept. `MdpConfig` refuses grids whose solve would exceed
-    `MAX_SOLVE_BYTES`; its estimate bounds the peak, reached while the
+    `cfmm.MAX_SOLVE_BYTES`; its estimate bounds the peak, reached while the
     gather holds the shared rows next to the operator.
 
     Backward induction stops at its fixed point. A backup is a function of
@@ -367,7 +355,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
 
 
 def check_paths(n_paths, horizon):
-    """Refuse a path count whose simulation arrays would pass `MAX_SOLVE_BYTES`.
+    """Refuse a path count whose simulation arrays would pass `cfmm.MAX_SOLVE_BYTES`.
 
     A simulation, or a TWAMM comparison, holds two float arrays of
     n_paths x (horizon + 1): the noise, which a comparison draws once for
@@ -376,12 +364,7 @@ def check_paths(n_paths, horizon):
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
-    need = 3 * 8 * n_paths * (horizon + 1)
-    if need > MAX_SOLVE_BYTES:
-        raise ValueError(
-            f"{n_paths} paths of {horizon} blocks would need about {need / 1e6:.0f} MB, "
-            f"over the {MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer paths"
-        )
+    check_budget(3 * 8 * n_paths * (horizon + 1), f"{n_paths} paths of {horizon} blocks", "paths")
 
 
 def _noise_matrix(n_paths, horizon, seed):

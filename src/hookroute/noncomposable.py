@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfmm import check_finite
-from .liquidation import MAX_SOLVE_BYTES
+from .cfmm import check_budget, check_finite
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -28,6 +27,8 @@ FORMS = (CONSTANT, LINEAR, SUPERLINEAR, QUADRATIC)
 # peak of a `hook-mean-variance` run, config lists included, is about 175
 # bytes a point for one form over a square grid and 222 for one form over
 # one curvature and many scales; more forms share the search's arrays.
+# `hook-frontier` charges each target the same: its run traces about 160
+# bytes a target (176 at 2000 targets).
 SWEEP_POINT_BYTES = 256
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -158,16 +159,11 @@ def _golden_max(fn, lo, hi, tol):
 
 
 def check_sweep(forms, curvatures, scales):
-    """Raise ValueError unless the sweep's points fit MAX_SOLVE_BYTES at
+    """Raise ValueError unless the sweep's points fit `cfmm.MAX_SOLVE_BYTES` at
     SWEEP_POINT_BYTES each, every form is known, every curvature lies in
     [0, 1] and every variance scale is nonnegative."""
     points = len(forms) * len(curvatures) * len(scales)
-    if points * SWEEP_POINT_BYTES > MAX_SOLVE_BYTES:
-        raise ValueError(
-            f"the sweep's {points} points would need about "
-            f"{points * SWEEP_POINT_BYTES / 1e6:.0f} MB, over the "
-            f"{MAX_SOLVE_BYTES / 1e6:.0f} MB budget; use fewer forms, curvatures or scales"
-        )
+    check_budget(points * SWEEP_POINT_BYTES, f"the sweep's {points} points", "forms, curvatures or scales")
     unknown = [form for form in forms if form not in FORMS]
     if unknown:
         raise ValueError(f"variance forms must be among {FORMS}, got {unknown}")

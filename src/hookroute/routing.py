@@ -35,15 +35,16 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import cfmm
 from .cfmm import (
     SUM,
     LimitOrder,
     Market,
     Trade2,
+    check_budget,
     forward_exchange_batch,
     trading_function,
 )
-from .liquidation import MAX_SOLVE_BYTES
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -133,7 +134,7 @@ def _trading_sets(problem):
 
 
 def check_solve_size(problem: RoutingProblem):
-    """Refuse a problem whose Newton matrices would exceed MAX_SOLVE_BYTES
+    """Refuse a problem whose Newton matrices would exceed `cfmm.MAX_SOLVE_BYTES`
     even for one budget, and return the bytes one budget needs.
 
     Each budget of a solve is a lane (`_interior_point`), and each lane's
@@ -154,12 +155,7 @@ def check_solve_size(problem: RoutingProblem):
     rows = 2 * legs + len(orders) + len(pools) + n
     splits = sum((k + 1) * (k + 2) // 2 for k in sizes)
     need = 8 * (3 * n * n + 4 * terms + 48 * rows + 12 * splits)
-    if need > MAX_SOLVE_BYTES:
-        raise ValueError(
-            f"the routing solve would need about {need / 1e6:.0f} MB for its "
-            f"{n}-row Newton matrices, over the {MAX_SOLVE_BYTES / 1e6:.0f} MB "
-            "budget; use fewer assets, pools or orders"
-        )
+    check_budget(need, f"the routing solve's {n}-row Newton matrices", "assets, pools or orders")
     return need
 
 
@@ -824,7 +820,7 @@ def _solve_budgets(problem, budgets, max_iter):
     lane_bytes = check_solve_size(problem)
     prog = _Program(problem)
     _check_route_exists(prog)
-    chunk = MAX_SOLVE_BYTES // lane_bytes
+    chunk = cfmm.MAX_SOLVE_BYTES // lane_bytes
     solutions = []
     for start in range(0, len(budgets), chunk):
         results = _interior_point(prog, budgets[start : start + chunk], max_iter)

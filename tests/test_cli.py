@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import hookroute
-from hookroute.cfmm import GEOMETRIC_MEAN, PRODUCT, SUM, LimitOrder, Market
+from hookroute.cfmm import GEOMETRIC_MEAN, MAX_SOLVE_BYTES, PRODUCT, SUM, LimitOrder, Market
 from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, write_run
-from hookroute.liquidation import MAX_SOLVE_BYTES, MdpConfig, check_paths, value_iteration
+from hookroute.liquidation import MdpConfig, check_paths, value_iteration
 from hookroute.noncomposable import SWEEP_POINT_BYTES
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.scenarios import SCENARIOS
@@ -65,6 +65,15 @@ HOOK_CONFIG = {
 def write_json(path, record):
     path.write_text(json.dumps(record))
     return str(path)
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak bytes that tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def read_rows(path):
@@ -556,12 +565,23 @@ class TestErrorContracts:
             ("huge_route_grid", "grid"),
             ("huge_frontier_grid", "grid"),
             ("huge_pigou_grid", "grid"),
+            ("frontier_grid_over_target_charge", "grid"),
+            ("malformed_grid_before_missing_problem", "grid"),
+            ("huge_grid_before_missing_problem", "grid"),
         ],
     )
-    def test_refusal_is_exit_2(self, tmp_path, capsys, case, field):
+    def test_refusal_is_exit_2(self, tmp_path, capsys, monkeypatch, case, field):
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier"):
+            monkeypatch.setattr(cli_mod, name, never)
         hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
         targets = write_json(tmp_path / "targets.json", dict(HOOK_CONFIG, targets=[10.0]))
         problem = write_json(tmp_path / "problem.json", dict(ROUTE_PROBLEM, markets=5))
+        missing = str(tmp_path / "missing.json")
         out = ["--out", str(tmp_path / "run")]
         argv = {
             "frontier_targets_key": ["hook-frontier", "--config", targets, "--grid", "0:70:3"] + out,
@@ -577,6 +597,11 @@ class TestErrorContracts:
             "huge_route_grid": ["route", "--problem", "table1", "--s", "0:1:100000000000"] + out,
             "huge_frontier_grid": ["hook-frontier", "--config", hook, "--grid", "0:70:100000000000"] + out,
             "huge_pigou_grid": ["pigou", "--grid", "0:1:100000000000"] + out,
+            # Just past the budget at SWEEP_POINT_BYTES a target.
+            "frontier_grid_over_target_charge": ["hook-frontier", "--config", hook, "--grid", "0:70:4000000"] + out,
+            # --s is checked before the problem is read.
+            "malformed_grid_before_missing_problem": ["route", "--problem", missing, "--s", "0:1"] + out,
+            "huge_grid_before_missing_problem": ["route", "--problem", missing, "--s", "0:1:100000000000"] + out,
         }[case]
         assert main(argv) == 2
         err = json.loads(capsys.readouterr().out)
@@ -587,7 +612,9 @@ class TestErrorContracts:
         "command, problem, grid",
         [
             ("pigou", None, "0:20:200000"),
+            ("pigou", None, "0:1:10000000"),
             ("route", "table1", "0:500:200000"),
+            ("route", "table1", "0:1:10000000"),
             ("route", "200/2000", "0:100:5000"),
         ],
     )
@@ -601,15 +628,78 @@ class TestErrorContracts:
 
         monkeypatch.setattr(cli_mod, "solve_curve", never)
         argv = [command, "--out", str(tmp_path / "run")]
+        loaded = 0
         if command == "pigou":
             argv += ["--grid", grid]
         else:
             if problem == "200/2000":
                 problem = write_json(tmp_path / "net.json", problem_to_dict(scale_network(0, 200, 2000)))
+                # What reading the file holds, which the refusal may hold too.
+                text = (tmp_path / "net.json").read_text()
+                _, loaded = traced_peak(lambda: problem_from_dict(json.loads(text)))
             argv += ["--problem", problem, "--s", grid]
-        assert main(argv) == 2
+        code, peak = traced_peak(main, argv)
+        assert code == 2
         err = json.loads(capsys.readouterr().out)
         assert (err["error"], err["field"]) == ("config_parse", "grid")
+        assert "budget" in err["detail"]
+        # The grid is refused before it is allocated (8 B a budget).
+        assert peak < loaded + 1e6
+
+    @pytest.mark.parametrize(
+        "case, field",
+        [
+            ("mdp", "mdp"),
+            ("simulate_paths", "paths"),
+            ("compare_paths", "paths"),
+            ("sweeps", "sweeps"),
+            ("n_assets", "n_assets"),
+            ("pigou_grid", "grid"),
+            ("route_grid", "grid"),
+            ("frontier_grid", "grid"),
+            ("volatility_grid", "grid"),
+        ],
+    )
+    def test_budget_has_one_owner(self, tmp_path, capsys, monkeypatch, case, field):
+        # With the budget lowered in `cfmm` alone, each budgeted input is
+        # refused with its usual field; every other input fits the 1 MB.
+        import hookroute.cli as cli_mod
+        from hookroute import cfmm
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in (
+            "solve_curve",
+            "value_iteration",
+            "simulate_policy",
+            "compare_vs_twamm",
+            "mean_variance_sweep",
+            "efficient_frontier",
+        ):
+            monkeypatch.setattr(cli_mod, name, never)
+        monkeypatch.setattr(cfmm, "MAX_SOLVE_BYTES", 10**6)
+        liq = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
+        big_mdp = json.loads(json.dumps(LIQ_CONFIG))
+        big_mdp["mdp"]["n_mispricing"] = 45  # about 1.3 MB
+        sweeps = {"forms": ["linear"], "curvature_values": [0.5] * 100, "scale_values": [1.0] * 100}
+        sweep = write_json(tmp_path / "sweep.json", dict(HOOK_CONFIG, sweeps=sweeps))
+        wide = write_json(tmp_path / "wide.json", dict(ROUTE_PROBLEM, n_assets=300))
+        argv = {
+            "mdp": ["liquidate-solve", "--config", write_json(tmp_path / "big.json", big_mdp)],
+            "simulate_paths": ["liquidate-simulate", "--config", liq, "--paths", "10000"],
+            "compare_paths": ["compare-twamm", "--config", liq, "--grid", "0:1:2", "--paths", "10000"],
+            "sweeps": ["hook-mean-variance", "--config", sweep],
+            "n_assets": ["route", "--problem", wide, "--s", "0:1:2"],
+            "pigou_grid": ["pigou", "--grid", "0:1:1000"],
+            "route_grid": ["route", "--problem", "table1", "--s", "0:1:1000"],
+            "frontier_grid": ["hook-frontier", "--config", hook, "--grid", "0:70:5000"],
+            "volatility_grid": ["compare-twamm", "--config", liq, "--grid", "0:1:200000"],
+        }[case]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["field"]) == ("config_parse", field)
         assert "budget" in err["detail"]
 
     def test_frontier_grid_may_start_below_zero(self, tmp_path):
@@ -908,24 +998,35 @@ class TestHookSweeps:
         assert err["field"] == "sweeps"
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("forms, curvatures, scales", [(1, 200, 200), (1, 1, 40000), (4, 100, 100)])
-    def test_traced_peak_within_sweep_charge(self, tmp_path, forms, curvatures, scales):
+    @pytest.mark.parametrize(
+        "command, shape",
+        [
+            ("hook-mean-variance", (1, 200, 200)),
+            ("hook-mean-variance", (1, 1, 40000)),
+            ("hook-mean-variance", (4, 100, 100)),
+            ("hook-frontier", (5000,)),
+        ],
+        ids=["1-200-200", "1-1-40000", "4-100-100", "frontier-5000"],
+    )
+    def test_traced_peak_within_sweep_charge(self, tmp_path, command, shape):
         # A run's traced peak, config lists and rows included, stays within
-        # SWEEP_POINT_BYTES per (form, curvature, scale) point.
-        sweeps = {
-            "forms": ["linear", "quadratic", "superlinear", "constant"][:forms],
-            "curvature_values": np.linspace(0.0, 1.0, curvatures).tolist(),
-            "scale_values": np.logspace(-3, 3, scales).tolist(),
-        }
-        argv = ["hook-mean-variance", "--config", write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, sweeps=sweeps))]
+        # SWEEP_POINT_BYTES per (form, curvature, scale) point of a sweep,
+        # or per target of a frontier.
+        if command == "hook-frontier":
+            record, grid = HOOK_CONFIG, ["--grid", f"0:70:{shape[0]}"]
+        else:
+            forms, curvatures, scales = shape
+            sweeps = {
+                "forms": ["linear", "quadratic", "superlinear", "constant"][:forms],
+                "curvature_values": np.linspace(0.0, 1.0, curvatures).tolist(),
+                "scale_values": np.logspace(-3, 3, scales).tolist(),
+            }
+            record, grid = dict(HOOK_CONFIG, sweeps=sweeps), []
+        argv = [command, "--config", write_json(tmp_path / "hook.json", record)] + grid
         assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
-        tracemalloc.start()
-        try:
-            assert main(argv + ["--out", str(tmp_path / "run")]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= forms * curvatures * scales * SWEEP_POINT_BYTES
+        code, peak = traced_peak(main, argv + ["--out", str(tmp_path / "run")])
+        assert code == 0
+        assert peak <= math.prod(shape) * SWEEP_POINT_BYTES
 
     @pytest.mark.parametrize(
         "change, field",

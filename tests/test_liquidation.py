@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hookroute import liquidation
+from hookroute.cfmm import MAX_SOLVE_BYTES
 from hookroute.liquidation import (
     ADDITIVE,
-    MAX_SOLVE_BYTES,
     MULTIPLICATIVE,
     MdpConfig,
     MispricingParams,

@@ -20,7 +20,7 @@ from hookroute.cfmm import (
     modified_forward_exchange,
     trading_function,
 )
-from hookroute import routing
+from hookroute import cfmm, routing
 from hookroute.routing import (
     Liquidate,
     NoFeasibleRouteError,
@@ -938,7 +938,7 @@ class TestLaneBatch:
 
         monkeypatch.setattr(routing, "_interior_point", counted)
         for (problem, grid), expected, need in zip(sweeps, alone, needs):
-            monkeypatch.setattr(routing, "MAX_SOLVE_BYTES", 7 * need)
+            monkeypatch.setattr(cfmm, "MAX_SOLVE_BYTES", 7 * need)
             chunks.clear()
             assert [solution_bits(sol) for sol in solve_curve(problem, grid)] == expected
             assert chunks == [7] * (len(grid) // 7) + ([len(grid) % 7] if len(grid) % 7 else [])
@@ -973,10 +973,10 @@ class TestLaneBatch:
     def test_oversized_lane_refused_with_one_lane_per_chunk(self, monkeypatch):
         problem, grid = paper_sweeps()[2]
         need = routing.check_solve_size(problem)
-        monkeypatch.setattr(routing, "MAX_SOLVE_BYTES", need - 1)
+        monkeypatch.setattr(cfmm, "MAX_SOLVE_BYTES", need - 1)
         with pytest.raises(ValueError, match="Newton matrices"):
             solve_curve(problem, grid)
-        monkeypatch.setattr(routing, "MAX_SOLVE_BYTES", need)
+        monkeypatch.setattr(cfmm, "MAX_SOLVE_BYTES", need)
         curve = solve_curve(problem, grid[:6])
         assert [solution_bits(sol) for sol in curve] == [
             solution_bits(solve_routing(at_budget(problem, s))) for s in grid[:6]
