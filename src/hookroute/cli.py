@@ -325,8 +325,8 @@ def cmd_hook_mean_variance(args):
 def cmd_hook_frontier(args):
     record = load_json(args.config)
     scenario, _ = hook_config_from_dict(record)
-    points = efficient_frontier(scenario, parse_grid(args.grid, SWEEP_POINT_BYTES))
-    rows = ((p.target_return, p.hook_trade, p.variance, p.feasible) for p in points)
+    grid = parse_grid(args.grid, SWEEP_POINT_BYTES)
+    rows = zip(grid, *efficient_frontier(scenario, grid))
     return record, [("frontier", ("tau", "delta_star", "variance_star", "feasible"), csv_rows(rows))]
 
 
@@ -421,7 +421,10 @@ def main(argv=None) -> int:
         return _fail(EXIT_SOLVER, "solver_nonconvergence", str(exc))
     except NoFeasibleRouteError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
-    write_run(args, record, tables)
+    try:
+        write_run(args, record, tables)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, "config_parse", f"cannot write to --out {args.out}: {exc}", "out")
     return EXIT_OK
 
 

@@ -286,12 +286,12 @@ def hook_config_from_dict(record):
 
 def load_json(path, option="config"):
     """The JSON record at `path`, which the command-line `option` names; an
-    unreadable file is refused naming the option, malformed JSON naming its
-    line and column."""
+    unreadable or non-UTF-8 file is refused naming the option, malformed
+    JSON naming its line and column."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {option} {path}: {exc}", option) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(

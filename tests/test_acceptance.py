@@ -40,7 +40,7 @@ from hookroute.noncomposable import (
     hook_output,
     solve_mean_variance,
 )
-from hookroute.routing import brute_force_route, solve_curve, solve_routing
+from hookroute.routing import solve_curve, solve_routing
 from hookroute.scenarios import (
     PIGOU_ORDER_PRICE,
     PIGOU_ORDER_VOLUME,
@@ -48,7 +48,7 @@ from hookroute.scenarios import (
     pigou_problem,
     table1_problem,
 )
-from test_routing import random_instance
+from test_routing import brute_force_route, random_instance
 
 
 def report(n, text):
@@ -286,13 +286,13 @@ def test_criterion_10_frontier():
     linear = HookScenario(variance=VarianceSpec(LINEAR, 1.0), **base)
     quadratic = HookScenario(variance=VarianceSpec(QUADRATIC, 1.0), **base)
     taus = np.linspace(0.0, combined_return(linear, 60.0), 60)
-    pts_lin = efficient_frontier(linear, taus)
-    pts_quad = efficient_frontier(quadratic, taus)
-    feasible = [p.variance for p in pts_lin if p.feasible]
+    trades_lin, var_lin, ok_lin = efficient_frontier(linear, taus)
+    _, var_quad, _ = efficient_frontier(quadratic, taus)
+    feasible = var_lin[ok_lin]
     assert all(b >= a - 1e-9 for a, b in zip(feasible, feasible[1:]))
-    for p_lin, p_quad in zip(pts_lin, pts_quad):
-        if p_lin.feasible and p_lin.hook_trade >= 1.0:
-            assert p_quad.variance >= p_lin.variance - 1e-9
+    for x, v_lin, ok, v_quad in zip(trades_lin, var_lin, ok_lin, var_quad):
+        if ok and x >= 1.0:
+            assert v_quad >= v_lin - 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     report(10, f"risk nondecreasing in target; fast-growing risk dominates ({elapsed:.1f}s)")

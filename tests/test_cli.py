@@ -398,6 +398,19 @@ class TestRunContract:
         assert listed(out) == []
 
 
+    @pytest.mark.parametrize("command", [argv[0] for argv in VALID_ARGVS])
+    def test_out_at_an_existing_file_is_exit_2(self, tmp_path, capsys, command):
+        options, _ = contract_runs(tmp_path)[command]
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        before = listed(tmp_path)
+        assert main([command, *options, "--out", str(taken)]) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["field"]) == ("config_parse", "out")
+        assert taken.read_text() == "kept\n"
+        assert listed(tmp_path) == before
+
+
 class TestErrorContracts:
     def test_malformed_json_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -557,6 +570,8 @@ class TestErrorContracts:
             ("missing_config", "config"),
             ("config_is_a_directory", "config"),
             ("problem_is_a_directory", "problem"),
+            ("config_not_utf8", "config"),
+            ("problem_not_utf8", "problem"),
             ("markets_not_a_list", "markets"),
             ("negative_budget", "grid"),
             ("negative_budget_spaced", "grid"),
@@ -582,12 +597,16 @@ class TestErrorContracts:
         targets = write_json(tmp_path / "targets.json", dict(HOOK_CONFIG, targets=[10.0]))
         problem = write_json(tmp_path / "problem.json", dict(ROUTE_PROBLEM, markets=5))
         missing = str(tmp_path / "missing.json")
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff\xfe{}")
         out = ["--out", str(tmp_path / "run")]
         argv = {
             "frontier_targets_key": ["hook-frontier", "--config", targets, "--grid", "0:70:3"] + out,
             "missing_config": ["liquidate-solve", "--config", str(tmp_path / "missing.json")] + out,
             "config_is_a_directory": ["hook-mean-variance", "--config", str(tmp_path)] + out,
             "problem_is_a_directory": ["route", "--problem", str(tmp_path), "--s", "0:1:2"] + out,
+            "config_not_utf8": ["hook-frontier", "--config", str(not_utf8), "--grid", "0:1:2"] + out,
+            "problem_not_utf8": ["route", "--problem", str(not_utf8), "--s", "0:1:2"] + out,
             "markets_not_a_list": ["route", "--problem", problem, "--s", "0:1:2"] + out,
             "negative_budget": ["route", "--problem", "table1", "--s=-1:1:3"] + out,
             "negative_budget_spaced": ["route", "--problem", "table1", "--s", "-1:1:3"] + out,

@@ -10,7 +10,6 @@ from hookroute.noncomposable import (
     LINEAR,
     QUADRATIC,
     SUPERLINEAR,
-    FrontierPoint,
     HookScenario,
     VarianceSpec,
     combined_return,
@@ -295,44 +294,124 @@ class TestArraySearch:
             mean_variance_sweep(scenario(), forms, curvatures, scales)
 
 
+def reference_frontier(s, taus):
+    """The per-target scalar bisection the array bisection replaced:
+    (trades, variances, feasible) lists."""
+    ret = lambda x: combined_return(s, x)
+    peak_x, peak = (float(v[0]) for v in _golden_max(ret, 0.0, [s.total_trade], 1e-12))
+    trades, variances, feasible = [], [], []
+    for tau in taus:
+        tau = float(tau)
+        if ret(0.0) >= tau:
+            x, ok = 0.0, True
+        elif tau > peak:
+            x, ok = math.nan, False
+        else:
+            lo, hi = 0.0, peak_x
+            while hi - lo > 1e-9:
+                mid = 0.5 * (lo + hi)
+                if ret(mid) >= tau:
+                    hi = mid
+                else:
+                    lo = mid
+            x, ok = hi, True
+        trades.append(x)
+        variances.append(fill_variance(x, s.variance) if ok else math.nan)
+        feasible.append(ok)
+    return trades, variances, feasible
+
+
+VARIANCE_FORMS = [(CONSTANT, None), (LINEAR, None), (SUPERLINEAR, 1.3), (QUADRATIC, None)]
+
+
+def frontier_targets(s, fractions):
+    """Targets at `fractions` of the way from the pool-alone return to the
+    best return on a coarse grid: below 0 the pool alone reaches them, above
+    1 most are unreachable."""
+    base = combined_return(s, 0.0)
+    top = float(np.max(combined_return(s, np.linspace(0.0, s.total_trade, 1001))))
+    return base + np.asarray(fractions, dtype=float) * (top - base)
+
+
 class TestFrontier:
     def test_target_reachable_without_hook(self):
         s = scenario(LINEAR, 1.0)
         pool_only = combined_return(s, 0.0)
-        [pt] = efficient_frontier(s, [pool_only - 1.0])
-        assert pt == FrontierPoint(pool_only - 1.0, 0.0, 0.0, True)
+        trades, variances, feasible = efficient_frontier(s, [pool_only - 1.0])
+        assert (trades[0], variances[0], feasible[0]) == (0.0, 0.0, True)
 
     def test_unreachable_target_flagged(self):
         s = scenario(LINEAR, 1.0)
-        [pt] = efficient_frontier(s, [1e9])
-        assert not pt.feasible
-        assert math.isnan(pt.hook_trade)
+        trades, variances, feasible = efficient_frontier(s, [1e9])
+        assert not feasible[0]
+        assert math.isnan(trades[0]) and math.isnan(variances[0])
 
     def test_variance_nondecreasing_in_target(self):
         s = scenario(QUADRATIC, 1.0, curvature=0.1)
         taus = np.linspace(0.0, combined_return(s, 50.0), 40)
-        pts = efficient_frontier(s, taus)
-        feasible = [p.variance for p in pts if p.feasible]
+        _, variances, feasible = efficient_frontier(s, taus)
+        feasible = variances[feasible]
         assert all(b >= a - 1e-9 for a, b in zip(feasible, feasible[1:]))
 
     def test_quadratic_riskier_than_linear_at_matched_return(self):
         lin = scenario(LINEAR, 1.0, curvature=0.1)
         quad = scenario(QUADRATIC, 1.0, curvature=0.1)
         taus = np.linspace(combined_return(lin, 0.0) + 1.0, combined_return(lin, 40.0), 25)
-        for p_lin, p_quad in zip(efficient_frontier(lin, taus), efficient_frontier(quad, taus)):
-            assert p_lin.feasible and p_quad.feasible
-            assert p_lin.hook_trade == pytest.approx(p_quad.hook_trade, abs=1e-6)
-            if p_lin.hook_trade >= 1.0:
-                assert p_quad.variance >= p_lin.variance - 1e-9
+        for x_lin, v_lin, ok_lin, x_quad, v_quad, ok_quad in zip(
+            *efficient_frontier(lin, taus), *efficient_frontier(quad, taus)
+        ):
+            assert ok_lin and ok_quad
+            assert x_lin == pytest.approx(x_quad, abs=1e-6)
+            if x_lin >= 1.0:
+                assert v_quad >= v_lin - 1e-9
 
     def test_return_met_at_solution(self):
         s = scenario(SUPERLINEAR, 0.5, 1.3, curvature=0.3)
         taus = np.linspace(10.0, combined_return(s, 60.0), 15)
-        for pt in efficient_frontier(s, taus):
-            if pt.feasible and pt.hook_trade > 0:
-                assert combined_return(s, pt.hook_trade) >= pt.target_return - 1e-6
+        trades, _, feasible = efficient_frontier(s, taus)
+        for tau, x, ok in zip(taus, trades, feasible):
+            if ok and x > 0:
+                assert combined_return(s, x) >= tau - 1e-6
                 # Minimality: a hair less trade misses the target.
-                assert combined_return(s, pt.hook_trade - 1e-6) <= pt.target_return + 1e-3
+                assert combined_return(s, x - 1e-6) <= tau + 1e-3
+
+    @given(
+        total=st.floats(10, 200),
+        reserves=st.tuples(*[st.floats(50, 300)] * 4),
+        curvature=st.floats(0, 1),
+        form=st.sampled_from(VARIANCE_FORMS),
+        scale=st.floats(0, 3),
+        fractions=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_bisection(self, total, reserves, curvature, form, scale, fractions):
+        s = HookScenario(
+            total_trade=total,
+            cpmm_reserves=reserves[:2],
+            hook_reserves=reserves[2:],
+            curvature=curvature,
+            variance=VarianceSpec(form[0], scale, form[1]),
+            risk_aversion=1.0,
+        )
+        taus = frontier_targets(s, fractions)
+        trades, variances, feasible = efficient_frontier(s, taus)
+        ref_trades, _, ref_feasible = reference_frontier(s, taus)
+        assert feasible.tolist() == ref_feasible
+        # numpy's power and libm's pow may differ in the last ulp, which can
+        # send one bisection step the other way; both brackets still close
+        # on the same crossing to within their width.
+        np.testing.assert_allclose(trades, ref_trades, rtol=0.0, atol=1e-9)
+        assert (variances[feasible] == fill_variance(trades[feasible], s.variance)).all()
+        assert np.isnan(trades[~feasible]).all() and np.isnan(variances[~feasible]).all()
+
+    @pytest.mark.parametrize("form, exponent", VARIANCE_FORMS)
+    def test_each_row_is_its_one_target_call(self, form, exponent):
+        s = scenario(form, 0.7, exponent, curvature=0.2)
+        taus = frontier_targets(s, np.linspace(-0.3, 1.3, 101))
+        rows = zip(*efficient_frontier(s, taus))
+        for tau, (x, v, ok) in zip(taus, rows):
+            [(x1, v1, ok1)] = zip(*efficient_frontier(s, [tau]))
+            assert (x.tobytes(), v.tobytes(), ok) == (x1.tobytes(), v1.tobytes(), ok1)
 
 
 def hook(**kw):

@@ -17,6 +17,7 @@ from hookroute.cfmm import (
     Trade2,
     compose_with_order,
     forward_exchange,
+    forward_exchange_batch,
     modified_forward_exchange,
     trading_function,
 )
@@ -26,7 +27,6 @@ from hookroute.routing import (
     NoFeasibleRouteError,
     RoutingProblem,
     arbitrage_subproblem,
-    brute_force_route,
     limit_order_subproblem,
     solve_curve,
     solve_routing,
@@ -39,6 +39,58 @@ def pair_problem(legs, budget):
     markets = [(m, (0, 1)) for m in legs if isinstance(m, Market)]
     orders = [o for o in legs if isinstance(o, LimitOrder)]
     return RoutingProblem(2, markets, orders, Liquidate(0, 1, budget))
+
+
+def brute_force_route(problem: RoutingProblem, grid_resolution: int) -> float:
+    """Grid-search oracle for small single-hop instances: the best output found.
+
+    Every leg must trade the utility pair directly; the budget is split
+    across legs on a simplex grid and each leg is valued by its own output
+    curve, and the best split's total output is returned (0.0 with no
+    legs). Only meant as an independent check at oracle scale.
+    """
+    if len(problem.markets) > 2 or len(problem.orders) > 2:
+        raise ValueError("oracle limited to at most 2 markets and 2 orders")
+    util = problem.utility
+    legs = []
+    for market, assets in problem.markets:
+        try:
+            i, o = assets.index(util.input_asset), assets.index(util.output_asset)
+        except ValueError:
+            raise ValueError("oracle requires every market to trade the utility pair")
+        legs.append(("market", market, i, o))
+    for order in problem.orders:
+        if (order.input_asset, order.output_asset) != (util.input_asset, util.output_asset):
+            raise ValueError("oracle requires every order to trade the utility pair")
+        legs.append(("order", order))
+
+    n_legs = len(legs)
+    if n_legs == 0:
+        return 0.0
+    if grid_resolution ** max(n_legs - 1, 1) > 10**7:
+        raise ValueError("grid too large for the brute-force oracle")
+
+    def leg_value(leg, amounts):
+        if leg[0] == "market":
+            _, market, i, o = leg
+            return forward_exchange_batch(market, i, o, amounts)
+        order = leg[1]
+        return np.minimum(order.price * amounts, order.volume)
+
+    s = util.budget
+    if n_legs == 1:
+        totals = leg_value(legs[0], np.array([s]))
+    else:
+        axes = [np.linspace(0.0, s, grid_resolution) for _ in range(n_legs - 1)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        alloc_head = np.stack([m.ravel() for m in mesh], axis=1)
+        last = s - alloc_head.sum(axis=1)
+        keep = last >= -1e-12
+        alloc = np.column_stack([alloc_head[keep], np.clip(last[keep], 0.0, None)])
+        totals = np.zeros(alloc.shape[0])
+        for col, leg in enumerate(legs):
+            totals += leg_value(leg, alloc[:, col])
+    return float(totals.max())
 
 
 def solution_bits(sol):
