@@ -411,6 +411,8 @@ def _fail(code, kind, detail, field=""):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_grid_values_joined(sys.argv[1:] if argv is None else argv))
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        return _fail(EXIT_CONFIG, "config_parse", f"--out {args.out} exists and is not a directory", "out")
     try:
         record, tables = args.fn(args)
     except ConfigError as exc:

@@ -7,8 +7,10 @@ price; noise and the trade's deterministic log price impact then move the
 mispricing to the next block's value. The optimal trade schedule is the
 solution of a finite-horizon dynamic program over (inventory, mispricing),
 solved by backward induction with Gauss-Hermite quadrature over the noise and
-bilinear interpolation on a grid that spans the fee band. The benchmark splits
-the inventory uniformly over the horizon for a single gas fee.
+bilinear interpolation on a grid that spans the fee band. The benchmark is a
+TWAMM: it splits the inventory uniformly over the horizon and pays gas once.
+One simulator values both schedules, and every sale, the TWAMM's slices too,
+pays the pool's curve at the clamped price.
 """
 
 from __future__ import annotations
@@ -137,6 +139,14 @@ class Policy:
     action_fractions: np.ndarray  # fraction of current inventory per index
     inventory_grid: np.ndarray
     mispricing_grid: np.ndarray
+
+    def sale(self, t, inventory, z):
+        """Block t's sale from `inventory` at mispricing `z`: the action of the nearest grid state."""
+        inv_grid, z_grid = self.inventory_grid, self.mispricing_grid
+        step_i = (inv_grid[1] - inv_grid[0]) or 1.0
+        i_idx = np.clip(np.rint(inventory / step_i), 0, len(inv_grid) - 1).astype(np.int64)
+        z_idx = np.clip(np.rint((z - z_grid[0]) / (z_grid[1] - z_grid[0])), 0, len(z_grid) - 1).astype(np.int64)
+        return self.action_fractions[self.action_index[t, i_idx, z_idx]] * inventory
 
 
 @dataclass
@@ -359,8 +369,9 @@ def check_paths(n_paths, horizon):
 
     A simulation, or a TWAMM comparison, holds two float arrays of
     n_paths x (horizon + 1): the noise, which a comparison draws once for
-    all its volatilities, and the policy's inventory path. The bound counts
-    three, leaving one array of headroom.
+    all its volatilities and schedules, and the inventory path of the
+    schedule being simulated. The bound counts three, leaving one array of
+    headroom.
     """
     if n_paths < 1:
         raise ValueError("need at least one path")
@@ -389,50 +400,34 @@ def simulate_policy(
     """Monte Carlo of the stored policy: nearest-grid action, inventory-capped."""
     if policy.action_index.shape != (cfg.horizon, cfg.n_inventory, cfg.n_mispricing):
         raise ValueError("policy shape does not match the configuration")
-    return _simulate(policy, cfg, pool, params, _noise_matrix(n_paths, cfg.horizon, seed), z0)
+    return _simulate(policy.sale, cfg.gas, cfg, pool, params, _noise_matrix(n_paths, cfg.horizon, seed), z0)
 
 
-def _simulate(policy, cfg, pool, params, eps, z0):
-    """`simulate_policy` on a drawn noise matrix, one row per path."""
+def _simulate(sale, trade_gas, cfg, pool, params, eps, z0):
+    """A schedule on a drawn noise matrix, one row per path.
+
+    Block t sells `sale(t, inventory, z)` at the clamped price on the pool's
+    curve and pays `trade_gas` if the sale is positive; noise and the sale's
+    impact then move z.
+    """
     n_paths = len(eps)
-    inv_grid, z_grid = policy.inventory_grid, policy.mispricing_grid
-    step_i = (inv_grid[1] - inv_grid[0]) or 1.0
-    dz = z_grid[1] - z_grid[0]
-
     inventory = np.full(n_paths, cfg.inventory)
     z = np.full(n_paths, float(z0))
     inv_path = np.empty((n_paths, cfg.horizon + 1))
     outputs = np.zeros(n_paths)
     inv_path[:, 0] = inventory
     for t in range(cfg.horizon):
-        i_idx = np.clip(np.rint(inventory / step_i), 0, cfg.n_inventory - 1).astype(np.int64)
-        z_idx = np.clip(np.rint((z - z_grid[0]) / dz), 0, cfg.n_mispricing - 1).astype(np.int64)
-        frac = policy.action_fractions[policy.action_index[t, i_idx, z_idx]]
-        delta = frac * inventory
+        delta = sale(t, inventory, z)
         z_star = clamp_mispricing(z, pool.fee_bound_upper, pool.fee_bound_lower)
-        trading = delta > 0
         outputs += np.where(
-            trading,
-            exchange_at_price(delta, pool.external_price * np.exp(-z_star), pool.liquidity)
-            - cfg.gas,
+            delta > 0,
+            exchange_at_price(delta, pool.external_price * np.exp(-z_star), pool.liquidity) - trade_gas,
             0.0,
         )
         inventory = inventory - delta
         z = step_mispricing(z, delta, eps[:, t], params, pool, cfg.dynamics)
         inv_path[:, t + 1] = inventory
     return SimResult(inv_path, outputs)
-
-
-def _twamm_path_values(cfg, pool, params, eps, z0):
-    n_paths = len(eps)
-    slice_size = cfg.inventory / cfg.horizon
-    z = np.full(n_paths, float(z0))
-    totals = np.zeros(n_paths)
-    for t in range(cfg.horizon):
-        z_star = clamp_mispricing(z, pool.fee_bound_upper, pool.fee_bound_lower)
-        totals += pool.external_price * np.exp(-z_star) * slice_size
-        z = step_mispricing(z, slice_size, eps[:, t], params, pool, cfg.dynamics)
-    return totals - cfg.gas
 
 
 def compare_vs_twamm(
@@ -444,22 +439,29 @@ def compare_vs_twamm(
     seed: int,
     z0: float = 0.0,
 ):
-    """Mean excess output of the optimal schedule over the uniform split.
+    """Mean excess output of the optimal schedule over a TWAMM's uniform split.
 
-    Uses common random numbers: both strategies, at every volatility, see
-    the same noise paths, drawn once. Returns (sigma, mean excess, standard
-    error) triples.
+    One simulator values both schedules: the policy pays gas on each block
+    it trades, the TWAMM sells inventory / horizon every block and pays gas
+    once, and every sale pays the pool's curve at the clamped price. Uses
+    common random numbers: both strategies, at every volatility, see the same
+    noise paths, drawn once. Returns (sigma, mean excess, standard error)
+    triples.
     """
     eps = _noise_matrix(n_paths, cfg.horizon, seed)
+
+    def uniform(t, inventory, z):
+        return cfg.inventory / cfg.horizon
+
     results = []
     for sigma in sigma_grid:
         if sigma < 0:
             raise ValueError("volatility must be nonnegative")
         params_s = MispricingParams(params.drift, float(sigma), params.dt)
         _, policy = value_iteration(cfg, pool, params_s)
-        sim = _simulate(policy, cfg, pool, params_s, eps, z0)
-        tw = _twamm_path_values(cfg, pool, params_s, eps, z0)
-        excess = sim.outputs - tw
+        outputs = _simulate(policy.sale, cfg.gas, cfg, pool, params_s, eps, z0).outputs
+        tw = _simulate(uniform, 0.0, cfg, pool, params_s, eps, z0).outputs - cfg.gas
+        excess = outputs - tw
         stderr = float(np.std(excess, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
         results.append((float(sigma), float(np.mean(excess)), stderr))
     return results

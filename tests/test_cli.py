@@ -399,7 +399,15 @@ class TestRunContract:
 
 
     @pytest.mark.parametrize("command", [argv[0] for argv in VALID_ARGVS])
-    def test_out_at_an_existing_file_is_exit_2(self, tmp_path, capsys, command):
+    def test_out_at_an_existing_file_is_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # Refused before the command runs: no solver may be called.
+        import hookroute.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        for name in ("value_iteration", "compare_vs_twamm", "solve_curve", "mean_variance_sweep", "efficient_frontier"):
+            monkeypatch.setattr(cli_mod, name, never)
         options, _ = contract_runs(tmp_path)[command]
         taken = tmp_path / "taken"
         taken.write_text("kept\n")

@@ -508,10 +508,36 @@ class TestSimulation:
         assert np.array_equal(a.inventory, b.inventory)
 
 
+def reference_linear_twamm(cfg, pool, params, eps, z0):
+    """The TWAMM priced linearly: each slice at the clamped marginal price, no slippage.
+
+    A reference that the curve-priced TWAMM approaches on a deep pool.
+    """
+    n_paths = len(eps)
+    slice_size = cfg.inventory / cfg.horizon
+    z = np.full(n_paths, float(z0))
+    totals = np.zeros(n_paths)
+    for t in range(cfg.horizon):
+        z_star = clamp_mispricing(z, pool.fee_bound_upper, pool.fee_bound_lower)
+        totals += pool.external_price * np.exp(-z_star) * slice_size
+        z = step_mispricing(z, slice_size, eps[:, t], params, pool, cfg.dynamics)
+    return totals - cfg.gas
+
+
+def twamm_values(cfg, pool, params, eps, z0):
+    """Per-path TWAMM output as `compare_vs_twamm` values it: the uniform split
+    through the policy's simulator, no per-trade gas, gas paid once."""
+
+    def uniform(t, inventory, z):
+        return cfg.inventory / cfg.horizon
+
+    return liquidation._simulate(uniform, 0.0, cfg, pool, params, eps, z0).outputs - cfg.gas
+
+
 def twamm_mean(cfg, pool, params, n_paths, seed, z0=0.0):
-    """Mean output of the uniform split over `n_paths` noise paths drawn from `seed`."""
+    """Mean TWAMM output over `n_paths` noise paths drawn from `seed`."""
     eps = liquidation._noise_matrix(n_paths, cfg.horizon, seed)
-    return float(np.mean(liquidation._twamm_path_values(cfg, pool, params, eps, z0)))
+    return float(np.mean(twamm_values(cfg, pool, params, eps, z0)))
 
 
 class TestTwamm:
@@ -534,6 +560,34 @@ class TestTwamm:
         cfg = small_cfg(inventory=0.0)
         value = twamm_mean(cfg, small_pool(), MispricingParams(0, 1, 1), 10, seed=2)
         assert value == pytest.approx(-cfg.gas)
+
+    @pytest.mark.parametrize("volatility", [0.0, 1.0, 8.0])
+    def test_deep_pool_matches_linear_reference(self, volatility):
+        # Reserves 10^6 times the paper's: the curve's slippage on a one-unit
+        # slice is about 1e-11 of its output (1e-5 at the paper's reserves).
+        pool = PoolParams(1e5 * 1e6, 5000 * 1e5 * 1e6, 0.003, 0.003)
+        cfg = MdpConfig(**PAPER_TWAMM, gas=2.0, inventory_cost=0.1, discount=0.01)
+        params = MispricingParams(0.0, volatility, 1.0)
+        eps = liquidation._noise_matrix(50, cfg.horizon, 11)
+        curve = twamm_values(cfg, pool, params, eps, -0.003)
+        linear = reference_linear_twamm(cfg, pool, params, eps, -0.003)
+        assert np.all(curve < linear)
+        np.testing.assert_allclose(curve, linear, rtol=1e-9, atol=0.0)
+
+    def test_zero_volatility_closed_form(self):
+        # With no noise every path follows one deterministic mispricing path;
+        # each slice is sold on the curve at its clamped price, gas paid once.
+        pool = small_pool()
+        cfg = MdpConfig(**PAPER_TWAMM, gas=2.0, inventory_cost=0.1, discount=0.01)
+        params = MispricingParams(0.0, 0.0, 1.0)
+        slice_size = cfg.inventory / cfg.horizon
+        z, total = -0.003, 0.0
+        for _ in range(cfg.horizon):
+            z_star = clamp_mispricing(z, pool.fee_bound_upper, pool.fee_bound_lower)
+            total += exchange_at_price(slice_size, pool.external_price * math.exp(-z_star), pool.liquidity)
+            z = step_mispricing(z, slice_size, 0.0, params, pool)
+        values = twamm_values(cfg, pool, params, liquidation._noise_matrix(20, cfg.horizon, 3), -0.003)
+        np.testing.assert_allclose(values, total - cfg.gas, rtol=1e-12, atol=0.0)
 
 
 class TestCompareVsTwamm:
@@ -574,6 +628,20 @@ class TestCompareVsTwamm:
             sim = simulate_policy(policy, cfg, pool, params, 12, seed=21, z0=-0.003)
             tw = twamm_mean(cfg, pool, params, 12, seed=21, z0=-0.003)
             assert mean == pytest.approx(np.mean(sim.outputs) - tw, rel=0.0, abs=1e-9 * abs(tw))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_benchmark_twamm_check_holds(self, seed):
+        # The benchmark's compare-twamm run (paper-liquidation): the twamm
+        # config at 10 blocks, --grid 0:8:2, 500 paths. Its output check asks
+        # for an excess of at most 2 stderr at sigma = 0 and a positive one at
+        # sigma = 8.
+        cfg = MdpConfig(horizon=10, inventory=100.0, gas=2.0, inventory_cost=0.1, discount=0.01)
+        params = MispricingParams(0.0, 0.0, 1.0)
+        [(_, mean0, stderr0), (_, mean8, _)] = compare_vs_twamm(
+            [0.0, 8.0], cfg, small_pool(), params, 500, seed=seed, z0=-0.003
+        )
+        assert mean0 <= 2 * stderr0
+        assert mean8 > 0.0
 
     def test_negative_volatility_rejected(self):
         with pytest.raises(ValueError):
