@@ -9,7 +9,6 @@ produce byte-identical CSV bodies.
 from __future__ import annotations
 
 import argparse
-import collections
 import hashlib
 import itertools
 import json
@@ -260,9 +259,6 @@ def cmd_liquidate_solve(args):
     action_text = [[repr(frac * inv) for frac in fractions] for inv in inventory]
     # Blocks 0 .. stationary repeat block `stationary`, where the DP stopped.
     stationary = cfg.horizon - vf.backups
-    blocks = [max(t, stationary) for t in times]
-    repeated = {b for b, n in collections.Counter(blocks).items() if n > 1}
-    cache = {}
 
     def block_text(b):
         """Block b's rows without their leading "t,", joined by newlines."""
@@ -274,12 +270,14 @@ def cmd_liquidate_solve(args):
         return "\n".join(lines)
 
     def chunks():
-        # Each distinct block is formatted once; only blocks dumped more than
-        # once stay cached. A row is "t," plus the block's row text.
-        for t, b in zip(times, blocks):
-            text = cache[b] if b in cache else block_text(b)
-            if b in repeated:
-                cache[b] = text
+        # A row is "t," plus the block's row text. The last block's text is
+        # kept, so consecutive times 0 .. stationary, all one block, format
+        # it once.
+        last, text = None, ""
+        for t in times:
+            b = max(t, stationary)
+            if b != last:
+                last, text = b, block_text(b)
             yield f"{t}," + text.replace("\n", f"\n{t},") + "\n"
 
     return record, [("liquidation_solution", ("t", "I", "z", "value", "action"), chunks())]
@@ -411,8 +409,14 @@ def _fail(code, kind, detail, field=""):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_grid_values_joined(sys.argv[1:] if argv is None else argv))
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        return _fail(EXIT_CONFIG, "config_parse", f"--out {args.out} exists and is not a directory", "out")
+    # `write_run` makes --out with `os.makedirs`, which needs a nonempty path
+    # whose nearest existing ancestor is a directory: refuse any other before
+    # the command runs.
+    base = args.out
+    while base and not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (args.out and os.path.isdir(base or ".")):
+        return _fail(EXIT_CONFIG, "config_parse", f"--out {args.out!r} cannot be made a directory", "out")
     try:
         record, tables = args.fn(args)
     except ConfigError as exc:

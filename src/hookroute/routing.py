@@ -466,34 +466,32 @@ class _Program:
         asset in one pool leaves the same reserve with less spent). Then, in
         turns, scales each pool's received legs down until its invariant
         holds with a margin, and cuts the spending of every asset spent
-        beyond its budget, in each lane still short. Returns each leg's
-        tendered and received amount, each order's fill and psi; no trade
-        at all in a lane that eight rounds leave with an asset overspent.
+        beyond its budget. Every lane takes every turn: a balanced lane's
+        cut is zero and its scale exactly 1, so its bits stay as they are.
+        Returns each leg's tendered and received amount, each order's fill
+        and psi; no trade at all in a lane that eight rounds leave with an
+        asset overspent.
         """
         n_legs, fee, n = self.n_legs, self.fee, self.n_assets
         d = np.maximum(x[:, :n_legs], 0.0)
         r = np.maximum(x[:, n_legs : 2 * n_legs], 0.0)
         d, r = np.maximum(d - r / fee, 0.0), np.maximum(r - fee * d, 0.0)
         y = np.clip(x[:, self.fills], 0.0, 1.0)
-        short = np.arange(len(x))
-        found = [np.zeros((len(x), size)) for size in (n_legs, n_legs, y.shape[1], n)]
         for _ in range(8):
             r *= self._invariant_scale(d, r)[:, self.pool]
             d_abs, r_abs, fill = d * self.reserve, r * self.reserve, y * self.volume
             spent = _lane_sums(self.asset, d_abs, n) + _lane_sums(self.order_in, fill / self.price, n)
             made = _lane_sums(self.asset, r_abs, n) + _lane_sums(self.order_out, fill, n)
             left = made + h - spent
-            done = left.min(axis=1) >= 0.0
-            for out, value in zip(found, (d_abs, r_abs, fill, made - spent)):
-                out[short[done]] = value[done]
-            keep = ~done
-            short, d, r, y, h, fill, spent, made, left = (a[keep] for a in (short, d, r, y, h, fill, spent, made, left))
-            if not len(short):
+            balanced = left.min(axis=1) >= 0.0
+            if balanced.all():
                 break
-            cut = np.array([self._cuts(*(a[i] for a in (d, r, fill, spent, made, left))) for i in range(len(short))])
+            cut = np.zeros((len(x), n))
+            for i in np.flatnonzero(~balanced):
+                cut[i] = self._cuts(*(a[i] for a in (d, r, fill, spent, made, left)))
             d *= 1.0 - cut[:, self.asset]
             y *= 1.0 - cut[:, self.order_in]
-        return found
+        return [np.where(balanced[:, None], a, 0.0) for a in (d_abs, r_abs, fill, made - spent)]
 
     def _cuts(self, d, r, fill, spent, made, left):
         """One lane's fractions of each asset's spending to cut so that none
@@ -661,7 +659,7 @@ def _newton_solver(prog, lanes, ratio, q, jac, lam, u):
     return solve
 
 
-def _interior_point(prog, budgets, max_iter):
+def _interior_point(prog, budgets):
     """Mehrotra predictor-corrector on the scaled convex primal, at each budget.
 
     The pairs of primal slacks p and multipliers z are the bounds of x
@@ -675,15 +673,17 @@ def _interior_point(prog, budgets, max_iter):
     Every budget is a lane: a row of each state array, stepped together
     with the others, and each predictor and corrector is one stacked solve
     over the lanes. No arithmetic mixes lanes, so each lane's result is bit
-    for bit that of the batch of it alone. Once a lane's estimated gap is
-    well inside TOL, each iterate is rounded to exactly feasible trades
-    (`_Program.trades`) and certified by `_dual_value` at the slack
-    multipliers: one call per step for all such lanes, and one for the
-    lanes whose step fails. A lane leaves the batch once it is certified,
-    its estimate falls to 1e-6 or below, it reaches `max_iter` steps, or its
-    step is not positive (a singular Newton matrix gives a NaN step).
-    Returns, per budget, the last rounded trades with their prices and gap,
-    whether they are certified, and the iteration count.
+    for bit that of the batch of it alone. A lane is due once its
+    estimated gap is well inside TOL, once it has taken MAX_ITER steps, or
+    when its last step did not move (not positive, or NaN from a singular
+    Newton matrix): such a lane keeps its point and its step count. Each
+    pass rounds every due lane to exactly feasible trades
+    (`_Program.trades`) and bounds it by `_dual_value` at its slack
+    multipliers, in one call, and then drops the lanes that leave: those
+    certified, those whose estimate is 1e-6 or below, those at MAX_ITER
+    steps and those that did not move. Returns, per budget, its last
+    rounded trades with their prices and gap, whether they are certified,
+    and its step count.
     """
     nx, n_legs, n_pools, slack, out = prog.nx, prog.n_legs, prog.n_pools, prog.slack, prog.out
     fills, fee, pool = prog.fills, prog.fee, prog.pool
@@ -695,28 +695,10 @@ def _interior_point(prog, budgets, max_iter):
     p[:, :nx] = prog.start()
     p[:, nx:nb] = 1.0 - p[:, fills]  # kept apart: 1 - y rounds to 0 near the cap
     nu = np.zeros((len(ids), prog.n_assets))
+    steps = np.zeros(len(ids), dtype=int)
+    stalled = np.zeros(len(ids), dtype=bool)
     results = [None] * len(ids)
 
-    def certify(rows, stop):
-        # Rounds the lanes `rows` to trades and bounds them by the dual at
-        # their prices. Records each lane that is certified or where `stop`
-        # holds, and returns which are recorded. A fill whose bound's
-        # multiplier exceeds its slack is put on that bound.
-        point = p[rows, :nx]
-        on_bound = point[:, fills]
-        on_bound[z[rows, fills] > point[:, fills]] = 0.0
-        on_bound[z[rows, nx:nb] > p[rows, nx:nb]] = 1.0
-        d, r, y, psi = prog.trades(point, lanes.h[rows])
-        prices = prog.prices(z[rows, slack:nx], lanes.scale[rows])
-        bound = _dual_value(prog, prices, lanes.budget[rows])
-        gap = bound - psi[:, out]
-        passed = gap <= TOL * np.maximum(1.0, np.abs(bound))
-        ended = passed | stop
-        for j in np.flatnonzero(ended):
-            results[ids[rows[j]]] = (d[j], r[j], y[j], psi[j], prices[j], gap[j]), passed[j], iterations
-        return ended
-
-    iterations = 0
     while len(ids):
         x, u, lam = p[:, :nx], p[:, nb:], z[:, nb:]
         q, f, jac = prog.pools(x)
@@ -732,13 +714,31 @@ def _interior_point(prog, budgets, max_iter):
         pz = _dot(p, z)
         estimate = pz + _dot(lam, np.abs(r_f)) + _dot(worth, np.abs(r_p))
         estimate /= 0.1 * TOL * np.maximum(1.0 / lanes.scale[:, out], x[:, slack + out])
-        done = np.zeros(len(ids), dtype=bool)
-        due = np.flatnonzero((estimate <= 1.0) | (iterations >= max_iter))
+        capped = steps >= MAX_ITER
+        settled = (estimate <= 1.0) | capped
+        # A lane that did not move has the point, estimate and count of the
+        # last pass, so if it is settled it was rounded and bounded there
+        # and is not again. Each lane keeps its latest bound as its result.
+        due = np.flatnonzero(settled != stalled)
+        leave = stalled | capped
         if len(due):
-            done[due] = certify(due, (estimate[due] <= 1e-6) | (iterations >= max_iter))
-        if done.any():
-            keep = ~done
-            p, z, nu, ids, pz, q, jac, r_p, r_f = (a[keep] for a in (p, z, nu, ids, pz, q, jac, r_p, r_f))
+            # A fill whose bound's multiplier exceeds its slack is put on
+            # that bound.
+            point = p[due, :nx]
+            on_bound = point[:, fills]
+            on_bound[z[due, fills] > point[:, fills]] = 0.0
+            on_bound[z[due, nx:nb] > p[due, nx:nb]] = 1.0
+            d, r, y, psi = prog.trades(point, lanes.h[due])
+            prices = prog.prices(z[due, slack:nx], lanes.scale[due])
+            bound = _dual_value(prog, prices, lanes.budget[due])
+            gap = bound - psi[:, out]
+            passed = gap <= TOL * np.maximum(1.0, np.abs(bound))
+            for j, lane in enumerate(due):
+                results[ids[lane]] = (d[j], r[j], y[j], psi[j], prices[j], gap[j]), passed[j], int(steps[lane])
+            leave[due] |= passed | (estimate[due] <= 1e-6)
+        if leave.any():
+            keep = ~leave
+            p, z, nu, ids, steps, pz, q, jac, r_p, r_f = (a[keep] for a in (p, z, nu, ids, steps, pz, q, jac, r_p, r_f))
             lanes = lanes.take(keep)
             if not len(ids):
                 break
@@ -772,15 +772,12 @@ def _interior_point(prog, budgets, max_iter):
         target = np.array([(a / m) ** 3 * m for a, m in zip(mu_aff, mu)])
         dp, dz, dnu, a_p, a_d = newton(target[:, None] - p * z - dp * dz)
 
-        moves = (a_p > 0.0) & (a_d > 0.0)  # also catches NaN
-        if not moves.all():
-            certify(np.flatnonzero(~moves), True)
-            p, z, nu, ids, dp, dz, dnu, a_p, a_d = (a[moves] for a in (p, z, nu, ids, dp, dz, dnu, a_p, a_d))
-            lanes = lanes.take(moves)
-        p += (0.99 * a_p)[:, None] * dp
-        z += (0.99 * a_d)[:, None] * dz
-        nu += (0.99 * a_d)[:, None] * dnu
-        iterations += 1
+        stalled = ~((a_p > 0.0) & (a_d > 0.0))  # NaN included
+        for state, rate, change in ((p, a_p, dp), (z, a_d, dz), (nu, a_d, dnu)):
+            change *= (0.99 * rate)[:, None]
+            change[stalled] = 0.0
+            state += change
+        steps += ~stalled
     return results
 
 
@@ -811,54 +808,48 @@ def _solution(problem, result):
     )
 
 
-def _solve_budgets(problem, budgets, max_iter):
-    """Solutions at a list of nonnegative budgets; the problem's own budget
-    is not read. Every budget, 0 included, is a lane of one program, whose
-    route `_check_route_exists` checks first, in consecutive chunks of as
-    many lanes as fit MAX_SOLVE_BYTES."""
-    lane_bytes = check_solve_size(problem)
-    prog = _Program(problem)
-    _check_route_exists(prog)
-    chunk = cfmm.MAX_SOLVE_BYTES // lane_bytes
-    solutions = []
-    for start in range(0, len(budgets), chunk):
-        results = _interior_point(prog, budgets[start : start + chunk], max_iter)
-        solutions.extend(_solution(problem, result) for result in results)
-    return solutions
-
-
-def solve_routing(problem: RoutingProblem, max_iter: int = MAX_ITER) -> RoutingSolution:
+def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     """Solve the routing problem to a relative primal-dual gap of `TOL`.
 
-    One primal-dual interior-point solve of the convex primal, of at most
-    `max_iter` Newton steps: the batch of one lane (`_interior_point`). A
-    solve is `optimal` only when the exact dual bound at the solve's prices
-    (`dual_prices`, output asset at 1) exceeds the output of the returned,
-    exactly feasible trades by at most TOL * max(1, |bound|); `gap` is the
-    bound minus that output. Otherwise the status is `max_iter`, and the
-    trades are still feasible. A constant-sum pool's trades are its two
-    orders' fills (f_ab, f_ba): tendered (f_ab, f_ba) / fee and received
-    (f_ba, f_ab). Raises ValueError, before allocating anything per asset,
-    for a problem `check_solve_size` refuses.
+    The curve of one budget, the problem's own (`solve_curve`): one
+    primal-dual interior-point solve of the convex primal, of at most
+    MAX_ITER Newton steps (`_interior_point`). A solve is `optimal` only
+    when the exact dual bound at the solve's prices (`dual_prices`, output
+    asset at 1) exceeds the output of the returned, exactly feasible trades
+    by at most TOL * max(1, |bound|); `gap` is the bound minus that output.
+    Otherwise the status is `max_iter`, and the trades are still feasible.
+    A constant-sum pool's trades are its two orders' fills (f_ab, f_ba):
+    tendered (f_ab, f_ba) / fee and received (f_ba, f_ab). Raises
+    ValueError, before allocating anything per asset, for a problem
+    `check_solve_size` refuses.
     """
-    return _solve_budgets(problem, [problem.utility.budget], max_iter)[0]
+    return solve_curve(problem, [problem.utility.budget])[0]
 
 
 def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
-    """Solve across a budget grid, one solution per budget, in grid order.
+    """Solve across a budget grid, one solution per budget, in grid order;
+    the problem's own budget is not read.
 
     `Liquidate` refuses a negative or non-finite budget. Every budget, 0
     included, is a lane of one batched interior-point solve over one
-    program, run in consecutive chunks of as many lanes as fit the
-    MAX_SOLVE_BYTES budget (`check_solve_size`). No lane's arithmetic,
-    certificate included, reads another's, so each solution is bit for bit
-    what `solve_routing` returns at its budget, whatever the grid's order.
+    program, whose route `_check_route_exists` checks first, run in
+    consecutive chunks of as many lanes as fit the MAX_SOLVE_BYTES budget
+    (`check_solve_size`). No lane's arithmetic, certificate included, reads
+    another's, so each solution is bit for bit what `solve_routing` returns
+    at its budget, whatever the grid's order.
     """
     grid = list(s_grid)
     util = problem.utility
     for s in grid:
         Liquidate(util.input_asset, util.output_asset, s)  # refuses a non-finite budget
-    return _solve_budgets(problem, grid, MAX_ITER)
+    lane_bytes = check_solve_size(problem)
+    prog = _Program(problem)
+    _check_route_exists(prog)
+    chunk = cfmm.MAX_SOLVE_BYTES // lane_bytes
+    solutions = []
+    for start in range(0, len(grid), chunk):
+        solutions.extend(_solution(problem, result) for result in _interior_point(prog, grid[start : start + chunk]))
+    return solutions
 
 
 def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> dict:

@@ -418,6 +418,35 @@ class TestRunContract:
         assert taken.read_text() == "kept\n"
         assert listed(tmp_path) == before
 
+    @pytest.mark.parametrize(
+        "out, code, solves",
+        [("taken/sub", 2, 0), ("taken/sub/deeper", 2, 0), ("", 2, 0), ("new/sub", 0, 2)],
+    )
+    def test_out_checked_at_its_nearest_existing_ancestor(self, tmp_path, capsys, monkeypatch, out, code, solves):
+        # `os.makedirs` can make neither the empty path nor one beneath a
+        # file: such an --out is refused before pigou's first solve, while
+        # a relative path whose ancestors do not exist yet is made.
+        import hookroute.cli as cli_mod
+
+        calls = []
+        original = cli_mod.solve_curve
+
+        def counted(problem, grid):
+            calls.append(len(grid))
+            return original(problem, grid)
+
+        monkeypatch.setattr(cli_mod, "solve_curve", counted)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("kept\n")
+        assert main(["pigou", "--grid", "0:1:3", "--out", out]) == code
+        assert len(calls) == solves
+        if code == 2:
+            err = json.loads(capsys.readouterr().out)
+            assert (err["error"], err["field"]) == ("config_parse", "out")
+            assert listed(tmp_path) == ["taken"]
+        else:
+            assert listed(tmp_path / out) == ["pigou_manifest.json", "pigou_output.csv"]
+
 
 class TestErrorContracts:
     def test_malformed_json_is_exit_2(self, tmp_path, capsys):

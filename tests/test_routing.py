@@ -650,9 +650,10 @@ class TestSolveRouting:
                 assert sol.status == "optimal", s
                 assert sol.gap <= 1e-7 * max(1.0, sol.utility_value + sol.gap)
 
-    def test_max_iter_returns_feasible_trades(self):
+    def test_max_iter_returns_feasible_trades(self, monkeypatch):
         problem = table1_problem(500.0)
-        sol = solve_routing(problem, max_iter=2)
+        monkeypatch.setattr(routing, "MAX_ITER", 2)
+        sol = solve_routing(problem)
         assert sol.status == "max_iter"
         assert sol.iterations == 2
         assert_feasible(problem, sol)
@@ -984,9 +985,9 @@ class TestLaneBatch:
         chunks = []
         original = routing._interior_point
 
-        def counted(prog, budgets, max_iter):
+        def counted(prog, budgets):
             chunks.append(len(budgets))
-            return original(prog, budgets, max_iter)
+            return original(prog, budgets)
 
         monkeypatch.setattr(routing, "_interior_point", counted)
         for (problem, grid), expected, need in zip(sweeps, alone, needs):
@@ -1050,6 +1051,37 @@ class TestLaneBatch:
         assert len(calls) <= 2 * max(iterations) + 2
         assert sum(calls) == 2 * sum(iterations)
 
+    def test_capped_lanes_stop_alone(self, monkeypatch):
+        # At a cap of three steps no table1 lane certifies: each leaves at
+        # its third step with what its solve alone gives.
+        monkeypatch.setattr(routing, "MAX_ITER", 3)
+        problem, grid = paper_sweeps()[2]
+        curve = solve_curve(problem, grid)
+        assert {(sol.status, sol.iterations) for sol in curve} == {("max_iter", 3)}
+        assert [solution_bits(sol) for sol in curve] == [solution_bits(solve_routing(at_budget(problem, s))) for s in grid]
+
+    def test_one_bound_per_pass(self, monkeypatch):
+        # Structural guard: each pass rounds and bounds every lane due in
+        # one call, before its Newton step, and no lane twice at one point.
+        # On table1's curve each lane is bounded once, as it always was.
+        steps, rows = [], []
+        original_solver, original_dual = routing._newton_solver, routing._dual_value
+
+        def counted_solver(prog, lanes, *args):
+            steps.append(len(lanes.budget))
+            return original_solver(prog, lanes, *args)
+
+        def counted_dual(prog, nu, budget):
+            rows.append(len(nu))
+            return original_dual(prog, nu, budget)
+
+        monkeypatch.setattr(routing, "_newton_solver", counted_solver)
+        monkeypatch.setattr(routing, "_dual_value", counted_dual)
+        problem, grid = paper_sweeps()[2]
+        solve_curve(problem, grid)
+        assert len(rows) <= len(steps) + 1
+        assert sum(rows) <= len(grid)
+
 
 class TestLaneFailure:
     """A lane whose Newton step fails stops alone, at its last rounding."""
@@ -1094,7 +1126,9 @@ class TestLaneFailure:
         problem = pigou_problem(0.0, with_order=with_order)
         clean = [solution_bits(sol) for sol in solve_curve(problem, self.GRID)]
         # The state the failing lane stops in: its fourth iterate, rounded.
-        stopped = solution_bits(solve_routing(at_budget(problem, self.GRID[self.TARGET]), max_iter=3))
+        with monkeypatch.context() as capped:
+            capped.setattr(routing, "MAX_ITER", 3)
+            stopped = solution_bits(solve_routing(at_budget(problem, self.GRID[self.TARGET])))
 
         def fail(sol, hit):
             if failure == "singular":
@@ -1113,6 +1147,28 @@ class TestLaneFailure:
         alone = solve_routing(at_budget(problem, self.GRID[self.TARGET]))
         assert solution_bits(alone) == stopped
         assert_feasible(at_budget(problem, self.GRID[self.TARGET]), alone)
+
+    def test_due_lane_that_stalls_is_bounded_once(self, monkeypatch):
+        # With a dual bound one unit too high no lane certifies, so a lane
+        # whose estimate is due is bounded and steps on; when that step is
+        # NaN, the lane leaves with the bound of the point it kept.
+        bounded = []
+        original_dual, original_solve = routing._dual_value, routing._stacked_solve
+
+        def loose(prog, nu, budget):
+            bounded.append(len(nu))
+            return original_dual(prog, nu, budget) + 1.0
+
+        def solve(matrices, rhs):
+            sol = original_solve(matrices, rhs)
+            return sol * np.nan if bounded else sol
+
+        monkeypatch.setattr(routing, "_dual_value", loose)
+        monkeypatch.setattr(routing, "_stacked_solve", solve)
+        sol = solve_routing(table1_problem(5.0))
+        assert bounded == [1]
+        assert sol.status == "max_iter" and sol.gap > 1.0
+        assert_feasible(table1_problem(5.0), sol)
 
 
 def reference_newton_solve(prog, lanes, ratio, q, jac, lam, u, top, m, e):
