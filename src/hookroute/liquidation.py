@@ -16,6 +16,7 @@ pays the pool's curve at the clamped price.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,11 +114,13 @@ class MdpConfig:
 
         Per (action, state) row: at most two operator entries per quadrature
         node (8-byte value, 4-byte column), counted twice because the build
-        holds the shared rows, never more entries, next to the operator; and
-        32 bytes for the gather's row index and index pointers, the rewards
-        and a backup's arrays. Per (state, node): 128 bytes of one build
-        chunk's temporaries. Per (block, state): a stored value and an int16
-        action.
+        holds the shared rows, never more entries, next to the operator's row
+        blocks; and 32 bytes for the gather's row index and index pointers,
+        the rewards and a backup's arrays. Per (state, node): 128 bytes of
+        build temporaries, since the workers together build at most
+        n_inventory trade sizes' rows at a time. Per (block, state): a stored
+        value and an int16 action. No term depends on the number of workers,
+        so a grid is accepted or refused alike on any CPU count.
         """
         q, cells = self.quad_order, self.n_inventory * self.n_mispricing
         return cells * ((48 * q + 32) * self.n_actions + 128 * q + 10 * self.horizon)
@@ -263,6 +266,25 @@ def _two_point_rows(lo, w_lo, w_hi, shape):
     )
 
 
+def _workers():
+    """The CPUs this process may run on: a solve runs one worker on each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_workers(executor, task, n):
+    """[task(0), ..., task(n - 1)]: task(0) runs on this thread, the rest on `executor`."""
+    futures = [executor.submit(task, k) for k in range(1, n)]
+    first = task(0)
+    return [first, *(future.result() for future in futures)]
+
+
+def _spans(n, parts):
+    """`parts` contiguous (start, stop) spans of range(n), sizes differing by at most one."""
+    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
 def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     """Backward induction over the (inventory, mispricing) grid.
 
@@ -272,22 +294,32 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     bilinear interpolation.
 
     Nothing but the values depends on the block, so a backup's two linear
-    maps are built once, each as one CSR matrix over all actions. The first
-    interpolates the next values in inventory: a row per (action, inventory)
-    pair, with the two bracket weights of (1 - frac) * I. The second is
-    block-diagonal, an n_z-row block per pair; it maps the pair's
+    maps are built once. The first interpolates the next values in
+    inventory, one CSR matrix over all actions: a row per (action,
+    inventory) pair, with the two bracket weights of (1 - frac) * I. The
+    second is block-diagonal, an n_z-row block per pair; it maps the pair's
     interpolated values to the discounted expectation over the quadrature
     nodes, with the two z-neighbours of every node summed into one entry per
     grid column. Such a row depends on z and the trade size frac * I alone,
     so the rows of each distinct size are built once and gathered into every
     pair that trades it, in (inventory, mispricing, action) order, so that
-    each state's actions are adjacent: 2305 sizes for the 5151 pairs of the paper's
-    101 x 101 grid with 51 actions and 9 nodes, whose operator holds about
-    2.3M entries (at most 2 * quad_order per row, 9.4M before summing). A
-    backup is then two sparse products, the rewards added, and the first
-    best action of each state kept. `MdpConfig` refuses grids whose solve would exceed
-    `cfmm.MAX_SOLVE_BYTES`; its estimate bounds the peak, reached while the
-    gather holds the shared rows next to the operator.
+    each state's actions are adjacent: 2305 sizes for the 5151 pairs of the
+    paper's 101 x 101 grid with 51 actions and 9 nodes, whose operator holds
+    about 2.3M entries (at most 2 * quad_order per row, 9.4M before summing).
+
+    The work runs on one worker per CPU the process may use (this thread
+    and a thread pool; numpy's and scipy's kernels release the GIL). The
+    workers build the rows of contiguous shares of the sizes, at most
+    n_inventory sizes in flight between them, and each gathers one
+    contiguous block of inventory rows of the second map into its own CSR
+    matrix. A backup is then one interpolation product, and on each row
+    block one sparse product, the rewards added, and the first best action
+    of each state kept. Every row is computed by the same operations on the
+    same inputs at any worker count, so values, actions and `backups` do not
+    depend on it. `MdpConfig` refuses grids whose solve would exceed
+    `cfmm.MAX_SOLVE_BYTES`; its estimate bounds the peak at any worker
+    count, reached while the gather holds the shared rows next to the
+    operator.
 
     Backward induction stops at its fixed point. A backup is a function of
     the next block's values alone, so once a block's values equal the next
@@ -297,6 +329,8 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     stop is exact only while nothing in a backup depends on the block index
     t; a time-varying reward, discount or operator must drop it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy import sparse
 
     inv_grid, z_grid = _grids(cfg, pool)
@@ -307,57 +341,83 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     dz = z_grid[1] - z_grid[0]
     step_i = (inv_grid[1] - inv_grid[0]) or 1.0  # degenerate zero-inventory grid
     node_w = cfg.discount * quad_w
+    workers = min(_workers(), n_i)
 
     # A row of the z-operator depends on z and the trade size alone: build the
-    # n_z rows of each distinct size once, n_i sizes at a time. Sizes match
-    # as floats, so a shared row is exactly the row its pairs would build.
+    # n_z rows of each distinct size once. Sizes match as floats, so a shared
+    # row is exactly the row its pairs would build. Each worker builds its
+    # share of the sizes n_i // workers at a time, so that no more than n_i
+    # sizes' temporaries are alive at once, as `MdpConfig.solve_bytes` counts.
     delta = inv_grid * fracs[:, None]
     sizes, which = np.unique(delta, return_inverse=True)
-    chunks = []
-    for start in range(0, len(sizes), n_i):
-        size = sizes[start : start + n_i]
-        z_next = step_mispricing(
-            z_grid[None, :, None], size[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
-        )
-        lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
-        chunk = _two_point_rows(lo, node_w * w, node_w * (1.0 - w), (len(size) * n_z, n_z))
-        chunk.sum_duplicates()
-        chunks.append(chunk)
-    shared = sparse.vstack(chunks, format="csr")
-    del chunks
-    # Gather the row of each (inventory, mispricing, action), then shift its
-    # columns to its (action, inventory) block's slot of the interpolated
-    # values. A per-row constant shift keeps every row sorted and free of
-    # duplicates. The chunks and the shared rows are dropped as soon as they
-    # are copied: `MdpConfig.solve_bytes` counts no more than the shared rows
-    # next to the operator.
-    op = shared[(which.reshape(n_a, n_i).T[:, None, :] * n_z + np.arange(n_z)[:, None]).ravel()]
-    del shared
+    shares, per_piece = _spans(len(sizes), workers), n_i // workers
+
+    def build(k):
+        pieces = []
+        for start in range(shares[k][0], shares[k][1], per_piece):
+            size = sizes[start : min(start + per_piece, shares[k][1])]
+            z_next = step_mispricing(
+                z_grid[None, :, None], size[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
+            )
+            lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
+            piece = _two_point_rows(lo, node_w * w, node_w * (1.0 - w), (len(size) * n_z, n_z))
+            piece.sum_duplicates()
+            pieces.append(piece)
+        return pieces
+
+    # Gather the row of each (inventory, mispricing, action) into its row
+    # block, then, once the shared rows are dropped, shift its columns to its
+    # (action, inventory) block's slot of the interpolated values. A per-row
+    # constant shift keeps every row sorted and free of duplicates.
+    # `MdpConfig.solve_bytes` counts no more than the shared rows next to the
+    # operator.
+    rows = which.reshape(n_a, n_i).T[:, None, :] * n_z + np.arange(n_z)[:, None]
     slot = (np.arange(n_i, dtype=np.int32)[:, None, None] + n_i * np.arange(n_a, dtype=np.int32)) * n_z
-    op.indices += np.repeat(np.broadcast_to(slot, (n_i, n_z, n_a)).ravel(), np.diff(op.indptr))
-    op = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n_a * cells, n_a * cells))
+    blocks = _spans(n_i, workers)
 
-    # Inventory interpolation: row (action, inventory) brackets (1 - frac) * I.
-    inv_lo, inv_w = _bracket(inv_grid * (1.0 - fracs[:, None]) / step_i, n_i)
-    interp = _two_point_rows(inv_lo, inv_w, 1.0 - inv_w, (n_a * n_i, n_i))
-    rewards = reward(inv_grid[:, None], z_grid, delta[:, :, None], cfg, pool).transpose(1, 2, 0).reshape(cells, n_a)
+    def gather(k):
+        i0, i1 = blocks[k]
+        return shared[rows[i0:i1].ravel()]
 
-    values = np.zeros((cfg.horizon, n_i, n_z))
-    actions = np.zeros((cfg.horizon, n_i, n_z), dtype=np.int16)
-    cell = np.arange(cells)
-    v_next = np.zeros((n_i, n_z))
-    for t in range(cfg.horizon - 1, -1, -1):
-        q = (op @ (interp @ v_next).ravel()).reshape(cells, n_a)
-        q += rewards
+    def shift(k):
+        i0, i1 = blocks[k]
+        op = ops[k]
+        op.indices += np.repeat(np.broadcast_to(slot[i0:i1], (i1 - i0, n_z, n_a)).ravel(), np.diff(op.indptr))
+        return sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(op.shape[0], n_a * cells))
+
+    def backup(k):
+        i0, i1 = blocks[k]
+        q = (ops[k] @ x).reshape(-1, n_a)
+        q += rewards[i0 * n_z : i1 * n_z]
         # argmax keeps the first of tied actions, the smallest trade.
         best = q.argmax(axis=1)
-        actions[t] = best.reshape(n_i, n_z)
-        values[t] = q[cell, best].reshape(n_i, n_z)
-        if values[t].tobytes() == v_next.tobytes():
-            values[:t] = values[t]
-            actions[:t] = actions[t]
-            break
-        v_next = values[t]
+        actions[t, i0:i1] = best.reshape(-1, n_z)
+        values[t, i0:i1] = q[cell[: len(q)], best].reshape(-1, n_z)
+
+    # This thread takes the first share of every phase, the pool the others.
+    with ThreadPoolExecutor(max(workers - 1, 1)) as executor:
+        shared = sparse.vstack([p for share in _on_workers(executor, build, workers) for p in share], format="csr")
+        ops = _on_workers(executor, gather, workers)
+        del shared, rows
+        ops = _on_workers(executor, shift, workers)
+
+        # Inventory interpolation: row (action, inventory) brackets (1 - frac) * I.
+        inv_lo, inv_w = _bracket(inv_grid * (1.0 - fracs[:, None]) / step_i, n_i)
+        interp = _two_point_rows(inv_lo, inv_w, 1.0 - inv_w, (n_a * n_i, n_i))
+        rewards = reward(inv_grid[:, None], z_grid, delta[:, :, None], cfg, pool).transpose(1, 2, 0).reshape(cells, n_a)
+
+        values = np.zeros((cfg.horizon, n_i, n_z))
+        actions = np.zeros((cfg.horizon, n_i, n_z), dtype=np.int16)
+        cell = np.arange(cells)
+        v_next = np.zeros((n_i, n_z))
+        for t in range(cfg.horizon - 1, -1, -1):
+            x = (interp @ v_next).ravel()
+            _on_workers(executor, backup, workers)
+            if values[t].tobytes() == v_next.tobytes():
+                values[:t] = values[t]
+                actions[:t] = actions[t]
+                break
+            v_next = values[t]
 
     vf = ValueFunction(values, inv_grid, z_grid, backups=cfg.horizon - t)
     policy = Policy(actions, fracs, inv_grid, z_grid)
@@ -448,20 +508,19 @@ def compare_vs_twamm(
     noise paths, drawn once. Returns (sigma, mean excess, standard error)
     triples.
     """
+    # Every volatility is checked before the first solve.
+    grid = [MispricingParams(params.drift, float(sigma), params.dt) for sigma in sigma_grid]
     eps = _noise_matrix(n_paths, cfg.horizon, seed)
 
     def uniform(t, inventory, z):
         return cfg.inventory / cfg.horizon
 
     results = []
-    for sigma in sigma_grid:
-        if sigma < 0:
-            raise ValueError("volatility must be nonnegative")
-        params_s = MispricingParams(params.drift, float(sigma), params.dt)
+    for params_s in grid:
         _, policy = value_iteration(cfg, pool, params_s)
         outputs = _simulate(policy.sale, cfg.gas, cfg, pool, params_s, eps, z0).outputs
         tw = _simulate(uniform, 0.0, cfg, pool, params_s, eps, z0).outputs - cfg.gas
         excess = outputs - tw
         stderr = float(np.std(excess, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-        results.append((float(sigma), float(np.mean(excess)), stderr))
+        results.append((params_s.volatility, float(np.mean(excess)), stderr))
     return results

@@ -1157,12 +1157,12 @@ class TestHookSweeps:
 
 
 class TestImportPath:
-    """scipy is imported only inside the solvers that call it."""
+    """scipy and concurrent.futures are imported only inside the solvers that call them."""
 
     PROBE = (
         "import json, sys\n"
         "from hookroute.cli import main\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))\n"
         "report = {'import': loaded(), 'runs': []}\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    report['runs'].append((main(argv), loaded()))\n"
@@ -1208,8 +1208,12 @@ class TestImportPath:
         [(code, loaded)] = report["runs"]
         assert code == 0
         # Besides scipy's own infrastructure (private modules, version data),
-        # the one subpackage loaded is scipy.sparse.
-        public = {m.split(".")[1] for m in loaded if "." in m and not m.split(".")[1].startswith("_")}
+        # the one subpackage loaded is scipy.sparse; the solve's workers load
+        # concurrent.futures.
+        assert "concurrent.futures" in loaded
+        public = {
+            m.split(".")[1] for m in loaded if m.startswith("scipy.") and not m.split(".")[1].startswith("_")
+        }
         assert public == {"sparse", "version"} or public == {"sparse"}
 
 

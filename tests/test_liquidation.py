@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -322,7 +323,12 @@ def reference_operator_value_iteration(cfg, pool, params):
             actions[:t] = actions[t]
             break
         v_next = values[t]
-    return values, actions
+    return values, actions, cfg.horizon - t
+
+
+def force_workers(monkeypatch, n):
+    """Solve on n workers, whatever CPUs this process may run on."""
+    monkeypatch.setattr(liquidation, "_workers", lambda: n)
 
 
 def skewed_pool():
@@ -389,12 +395,36 @@ class TestBackupOperator:
             pytest.param(dict(PAPER_GRID, horizon=3, inventory=100.0), 0.0, small_pool(), id="bench-twamm"),
         ],
     )
-    def test_bit_equal_to_per_action_operators(self, overrides, volatility, pool):
+    # Three workers split the inventory rows unevenly (11 = 3 + 4 + 4,
+    # 101 = 33 + 34 + 34); every worker count must give the same bits.
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_equal_to_per_action_operators(self, monkeypatch, workers, overrides, volatility, pool):
         cfg, params = small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0)
-        ref_values, ref_actions = reference_operator_value_iteration(cfg, pool, params)
+        ref_values, ref_actions, ref_backups = reference_operator_value_iteration(cfg, pool, params)
+        force_workers(monkeypatch, workers)
         vf, pol = value_iteration(cfg, pool, params)
         assert vf.values.tobytes() == ref_values.tobytes()
         assert pol.action_index.tobytes() == ref_actions.tobytes()
+        assert vf.backups == ref_backups
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # Eight workers write disjoint row blocks of the same value and action
+        # arrays while the interpreter switches threads every microsecond; a
+        # lost or misplaced write would change the bits.
+        cfg, params = small_cfg(n_inventory=17), MispricingParams(0.0, 8.0, 1.0)
+        force_workers(monkeypatch, 1)
+        ref, ref_pol = value_iteration(cfg, small_pool(), params)
+        force_workers(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                vf, pol = value_iteration(cfg, small_pool(), params)
+                assert vf.values.tobytes() == ref.values.tobytes()
+                assert pol.action_index.tobytes() == ref_pol.action_index.tobytes()
+                assert vf.backups == ref.backups
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_rows_built_once_per_distinct_trade_size(self, monkeypatch):
         points = []
@@ -409,7 +439,8 @@ class TestBackupOperator:
         # size's rows take 101 mispricings x 9 nodes.
         assert sum(points) == 2305 * 101 * 9
 
-    def test_backup_is_two_sparse_products(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_backup_is_one_product_per_row_block(self, monkeypatch, workers):
         from scipy import sparse
 
         products = []
@@ -420,9 +451,19 @@ class TestBackupOperator:
             return matmul(self, other)
 
         monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted)
-        vf, _ = value_iteration(small_cfg(horizon=3), small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        force_workers(monkeypatch, workers)
+        cfg = small_cfg(horizon=3)
+        vf, _ = value_iteration(cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
         assert vf.backups == 3
-        assert len(products) == 2 * vf.backups
+        # Each backup: one inventory interpolation, then one product on each
+        # row block, whose rows are whole inventory rows of the operator.
+        n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
+        interp = (n_a * n_i, n_i)
+        blocks = [rows for rows, cols in products if (rows, cols) != interp and cols == n_a * n_i * n_z]
+        assert products.count(interp) == vf.backups
+        assert len(blocks) == len(products) - vf.backups == workers * vf.backups
+        assert all(rows % (n_z * n_a) == 0 for rows in blocks)
+        assert sum(blocks) == vf.backups * n_a * n_i * n_z
 
     @pytest.mark.parametrize(
         "overrides, volatility, pool",
@@ -448,8 +489,10 @@ class TestBackupOperator:
             ),
         ],
     )
-    def test_memory_estimate_bounds_the_peak(self, overrides, volatility, pool):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_memory_estimate_bounds_the_peak(self, monkeypatch, workers, overrides, volatility, pool):
         cfg, params = small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0)
+        force_workers(monkeypatch, workers)
         # Warm up first, so that scipy's import is not traced.
         value_iteration(small_cfg(horizon=1, n_inventory=3, n_mispricing=3, n_actions=2), pool, params)
         tracemalloc.start()
@@ -648,6 +691,14 @@ class TestCompareVsTwamm:
             compare_vs_twamm(
                 [-1.0], small_cfg(), small_pool(), MispricingParams(0, 1, 1), 4, seed=0
             )
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_every_volatility_checked_before_the_first_solve(self, monkeypatch, bad):
+        solves = []
+        monkeypatch.setattr(liquidation, "value_iteration", lambda *args: solves.append(args))
+        with pytest.raises(ValueError, match="volatility"):
+            compare_vs_twamm([1.0, bad], small_cfg(), small_pool(), MispricingParams(0, 1, 1), 4, seed=0)
+        assert solves == []
 
 
 class TestFeeBand:
