@@ -108,6 +108,7 @@ class RoutingSolution:
     dual_prices: np.ndarray
     gap: float
     iterations: int
+    budget: float  # the budget solved at, which `solve_curve` takes from its grid
 
 
 def _sum_orders(market, assets):
@@ -781,8 +782,8 @@ def _interior_point(prog, budgets):
     return results
 
 
-def _solution(problem, result):
-    """One lane's `_interior_point` result as the problem's RoutingSolution."""
+def _solution(problem, budget, result):
+    """One lane's `_interior_point` result, at `budget`, as the problem's RoutingSolution."""
     (d, r, y, psi, prices, gap), passed, iterations = result
     market_trades = []
     leg, pair = 0, len(problem.orders)
@@ -805,6 +806,7 @@ def _solution(problem, result):
         dual_prices=prices,
         gap=gap,
         iterations=iterations,
+        budget=float(budget),
     )
 
 
@@ -848,12 +850,14 @@ def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
     chunk = cfmm.MAX_SOLVE_BYTES // lane_bytes
     solutions = []
     for start in range(0, len(grid), chunk):
-        solutions.extend(_solution(problem, result) for result in _interior_point(prog, grid[start : start + chunk]))
+        budgets = grid[start : start + chunk]
+        solutions.extend(_solution(problem, s, result) for s, result in zip(budgets, _interior_point(prog, budgets)))
     return solutions
 
 
 def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> dict:
-    """Feasibility diagnostics: reconstruction, trading-set, and budget slack."""
+    """Feasibility diagnostics: reconstruction, trading-set, and budget slack,
+    the last at the budget the solution was solved at, not the problem's."""
     psi = np.zeros(problem.n_assets)
     worst_market = 0.0
     for (market, assets), (d, r) in zip(problem.markets, solution.market_trades):
@@ -875,7 +879,7 @@ def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> di
         )
     recon = float(np.max(np.abs(psi - solution.psi))) if problem.n_assets else 0.0
     h_init = np.zeros(problem.n_assets)
-    h_init[problem.utility.input_asset] = problem.utility.budget
+    h_init[problem.utility.input_asset] = solution.budget
     budget = float(np.min(solution.psi + h_init))
     return {
         "reconstruction": recon,

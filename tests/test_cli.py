@@ -1156,31 +1156,34 @@ class TestHookSweeps:
         assert [row[:3] for row in rows] == expected
 
 
+def python_run(tmp_path, *args):
+    """A Python process on `args`, importing this checkout's hookroute, in `tmp_path`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hookroute.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, text=True)
+
+
 class TestImportPath:
-    """scipy and concurrent.futures are imported only inside the solvers that call them."""
+    """scipy and concurrent.futures are imported only inside the solvers that
+    call them, and `main` in process leaves the garbage collector unfrozen."""
 
     PROBE = (
-        "import json, sys\n"
+        "import gc, json, sys\n"
         "from hookroute.cli import main\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))\n"
         "report = {'import': loaded(), 'runs': []}\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    report['runs'].append((main(argv), loaded()))\n"
+        "report['frozen'] = gc.get_freeze_count()\n"
         "print(json.dumps(report))\n"
     )
 
     def probe(self, tmp_path, *argvs):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(hookroute.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        result = subprocess.run(
-            [sys.executable, "-c", self.PROBE, json.dumps(argvs)],
-            env=env,
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        return json.loads(result.stdout.splitlines()[-1])
+        result = python_run(tmp_path, "-c", self.PROBE, json.dumps(argvs))
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.splitlines()[-1])
+        assert report.pop("frozen") == 0
+        return report
 
     def test_cli_import_and_hook_commands_load_no_scipy(self, tmp_path):
         cfg = write_json(tmp_path / "hook.json", HOOK_CONFIG)
@@ -1215,6 +1218,34 @@ class TestImportPath:
             m.split(".")[1] for m in loaded if m.startswith("scipy.") and not m.split(".")[1].startswith("_")
         }
         assert public == {"sparse", "version"} or public == {"sparse"}
+
+
+class TestProcessEntry:
+    """`python -m hookroute` runs `main` in its own process, with the same
+    files, exit codes and stdout lines as `main` called in process."""
+
+    def test_liquidate_solve_writes_the_in_process_bytes(self, tmp_path):
+        cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        argv = ["liquidate-solve", "--config", cfg, "--dump-times", "all"]
+        result = python_run(tmp_path, "-m", "hookroute", *argv, "--out", "process")
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert main([*argv, "--out", str(tmp_path / "in_process")]) == 0
+        for name in ("liquidation_solution.csv", "liquidate_solve_manifest.json"):
+            assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+
+    def test_unknown_problem_is_exit_2(self, tmp_path):
+        result = python_run(tmp_path, "-m", "hookroute", "route", "--problem", "nosuch", "--s", "0:1:2")
+        assert result.returncode == 2
+        [line] = result.stdout.splitlines()
+        assert json.loads(line)["field"] == "problem"
+
+    def test_infeasible_is_exit_4(self, tmp_path):
+        record = dict(ROUTE_PROBLEM, n_assets=4, utility={"liquidate": {"input": 0, "output": 3, "budget": 1.0}})
+        path = write_json(tmp_path / "p.json", record)
+        result = python_run(tmp_path, "-m", "hookroute", "route", "--problem", path, "--s", "0:1:2")
+        assert result.returncode == 4
+        [line] = result.stdout.splitlines()
+        assert json.loads(line)["error"] == "infeasible"
 
 
 class TestDeterminism:

@@ -551,6 +551,67 @@ class TestSimulation:
         assert np.array_equal(a.inventory, b.inventory)
 
 
+def policy_value(policy, cfg, pool, params, eps, z0):
+    """Per path, the DP's objective along `policy` on the noise `eps`: the
+    discounted sum of `reward` over the blocks, block t selling `Policy.sale`."""
+    n_paths = len(eps)
+    inventory = np.full(n_paths, cfg.inventory)
+    z = np.full(n_paths, float(z0))
+    total = np.zeros(n_paths)
+    for t in range(cfg.horizon):
+        delta = policy.sale(t, inventory, z)
+        total += cfg.discount**t * reward(inventory, z, delta, cfg, pool)
+        inventory = inventory - delta
+        z = step_mispricing(z, delta, eps[:, t], params, pool, cfg.dynamics)
+    return total
+
+
+# The battery's liquidation config with additive dynamics, volatility 0.002,
+# discount 0.99 and carry 0.1 (z0 = 0): a case in which noise, time and the
+# grid all matter, where the battery's own configs sell in block 0 or never.
+NOISY_CFG = MdpConfig(
+    horizon=200, inventory=1000.0, gas=2.0, inventory_cost=0.1, discount=0.99, dynamics=ADDITIVE, **PAPER_GRID
+)
+NOISY_PARAMS = MispricingParams(0.0, 0.002, 1.0)
+
+
+class TestPolicyValue:
+    """The DP's semantic gate: V0 matches a Monte Carlo of the DP's own
+    objective along its own policy."""
+
+    PATHS = 20000
+    # V0 moves by 5.1 between 51 and 301 mispricing points (12417.51 to
+    # 12412.41). Twice that covers the interpolated values of the DP against
+    # the nearest-grid actions of the simulation.
+    GRID_ALLOWANCE = 10.0
+
+    @pytest.fixture(scope="class")
+    def eps(self):
+        return liquidation._noise_matrix(self.PATHS, NOISY_CFG.horizon, 3)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_value_within_monte_carlo_error(self, monkeypatch, eps, workers):
+        force_workers(monkeypatch, workers)
+        pool = small_pool()
+        vf, policy = value_iteration(NOISY_CFG, pool, NOISY_PARAMS)
+        assert vf.backups == NOISY_CFG.horizon
+        # V0 at the whole inventory, linear in z between grid points.
+        v0 = np.interp(0.0, vf.mispricing_grid, vf.values[0, -1])
+        values = policy_value(policy, NOISY_CFG, pool, NOISY_PARAMS, eps, 0.0)
+        stderr = np.std(values, ddof=1) / math.sqrt(self.PATHS)
+        assert abs(v0 - np.mean(values)) <= 3 * stderr + self.GRID_ALLOWANCE
+
+    def test_sold_over_many_blocks(self):
+        pool = small_pool()
+        _, policy = value_iteration(NOISY_CFG, pool, NOISY_PARAMS)
+        inventory = simulate_policy(policy, NOISY_CFG, pool, NOISY_PARAMS, 200, seed=3).inventory
+        # Neither sold whole in block 0 nor held whole to the horizon, and
+        # the noise gives the paths different schedules.
+        assert np.all(inventory[:, 1] > 0.0)
+        assert np.all(inventory[:, -1] < NOISY_CFG.inventory)
+        assert len(np.unique(inventory[:, 10])) > 1
+
+
 def reference_linear_twamm(cfg, pool, params, eps, z0):
     """The TWAMM priced linearly: each slice at the clamped marginal price, no slippage.
 

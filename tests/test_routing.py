@@ -780,6 +780,15 @@ class TestOutputCurve:
         )
         assert abs(crossing - curve.delta1) <= 2 * step
 
+    def test_residuals_read_the_solved_budget(self):
+        # table1_problem(0.0) carries budget 0, which solve_curve does not
+        # read: each solution is checked at its own grid budget.
+        problem = table1_problem(0.0)
+        grid = np.linspace(0.0, 500.0, 5)
+        for s, sol in zip(grid, solve_curve(problem, grid)):
+            assert sol.budget == s
+            assert_feasible(problem, sol)
+
 
 def hostile_sweeps():
     sweeps = []
