@@ -2,8 +2,13 @@
 
 Every command resolves its config, runs the owning module, and returns its
 manifest record and its tables; `main` writes them with `write_run`, each
-table atomically, then the manifest. Reruns with identical config and seed
-produce byte-identical CSV bodies.
+table atomically, then the manifest. Reruns with identical config and seed,
+at the same BLAS thread count, produce byte-identical CSV bodies.
+
+A command imports its problem family (`routing` with `scenarios`,
+`liquidation` or `noncomposable`) inside its own body and calls each solver
+through the module that owns it, so a process loads, and without a bytecode
+cache compiles, only the family it runs.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -22,12 +28,6 @@ import numpy as np
 
 from . import __version__
 from .cfmm import check_budget
-from .liquidation import check_paths, compare_vs_twamm, simulate_policy, value_iteration
-# `solve_mean_variance` is unused here, but the benchmark's tracer
-# (bench/spans.py) rebinds it in this module.
-from .noncomposable import SWEEP_POINT_BYTES, efficient_frontier, mean_variance_sweep, solve_mean_variance
-from .routing import NoFeasibleRouteError, RoutingProblem, STATUS_OPTIMAL, solution_bytes, solve_curve
-from .scenarios import SCENARIOS, pigou_problem
 from .serialize import (
     ConfigError,
     hook_config_from_dict,
@@ -45,6 +45,30 @@ EXIT_INFEASIBLE = 4
 
 class SolverFailure(Exception):
     pass
+
+
+class InfeasibleRoute(Exception):
+    pass
+
+
+# The module that owns each solver that the benchmark's tracer
+# (bench/spans.py) reads and rebinds on this module. The commands never read
+# these names here: they call each solver through its owner.
+_SOLVER_OWNERS = {
+    "solve_curve": "routing",
+    "value_iteration": "liquidation",
+    "simulate_policy": "liquidation",
+    "compare_vs_twamm": "liquidation",
+    "solve_mean_variance": "noncomposable",
+    "efficient_frontier": "noncomposable",
+}
+
+
+def __getattr__(name):
+    """A solver of `_SOLVER_OWNERS`, read from its owner, imported on first use."""
+    if name not in _SOLVER_OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SOLVER_OWNERS[name]}", __package__), name)
 
 
 def _grid_bounds(text, point_bytes=8, what=None):
@@ -151,8 +175,15 @@ def write_run(args, record, tables):
 
 
 def _solve_curve_strict(problem, grid):
-    solutions = solve_curve(problem, grid)
-    bad = [s for s in solutions if s.status != STATUS_OPTIMAL]
+    """`routing.solve_curve`, the CLI's one call into the routing solver,
+    whose infeasible route and uncertified solves become CLI exceptions."""
+    from . import routing
+
+    try:
+        solutions = routing.solve_curve(problem, grid)
+    except routing.NoFeasibleRouteError as exc:
+        raise InfeasibleRoute(str(exc)) from exc
+    bad = [s for s in solutions if s.status != routing.STATUS_OPTIMAL]
     if bad:
         raise SolverFailure(
             f"{len(bad)} of {len(solutions)} routing solves missed the gap tolerance"
@@ -166,6 +197,8 @@ def _order_curves(problem, text):
     rows (s, u with, u without). Each budget is charged its float and a
     solution of each curve, so a grid that would not fit is refused before
     it is allocated."""
+    from .routing import RoutingProblem, solution_bytes
+
     stripped = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
     grid = parse_grid(text, 8 + solution_bytes(problem) + solution_bytes(stripped), "budget")
     with_orders = _solve_curve_strict(problem, grid)
@@ -178,6 +211,8 @@ def _order_curves(problem, text):
 
 
 def cmd_pigou(args):
+    from .scenarios import pigou_problem
+
     _, _, rows = _order_curves(pigou_problem(0.0), args.grid)
     # The order is always included; the record keeps the hash of runs that
     # chose it with --with-order.
@@ -186,6 +221,8 @@ def cmd_pigou(args):
 
 
 def _load_problem(spec_text):
+    from .scenarios import SCENARIOS
+
     if os.path.exists(spec_text):
         return problem_from_dict(load_json(spec_text, "problem"))
     if spec_text in SCENARIOS:
@@ -240,6 +277,8 @@ def _dump_times(text, horizon):
 def _check_sampling(args, cfg):
     """Refuse --seed and --paths before any solve: a negative seed, too few
     paths, or too many for memory."""
+    from .liquidation import check_paths
+
     if args.seed < 0:
         raise ConfigError(f"--seed {args.seed}: the seed must be nonnegative", "seed")
     try:
@@ -249,10 +288,12 @@ def _check_sampling(args, cfg):
 
 
 def cmd_liquidate_solve(args):
+    from . import liquidation
+
     record = load_json(args.config)
     cfg, pool, params, _ = liquidation_config_from_dict(record)
     times = _dump_times(args.dump_times, cfg.horizon)
-    vf, policy = value_iteration(cfg, pool, params)
+    vf, policy = liquidation.value_iteration(cfg, pool, params)
     # Every cell but t is a float, which `_fmt` writes as its repr.
     fractions = policy.action_fractions.tolist()
     inventory = vf.inventory_grid.tolist()
@@ -285,11 +326,13 @@ def cmd_liquidate_solve(args):
 
 
 def cmd_liquidate_simulate(args):
+    from . import liquidation
+
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
-    _, policy = value_iteration(cfg, pool, params)
-    sim = simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
+    _, policy = liquidation.value_iteration(cfg, pool, params)
+    sim = liquidation.simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
     rows = (
         (p, t, sim.inventory[p, t])
         for p in range(args.paths)
@@ -299,18 +342,22 @@ def cmd_liquidate_simulate(args):
 
 
 def cmd_compare_twamm(args):
+    from . import liquidation
+
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
     sigma_grid = parse_grid(args.grid, what="volatility")
-    results = compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
+    results = liquidation.compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
     return record, [("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))]
 
 
 def cmd_hook_mean_variance(args):
+    from . import noncomposable
+
     record = load_json(args.config)
     scenario, (forms, curvatures, scales) = hook_config_from_dict(record)
-    trades, objectives = mean_variance_sweep(scenario, forms, curvatures, scales)
+    trades, objectives = noncomposable.mean_variance_sweep(scenario, forms, curvatures, scales)
     rows = (
         (curvature, scale, form, trade, objective)
         for (form, curvature, scale), trade, objective in zip(
@@ -322,10 +369,12 @@ def cmd_hook_mean_variance(args):
 
 
 def cmd_hook_frontier(args):
+    from . import noncomposable
+
     record = load_json(args.config)
     scenario, _ = hook_config_from_dict(record)
-    grid = parse_grid(args.grid, SWEEP_POINT_BYTES)
-    rows = zip(grid, *efficient_frontier(scenario, grid))
+    grid = parse_grid(args.grid, noncomposable.SWEEP_POINT_BYTES)
+    rows = zip(grid, *noncomposable.efficient_frontier(scenario, grid))
     return record, [("frontier", ("tau", "delta_star", "variance_star", "feasible"), csv_rows(rows))]
 
 
@@ -426,7 +475,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, "config_parse", str(exc))
     except SolverFailure as exc:
         return _fail(EXIT_SOLVER, "solver_nonconvergence", str(exc))
-    except NoFeasibleRouteError as exc:
+    except InfeasibleRoute as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
     try:
         write_run(args, record, tables)

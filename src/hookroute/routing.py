@@ -373,7 +373,8 @@ class _Program:
         sizes = np.bincount(self.pool, minlength=len(pools))
         first_leg = np.cumsum(sizes) - sizes
         self.groups = []
-        for k in np.unique(sizes):
+        # The distinct sizes, without `np.unique`, which imports numpy.ma.
+        for k in np.flatnonzero(np.bincount(sizes)):
             i, j = np.delete(np.triu_indices(k + 1), k, axis=1)
             self.groups.append((np.flatnonzero(sizes == k), first_leg[sizes == k, None] + np.arange(k), i, j))
         self.order_in = np.array([o.input_asset for o in orders], dtype=int)

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .cfmm import LimitOrder, Market
-from .liquidation import MdpConfig, MispricingParams, PoolParams
-from .noncomposable import FORMS, HookScenario, VarianceSpec, check_sweep
-from .routing import Liquidate, RoutingProblem, check_solve_size
+
+if TYPE_CHECKING:
+    from .routing import RoutingProblem
 
 
 class ConfigError(Exception):
@@ -174,18 +174,8 @@ _LIQUIDATE = {
     "output": _Key(_INTEGER, attr="output_asset"),
     "budget": _Key(_NUMBER),
 }
-# A problem's market also maps its assets to the problem's, and its utility
-# record holds one `liquidate` record.
+# A problem's market also maps its assets to the problem's.
 _PROBLEM_MARKET = dict(_MARKET, assets=_Key(_list_of(_is_index, "integers")))
-_UTILITY = {"liquidate": _Key(_nested(Liquidate, _LIQUIDATE))}
-_PROBLEM = {
-    "n_assets": _Key(_INTEGER),
-    "markets": _Key(
-        _each(_nested(lambda assets, **market: (Market(**market), assets), _PROBLEM_MARKET)), []
-    ),
-    "orders": _Key(_each(_nested(LimitOrder, _ORDER)), []),
-    "utility": _Key(_nested(lambda liquidate: liquidate, _UTILITY)),
-}
 
 _MDP = {
     "horizon": _Key(_INTEGER),
@@ -207,40 +197,14 @@ _POOL = {
     "external_price": _Key(_NUMBER, None),
 }
 _MISPRICING = {"drift": _Key(_NUMBER), "volatility": _Key(_NUMBER), "dt": _Key(_NUMBER)}
-_LIQUIDATION = {
-    "mdp": _Key(_nested(MdpConfig, _MDP)),
-    "pool": _Key(_nested(PoolParams, _POOL)),
-    "mispricing": _Key(_nested(MispricingParams, _MISPRICING)),
-    "z0": _Key(_FINITE, 0.0),
-}
 
 _VARIANCE = {"form": _Key(_STRING), "scale": _Key(_FINITE), "exponent": _Key(_FINITE, None)}
 _FORM_NAMES = _list_of(lambda v: isinstance(v, str), "one or more variance form names", bool, list)
 _SWEEP_VALUES = _list_of(_is_number, "one or more finite numbers", bool, list)
-_SWEEPS = {
-    "forms": _Key(_FORM_NAMES, list(FORMS)),
-    "curvature_values": _Key(_SWEEP_VALUES, np.linspace(0.0, 1.0, 50).tolist()),
-    "scale_values": _Key(_SWEEP_VALUES, np.logspace(-3, 3, 25).tolist()),
-}
 
-
-def _sweeps(value, path, key):
-    """A `sweeps` record as (forms, curvatures, scales); any refusal names it."""
-    values = _record(value, key, _SWEEPS)
-    sweep = values["forms"], values["curvature_values"], values["scale_values"]
-    _wrap(lambda: check_sweep(*sweep), key)
-    return sweep
-
-
-_HOOK = {
-    "total_trade": _Key(_FINITE),
-    "cpmm_reserves": _Key(_PAIR),
-    "hook_reserves": _Key(_PAIR),
-    "curvature": _Key(_FINITE),
-    "variance": _Key(_nested(VarianceSpec, _VARIANCE)),
-    "risk_aversion": _Key(_FINITE),
-    "sweeps": _Key(_sweeps, _sweeps({}, "", "sweeps")),
-}
+# The specs of a routing problem, a liquidation config and a hook config
+# name their family's classes, so each is built in its loader, which alone
+# imports that family.
 
 
 def problem_to_dict(problem: RoutingProblem) -> dict:
@@ -255,7 +219,20 @@ def problem_to_dict(problem: RoutingProblem) -> dict:
 
 
 def problem_from_dict(record) -> RoutingProblem:
-    problem = _build(RoutingProblem, record, "", _PROBLEM)
+    """The routing problem of `record`; its utility record holds one
+    `liquidate` record."""
+    from .routing import Liquidate, RoutingProblem, check_solve_size
+
+    utility = {"liquidate": _Key(_nested(Liquidate, _LIQUIDATE))}
+    spec = {
+        "n_assets": _Key(_INTEGER),
+        "markets": _Key(
+            _each(_nested(lambda assets, **market: (Market(**market), assets), _PROBLEM_MARKET)), []
+        ),
+        "orders": _Key(_each(_nested(LimitOrder, _ORDER)), []),
+        "utility": _Key(_nested(lambda liquidate: liquidate, utility)),
+    }
+    problem = _build(RoutingProblem, record, "", spec)
     _wrap(lambda: check_solve_size(problem), "n_assets")
     return problem
 
@@ -265,7 +242,15 @@ def liquidation_config_from_dict(record):
 
     An `mdp` key left out takes the `MdpConfig` default.
     """
-    values = _record(record, "", _LIQUIDATION)
+    from .liquidation import MdpConfig, MispricingParams, PoolParams
+
+    spec = {
+        "mdp": _Key(_nested(MdpConfig, _MDP)),
+        "pool": _Key(_nested(PoolParams, _POOL)),
+        "mispricing": _Key(_nested(MispricingParams, _MISPRICING)),
+        "z0": _Key(_FINITE, 0.0),
+    }
+    values = _record(record, "", spec)
     return values["mdp"], values["pool"], values["mispricing"], values["z0"]
 
 
@@ -279,8 +264,32 @@ def hook_config_from_dict(record):
     must pass the sweep; anything else, unknown keys and too many points
     included, is refused with `"field": "sweeps"`.
     """
-    values = _record(record, "", _HOOK)
-    sweep = values.pop("sweeps")
+    from .noncomposable import FORMS, HookScenario, VarianceSpec, check_sweep
+
+    sweeps_spec = {
+        "forms": _Key(_FORM_NAMES, list(FORMS)),
+        "curvature_values": _Key(_SWEEP_VALUES, np.linspace(0.0, 1.0, 50).tolist()),
+        "scale_values": _Key(_SWEEP_VALUES, np.logspace(-3, 3, 25).tolist()),
+    }
+
+    def sweeps(value, path, key):
+        """A `sweeps` record as (forms, curvatures, scales); any refusal names it."""
+        values = _record(value, key, sweeps_spec)
+        sweep = values["forms"], values["curvature_values"], values["scale_values"]
+        _wrap(lambda: check_sweep(*sweep), key)
+        return sweep
+
+    spec = {
+        "total_trade": _Key(_FINITE),
+        "cpmm_reserves": _Key(_PAIR),
+        "hook_reserves": _Key(_PAIR),
+        "curvature": _Key(_FINITE),
+        "variance": _Key(_nested(VarianceSpec, _VARIANCE)),
+        "risk_aversion": _Key(_FINITE),
+        "sweeps": _Key(sweeps, _OMIT),
+    }
+    values = _record(record, "", spec)
+    sweep = values.pop("sweeps", tuple(entry.default for entry in sweeps_spec.values()))
     return _wrap(lambda: HookScenario(**values), ""), sweep
 
 

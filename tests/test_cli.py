@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hookroute
+from hookroute import liquidation, noncomposable, routing
 from hookroute.cfmm import GEOMETRIC_MEAN, MAX_SOLVE_BYTES, PRODUCT, SUM, LimitOrder, Market
 from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, write_run
 from hookroute.liquidation import MdpConfig, check_paths, value_iteration
@@ -28,6 +29,24 @@ from hookroute.serialize import (
     problem_to_dict,
 )
 from test_routing import scale_network
+
+# The module that owns each solver a command calls. The commands call every
+# solver through its owner, so a test replaces a solver there.
+SOLVER_OWNERS = {
+    "solve_curve": routing,
+    "value_iteration": liquidation,
+    "simulate_policy": liquidation,
+    "compare_vs_twamm": liquidation,
+    "mean_variance_sweep": noncomposable,
+    "efficient_frontier": noncomposable,
+}
+
+
+def patch_solvers(monkeypatch, fn, *names):
+    """Replace each solver of `names`, in the module that owns it, with `fn`."""
+    for name in names:
+        monkeypatch.setattr(SOLVER_OWNERS[name], name, fn)
+
 
 LIQ_CONFIG = {
     "mdp": {
@@ -372,15 +391,13 @@ class TestRunContract:
         [(argv[0], 2) for argv in VALID_ARGVS] + [("pigou", 3), ("route", 3), ("route", 4)],
     )
     def test_failed_run_writes_nothing(self, tmp_path, capsys, monkeypatch, command, code):
-        import hookroute.cli as cli_mod
-
         options, _ = contract_runs(tmp_path)[command]
         if code == 2:
             bad = write_json(tmp_path / "bad.json", 5)
             options = [bad if o.endswith(".json") else o for o in options]
             options = [o.replace(":3", ":0") if command in ("pigou", "route") else o for o in options]
         elif code == 3:
-            original = cli_mod.solve_curve
+            original = routing.solve_curve
 
             def stalled(problem, grid):
                 solutions = original(problem, grid)
@@ -388,7 +405,7 @@ class TestRunContract:
                     sol.status = "max_iter"
                 return solutions
 
-            monkeypatch.setattr(cli_mod, "solve_curve", stalled)
+            patch_solvers(monkeypatch, stalled, "solve_curve")
         else:
             no_route = dict(ROUTE_PROBLEM, n_assets=4, utility={"liquidate": {"input": 0, "output": 3, "budget": 1.0}})
             options = ["--problem", write_json(tmp_path / "p.json", no_route), "--s", "0:1:3"]
@@ -401,13 +418,10 @@ class TestRunContract:
     @pytest.mark.parametrize("command", [argv[0] for argv in VALID_ARGVS])
     def test_out_at_an_existing_file_is_exit_2(self, tmp_path, capsys, monkeypatch, command):
         # Refused before the command runs: no solver may be called.
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("value_iteration", "compare_vs_twamm", "solve_curve", "mean_variance_sweep", "efficient_frontier"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, *SOLVER_OWNERS)
         options, _ = contract_runs(tmp_path)[command]
         taken = tmp_path / "taken"
         taken.write_text("kept\n")
@@ -426,16 +440,14 @@ class TestRunContract:
         # `os.makedirs` can make neither the empty path nor one beneath a
         # file: such an --out is refused before pigou's first solve, while
         # a relative path whose ancestors do not exist yet is made.
-        import hookroute.cli as cli_mod
-
         calls = []
-        original = cli_mod.solve_curve
+        original = routing.solve_curve
 
         def counted(problem, grid):
             calls.append(len(grid))
             return original(problem, grid)
 
-        monkeypatch.setattr(cli_mod, "solve_curve", counted)
+        patch_solvers(monkeypatch, counted, "solve_curve")
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("kept\n")
         assert main(["pigou", "--grid", "0:1:3", "--out", out]) == code
@@ -484,12 +496,10 @@ class TestErrorContracts:
         assert json.loads(capsys.readouterr().out)["error"] == "infeasible"
 
     def test_oversized_grid_refused_before_solving(self, tmp_path, capsys, monkeypatch):
-        import hookroute.cli as cli_mod
-
         def never(*args):
             raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(cli_mod, "value_iteration", never)
+        patch_solvers(monkeypatch, never, "value_iteration")
         record = json.loads(json.dumps(LIQ_CONFIG))
         record["mdp"]["n_mispricing"] = 10**9
         path = write_json(tmp_path / "liq.json", record)
@@ -515,13 +525,10 @@ class TestErrorContracts:
     def test_boolean_integers_refused_before_solving(
         self, tmp_path, capsys, monkeypatch, command, path, value, field
     ):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("solve_curve", "value_iteration"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "solve_curve", "value_iteration")
         record = json.loads(json.dumps(ROUTE_PROBLEM if command == "route" else LIQ_CONFIG))
         target = record
         for key in path[:-1]:
@@ -538,12 +545,10 @@ class TestErrorContracts:
 
     @pytest.mark.parametrize("key, value", [("z_bounds", [-0.1, 0.1]), ("n_mispricng", 51)])
     def test_unknown_mdp_keys_refused_before_solving(self, tmp_path, capsys, monkeypatch, key, value):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("the solver ran")
 
-        monkeypatch.setattr(cli_mod, "value_iteration", never)
+        patch_solvers(monkeypatch, never, "value_iteration")
         record = json.loads(json.dumps(LIQ_CONFIG))
         record["mdp"][key] = value
         path = write_json(tmp_path / "liq.json", record)
@@ -561,13 +566,10 @@ class TestErrorContracts:
 
     @pytest.mark.parametrize("command", ["liquidate-simulate", "compare-twamm"])
     def test_oversized_paths_refused_before_solving(self, tmp_path, capsys, monkeypatch, command):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("value_iteration", "simulate_policy", "compare_vs_twamm"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "value_iteration", "simulate_policy", "compare_vs_twamm")
         # Three float arrays of paths x (horizon + 1) just pass the budget.
         paths = MAX_SOLVE_BYTES // (3 * 8 * (LIQ_CONFIG["mdp"]["horizon"] + 1)) + 1
         config = write_json(tmp_path / "liq.json", LIQ_CONFIG)
@@ -623,13 +625,10 @@ class TestErrorContracts:
         ],
     )
     def test_refusal_is_exit_2(self, tmp_path, capsys, monkeypatch, case, field):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier")
         hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
         targets = write_json(tmp_path / "targets.json", dict(HOOK_CONFIG, targets=[10.0]))
         problem = write_json(tmp_path / "problem.json", dict(ROUTE_PROBLEM, markets=5))
@@ -677,12 +676,10 @@ class TestErrorContracts:
     def test_grid_whose_solutions_would_not_fit_refused_before_solving(
         self, tmp_path, capsys, monkeypatch, command, problem, grid
     ):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        monkeypatch.setattr(cli_mod, "solve_curve", never)
+        patch_solvers(monkeypatch, never, "solve_curve")
         argv = [command, "--out", str(tmp_path / "run")]
         loaded = 0
         if command == "pigou":
@@ -719,21 +716,12 @@ class TestErrorContracts:
     def test_budget_has_one_owner(self, tmp_path, capsys, monkeypatch, case, field):
         # With the budget lowered in `cfmm` alone, each budgeted input is
         # refused with its usual field; every other input fits the 1 MB.
-        import hookroute.cli as cli_mod
         from hookroute import cfmm
 
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in (
-            "solve_curve",
-            "value_iteration",
-            "simulate_policy",
-            "compare_vs_twamm",
-            "mean_variance_sweep",
-            "efficient_frontier",
-        ):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, *SOLVER_OWNERS)
         monkeypatch.setattr(cfmm, "MAX_SOLVE_BYTES", 10**6)
         liq = write_json(tmp_path / "liq.json", LIQ_CONFIG)
         hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
@@ -772,9 +760,7 @@ class TestErrorContracts:
         assert err["field"]
 
     def test_nonconvergence_is_exit_3(self, tmp_path, capsys, monkeypatch):
-        import hookroute.cli as cli_mod
-
-        original = cli_mod.solve_curve
+        original = routing.solve_curve
 
         def stalled(problem, grid):
             solutions = original(problem, grid)
@@ -782,7 +768,7 @@ class TestErrorContracts:
                 sol.status = "max_iter"
             return solutions
 
-        monkeypatch.setattr(cli_mod, "solve_curve", stalled)
+        patch_solvers(monkeypatch, stalled, "solve_curve")
         assert main(["pigou", "--grid", "0:2:3", "--out", str(tmp_path)]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "solver_nonconvergence"
 
@@ -806,13 +792,10 @@ class TestErrorContracts:
         ],
     )
     def test_non_object_entries_are_exit_2(self, tmp_path, capsys, monkeypatch, command, record, field):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier")
         path = write_json(tmp_path / "config.json", record)
         argv = [command, "--problem" if command == "route" else "--config", path, "--out", str(tmp_path)]
         argv += {"route": ["--s", "0:1:2"], "compare-twamm": ["--grid", "0:1:2"], "hook-frontier": ["--grid", "0:1:2"]}.get(
@@ -838,13 +821,10 @@ class TestErrorContracts:
         ],
     )
     def test_bad_options_named_before_solving(self, tmp_path, capsys, monkeypatch, argv, field):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("value_iteration", "simulate_policy", "compare_vs_twamm"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "value_iteration", "simulate_policy", "compare_vs_twamm")
         config = write_json(tmp_path / "liq.json", LIQ_CONFIG)
         assert main(argv + ["--config", config, "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().out)
@@ -874,13 +854,10 @@ class TestUnknownKeys:
         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v,
     )
     def test_unknown_key_refused_before_solving(self, tmp_path, capsys, monkeypatch, command, path, key, field):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "solve_curve", "value_iteration", "mean_variance_sweep", "efficient_frontier")
         base = {"route": ROUTE_PROBLEM, "liquidate-solve": LIQ_CONFIG}.get(command, HOOK_CONFIG)
         record = json.loads(json.dumps(base))
         target = record
@@ -920,12 +897,10 @@ class TestNonFiniteInputs:
         ],
     )
     def test_route_problem_refused_before_solving(self, tmp_path, capsys, monkeypatch, path, value, field):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        monkeypatch.setattr(cli_mod, "solve_curve", never)
+        patch_solvers(monkeypatch, never, "solve_curve")
         record = json.loads(json.dumps(ROUTE_PROBLEM))
         target = record
         for key in path[:-1]:
@@ -947,13 +922,10 @@ class TestNonFiniteInputs:
         ],
     )
     def test_nonfinite_grid_refused_before_solving(self, tmp_path, capsys, monkeypatch, command, grid):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("solve_curve", "compare_vs_twamm", "efficient_frontier"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "solve_curve", "compare_vs_twamm", "efficient_frontier")
         argv = [command, "--out", str(tmp_path)]
         if command == "route":
             argv += ["--problem", "table1", "--s", grid]
@@ -995,13 +967,10 @@ class TestNonFiniteInputs:
     def test_liquidation_config_refused_before_solving(
         self, tmp_path, capsys, monkeypatch, command, section, key, value, field
     ):
-        import hookroute.cli as cli_mod
-
         def never(*args, **kwargs):
             raise AssertionError("a solve ran")
 
-        for name in ("value_iteration", "simulate_policy", "compare_vs_twamm"):
-            monkeypatch.setattr(cli_mod, name, never)
+        patch_solvers(monkeypatch, never, "value_iteration", "simulate_policy", "compare_vs_twamm")
         record = json.loads(json.dumps(LIQ_CONFIG))
         (record[section] if section else record)[key] = value
         config = write_json(tmp_path / "liq.json", record)
@@ -1037,13 +1006,10 @@ class TestHookSweeps:
     )
     @pytest.mark.parametrize("command", ["hook-mean-variance", "hook-frontier"])
     def test_bad_sweeps_refused_before_searching(self, tmp_path, capsys, monkeypatch, command, sweeps):
-        import hookroute.cli as cli_mod
-
         def never(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli_mod, "mean_variance_sweep", never)
-        monkeypatch.setattr(cli_mod, "efficient_frontier", never)
+        patch_solvers(monkeypatch, never, "mean_variance_sweep", "efficient_frontier")
         path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, sweeps=sweeps))
         argv = [command, "--config", path, "--out", str(tmp_path / "run")]
         if command == "hook-frontier":
@@ -1102,13 +1068,10 @@ class TestHookSweeps:
     def test_nonfinite_scenario_refused_before_searching(
         self, tmp_path, capsys, monkeypatch, command, change, field
     ):
-        import hookroute.cli as cli_mod
-
         def never(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli_mod, "mean_variance_sweep", never)
-        monkeypatch.setattr(cli_mod, "efficient_frontier", never)
+        patch_solvers(monkeypatch, never, "mean_variance_sweep", "efficient_frontier")
         path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, **change))
         argv = [command, "--config", path, "--out", str(tmp_path)]
         if command == "hook-frontier":
@@ -1121,12 +1084,10 @@ class TestHookSweeps:
     @pytest.mark.parametrize("targets", [[10, 20.5], 5, [], ["a", 3], [True, 3.0], [1.0, math.inf], [math.nan]])
     def test_targets_key_refused_before_searching(self, tmp_path, capsys, monkeypatch, targets):
         # The frontier's targets come from --grid alone; a `targets` key is unknown.
-        import hookroute.cli as cli_mod
-
         def never(*args):
             raise AssertionError("the search ran")
 
-        monkeypatch.setattr(cli_mod, "efficient_frontier", never)
+        patch_solvers(monkeypatch, never, "efficient_frontier")
         path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, targets=targets))
         assert main(["hook-frontier", "--config", path, "--grid", "0:70:3", "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().out)
@@ -1165,21 +1126,27 @@ def python_run(tmp_path, *args):
 
 class TestImportPath:
     """scipy and concurrent.futures are imported only inside the solvers that
-    call them, and `main` in process leaves the garbage collector unfrozen."""
+    call them, each command loads only its own problem family, and `main` in
+    process leaves the garbage collector unfrozen."""
 
+    # The probe lists each loaded module that is, or lies in, one of `watch`.
     PROBE = (
         "import gc, json, sys\n"
         "from hookroute.cli import main\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))\n"
+        "watch = json.loads(sys.argv[2])\n"
+        "loaded = lambda: sorted(m for m in sys.modules if any(m == w or m.startswith(w + '.') for w in watch))\n"
         "report = {'import': loaded(), 'runs': []}\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    report['runs'].append((main(argv), loaded()))\n"
         "report['frozen'] = gc.get_freeze_count()\n"
         "print(json.dumps(report))\n"
     )
+    FAMILIES = ("hookroute.routing", "hookroute.scenarios", "hookroute.liquidation", "hookroute.noncomposable")
+    # numpy.ma is what `np.unique` would import.
+    WATCH = ("scipy", "concurrent", "numpy.ma", *FAMILIES)
 
-    def probe(self, tmp_path, *argvs):
-        result = python_run(tmp_path, "-c", self.PROBE, json.dumps(argvs))
+    def probe(self, tmp_path, *argvs, watch=WATCH):
+        result = python_run(tmp_path, "-c", self.PROBE, json.dumps(argvs), json.dumps(watch))
         assert result.returncode == 0, result.stderr
         report = json.loads(result.stdout.splitlines()[-1])
         assert report.pop("frozen") == 0
@@ -1193,7 +1160,7 @@ class TestImportPath:
             ["hook-frontier", "--config", cfg, "--grid", "0:40:5", "--out", "fr"],
         )
         assert report["import"] == []
-        assert report["runs"] == [[0, []], [0, []]]
+        assert report["runs"] == [[0, ["hookroute.noncomposable"]]] * 2
 
     def test_routing_commands_load_no_scipy(self, tmp_path):
         problem = write_json(tmp_path / "problem.json", ROUTE_PROBLEM)
@@ -1203,7 +1170,7 @@ class TestImportPath:
             ["route", "--problem", "table1", "--s", "0:500:3", "--out", "table1"],
             ["route", "--problem", problem, "--s", "0:2:3", "--out", "file"],
         )
-        assert report["runs"] == [[0, []], [0, []], [0, []]]
+        assert report["runs"] == [[0, ["hookroute.routing", "hookroute.scenarios"]]] * 3
 
     def test_liquidation_loads_no_optimizer(self, tmp_path):
         cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
@@ -1218,6 +1185,33 @@ class TestImportPath:
             m.split(".")[1] for m in loaded if m.startswith("scipy.") and not m.split(".")[1].startswith("_")
         }
         assert public == {"sparse", "version"} or public == {"sparse"}
+
+    def test_liquidation_commands_load_liquidation_alone(self, tmp_path):
+        cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        report = self.probe(
+            tmp_path,
+            ["liquidate-solve", "--config", cfg, "--out", "solve"],
+            ["liquidate-simulate", "--config", cfg, "--paths", "3", "--out", "simulate"],
+            ["compare-twamm", "--config", cfg, "--grid", "0:1:2", "--paths", "3", "--out", "twamm"],
+            watch=self.FAMILIES,
+        )
+        assert report["runs"] == [[0, ["hookroute.liquidation"]]] * 3
+
+    def test_traced_solvers_resolve_on_cli(self):
+        # The benchmark's tracer (bench/spans.py) reads and rebinds these
+        # names on hookroute.cli; each resolves to its owner's function.
+        import hookroute.cli as cli_mod
+
+        traced = {
+            routing: ("solve_curve",),
+            liquidation: ("value_iteration", "simulate_policy", "compare_vs_twamm"),
+            noncomposable: ("solve_mean_variance", "efficient_frontier"),
+        }
+        for owner, names in traced.items():
+            for name in names:
+                assert getattr(cli_mod, name) is getattr(owner, name)
+        with pytest.raises(AttributeError):
+            getattr(cli_mod, "no_such_solver")
 
 
 class TestProcessEntry:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -600,6 +601,17 @@ class TestPolicyValue:
         values = policy_value(policy, NOISY_CFG, pool, NOISY_PARAMS, eps, 0.0)
         stderr = np.std(values, ddof=1) / math.sqrt(self.PATHS)
         assert abs(v0 - np.mean(values)) <= 3 * stderr + self.GRID_ALLOWANCE
+
+    def test_value_stable_under_refinement(self):
+        # V0(1000, z = 0) is 12417.51 at 51 mispricing points and 12412.72
+        # at 201, 3.9e-4 apart relative.
+        pool = small_pool()
+        v0 = []
+        for n_mispricing in (51, 201):
+            cfg = dataclasses.replace(NOISY_CFG, n_mispricing=n_mispricing)
+            vf, _ = value_iteration(cfg, pool, NOISY_PARAMS)
+            v0.append(np.interp(0.0, vf.mispricing_grid, vf.values[0, -1]))
+        assert abs(v0[1] - v0[0]) < 1e-3 * abs(v0[0])
 
     def test_sold_over_many_blocks(self):
         pool = small_pool()
