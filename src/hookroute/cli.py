@@ -105,19 +105,29 @@ def parse_grid(text, point_bytes=8, what=None):
     return np.linspace(*_grid_bounds(text, point_bytes, what))
 
 
+def _bool_text(value):
+    return "true" if value else "false"
+
+
+# A table cell's text by its exact type: a float as its repr, an int in
+# decimal, a bool as true or false, a string as itself.
+_CELL_TEXT = {float: repr, int: str, bool: _bool_text, str: str}
+
+
 def _fmt(value):
-    # Floats first: they fill most cells of the large tables.
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """A table cell's text: by `_CELL_TEXT` for its exact type, a numpy
+    scalar as the Python scalar it holds, anything else as its str."""
+    text = _CELL_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, np.generic):
+        return _fmt(value.item())
     return str(value)
 
 
 def csv_rows(rows):
-    """CSV text lines of `rows`, one cell per value, read lazily."""
+    """CSV text lines of `rows`, one cell per value, read lazily. Python
+    scalars (`ndarray.tolist()`) format faster than numpy scalars."""
     for row in rows:
         yield ",".join(map(_fmt, row)) + "\n"
 
@@ -205,7 +215,7 @@ def _order_curves(problem, text):
     without_orders = _solve_curve_strict(stripped, grid)
     rows = (
         (s, a.utility_value, b.utility_value)
-        for s, a, b in zip(grid, with_orders, without_orders)
+        for s, a, b in zip(grid.tolist(), with_orders, without_orders)
     )
     return grid, with_orders, csv_rows(rows)
 
@@ -242,12 +252,12 @@ def cmd_route(args):
     grid, with_orders, rows = _order_curves(problem, args.s)
 
     def trade_rows():
-        for s, sol in zip(grid, with_orders):
+        for s, sol in zip(grid.tolist(), with_orders):
             for market_id, ((_, assets), (tendered, received)) in enumerate(
                 zip(problem.markets, sol.market_trades)
             ):
-                for local, asset in enumerate(assets):
-                    yield s, market_id, asset, received[local] - tendered[local]
+                for asset, amount in zip(assets, (received - tendered).tolist()):
+                    yield s, market_id, asset, amount
             for market_id, (order, trade) in enumerate(
                 zip(problem.orders, sol.order_trades), len(problem.markets)
             ):
@@ -287,6 +297,40 @@ def _check_sampling(args, cfg):
         raise ConfigError(f"--paths: {exc}", "paths") from exc
 
 
+def policy_dump(vf, policy, times):
+    """The `liquidation_solution` body of the blocks `times`, one string per
+    time, its rows `t,I,z,value,action` in (inventory, mispricing) order.
+
+    Every cell but t is a float, written as its repr. The rows of the block
+    last formatted are kept without their leading "t,", and the next block
+    re-formats only the rows whose value bits or action differ from them.
+    Values compare as bits: `0.0 == -0.0`, but their reprs differ. Blocks
+    0 .. horizon - backups, which repeat one block (see
+    `liquidation.value_iteration`), then re-format nothing.
+    """
+    values = vf.values.reshape(len(vf.values), -1)
+    bits = values.view(np.uint64)
+    actions = policy.action_index.reshape(len(values), -1)
+    fractions = policy.action_fractions.tolist()
+    mispricings = vf.mispricing_grid.tolist()
+    cells = []
+    for inv in vf.inventory_grid.tolist():
+        action_text = [repr(frac * inv) for frac in fractions]
+        cells += [(f"{inv!r},{z!r},", action_text) for z in mispricings]
+    lines = [None] * len(cells)
+    last = None
+    for t in times:
+        if last is None:
+            changed = np.arange(len(cells))
+        else:
+            changed = np.flatnonzero((bits[t] != bits[last]) | (actions[t] != actions[last]))
+        for k, value, index in zip(changed.tolist(), values[t, changed].tolist(), actions[t, changed].tolist()):
+            prefix, action_text = cells[k]
+            lines[k] = f"{prefix}{value!r},{action_text[index]}"
+        last = t
+        yield f"{t}," + f"\n{t},".join(lines) + "\n"
+
+
 def cmd_liquidate_solve(args):
     from . import liquidation
 
@@ -294,35 +338,8 @@ def cmd_liquidate_solve(args):
     cfg, pool, params, _ = liquidation_config_from_dict(record)
     times = _dump_times(args.dump_times, cfg.horizon)
     vf, policy = liquidation.value_iteration(cfg, pool, params)
-    # Every cell but t is a float, which `_fmt` writes as its repr.
-    fractions = policy.action_fractions.tolist()
-    inventory = vf.inventory_grid.tolist()
-    prefixes = [[f"{inv!r},{z!r}," for z in vf.mispricing_grid.tolist()] for inv in inventory]
-    action_text = [[repr(frac * inv) for frac in fractions] for inv in inventory]
-    # Blocks 0 .. stationary repeat block `stationary`, where the DP stopped.
-    stationary = cfg.horizon - vf.backups
-
-    def block_text(b):
-        """Block b's rows without their leading "t,", joined by newlines."""
-        lines = []
-        for pre_row, act_row, value_row, idx_row in zip(
-            prefixes, action_text, vf.values[b].tolist(), policy.action_index[b].tolist()
-        ):
-            lines += [f"{pre}{value!r},{act_row[idx]}" for pre, value, idx in zip(pre_row, value_row, idx_row)]
-        return "\n".join(lines)
-
-    def chunks():
-        # A row is "t," plus the block's row text. The last block's text is
-        # kept, so consecutive times 0 .. stationary, all one block, format
-        # it once.
-        last, text = None, ""
-        for t in times:
-            b = max(t, stationary)
-            if b != last:
-                last, text = b, block_text(b)
-            yield f"{t}," + text.replace("\n", f"\n{t},") + "\n"
-
-    return record, [("liquidation_solution", ("t", "I", "z", "value", "action"), chunks())]
+    body = policy_dump(vf, policy, times)
+    return record, [("liquidation_solution", ("t", "I", "z", "value", "action"), body)]
 
 
 def cmd_liquidate_simulate(args):
@@ -333,11 +350,7 @@ def cmd_liquidate_simulate(args):
     _check_sampling(args, cfg)
     _, policy = liquidation.value_iteration(cfg, pool, params)
     sim = liquidation.simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
-    rows = (
-        (p, t, sim.inventory[p, t])
-        for p in range(args.paths)
-        for t in range(cfg.horizon + 1)
-    )
+    rows = ((p, t, inventory) for p, path in enumerate(sim.inventory.tolist()) for t, inventory in enumerate(path))
     return record, [("inventory_paths", ("path", "t", "inventory"), csv_rows(rows))]
 
 
@@ -361,7 +374,7 @@ def cmd_hook_mean_variance(args):
     rows = (
         (curvature, scale, form, trade, objective)
         for (form, curvature, scale), trade, objective in zip(
-            itertools.product(forms, curvatures, scales), trades.flat, objectives.flat
+            itertools.product(forms, curvatures, scales), trades.ravel().tolist(), objectives.ravel().tolist()
         )
     )
     columns = ("alpha", "beta", "variance_form", "delta_star", "objective")
@@ -374,7 +387,7 @@ def cmd_hook_frontier(args):
     record = load_json(args.config)
     scenario, _ = hook_config_from_dict(record)
     grid = parse_grid(args.grid, noncomposable.SWEEP_POINT_BYTES)
-    rows = zip(grid, *noncomposable.efficient_frontier(scenario, grid))
+    rows = zip(grid.tolist(), *(column.tolist() for column in noncomposable.efficient_frontier(scenario, grid)))
     return record, [("frontier", ("tau", "delta_star", "variance_star", "feasible"), csv_rows(rows))]
 
 

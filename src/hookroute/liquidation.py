@@ -242,28 +242,33 @@ def _bracket(pos, n):
     Positions are clipped to [0, n - 1) so that the upper neighbour lo + 1 is
     always on the grid. The clip bound is the float just below n - 1 where
     n - 1 - 1e-12 would round back up to n - 1 (grids past 2**14 points).
+    `lo` is int32, the index type of the CSR matrices built from it.
     """
     pos = np.clip(pos, 0.0, min(n - 1 - 1e-12, np.nextafter(n - 1, 0)))
-    lo = pos.astype(np.int64)
+    lo = pos.astype(np.int32)
     return lo, 1.0 - (pos - lo)
 
 
-def _two_point_rows(lo, w_lo, w_hi, shape):
-    """CSR matrix weighting the grid neighbours lo and lo + 1 of each point.
+def _two_point_rows(lo, w, scale, shape):
+    """CSR matrix weighting the grid neighbours lo and lo + 1 of each point
+    by scale * w and scale * (1 - w).
 
-    `lo`, `w_lo` and `w_hi` hold one entry per point, and the points fill the
-    rows in order, the same number to each row.
+    `lo` (int32) and `w` hold one entry per point, `scale` broadcasts
+    against them, and the points fill the rows in order, the same number to
+    each row. The weights and columns are written interleaved straight into
+    the matrix's arrays, which scipy then takes as they are.
     """
     from scipy import sparse
 
-    return sparse.csr_matrix(
-        (
-            np.stack((w_lo, w_hi), axis=-1).ravel(),
-            np.stack((lo, lo + 1), axis=-1).ravel(),
-            np.arange(0, 2 * lo.size + 1, 2 * lo.size // shape[0]),
-        ),
-        shape=shape,
-    )
+    data = np.empty(w.shape + (2,))
+    np.multiply(scale, w, out=data[..., 0])
+    np.subtract(1.0, w, out=data[..., 1])
+    data[..., 1] *= scale
+    indices = np.empty(lo.shape + (2,), dtype=np.int32)
+    indices[..., 0] = lo
+    np.add(lo, 1, out=indices[..., 1])
+    indptr = np.arange(0, 2 * lo.size + 1, 2 * lo.size // shape[0], dtype=np.int32)
+    return sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=shape)
 
 
 def _workers():
@@ -304,8 +309,14 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     so the rows of each distinct size are built once and gathered into every
     pair that trades it, in (inventory, mispricing, action) order, so that
     each state's actions are adjacent: 2305 sizes for the 5151 pairs of the
-    paper's 101 x 101 grid with 51 actions and 9 nodes, whose operator holds
-    about 2.3M entries (at most 2 * quad_order per row, 9.4M before summing).
+    paper's 101 x 101 grid with 51 actions and 9 nodes. A size's rows are
+    written straight into CSR arrays with int32 indices; their duplicate
+    columns are summed and their exact-zero weights dropped. A node clamped
+    to the grid's lower end, or on a grid point, puts zero weight on its
+    upper neighbour, and with finite values a zero product changes no sum.
+    On the benchmark's config (that grid, volatility 8) the operator holds
+    2,070,702 entries: 2,328,252 before the zeros are dropped, 9.4M before
+    summing, at most 2 * quad_order per row.
 
     The work runs on one worker per CPU the process may use (this thread
     and a thread pool; numpy's and scipy's kernels release the GIL). The
@@ -360,8 +371,9 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
                 z_grid[None, :, None], size[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
             )
             lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
-            piece = _two_point_rows(lo, node_w * w, node_w * (1.0 - w), (len(size) * n_z, n_z))
+            piece = _two_point_rows(lo, w, node_w, (len(size) * n_z, n_z))
             piece.sum_duplicates()
+            piece.eliminate_zeros()
             pieces.append(piece)
         return pieces
 
@@ -403,7 +415,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
 
         # Inventory interpolation: row (action, inventory) brackets (1 - frac) * I.
         inv_lo, inv_w = _bracket(inv_grid * (1.0 - fracs[:, None]) / step_i, n_i)
-        interp = _two_point_rows(inv_lo, inv_w, 1.0 - inv_w, (n_a * n_i, n_i))
+        interp = _two_point_rows(inv_lo, inv_w, 1.0, (n_a * n_i, n_i))
         rewards = reward(inv_grid[:, None], z_grid, delta[:, :, None], cfg, pool).transpose(1, 2, 0).reshape(cells, n_a)
 
         values = np.zeros((cfg.horizon, n_i, n_z))

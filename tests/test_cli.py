@@ -16,8 +16,8 @@ import pytest
 import hookroute
 from hookroute import liquidation, noncomposable, routing
 from hookroute.cfmm import GEOMETRIC_MEAN, MAX_SOLVE_BYTES, PRODUCT, SUM, LimitOrder, Market
-from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, write_run
-from hookroute.liquidation import MdpConfig, check_paths, value_iteration
+from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, policy_dump, write_run
+from hookroute.liquidation import MdpConfig, Policy, ValueFunction, check_paths, value_iteration
 from hookroute.noncomposable import SWEEP_POINT_BYTES
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.scenarios import SCENARIOS
@@ -322,6 +322,44 @@ class TestCommands:
         assert main(argv + ["--out", str(out)]) == 0
         body = (out / "liquidation_solution.csv").read_text().split("\n", 2)[2]  # manifest, header
         assert body == "".join(reference_rows(vf, policy, times))
+
+    @pytest.mark.parametrize("dump_times", ["all", "5,0,5,3,4"])
+    def test_partly_changing_blocks_dump_reference_rows(self, tmp_path, dump_times):
+        # Additive dynamics at discount 0.99 never reach the fixed point in
+        # eight blocks, and each block changes some cells but not all.
+        record = {
+            **LIQ_CONFIG,
+            "mdp": {**LIQ_CONFIG["mdp"], "horizon": 8, "dynamics": "additive", "discount": 0.99},
+            "mispricing": {**LIQ_CONFIG["mispricing"], "volatility": 0.002},
+        }
+        cfg, pool, params, _ = liquidation_config_from_dict(record)
+        vf, policy = value_iteration(cfg, pool, params)
+        bits = vf.values.reshape(cfg.horizon, -1).view(np.uint64)
+        actions = policy.action_index.reshape(cfg.horizon, -1)
+        changed = ((bits[1:] != bits[:-1]) | (actions[1:] != actions[:-1])).sum(axis=1)
+        assert vf.backups == cfg.horizon
+        assert all(0 < n < bits.shape[1] for n in changed)
+        out = tmp_path / "run"
+        argv = ["liquidate-solve", "--config", write_json(tmp_path / "liq.json", record), "--dump-times", dump_times]
+        assert main(argv + ["--out", str(out)]) == 0
+        times = range(cfg.horizon) if dump_times == "all" else [5, 0, 5, 3, 4]
+        body = (out / "liquidation_solution.csv").read_text().split("\n", 2)[2]  # manifest, header
+        assert body == "".join(reference_rows(vf, policy, times))
+
+    @pytest.mark.parametrize("times", [[0, 1, 2, 3], [3, 1, 1, 0, 2]])
+    def test_dump_reformats_sign_and_action_changes(self, times):
+        # Block 1 flips a value from 0.0 to -0.0, which compare equal as
+        # floats; block 3 changes an action and keeps every value.
+        inventory, mispricing = np.array([0.0, 50.0]), np.array([-0.003, 0.0, 0.003])
+        values = np.array([[[1.5, 0.0, -2.0], [3.0, 4.0, 5.0]]] * 4)
+        values[1, 0, 1] = -0.0
+        actions = np.zeros(values.shape, dtype=np.int16)
+        actions[3, 1, 2] = 1
+        vf = ValueFunction(values, inventory, mispricing, backups=4)
+        policy = Policy(actions, np.array([0.0, 0.5]), inventory, mispricing)
+        body = "".join(policy_dump(vf, policy, times))
+        assert body == "".join(reference_rows(vf, policy, times))
+        assert body.count("-0.0,") == times.count(1)
 
 
 # One parsable command line per subcommand (the files need not exist).
@@ -1266,6 +1304,16 @@ class TestDeterminism:
             assert main(argv + ["--out", str(a)]) == 0
             assert main(argv + ["--out", str(b)]) == 0
             assert (a / filename).read_bytes() == (b / filename).read_bytes(), filename
+
+    def test_numpy_and_python_cells_write_alike(self):
+        python_row = (0.1, -0.0, float("nan"), 1e300, 0.5, 3, True, False, "n")
+        numpy_row = (
+            np.float64(0.1), np.float64(-0.0), np.float64("nan"), np.float64(1e300), np.float32(0.5),
+            np.int64(3), np.bool_(True), np.bool_(False), np.str_("n"),
+        )
+        expected = "0.1,-0.0,nan,1e+300,0.5,3,true,false,n\n"
+        assert list(csv_rows([python_row, numpy_row])) == [expected, expected]
+        assert ",".join(map(_fmt, numpy_row)) + "\n" == expected
 
     def test_csv_layout(self, tmp_path):
         args = argparse.Namespace(command="demo", out=str(tmp_path), seed=3)

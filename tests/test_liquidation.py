@@ -466,6 +466,32 @@ class TestBackupOperator:
         assert all(rows % (n_z * n_a) == 0 for rows in blocks)
         assert sum(blocks) == vf.backups * n_a * n_i * n_z
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_operator_blocks_store_no_zero_and_int32_indices(self, monkeypatch, workers):
+        from scipy import sparse
+
+        blocks = []
+        matmul = sparse.csr_matrix.__matmul__
+
+        def recorded(self, other):
+            if self.shape[1] == n_a * n_i * n_z:
+                blocks.append(self)
+            return matmul(self, other)
+
+        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", recorded)
+        force_workers(monkeypatch, workers)
+        # The benchmark's liquidation config, one block: clamped nodes leave
+        # exact-zero weights, which the operator drops.
+        cfg = small_cfg(horizon=1, **PAPER_GRID)
+        n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
+        value_iteration(cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        assert len(blocks) == workers
+        for block in blocks:
+            assert block.indices.dtype == block.indptr.dtype == np.int32
+            assert block.has_canonical_format
+            assert np.all(block.data != 0)
+        assert sum(block.nnz for block in blocks) == 2_070_702
+
     @pytest.mark.parametrize(
         "overrides, volatility, pool",
         [
