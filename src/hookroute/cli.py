@@ -14,6 +14,7 @@ cache compiles, only the family it runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -132,30 +133,19 @@ def csv_rows(rows):
         yield ",".join(map(_fmt, row)) + "\n"
 
 
-def _atomic_write(path, chunks):
-    """Write the strings of `chunks` to a temporary file, then move it to `path`."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_run(args, record, tables):
     """Write the run of `args.command` into `args.out`: each table as
-    `<name>.csv`, then a manifest listing them.
+    `<name>.csv`, and a manifest listing them.
 
     A table is (name, columns, body), its body CSV text: any iterable of
     strings, each ending in a newline, a generator included (`csv_rows`
     formats tuples). It is read once and streamed to disk below a
     `# manifest: <hash>` line, a `# seed: <n>` line when the command takes
     `--seed`, and the header. The hash covers the command, its config
-    `record` and its seed.
+    `record` and its seed. Every file is written to a temporary file in
+    `args.out` first, and only once all are written are they moved into
+    place, the manifest last; a failure before then removes them all, so
+    `args.out` gains none of the run's files.
     """
     seed = getattr(args, "seed", None)
     canonical = json.dumps(
@@ -165,23 +155,34 @@ def write_run(args, record, tables):
     )
     config_hash = hashlib.sha256(canonical.encode()).hexdigest()
     comments = f"# manifest: {config_hash}\n" + ("" if seed is None else f"# seed: {seed}\n")
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for name, columns, body in tables:
-        outputs.append(f"{name}.csv")
-        lines = itertools.chain([comments, ",".join(columns) + "\n"], body)
-        _atomic_write(os.path.join(args.out, outputs[-1]), lines)
+    files = [
+        (f"{name}.csv", itertools.chain([comments, ",".join(columns) + "\n"], body))
+        for name, columns, body in tables
+    ]
     manifest = {
         "command": args.command,
         "config_hash": config_hash,
         "seed": seed,
         "version": __version__,
-        "outputs": outputs,
+        "outputs": [name for name, _ in files],
     }
-    _atomic_write(
-        os.path.join(args.out, f"{args.command.replace('-', '_')}_manifest.json"),
-        [json.dumps(manifest, sort_keys=True, indent=1) + "\n"],
-    )
+    manifest_name = f"{args.command.replace('-', '_')}_manifest.json"
+    files.append((manifest_name, [json.dumps(manifest, sort_keys=True, indent=1) + "\n"]))
+    os.makedirs(args.out, exist_ok=True)
+    temporary = []
+    try:
+        for _, chunks in files:
+            fd, tmp = tempfile.mkstemp(dir=args.out, prefix=".tmp-", text=True)
+            temporary.append(tmp)
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(chunks)
+        for tmp, (name, _) in zip(temporary, files):
+            os.replace(tmp, os.path.join(args.out, name))
+    except BaseException:
+        for tmp in temporary:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
 def _solve_curve_strict(problem, grid):
@@ -207,9 +208,9 @@ def _order_curves(problem, text):
     rows (s, u with, u without). Each budget is charged its float and a
     solution of each curve, so a grid that would not fit is refused before
     it is allocated."""
-    from .routing import RoutingProblem, solution_bytes
+    from .routing import solution_bytes
 
-    stripped = RoutingProblem(problem.n_assets, problem.markets, [], problem.utility)
+    stripped = dataclasses.replace(problem, orders=[])
     grid = parse_grid(text, 8 + solution_bytes(problem) + solution_bytes(stripped), "budget")
     with_orders = _solve_curve_strict(problem, grid)
     without_orders = _solve_curve_strict(stripped, grid)

@@ -278,13 +278,6 @@ def _workers():
     return os.cpu_count() or 1
 
 
-def _on_workers(executor, task, n):
-    """[task(0), ..., task(n - 1)]: task(0) runs on this thread, the rest on `executor`."""
-    futures = [executor.submit(task, k) for k in range(1, n)]
-    first = task(0)
-    return [first, *(future.result() for future in futures)]
-
-
 def _spans(n, parts):
     """`parts` contiguous (start, stop) spans of range(n), sizes differing by at most one."""
     return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
@@ -318,9 +311,9 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     2,070,702 entries: 2,328,252 before the zeros are dropped, 9.4M before
     summing, at most 2 * quad_order per row.
 
-    The work runs on one worker per CPU the process may use (this thread
-    and a thread pool; numpy's and scipy's kernels release the GIL). The
-    workers build the rows of contiguous shares of the sizes, at most
+    The work runs on one pool thread per CPU the process may use, each
+    phase mapped over contiguous spans (numpy's and scipy's kernels release
+    the GIL). The workers build the rows of the sizes in pieces, at most
     n_inventory sizes in flight between them, and each gathers one
     contiguous block of inventory rows of the second map into its own CSR
     matrix. A backup is then one interpolation product, and on each row
@@ -356,26 +349,23 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
 
     # A row of the z-operator depends on z and the trade size alone: build the
     # n_z rows of each distinct size once. Sizes match as floats, so a shared
-    # row is exactly the row its pairs would build. Each worker builds its
-    # share of the sizes n_i // workers at a time, so that no more than n_i
-    # sizes' temporaries are alive at once, as `MdpConfig.solve_bytes` counts.
+    # row is exactly the row its pairs would build. The sizes are built in
+    # pieces of at most n_i // workers, so that the workers keep no more than
+    # n_i sizes' temporaries alive at once, as `MdpConfig.solve_bytes` counts.
     delta = inv_grid * fracs[:, None]
     sizes, which = np.unique(delta, return_inverse=True)
-    shares, per_piece = _spans(len(sizes), workers), n_i // workers
+    pieces = _spans(len(sizes), math.ceil(len(sizes) / (n_i // workers)))
 
-    def build(k):
-        pieces = []
-        for start in range(shares[k][0], shares[k][1], per_piece):
-            size = sizes[start : min(start + per_piece, shares[k][1])]
-            z_next = step_mispricing(
-                z_grid[None, :, None], size[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
-            )
-            lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
-            piece = _two_point_rows(lo, w, node_w, (len(size) * n_z, n_z))
-            piece.sum_duplicates()
-            piece.eliminate_zeros()
-            pieces.append(piece)
-        return pieces
+    def build(piece):
+        i0, i1 = piece
+        z_next = step_mispricing(
+            z_grid[None, :, None], sizes[i0:i1, None, None], eps[None, None, :], params, pool, cfg.dynamics
+        )
+        lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
+        built = _two_point_rows(lo, w, node_w, ((i1 - i0) * n_z, n_z))
+        built.sum_duplicates()
+        built.eliminate_zeros()
+        return built
 
     # Gather the row of each (inventory, mispricing, action) into its row
     # block, then, once the shared rows are dropped, shift its columns to its
@@ -387,31 +377,29 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     slot = (np.arange(n_i, dtype=np.int32)[:, None, None] + n_i * np.arange(n_a, dtype=np.int32)) * n_z
     blocks = _spans(n_i, workers)
 
-    def gather(k):
-        i0, i1 = blocks[k]
+    def gather(block):
+        i0, i1 = block
         return shared[rows[i0:i1].ravel()]
 
-    def shift(k):
-        i0, i1 = blocks[k]
-        op = ops[k]
+    def shift(block, op):
+        i0, i1 = block
         op.indices += np.repeat(np.broadcast_to(slot[i0:i1], (i1 - i0, n_z, n_a)).ravel(), np.diff(op.indptr))
         return sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(op.shape[0], n_a * cells))
 
-    def backup(k):
-        i0, i1 = blocks[k]
-        q = (ops[k] @ x).reshape(-1, n_a)
+    def backup(block, op):
+        i0, i1 = block
+        q = (op @ x).reshape(-1, n_a)
         q += rewards[i0 * n_z : i1 * n_z]
         # argmax keeps the first of tied actions, the smallest trade.
         best = q.argmax(axis=1)
         actions[t, i0:i1] = best.reshape(-1, n_z)
-        values[t, i0:i1] = q[cell[: len(q)], best].reshape(-1, n_z)
+        values[t, i0:i1] = np.take_along_axis(q, best[:, None], 1).reshape(-1, n_z)
 
-    # This thread takes the first share of every phase, the pool the others.
-    with ThreadPoolExecutor(max(workers - 1, 1)) as executor:
-        shared = sparse.vstack([p for share in _on_workers(executor, build, workers) for p in share], format="csr")
-        ops = _on_workers(executor, gather, workers)
+    with ThreadPoolExecutor(workers) as executor:
+        shared = sparse.vstack(list(executor.map(build, pieces)), format="csr")
+        ops = list(executor.map(gather, blocks))
         del shared, rows
-        ops = _on_workers(executor, shift, workers)
+        ops = list(executor.map(shift, blocks, ops))
 
         # Inventory interpolation: row (action, inventory) brackets (1 - frac) * I.
         inv_lo, inv_w = _bracket(inv_grid * (1.0 - fracs[:, None]) / step_i, n_i)
@@ -420,11 +408,10 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
 
         values = np.zeros((cfg.horizon, n_i, n_z))
         actions = np.zeros((cfg.horizon, n_i, n_z), dtype=np.int16)
-        cell = np.arange(cells)
         v_next = np.zeros((n_i, n_z))
         for t in range(cfg.horizon - 1, -1, -1):
             x = (interp @ v_next).ravel()
-            _on_workers(executor, backup, workers)
+            list(executor.map(backup, blocks, ops))
             if values[t].tobytes() == v_next.tobytes():
                 values[:t] = values[t]
                 actions[:t] = actions[t]

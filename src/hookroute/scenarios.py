@@ -13,20 +13,17 @@ PIGOU_ORDER_PRICE = 0.5
 PIGOU_ORDER_VOLUME = 2.0
 
 
-def pigou_problem(budget: float, with_order: bool = True) -> RoutingProblem:
-    """Two assets, one constant-product pool, optionally one limit order."""
-    orders = []
-    if with_order:
-        orders.append(LimitOrder(PIGOU_ORDER_PRICE, PIGOU_ORDER_VOLUME, 0, 1))
+def pigou_problem(budget: float) -> RoutingProblem:
+    """Two assets, one constant-product pool and one limit order."""
     return RoutingProblem(
         n_assets=2,
         markets=[(Market(PRODUCT, PIGOU_RESERVES, 1.0), (0, 1))],
-        orders=orders,
+        orders=[LimitOrder(PIGOU_ORDER_PRICE, PIGOU_ORDER_VOLUME, 0, 1)],
         utility=Liquidate(0, 1, budget),
     )
 
 
-def table1_problem(budget: float, with_orders: bool = True) -> RoutingProblem:
+def table1_problem(budget: float) -> RoutingProblem:
     """Three assets, five pools, and two standing orders from asset 0 to 2.
 
     Pool kinds, fees, and reserves follow the shipped benchmark network; the
@@ -39,13 +36,10 @@ def table1_problem(budget: float, with_orders: bool = True) -> RoutingProblem:
         (Market(PRODUCT, (20.0, 50.0), 0.97), (0, 2)),
         (Market(SUM, (10.0, 10.0), 0.99), (1, 2)),
     ]
-    orders = []
-    if with_orders:
-        orders = [LimitOrder(0.5, 40.0, 0, 2), LimitOrder(0.2, 20.0, 0, 2)]
     return RoutingProblem(
         n_assets=3,
         markets=markets,
-        orders=orders,
+        orders=[LimitOrder(0.5, 40.0, 0, 2), LimitOrder(0.2, 20.0, 0, 2)],
         utility=Liquidate(0, 2, budget),
     )
 

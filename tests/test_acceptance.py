@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 pass lines. Tolerances are fixed here, not configurable.
 """
 
+import dataclasses
 import json
 import time
 
@@ -78,7 +79,7 @@ def test_criterion_2_table1_consumption():
     start = time.perf_counter()
     with_orders = solve_curve(table1_problem(0.0), grid)
     elapsed = time.perf_counter() - start
-    without = solve_curve(table1_problem(0.0, with_orders=False), grid)
+    without = solve_curve(dataclasses.replace(table1_problem(0.0), orders=[]), grid)
     order_total = sum(t.z2 for t in with_orders[-1].order_trades)
     assert order_total == pytest.approx(60.0, abs=1e-3)
     for a, b in zip(with_orders, without):
@@ -112,8 +113,7 @@ def test_criterion_4_curve_properties():
     for factory, top in ((pigou_problem, 16.0), (table1_problem, 500.0)):
         grid = np.linspace(0.0, top, 40)
         u_with = [s.utility_value for s in solve_curve(factory(0.0), grid)]
-        kw = {"with_order": False} if factory is pigou_problem else {"with_orders": False}
-        u_without = [s.utility_value for s in solve_curve(factory(0.0, **kw), grid)]
+        u_without = [s.utility_value for s in solve_curve(dataclasses.replace(factory(0.0), orders=[]), grid)]
         for series in (u_with, u_without):
             assert all(b >= a - 1e-6 for a, b in zip(series, series[1:]))
             assert all(

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import hashlib
 import importlib.util
 import json
@@ -450,6 +451,47 @@ class TestRunContract:
         out = tmp_path / "run"
         assert main([command, *options, "--out", str(out)]) == code
         assert json.loads(capsys.readouterr().out)["error"]
+        assert listed(out) == []
+
+    @pytest.mark.parametrize("failing", [1, 2, 3])
+    def test_failed_write_leaves_nothing(self, tmp_path, capsys, monkeypatch, failing):
+        # The disk fills while route writes its first table, its second or
+        # its manifest: the files already written must not be left either.
+        real_fdopen, opened = os.fdopen, []
+
+        def full(chunks):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fdopen(fd, *args, **kwargs):
+            handle = real_fdopen(fd, *args, **kwargs)
+            opened.append(handle)
+            if len(opened) == failing:
+                handle.writelines = full
+            return handle
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        options, _ = contract_runs(tmp_path)["route"]
+        out = tmp_path / "run"
+        assert main(["route", *options, "--out", str(out)]) == 2
+        [line] = capsys.readouterr().out.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["field"]) == ("config_parse", "out")
+        assert len(opened) == failing
+        assert listed(out) == []
+
+    @pytest.mark.parametrize("command", [argv[0] for argv in VALID_ARGVS])
+    def test_bare_value_error_is_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # A ValueError that no check turned into a ConfigError still exits 2,
+        # naming no field.
+        def bare(*args, **kwargs):
+            raise ValueError("bare")
+
+        patch_solvers(monkeypatch, bare, *SOLVER_OWNERS)
+        options, _ = contract_runs(tmp_path)[command]
+        out = tmp_path / "run"
+        assert main([command, *options, "--out", str(out)]) == 2
+        [line] = capsys.readouterr().out.splitlines()
+        assert json.loads(line) == {"error": "config_parse", "detail": "bare", "field": ""}
         assert listed(out) == []
 
 
