@@ -15,13 +15,18 @@ pays the pool's curve at the clamped price.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cfmm import check_budget, check_finite
+
+_SPARSE_LOCK = threading.Lock()
 
 MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
@@ -249,6 +254,34 @@ def _bracket(pos, n):
     return lo, 1.0 - (pos - lo)
 
 
+def _sparse():
+    """`scipy.sparse`, imported without running numpy's f2py, testing and ma.
+
+    scipy's array-API layer copies every public name of numpy, which makes
+    numpy import these three submodules (about 90 ms of a 130 ms import on a
+    2-vCPU host); neither scipy.sparse nor this module uses them. Each one
+    not yet imported is registered first as a lazy module, in `sys.modules`
+    and as numpy's attribute as a real import leaves it (without the
+    attribute, numpy's `__getattr__` re-enters itself), and runs on its first
+    attribute access. A module already imported is left as it is. The lock
+    makes concurrent first calls register one module each; `value_iteration`
+    calls this before its workers start, since before Python 3.12 a lazy
+    module is not safe to load from two threads at once.
+    """
+    with _SPARSE_LOCK:
+        for name in ("f2py", "testing", "ma"):
+            full = "numpy." + name
+            if full not in sys.modules:
+                spec = importlib.util.find_spec(full)
+                spec.loader = importlib.util.LazyLoader(spec.loader)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[full] = module
+                setattr(np, name, module)
+                spec.loader.exec_module(module)
+        from scipy import sparse
+    return sparse
+
+
 def _two_point_rows(lo, w, scale, shape):
     """CSR matrix weighting the grid neighbours lo and lo + 1 of each point
     by scale * w and scale * (1 - w).
@@ -258,8 +291,7 @@ def _two_point_rows(lo, w, scale, shape):
     each row. The weights and columns are written interleaved straight into
     the matrix's arrays, which scipy then takes as they are.
     """
-    from scipy import sparse
-
+    sparse = _sparse()
     data = np.empty(w.shape + (2,))
     np.multiply(scale, w, out=data[..., 0])
     np.subtract(1.0, w, out=data[..., 1])
@@ -335,8 +367,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from scipy import sparse
-
+    sparse = _sparse()
     inv_grid, z_grid = _grids(cfg, pool)
     n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
     cells = n_i * n_z

@@ -1206,8 +1206,9 @@ def python_run(tmp_path, *args):
 
 class TestImportPath:
     """scipy and concurrent.futures are imported only inside the solvers that
-    call them, each command loads only its own problem family, and `main` in
-    process leaves the garbage collector unfrozen."""
+    call them, each command loads only its own problem family, numpy's f2py,
+    testing and ma stay unloaded until first used, and `main` in process
+    leaves the garbage collector unfrozen."""
 
     # The probe lists each loaded module that is, or lies in, one of `watch`.
     PROBE = (
@@ -1224,6 +1225,9 @@ class TestImportPath:
     FAMILIES = ("hookroute.routing", "hookroute.scenarios", "hookroute.liquidation", "hookroute.noncomposable")
     # numpy.ma is what `np.unique` would import.
     WATCH = ("scipy", "concurrent", "numpy.ma", *FAMILIES)
+    # A module of each of numpy's f2py, testing and ma that only running the
+    # package loads; scipy.sparse's import names the packages but runs none.
+    UNUSED_NUMPY = ("numpy.f2py.crackfortran", "numpy.testing._private.utils", "numpy.ma.core")
 
     def probe(self, tmp_path, *argvs, watch=WATCH):
         result = python_run(tmp_path, "-c", self.PROBE, json.dumps(argvs), json.dumps(watch))
@@ -1273,9 +1277,62 @@ class TestImportPath:
             ["liquidate-solve", "--config", cfg, "--out", "solve"],
             ["liquidate-simulate", "--config", cfg, "--paths", "3", "--out", "simulate"],
             ["compare-twamm", "--config", cfg, "--grid", "0:1:2", "--paths", "3", "--out", "twamm"],
-            watch=self.FAMILIES,
+            watch=(*self.FAMILIES, *self.UNUSED_NUMPY),
         )
         assert report["runs"] == [[0, ["hookroute.liquidation"]]] * 3
+
+    def test_numpy_module_imported_before_a_solve_is_kept(self, tmp_path):
+        cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        script = (
+            "import sys, numpy.testing\n"
+            "from hookroute.cli import main\n"
+            "before = sys.modules['numpy.testing']\n"
+            "assert main(['liquidate-solve', '--config', sys.argv[1], '--out', 'solve']) == 0\n"
+            "assert sys.modules['numpy.testing'] is before and numpy.testing is before\n"
+        )
+        result = python_run(tmp_path, "-c", script, cfg)
+        assert result.returncode == 0, result.stderr
+
+    def test_lazy_numpy_modules_load_on_first_use(self, tmp_path):
+        # Four threads make their first solve at once, under frequent thread
+        # switches; each of the three modules is then registered once, is the
+        # one numpy holds, and runs when first used.
+        script = (
+            "import sys, threading\n"
+            "import numpy as np\n"
+            "from hookroute.liquidation import MdpConfig, MispricingParams, PoolParams, value_iteration\n"
+            "cfg = MdpConfig(horizon=2, inventory=10.0, gas=0.1, inventory_cost=0.01, discount=1.0,\n"
+            "                n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)\n"
+            "pool, params = PoolParams(1e5, 5e8, 0.003, 0.003), MispricingParams(0.0, 1.0, 1.0)\n"
+            "start = threading.Barrier(4)\n"
+            "solves = []\n"
+            "def solve():\n"
+            "    start.wait()\n"
+            "    solves.append(value_iteration(cfg, pool, params)[0].values.tobytes())\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "threads = [threading.Thread(target=solve) for _ in range(4)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(60)\n"
+            "assert not any(thread.is_alive() for thread in threads)\n"
+            "assert len(solves) == 4 and len(set(solves)) == 1\n"
+            "for name in ('f2py', 'testing', 'ma'):\n"
+            "    assert sys.modules['numpy.' + name] is getattr(np, name)\n"
+            "assert 'numpy.ma.core' not in sys.modules\n"
+            "assert np.ma.masked_array([1, 2], mask=[0, 1]).sum() == 1\n"
+            "np.testing.assert_array_equal(np.arange(3), [0, 1, 2])\n"
+            "try:\n"
+            "    np.testing.assert_array_equal([1], [2])\n"
+            "except AssertionError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('assert_array_equal passed unequal arrays')\n"
+            "from numpy.f2py import crackfortran\n"
+            "assert sys.modules['numpy.f2py.crackfortran'] is crackfortran\n"
+        )
+        result = python_run(tmp_path, "-c", script)
+        assert result.returncode == 0, result.stderr
 
     def test_traced_solvers_resolve_on_cli(self):
         # The benchmark's tracer (bench/spans.py) reads and rebinds these
