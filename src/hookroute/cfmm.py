@@ -29,7 +29,8 @@ MAX_SOLVE_BYTES = 10**9
 
 
 def check_finite(**values):
-    """Refuse NaN and infinities, which JSON configs can carry (`NaN`, `Infinity`)."""
+    """Refuse NaN and infinities from a library caller; `serialize` refuses a
+    config's first, naming its key."""
     for name, value in values.items():
         if value is not None and not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")

@@ -59,6 +59,14 @@ class PoolParams:
             object.__setattr__(self, "external_price", self.reserve_out / self.reserve_in)
         elif self.external_price <= 0:
             raise ValueError("external price must be positive")
+        with np.errstate(all="ignore"):
+            edges = self.external_price * np.exp([-self.fee_bound_upper, self.fee_bound_lower])
+        derived = (self.external_price, self.liquidity, *edges.tolist())
+        if not all(0 < x < math.inf for x in derived):
+            raise ValueError(
+                "the external price, the liquidity and the pool price at each edge "
+                f"of the fee band must be finite and positive, got {derived}"
+            )
 
     @property
     def liquidity(self) -> float:
@@ -219,6 +227,23 @@ def reward(inventory, z, trade_size, cfg: MdpConfig, pool: PoolParams):
     return improvement - cfg.gas * (np.asarray(trade_size) > 0) - cfg.inventory_cost * np.asarray(inventory)
 
 
+def check_transition(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
+    """Raise ValueError unless the next mispricing is finite at every node of
+    the solve: it is monotone in the mispricing, the trade size and the
+    noise, so the corners of the grid, trade sizes 0 and `inventory` and the
+    outer quadrature nodes bound every node. A non-finite one would index
+    past the grid when `_bracket` casts it."""
+    z_ends = _grids(cfg, pool)[1][[0, -1], None, None]
+    nodes = _gauss_hermite(cfg.quad_order)[0][[0, -1]]
+    try:
+        with np.errstate(all="ignore"):
+            z_next = step_mispricing(z_ends, np.array([[0.0], [cfg.inventory]]), nodes, params, pool, cfg.dynamics)
+    except OverflowError:  # the volatility's square
+        z_next = np.array(math.nan)
+    if not np.isfinite(z_next).all():
+        raise ValueError("the next mispricing overflows at these drift, volatility, dt and pool values")
+
+
 def _gauss_hermite(order):
     x, w = np.polynomial.hermite.hermgauss(order)
     return x * math.sqrt(2.0), w / math.sqrt(math.pi)
@@ -367,6 +392,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    check_transition(cfg, pool, params)
     sparse = _sparse()
     inv_grid, z_grid = _grids(cfg, pool)
     n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions

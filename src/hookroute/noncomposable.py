@@ -128,16 +128,19 @@ def _golden_max(fn, lo, hi, tol):
 
     `fn` maps an array holding one point per lane to their values. Every lane
     narrows its own bracket from [lo, hi] and freezes once it is at most
-    `tol` wide. A concave maximum may sit exactly on an end of the original
-    range, so each lane returns the largest (value, point) pair among lo, hi
-    and its bracket midpoint. Returns (points, values) arrays.
+    `tol` wide, or once its two interior points are no longer strictly inside
+    it, as where floats lie more than `tol` apart. A concave maximum may sit
+    exactly on an end of the original range, so each lane returns the
+    largest (value, point) pair among lo, hi and its bracket midpoint.
+    Returns (points, values) arrays.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     a, b = lo, hi
     c = a + _INV_PHI2 * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = fn(c), fn(d)
-    active = b - a > tol
+    narrowing = lambda: (b - a > tol) & (a < c) & (d < b)  # each step moves a up or b down
+    active = narrowing()
     while active.any():
         keep_c = fc >= fd
         left = active & keep_c  # the maximum lies in [a, d]
@@ -149,7 +152,7 @@ def _golden_max(fn, lo, hi, tol):
         f_probe = fn(probe)
         c, fc = np.where(left, probe, c), np.where(left, f_probe, fc)
         d, fd = np.where(right, probe, d), np.where(right, f_probe, fd)
-        active = b - a > tol
+        active = narrowing()
     best_x, best_f = lo, fn(lo)
     for x in (hi, 0.5 * (a + b)):
         fx = fn(x)
@@ -240,8 +243,9 @@ def efficient_frontier(scenario: HookScenario, tau_grid):
     the lower crossing on [0, peak]. All targets are solved in one array
     bisection: each keeps its own bracket, moves its upper end to the
     midpoint wherever the return there meets the target, and freezes once
-    the bracket is at most 1e-9 wide. Unreachable targets are returned
-    flagged rather than raised so sweeps stay rectangular.
+    the bracket is at most 1e-9 wide or its midpoint rounds to one of its
+    ends. Unreachable targets are returned flagged rather than raised so
+    sweeps stay rectangular.
 
     Returns (hook trades, variances, feasible) arrays, one entry per target;
     an unreachable target has NaN trade and variance.
@@ -257,8 +261,9 @@ def efficient_frontier(scenario: HookScenario, tau_grid):
     active = hi - lo > 1e-9
     while active.any():
         mid = 0.5 * (lo + hi)
+        active &= (lo < mid) & (mid < hi)
         met = ret(mid) >= taus
         hi, lo = np.where(active & met, mid, hi), np.where(active & ~met, mid, lo)
-        active = hi - lo > 1e-9
+        active &= hi - lo > 1e-9
     variances = np.where(feasible, fill_variance(hi, scenario.variance), math.nan)
     return np.where(feasible, hi, math.nan), variances, feasible

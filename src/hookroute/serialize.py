@@ -9,10 +9,15 @@ refuses a non-object, any key outside the spec and a missing required key,
 and returns the values by attribute; `_build` passes them to the
 constructor. `problem_to_dict` writes records through the same specs.
 
-Every refusal is a `ConfigError` whose `field` names the culprit: an
-unknown key names the record that holds it (the key itself at the top
-level), a wrong-typed scalar names `path.key`, a bad list names its record,
-and a value the constructor refuses names the record.
+Every number is read as a finite float, and every list of numbers as a
+tuple of finite floats, except a sweep's value lists, which keep their JSON
+numbers. Every refusal is a `ConfigError` whose `field` names the path of
+the key at fault, such as `mdp.gas`, `markets[0].reserves` or
+`mdp.z_bounds`: a wrong type, a non-finite number, a bad list, an unknown
+key and a missing key alike. A value that is not a JSON object names its
+own path (`""` for the file itself). The one exception is a value that the
+constructor's range checks refuse: it names the record (`pool`,
+`markets[0]`, `""` for the top level).
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ def _record(record, path, spec):
     if unknown:
         raise ConfigError(
             f"unknown keys {unknown} in {path or 'the top level'}, which takes {list(spec)}",
-            path or unknown[0],
+            _join(path, unknown[0]),
         )
     values = {}
     for key, entry in spec.items():
@@ -99,6 +104,8 @@ def _to_dict(obj, spec):
 
 
 def _is_number(value):
+    """Whether `value` is a JSON number that is a finite float, a big integer
+    included."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     try:
@@ -123,14 +130,13 @@ def _scalar(valid, kind, convert=None):
 
 
 def _list_of(valid, kind, size_ok=lambda n: True, convert=tuple):
-    """A reader of a list whose every entry passes `valid`; a bad one names its record."""
+    """A reader of a list whose every entry passes `valid`."""
+    listed = lambda value: isinstance(value, list) and size_ok(len(value)) and all(map(valid, value))
+    return _scalar(listed, f"a list of {kind}", convert)
 
-    def read(value, path, key):
-        if not (isinstance(value, list) and size_ok(len(value)) and all(map(valid, value))):
-            raise ConfigError(f"field {_join(path, key)!r} must be a list of {kind}", path or key)
-        return convert(value)
 
-    return read
+def _floats(values):
+    return tuple(map(float, values))
 
 
 def _each(read_one):
@@ -149,40 +155,38 @@ def _nested(cls, spec):
     return lambda value, path, key: _build(cls, value, _join(path, key), spec)
 
 
-# A non-finite float is left for the constructor, which names its record.
-_NUMBER = _scalar(lambda v: _is_number(v) or isinstance(v, float), "a number", float)
 _FINITE = _scalar(_is_number, "a finite number", float)
 _INTEGER = _scalar(_is_index, "an integer")
 _STRING = _scalar(lambda v: isinstance(v, str), "a string")
-_FINITE_LIST = _list_of(_is_number, "finite numbers")
-_PAIR = _list_of(_is_number, "two finite numbers", lambda n: n == 2)
+_FINITE_LIST = _list_of(_is_number, "finite numbers", convert=_floats)
+_PAIR = _list_of(_is_number, "two finite numbers", lambda n: n == 2, _floats)
 
 _MARKET = {
     "kind": _Key(_STRING),
     "reserves": _Key(_FINITE_LIST),
-    "fee": _Key(_NUMBER, 1.0),
+    "fee": _Key(_FINITE, 1.0),
     "weights": _Key(_FINITE_LIST, None),
 }
 _ORDER = {
-    "price": _Key(_NUMBER),
-    "volume": _Key(_NUMBER),
+    "price": _Key(_FINITE),
+    "volume": _Key(_FINITE),
     "input": _Key(_INTEGER, attr="input_asset"),
     "output": _Key(_INTEGER, attr="output_asset"),
 }
 _LIQUIDATE = {
     "input": _Key(_INTEGER, attr="input_asset"),
     "output": _Key(_INTEGER, attr="output_asset"),
-    "budget": _Key(_NUMBER),
+    "budget": _Key(_FINITE),
 }
 # A problem's market also maps its assets to the problem's.
 _PROBLEM_MARKET = dict(_MARKET, assets=_Key(_list_of(_is_index, "integers")))
 
 _MDP = {
     "horizon": _Key(_INTEGER),
-    "inventory": _Key(_NUMBER),
-    "gas": _Key(_NUMBER),
-    "inventory_cost": _Key(_NUMBER),
-    "discount": _Key(_NUMBER),
+    "inventory": _Key(_FINITE),
+    "gas": _Key(_FINITE),
+    "inventory_cost": _Key(_FINITE),
+    "discount": _Key(_FINITE),
     "n_inventory": _Key(_INTEGER, _OMIT),
     "n_mispricing": _Key(_INTEGER, _OMIT),
     "n_actions": _Key(_INTEGER, _OMIT),
@@ -190,13 +194,13 @@ _MDP = {
     "dynamics": _Key(_STRING, _OMIT),
 }
 _POOL = {
-    "reserve_in": _Key(_NUMBER),
-    "reserve_out": _Key(_NUMBER),
-    "fee_bound_upper": _Key(_NUMBER),
-    "fee_bound_lower": _Key(_NUMBER),
-    "external_price": _Key(_NUMBER, None),
+    "reserve_in": _Key(_FINITE),
+    "reserve_out": _Key(_FINITE),
+    "fee_bound_upper": _Key(_FINITE),
+    "fee_bound_lower": _Key(_FINITE),
+    "external_price": _Key(_FINITE, None),
 }
-_MISPRICING = {"drift": _Key(_NUMBER), "volatility": _Key(_NUMBER), "dt": _Key(_NUMBER)}
+_MISPRICING = {"drift": _Key(_FINITE), "volatility": _Key(_FINITE), "dt": _Key(_FINITE)}
 
 _VARIANCE = {"form": _Key(_STRING), "scale": _Key(_FINITE), "exponent": _Key(_FINITE, None)}
 _FORM_NAMES = _list_of(lambda v: isinstance(v, str), "one or more variance form names", bool, list)
@@ -240,9 +244,10 @@ def problem_from_dict(record) -> RoutingProblem:
 def liquidation_config_from_dict(record):
     """Returns (MdpConfig, PoolParams, MispricingParams, z0).
 
-    An `mdp` key left out takes the `MdpConfig` default.
+    An `mdp` key left out takes the `MdpConfig` default. A config whose next
+    mispricing would not be finite (`check_transition`) names `mispricing`.
     """
-    from .liquidation import MdpConfig, MispricingParams, PoolParams
+    from .liquidation import MdpConfig, MispricingParams, PoolParams, check_transition
 
     spec = {
         "mdp": _Key(_nested(MdpConfig, _MDP)),
@@ -251,18 +256,18 @@ def liquidation_config_from_dict(record):
         "z0": _Key(_FINITE, 0.0),
     }
     values = _record(record, "", spec)
-    return values["mdp"], values["pool"], values["mispricing"], values["z0"]
+    cfg, pool, params = values["mdp"], values["pool"], values["mispricing"]
+    _wrap(lambda: check_transition(cfg, pool, params), "mispricing")
+    return cfg, pool, params, values["z0"]
 
 
 def hook_config_from_dict(record):
     """Returns (HookScenario, (forms, curvatures, scales)).
 
-    Every number of the scenario must be finite, and a bad one is named. An
-    absent `sweeps` key takes every variance form, 50 curvatures on [0, 1]
-    and 25 log-spaced scales on [1e-3, 1e3]. A present one must hold a
-    nonempty list of valid values under each key it has, and `check_sweep`
-    must pass the sweep; anything else, unknown keys and too many points
-    included, is refused with `"field": "sweeps"`.
+    An absent `sweeps` key takes every variance form, 50 curvatures on
+    [0, 1] and 25 log-spaced scales on [1e-3, 1e3]. A present one must hold
+    a nonempty list under each key it has, and a sweep that `check_sweep`
+    refuses, too many points included, names `sweeps`.
     """
     from .noncomposable import FORMS, HookScenario, VarianceSpec, check_sweep
 
@@ -273,7 +278,7 @@ def hook_config_from_dict(record):
     }
 
     def sweeps(value, path, key):
-        """A `sweeps` record as (forms, curvatures, scales); any refusal names it."""
+        """A `sweeps` record as (forms, curvatures, scales)."""
         values = _record(value, key, sweeps_spec)
         sweep = values["forms"], values["curvature_values"], values["scale_values"]
         _wrap(lambda: check_sweep(*sweep), key)

@@ -437,8 +437,9 @@ class TestBackupOperator:
         monkeypatch.setattr(liquidation, "step_mispricing", counted)
         value_iteration(small_cfg(horizon=1, **PAPER_GRID), small_pool(), MispricingParams(0.0, 8.0, 1.0))
         # The 51 x 101 (action, inventory) pairs trade 2305 distinct sizes; a
-        # size's rows take 101 mispricings x 9 nodes.
-        assert sum(points) == 2305 * 101 * 9
+        # size's rows take 101 mispricings x 9 nodes. `check_transition` adds
+        # its corners: 2 mispricings x 2 sizes x 2 nodes.
+        assert sum(points) == 2305 * 101 * 9 + 2 * 2 * 2
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_backup_is_one_product_per_row_block(self, monkeypatch, workers):
@@ -905,6 +906,10 @@ class TestRefusals:
             (lambda: PoolParams(1.0, 1.0, -0.003, 0.003), "fee bounds"),
             (lambda: PoolParams(1.0, 1.0, 0.003, -0.003), "fee bounds"),
             (lambda: PoolParams(1.0, 1.0, 0.003, 0.003, external_price=0.0), "external price"),
+            (lambda: PoolParams(5e-324, 5e8, 0.003, 0.003), "finite and positive"),
+            (lambda: PoolParams(1e5, 1e308, 0.003, 0.003), "finite and positive"),
+            (lambda: PoolParams(1e5, 5e8, 1e9, 0.003), "finite and positive"),
+            (lambda: PoolParams(1e5, 5e8, 0.003, 710.0), "finite and positive"),
             (lambda: MispricingParams(0.0, -1.0, 1.0), "volatility"),
             (lambda: MispricingParams(0.0, 1.0, 0.0), "dt must be positive"),
             (lambda: clamp_mispricing(0.0, -0.003, 0.003), "fee bounds"),
@@ -914,6 +919,24 @@ class TestRefusals:
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "params, dynamics",
+        [
+            (MispricingParams(710.0, 1.0, 1.0), MULTIPLICATIVE),
+            (MispricingParams(0.0, 1e308, 1.0), MULTIPLICATIVE),
+            (MispricingParams(1e308, 0.0, 10.0), ADDITIVE),
+        ],
+    )
+    def test_overflowing_transition_refused(self, params, dynamics):
+        # Checked before value_iteration, which a non-finite next mispricing
+        # once made index past its grid.
+        cfg = small_cfg(horizon=2, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3, dynamics=dynamics)
+        with pytest.raises(ValueError, match="next mispricing"):
+            liquidation.check_transition(cfg, small_pool(), params)
+        with pytest.raises(ValueError, match="next mispricing"):
+            value_iteration(cfg, small_pool(), params)
+        liquidation.check_transition(cfg, small_pool(), MispricingParams(700.0, 1.0, 1.0))
 
     def test_policy_of_another_shape_refused(self):
         cfg = small_cfg(horizon=2, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
