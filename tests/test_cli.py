@@ -574,6 +574,12 @@ class TestErrorContracts:
         bad.write_text('{"mdp": nope}')
         assert refused(["liquidate-solve", "--config", str(bad)])["field"] == "line 1 column 9"
 
+    def test_missing_field_named(self, tmp_path, refused):
+        cfg = {k: v for k, v in LIQ_CONFIG.items() if k != "pool"}
+        err = refused(["liquidate-solve", "--config", write_json(tmp_path / "liq.json", cfg)])
+        assert err["field"] == "pool"
+        assert "missing" in err["detail"]
+
     def test_infeasible_is_exit_4(self, tmp_path, capsys):
         record = {
             "n_assets": 3,
@@ -599,6 +605,35 @@ class TestErrorContracts:
         err = refused(["liquidate-solve", "--config", write_json(tmp_path / "liq.json", record)])
         assert err["field"] == "mdp"
         assert "budget" in err["detail"]
+
+    @pytest.mark.parametrize(
+        "command, path, value, field",
+        [
+            ("route", ("n_assets",), True, "n_assets"),
+            ("route", ("orders", 0, "input"), False, "orders[0].input"),
+            ("route", ("orders", 0, "output"), True, "orders[0].output"),
+            ("route", ("utility", "liquidate", "input"), False, "utility.liquidate.input"),
+            ("route", ("utility", "liquidate", "output"), True, "utility.liquidate.output"),
+        ]
+        + [
+            ("liquidate-solve", ("mdp", key), True, f"mdp.{key}")
+            for key in ("horizon", "n_inventory", "n_mispricing", "n_actions", "quad_order")
+        ],
+    )
+    def test_boolean_integers_refused_before_solving(self, tmp_path, refused, command, path, value, field):
+        base = ROUTE_PROBLEM if command == "route" else LIQ_CONFIG
+        config = write_json(tmp_path / "config.json", with_fault(base, path, value))
+        argv = [command, "--problem" if command == "route" else "--config", config]
+        err = refused(argv + (["--s", "0:1:2"] if command == "route" else []))
+        assert err["field"] == field
+        assert "integer" in err["detail"]
+
+    @pytest.mark.parametrize("key, value", [("z_bounds", [-0.1, 0.1]), ("n_mispricng", 51)])
+    def test_unknown_mdp_keys_refused_before_solving(self, tmp_path, refused, key, value):
+        config = write_json(tmp_path / "liq.json", with_fault(LIQ_CONFIG, ("mdp", key), value))
+        err = refused(["liquidate-solve", "--config", config])
+        assert err["field"] == f"mdp.{key}"
+        assert repr(key) in err["detail"]
 
     def test_mdp_defaults_come_from_the_dataclass(self):
         required = {"horizon": 12, "inventory": 100.0, "gas": 2.0, "inventory_cost": 0.1, "discount": 0.01}
@@ -647,6 +682,7 @@ class TestErrorContracts:
             ("problem_is_a_directory", "problem"),
             ("config_not_utf8", "config"),
             ("problem_not_utf8", "problem"),
+            ("markets_not_a_list", "markets"),
             ("huge_n_assets", "n_assets"),
             ("negative_budget", "grid"),
             ("negative_budget_spaced", "grid"),
@@ -663,6 +699,7 @@ class TestErrorContracts:
     def test_refusal_is_exit_2(self, tmp_path, refused, case, field):
         hook = write_json(tmp_path / "hook.json", HOOK_CONFIG)
         targets = write_json(tmp_path / "targets.json", dict(HOOK_CONFIG, targets=[10.0]))
+        problem = write_json(tmp_path / "problem.json", dict(ROUTE_PROBLEM, markets=5))
         wide = write_json(tmp_path / "wide.json", dict(ROUTE_PROBLEM, n_assets=10**9))
         missing = str(tmp_path / "missing.json")
         not_utf8 = tmp_path / "not_utf8.json"
@@ -674,6 +711,7 @@ class TestErrorContracts:
             "problem_is_a_directory": ["route", "--problem", str(tmp_path), "--s", "0:1:2"],
             "config_not_utf8": ["hook-frontier", "--config", str(not_utf8), "--grid", "0:1:2"],
             "problem_not_utf8": ["route", "--problem", str(not_utf8), "--s", "0:1:2"],
+            "markets_not_a_list": ["route", "--problem", problem, "--s", "0:1:2"],
             "huge_n_assets": ["route", "--problem", wide, "--s", "0:1:3"],
             "negative_budget": ["route", "--problem", "table1", "--s=-1:1:3"],
             "negative_budget_spaced": ["route", "--problem", "table1", "--s", "-1:1:3"],
@@ -787,6 +825,53 @@ class TestErrorContracts:
         assert json.loads(capsys.readouterr().out)["error"] == "solver_nonconvergence"
 
     @pytest.mark.parametrize(
+        "command, record, field",
+        [
+            (command, 5, "")
+            for command in ("route", "liquidate-solve", "hook-mean-variance", "hook-frontier")
+        ]
+        + [
+            ("route", {**ROUTE_PROBLEM, "markets": [5]}, "markets[0]"),
+            ("route", {**ROUTE_PROBLEM, "orders": ["x"]}, "orders[0]"),
+            pytest.param(
+                "route",
+                {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][0], assets=[0, "b"])]},
+                "markets[0].assets",
+                id="route-record6-markets[0]",
+            ),
+            pytest.param(
+                "route",
+                {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][0], assets=[0, True])]},
+                "markets[0].assets",
+                id="route-record7-markets[0]",
+            ),
+            pytest.param(
+                "route",
+                {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][0], reserves=[None, 1.0])]},
+                "markets[0].reserves",
+                id="route-record8-markets[0]",
+            ),
+            pytest.param(
+                "route",
+                {**ROUTE_PROBLEM, "markets": [dict(ROUTE_PROBLEM["markets"][1], weights=[[1], 1, 1])]},
+                "markets[0].weights",
+                id="route-record9-markets[0]",
+            ),
+            ("liquidate-solve", "mdp pool mispricing", ""),
+            ("liquidate-simulate", ["mdp"], ""),
+            ("compare-twamm", {**LIQ_CONFIG, "mdp": "horizon"}, "mdp"),
+            ("hook-mean-variance", {**HOOK_CONFIG, "variance": ["form"]}, "variance"),
+        ],
+    )
+    def test_non_object_entries_are_exit_2(self, tmp_path, refused, command, record, field):
+        path = write_json(tmp_path / "config.json", record)
+        argv = [command, "--problem" if command == "route" else "--config", path]
+        argv += {"route": ["--s", "0:1:2"], "compare-twamm": ["--grid", "0:1:2"], "hook-frontier": ["--grid", "0:1:2"]}.get(
+            command, []
+        )
+        assert refused(argv)["field"] == field
+
+    @pytest.mark.parametrize(
         "argv, field",
         [
             (["liquidate-solve", "--dump-times", "x"], "dump-times"),
@@ -803,6 +888,47 @@ class TestErrorContracts:
     def test_bad_options_named_before_solving(self, tmp_path, refused, argv, field):
         config = write_json(tmp_path / "liq.json", LIQ_CONFIG)
         assert refused(argv + ["--config", config])["field"] == field
+
+
+class TestUnknownKeys:
+    """Every record kind refuses a key it does not declare, before any solve or
+    search, and names it by its own path."""
+
+    # (command, steps to the record, the unknown key, the record's name in
+    # the test id)
+    CASES = [
+        ("route", (), "extra", "extra"),
+        ("route", ("markets", 0), "fees", "markets[0]"),
+        ("route", ("orders", 0), "prise", "orders[0]"),
+        ("route", ("utility",), "maximize", "utility"),
+        ("route", ("utility", "liquidate"), "budjet", "utility.liquidate"),
+        ("liquidate-solve", (), "zo", "zo"),
+        ("liquidate-solve", ("mdp",), "z_bounds", "mdp"),
+        ("liquidate-solve", ("pool",), "external_prise", "pool"),
+        ("liquidate-solve", ("mispricing",), "volatilty", "mispricing"),
+        ("hook-mean-variance", (), "sweep", "sweep"),
+        ("hook-mean-variance", ("variance",), "exponnent", "variance"),
+        ("hook-mean-variance", ("sweeps",), "curvatures", "sweeps"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, path, key",
+        [case[:3] for case in CASES],
+        ids=[f"{command}-{'.'.join(map(str, path))}-{key}-{name}" for command, path, key, name in CASES],
+    )
+    def test_unknown_key_refused_before_solving(self, tmp_path, refused, command, path, key):
+        base = {"route": ROUTE_PROBLEM, "liquidate-solve": LIQ_CONFIG}.get(command, HOOK_CONFIG)
+        config = write_json(tmp_path / "config.json", with_fault(base, (*path, key), 1.0))
+        argv = [command, "--problem" if command == "route" else "--config", config]
+        err = refused(argv + (["--s", "1:1:1"] if command == "route" else []))
+        assert err["field"] == key_path((*path, key))
+        assert repr(key) in err["detail"]
+
+    def test_hook_frontier_refuses_a_misspelt_key(self, tmp_path, refused):
+        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, target=[10.0]))
+        err = refused(["hook-frontier", "--config", path, "--grid", "0:70:3"])
+        assert err["field"] == "target"
+        assert "'target'" in err["detail"]
 
 
 # Keys that a record may leave out.
@@ -927,11 +1053,56 @@ class TestNonFiniteInputs:
             warnings.simplefilter("error")
             assert refused(argv)["field"] == "grid"
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            pytest.param(("markets", 0, "reserves", 1), math.nan, "markets[0].reserves", id="path0-nan-markets[0]"),
+            pytest.param(("markets", 0, "reserves", 0), math.inf, "markets[0].reserves", id="path1-inf-markets[0]"),
+            pytest.param(("markets", 1, "weights", 2), math.nan, "markets[1].weights", id="path2-nan-markets[1]"),
+            pytest.param(("markets", 1, "reserves", 2), -math.inf, "markets[1].reserves", id="path3--inf-markets[1]"),
+            pytest.param(("orders", 0, "volume"), math.inf, "orders[0].volume", id="path4-inf-orders[0]"),
+            pytest.param(("orders", 0, "price"), math.nan, "orders[0].price", id="path5-nan-orders[0]"),
+            pytest.param(("n_assets",), 10**9, "n_assets", id="path6-1000000000-n_assets"),
+        ],
+    )
+    def test_route_problem_refused_before_solving(self, tmp_path, refused, path, value, field):
+        problem = write_json(tmp_path / "problem.json", with_fault(ROUTE_PROBLEM, path, value))
+        assert refused(["route", "--problem", problem, "--s", "0:1:3"])["field"] == field
+
     def test_zero_volume_order_routes(self, tmp_path):
         record = json.loads(json.dumps(ROUTE_PROBLEM))
         record["orders"][0]["volume"] = 0.0
         problem = write_json(tmp_path / "problem.json", record)
         assert main(["route", "--problem", problem, "--s", "0:1:3", "--out", str(tmp_path)]) == 0
+
+    # (section, key, value): each names the key at fault by its path.
+    NONFINITE_LIQUIDATION = [
+        ("mispricing", "drift", math.nan),
+        ("mispricing", "volatility", math.inf),
+        ("mispricing", "dt", math.nan),
+        ("mdp", "gas", math.inf),
+        ("mdp", "inventory", math.nan),
+        ("mdp", "inventory_cost", math.inf),
+        ("pool", "reserve_in", math.inf),
+        ("pool", "fee_bound_lower", math.nan),
+        ("pool", "external_price", math.inf),
+        (None, "z0", math.nan),
+        (None, "z0", -math.inf),
+    ]
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        NONFINITE_LIQUIDATION,
+        ids=[f"{section}-{key}-{value}-{section or key}" for section, key, value in NONFINITE_LIQUIDATION],
+    )
+    @pytest.mark.parametrize("command", ["liquidate-solve", "liquidate-simulate", "compare-twamm"])
+    def test_liquidation_config_refused_before_solving(self, tmp_path, refused, command, section, key, value):
+        steps = (section, key) if section else (key,)
+        config = write_json(tmp_path / "liq.json", with_fault(LIQ_CONFIG, steps, value))
+        argv = [command, "--config", config] + (["--grid", "0:1:2"] if command == "compare-twamm" else [])
+        err = refused(argv)
+        assert err["field"] == key_path(steps)
+        assert "finite number" in err["detail"]
 
     @pytest.mark.parametrize(
         "section, key, value, field",
@@ -989,17 +1160,30 @@ class TestNonFiniteInputs:
 
 
 class TestHookSweeps:
+    # Each bad `sweeps` value and the field its refusal names.
+    BAD_SWEEPS = [
+        ([1, 2], "sweeps"),
+        ({"forms": []}, "sweeps.forms"),
+        ({"forms": ["linear", "cubic"]}, "sweeps"),
+        ({"forms": [3]}, "sweeps.forms"),
+        ({"curvature_values": [0.0, 1.5]}, "sweeps"),
+        ({"curvature_values": ["0.5"]}, "sweeps.curvature_values"),
+        ({"curvature_values": [True]}, "sweeps.curvature_values"),
+        ({"scale_values": [1.0, -0.5]}, "sweeps"),
+        ({"scale_values": []}, "sweeps.scale_values"),
+        ({"scale_values": 1.0}, "sweeps.scale_values"),
+        ({"scale_values": [math.inf]}, "sweeps.scale_values"),
+        ({"curvatures": [0.5]}, "sweeps.curvatures"),
+        (5, "sweeps"),
+        # 4 forms x 1000 x 1000 points at SWEEP_POINT_BYTES pass MAX_SOLVE_BYTES.
+        ({"curvature_values": [0.5] * 1000, "scale_values": [1.0] * 1000}, "sweeps"),
+    ]
+
     @pytest.mark.parametrize(
         "sweeps, field",
-        [
-            ({"forms": []}, "sweeps.forms"),
-            ({"scale_values": []}, "sweeps.scale_values"),
-            ({"forms": ["linear", "cubic"]}, "sweeps"),
-            ({"curvature_values": [0.0, 1.5]}, "sweeps"),
-            ({"scale_values": [1.0, -0.5]}, "sweeps"),
-            # 4 forms x 1000 x 1000 points at SWEEP_POINT_BYTES pass MAX_SOLVE_BYTES.
-            ({"curvature_values": [0.5] * 1000, "scale_values": [1.0] * 1000}, "sweeps"),
-        ],
+        BAD_SWEEPS,
+        # pytest's own ids for the `sweeps` values alone.
+        ids=[str(sweeps) if isinstance(sweeps, int) else f"sweeps{i}" for i, (sweeps, _) in enumerate(BAD_SWEEPS)],
     )
     @pytest.mark.parametrize("command", ["hook-mean-variance", "hook-frontier"])
     def test_bad_sweeps_refused_before_searching(self, tmp_path, refused, command, sweeps, field):
@@ -1036,6 +1220,26 @@ class TestHookSweeps:
         code, peak = traced_peak(main, argv + ["--out", str(tmp_path / "run")])
         assert code == 0
         assert peak <= math.prod(shape) * SWEEP_POINT_BYTES
+
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"total_trade": math.inf}, "total_trade"),
+            ({"total_trade": math.nan}, "total_trade"),
+            ({"curvature": math.nan}, "curvature"),
+            ({"risk_aversion": math.nan}, "risk_aversion"),
+            ({"cpmm_reserves": [math.inf, 100.0]}, "cpmm_reserves"),
+            ({"hook_reserves": [100.0, "1"]}, "hook_reserves"),
+            ({"variance": {"form": "linear", "scale": math.nan}}, "variance.scale"),
+            ({"variance": {"form": "linear", "scale": math.inf}}, "variance.scale"),
+            ({"variance": {"form": "superlinear", "scale": 1.0, "exponent": math.nan}}, "variance.exponent"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["hook-mean-variance", "hook-frontier"])
+    def test_nonfinite_scenario_refused_before_searching(self, tmp_path, refused, command, change, field):
+        path = write_json(tmp_path / "hook.json", dict(HOOK_CONFIG, **change))
+        argv = [command, "--config", path] + (["--grid", "0:40:5"] if command == "hook-frontier" else [])
+        assert refused(argv)["field"] == field
 
     @pytest.mark.parametrize("targets", [[10, 20.5], 5, [], ["a", 3], [True, 3.0], [1.0, math.inf], [math.nan]])
     def test_targets_key_refused_before_searching(self, tmp_path, refused, targets):
