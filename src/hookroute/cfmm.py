@@ -28,6 +28,14 @@ _KINDS = (PRODUCT, GEOMETRIC_MEAN, SUM)
 MAX_SOLVE_BYTES = 10**9
 
 
+class FieldError(ValueError):
+    """A refused argument, named by its config key path in `field`."""
+
+    def __init__(self, message, field):
+        super().__init__(message)
+        self.field = field
+
+
 def check_finite(**values):
     """Refuse NaN and infinities from a library caller; `serialize` refuses a
     config's first, naming its key."""

@@ -298,7 +298,7 @@ def _check_sampling(args, cfg):
         raise ConfigError(f"--paths: {exc}", "paths") from exc
 
 
-def policy_dump(vf, policy, times):
+def policy_dump(policy, times):
     """The `liquidation_solution` body of the blocks `times`, one string per
     time, its rows `t,I,z,value,action` in (inventory, mispricing) order.
 
@@ -309,13 +309,13 @@ def policy_dump(vf, policy, times):
     0 .. horizon - backups, which repeat one block (see
     `liquidation.value_iteration`), then re-format nothing.
     """
-    values = vf.values.reshape(len(vf.values), -1)
+    values = policy.values.reshape(len(policy.values), -1)
     bits = values.view(np.uint64)
     actions = policy.action_index.reshape(len(values), -1)
     fractions = policy.action_fractions.tolist()
-    mispricings = vf.mispricing_grid.tolist()
+    mispricings = policy.mispricing_grid.tolist()
     cells = []
-    for inv in vf.inventory_grid.tolist():
+    for inv in policy.inventory_grid.tolist():
         action_text = [repr(frac * inv) for frac in fractions]
         cells += [(f"{inv!r},{z!r},", action_text) for z in mispricings]
     lines = [None] * len(cells)
@@ -338,8 +338,7 @@ def cmd_liquidate_solve(args):
     record = load_json(args.config)
     cfg, pool, params, _ = liquidation_config_from_dict(record)
     times = _dump_times(args.dump_times, cfg.horizon)
-    vf, policy = liquidation.value_iteration(cfg, pool, params)
-    body = policy_dump(vf, policy, times)
+    body = policy_dump(liquidation.value_iteration(cfg, pool, params), times)
     return record, [("liquidation_solution", ("t", "I", "z", "value", "action"), body)]
 
 
@@ -349,7 +348,7 @@ def cmd_liquidate_simulate(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
-    _, policy = liquidation.value_iteration(cfg, pool, params)
+    policy = liquidation.value_iteration(cfg, pool, params)
     sim = liquidation.simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
     rows = ((p, t, inventory) for p, path in enumerate(sim.inventory.tolist()) for t, inventory in enumerate(path))
     return record, [("inventory_paths", ("path", "t", "inventory"), csv_rows(rows))]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfmm import check_budget, check_finite
+from .cfmm import MAX_SOLVE_BYTES, FieldError, check_budget, check_finite
 
 _SPARSE_LOCK = threading.Lock()
 
@@ -41,7 +41,6 @@ class PoolParams:
     reserve_out: float
     fee_bound_upper: float
     fee_bound_lower: float
-    external_price: float | None = None
 
     def __post_init__(self):
         check_finite(
@@ -49,16 +48,11 @@ class PoolParams:
             reserve_out=self.reserve_out,
             fee_bound_upper=self.fee_bound_upper,
             fee_bound_lower=self.fee_bound_lower,
-            external_price=self.external_price,
         )
         if self.reserve_in <= 0 or self.reserve_out <= 0:
             raise ValueError("reserves must be positive")
         if self.fee_bound_upper < 0 or self.fee_bound_lower < 0:
             raise ValueError("fee bounds must be nonnegative")
-        if self.external_price is None:
-            object.__setattr__(self, "external_price", self.reserve_out / self.reserve_in)
-        elif self.external_price <= 0:
-            raise ValueError("external price must be positive")
         with np.errstate(all="ignore"):
             edges = self.external_price * np.exp([-self.fee_bound_upper, self.fee_bound_lower])
         derived = (self.external_price, self.liquidity, *edges.tolist())
@@ -67,6 +61,11 @@ class PoolParams:
                 "the external price, the liquidity and the pool price at each edge "
                 f"of the fee band must be finite and positive, got {derived}"
             )
+
+    @property
+    def external_price(self) -> float:
+        """The price the reserves imply, which arbitrage holds the pool to."""
+        return self.reserve_out / self.reserve_in
 
     @property
     def liquidity(self) -> float:
@@ -140,28 +139,27 @@ class MdpConfig:
 
 
 @dataclass
-class ValueFunction:
+class Policy:
+    """A solve's result: each block's value and best action at every grid state."""
+
     values: np.ndarray  # (horizon, n_inventory, n_mispricing)
+    action_index: np.ndarray  # same shape, int16
+    action_fractions: np.ndarray  # fraction of current inventory per index
     inventory_grid: np.ndarray
     mispricing_grid: np.ndarray
     # Bellman backups run; blocks 0 .. horizon - backups all equal the block
     # horizon - backups (see `value_iteration`).
     backups: int
 
-
-@dataclass
-class Policy:
-    action_index: np.ndarray  # (horizon, n_inventory, n_mispricing), int16
-    action_fractions: np.ndarray  # fraction of current inventory per index
-    inventory_grid: np.ndarray
-    mispricing_grid: np.ndarray
-
     def sale(self, t, inventory, z):
-        """Block t's sale from `inventory` at mispricing `z`: the action of the nearest grid state."""
+        """Block t's sale from `inventory` at mispricing `z`: the action of the
+        nearest grid state. A `z` off the grid takes its nearer end, clipped
+        before the division so that a far-off one cannot overflow."""
         inv_grid, z_grid = self.inventory_grid, self.mispricing_grid
         step_i = (inv_grid[1] - inv_grid[0]) or 1.0
         i_idx = np.clip(np.rint(inventory / step_i), 0, len(inv_grid) - 1).astype(np.int64)
-        z_idx = np.clip(np.rint((z - z_grid[0]) / (z_grid[1] - z_grid[0])), 0, len(z_grid) - 1).astype(np.int64)
+        z_pos = (np.clip(z, z_grid[0], z_grid[-1]) - z_grid[0]) / (z_grid[1] - z_grid[0])
+        z_idx = np.clip(np.rint(z_pos), 0, len(z_grid) - 1).astype(np.int64)
         return self.action_fractions[self.action_index[t, i_idx, z_idx]] * inventory
 
 
@@ -228,20 +226,35 @@ def reward(inventory, z, trade_size, cfg: MdpConfig, pool: PoolParams):
 
 
 def check_transition(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
-    """Raise ValueError unless the next mispricing is finite at every node of
-    the solve: it is monotone in the mispricing, the trade size and the
-    noise, so the corners of the grid, trade sizes 0 and `inventory` and the
-    outer quadrature nodes bound every node. A non-finite one would index
-    past the grid when `_bracket` casts it."""
+    """Raise a `FieldError` unless every number that a solve, a simulation
+    or a TWAMM comparison computes stays finite, checked at the solve's
+    corners.
+
+    The next mispricing is monotone in the mispricing, the trade size and
+    the noise, so the corners of the grid, trade sizes 0 and `inventory` and
+    the outer quadrature nodes bound every node; a non-finite one would
+    index past the grid when `_bracket` casts it (`mispricing`). A block's
+    reward, or a simulated block's output net of gas, is at most the
+    largest sale's output, of `inventory` at the band's highest price, plus
+    gas and carry. A value or a path sums `horizon` of them, and
+    `compare_vs_twamm` sums the excesses and their squared spreads over the
+    paths, fewer than `MAX_SOLVE_BYTES` since each holds more than a byte of
+    that budget (`mdp`).
+    """
     z_ends = _grids(cfg, pool)[1][[0, -1], None, None]
     nodes = _gauss_hermite(cfg.quad_order)[0][[0, -1]]
-    try:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
             z_next = step_mispricing(z_ends, np.array([[0.0], [cfg.inventory]]), nodes, params, pool, cfg.dynamics)
-    except OverflowError:  # the volatility's square
-        z_next = np.array(math.nan)
+        except OverflowError:  # the volatility's square
+            z_next = np.array(math.nan)
+        sale = exchange_at_price(cfg.inventory, pool.external_price * np.exp(-z_ends[0, 0, 0]), pool.liquidity)
+        spread = 4 * cfg.horizon * (sale + cfg.gas + cfg.inventory_cost * cfg.inventory)
+        squares = spread * spread * MAX_SOLVE_BYTES
     if not np.isfinite(z_next).all():
-        raise ValueError("the next mispricing overflows at these drift, volatility, dt and pool values")
+        raise FieldError("the next mispricing overflows at these drift, volatility, dt and pool values", "mispricing")
+    if not np.isfinite(squares):
+        raise FieldError("rewards or path totals overflow at these inventory, gas, inventory cost and pool values", "mdp")
 
 
 def _gauss_hermite(order):
@@ -386,7 +399,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     the next block's values alone, so once a block's values equal the next
     block's byte for byte (`-0.0` and `0.0` differ), every earlier block
     repeats that block's values and actions exactly: they are copied and no
-    further backup runs. `ValueFunction.backups` counts the backups run. The
+    further backup runs. `Policy.backups` counts the backups run. The
     stop is exact only while nothing in a backup depends on the block index
     t; a time-varying reward, discount or operator must drop it.
     """
@@ -475,9 +488,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
                 break
             v_next = values[t]
 
-    vf = ValueFunction(values, inv_grid, z_grid, backups=cfg.horizon - t)
-    policy = Policy(actions, fracs, inv_grid, z_grid)
-    return vf, policy
+    return Policy(values, actions, fracs, inv_grid, z_grid, backups=cfg.horizon - t)
 
 
 def check_paths(n_paths, horizon):
@@ -573,7 +584,7 @@ def compare_vs_twamm(
 
     results = []
     for params_s in grid:
-        _, policy = value_iteration(cfg, pool, params_s)
+        policy = value_iteration(cfg, pool, params_s)
         outputs = _simulate(policy.sale, cfg.gas, cfg, pool, params_s, eps, z0).outputs
         tw = _simulate(uniform, 0.0, cfg, pool, params_s, eps, z0).outputs - cfg.gas
         excess = outputs - tw

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cfmm import check_budget, check_finite
+from .cfmm import FieldError, check_budget, check_finite
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -74,13 +74,14 @@ class HookScenario:
             risk_aversion=self.risk_aversion,
         )
         if self.total_trade <= 0:
-            raise ValueError("total trade must be positive")
-        if any(r <= 0 for r in self.cpmm_reserves) or any(r <= 0 for r in self.hook_reserves):
-            raise ValueError("reserves must be positive")
+            raise FieldError("total trade must be positive", "total_trade")
+        for name in ("cpmm_reserves", "hook_reserves"):
+            if any(r <= 0 for r in getattr(self, name)):
+                raise FieldError("reserves must be positive", name)
         if not 0.0 <= self.curvature <= 1.0:
-            raise ValueError("curvature must lie in [0, 1]")
+            raise FieldError("curvature must lie in [0, 1]", "curvature")
         if self.risk_aversion < 0:
-            raise ValueError("risk aversion must be nonnegative")
+            raise FieldError("risk aversion must be nonnegative", "risk_aversion")
 
 
 def cpmm_output(trade_size, reserve_in, reserve_out):

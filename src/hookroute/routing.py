@@ -38,6 +38,7 @@ import numpy as np
 from . import cfmm
 from .cfmm import (
     SUM,
+    FieldError,
     LimitOrder,
     Market,
     Trade2,
@@ -82,20 +83,19 @@ class RoutingProblem:
 
     def __post_init__(self):
         self.markets = [(m, tuple(a)) for m, a in self.markets]
-        for market, assets in self.markets:
+        for k, (market, assets) in enumerate(self.markets):
+            field = f"markets[{k}].assets"
             if len(assets) != market.n_assets:
-                raise ValueError("asset map length must match market size")
+                raise FieldError("asset map length must match market size", field)
             if any(not 0 <= a < self.n_assets for a in assets):
-                raise ValueError("asset map entry out of range")
+                raise FieldError("asset map entry out of range", field)
             if len(set(assets)) != len(assets):
-                raise ValueError("asset map entries must be distinct")
-        for order in self.orders:
-            for a in (order.input_asset, order.output_asset):
+                raise FieldError("asset map entries must be distinct", field)
+        legs = [("order", f"orders[{k}]", order) for k, order in enumerate(self.orders)]
+        for kind, path, leg in legs + [("utility", "utility.liquidate", self.utility)]:
+            for key, a in (("input", leg.input_asset), ("output", leg.output_asset)):
                 if not 0 <= a < self.n_assets:
-                    raise ValueError("order asset out of range")
-        for a in (self.utility.input_asset, self.utility.output_asset):
-            if not 0 <= a < self.n_assets:
-                raise ValueError("utility asset out of range")
+                    raise FieldError(f"{kind} asset out of range", f"{path}.{key}")
 
 
 @dataclass

@@ -15,9 +15,10 @@ numbers. Every refusal is a `ConfigError` whose `field` names the path of
 the key at fault, such as `mdp.gas`, `markets[0].reserves` or
 `mdp.z_bounds`: a wrong type, a non-finite number, a bad list, an unknown
 key and a missing key alike. A value that is not a JSON object names its
-own path (`""` for the file itself). The one exception is a value that the
-constructor's range checks refuse: it names the record (`pool`,
-`markets[0]`, `""` for the top level).
+own path (`""` for the file itself). The one exception is a value that a
+nested record's range checks refuse: it names the record (`pool`,
+`markets[0]`). The top level's constructor, and the liquidation config's
+corner check, raise a `FieldError` that names the key at fault.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .cfmm import LimitOrder, Market
+from .cfmm import FieldError, LimitOrder, Market
 
 if TYPE_CHECKING:
     from .routing import RoutingProblem
@@ -81,11 +82,15 @@ def _record(record, path, spec):
     return values
 
 
-def _wrap(fn, field):
+def _wrap(fn, path):
+    """fn(), a ValueError refused naming `path`, joined to the key a
+    `FieldError` names."""
     try:
         return fn()
+    except FieldError as exc:
+        raise ConfigError(str(exc), _join(path, exc.field)) from exc
     except ValueError as exc:
-        raise ConfigError(str(exc), field) from exc
+        raise ConfigError(str(exc), path) from exc
 
 
 def _build(cls, record, path, spec):
@@ -198,7 +203,6 @@ _POOL = {
     "reserve_out": _Key(_FINITE),
     "fee_bound_upper": _Key(_FINITE),
     "fee_bound_lower": _Key(_FINITE),
-    "external_price": _Key(_FINITE, None),
 }
 _MISPRICING = {"drift": _Key(_FINITE), "volatility": _Key(_FINITE), "dt": _Key(_FINITE)}
 
@@ -245,7 +249,8 @@ def liquidation_config_from_dict(record):
     """Returns (MdpConfig, PoolParams, MispricingParams, z0).
 
     An `mdp` key left out takes the `MdpConfig` default. A config whose next
-    mispricing would not be finite (`check_transition`) names `mispricing`.
+    mispricing would not be finite (`check_transition`) names `mispricing`,
+    and one whose rewards or path totals could overflow names `mdp`.
     """
     from .liquidation import MdpConfig, MispricingParams, PoolParams, check_transition
 
@@ -257,7 +262,7 @@ def liquidation_config_from_dict(record):
     }
     values = _record(record, "", spec)
     cfg, pool, params = values["mdp"], values["pool"], values["mispricing"]
-    _wrap(lambda: check_transition(cfg, pool, params), "mispricing")
+    _wrap(lambda: check_transition(cfg, pool, params), "")
     return cfg, pool, params, values["z0"]
 
 

@@ -151,9 +151,9 @@ def test_criterion_6_mdp_shape():
         horizon=200, inventory=1000.0, gas=2.0, inventory_cost=0.1, discount=0.01
     )
     start = time.perf_counter()
-    vf, policy = value_iteration(cfg, pool, params)
+    policy = value_iteration(cfg, pool, params)
     elapsed = time.perf_counter() - start
-    v_row = vf.values[0, -1, :]
+    v_row = policy.values[0, -1, :]
     tol = 1e-9 * max(1.0, float(np.abs(v_row).max()))
     assert np.all(np.diff(v_row) <= tol)
     p_row = policy.action_index[0, -1, :].astype(int)
@@ -174,7 +174,7 @@ def test_criterion_7_inventory_cost_lever():
         cfg = MdpConfig(
             horizon=200, inventory=1000.0, gas=2.0, inventory_cost=cost, discount=0.01
         )
-        _, policy = value_iteration(cfg, pool, params)
+        policy = value_iteration(cfg, pool, params)
         sim = simulate_policy(policy, cfg, pool, params, 200, seed=7)
         shares[cost] = float(sim.inventory[:, 10].mean()) / cfg.inventory
     assert shares[10.0] <= 0.5

@@ -20,7 +20,7 @@ import hookroute
 from hookroute import liquidation, noncomposable, routing
 from hookroute.cfmm import GEOMETRIC_MEAN, MAX_SOLVE_BYTES, PRODUCT, SUM, LimitOrder, Market
 from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, policy_dump, write_run
-from hookroute.liquidation import MdpConfig, Policy, ValueFunction, check_paths, value_iteration
+from hookroute.liquidation import MdpConfig, Policy, check_paths, value_iteration
 from hookroute.noncomposable import SWEEP_POINT_BYTES
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.scenarios import SCENARIOS
@@ -95,7 +95,6 @@ LIQ_CONFIG = {
         "reserve_out": 5e8,
         "fee_bound_upper": 0.003,
         "fee_bound_lower": 0.003,
-        "external_price": 5000.0,
     },
     "mispricing": {"drift": 0.0, "volatility": 1.0, "dt": 1.0},
     "z0": -0.003,
@@ -136,13 +135,13 @@ def read_rows(path):
     return header, [line.split(",") for line in lines[1:]]
 
 
-def reference_rows(vf, policy, times):
+def reference_rows(policy, times):
     """The policy dump as it was formatted before blocks were cached: `_fmt` per cell."""
     fractions = policy.action_fractions.tolist()
     for t in times:
-        for i, inv in enumerate(vf.inventory_grid.tolist()):
-            for j, z in enumerate(vf.mispricing_grid.tolist()):
-                value = float(vf.values[t, i, j])
+        for i, inv in enumerate(policy.inventory_grid.tolist()):
+            for j, z in enumerate(policy.mispricing_grid.tolist()):
+                value = float(policy.values[t, i, j])
                 action = fractions[policy.action_index[t, i, j]] * inv
                 yield ",".join(map(_fmt, (t, inv, z, value, action))) + "\n"
 
@@ -345,8 +344,8 @@ class TestCommands:
     @pytest.mark.parametrize("dump_times", [None, "all", "3,0,3"])
     def test_dump_bytes_match_reference_rows(self, tmp_path, dump_times):
         cfg, pool, params, _ = liquidation_config_from_dict(LIQ_CONFIG)
-        vf, policy = value_iteration(cfg, pool, params)
-        assert vf.backups < cfg.horizon  # blocks 0 .. horizon - backups repeat
+        policy = value_iteration(cfg, pool, params)
+        assert policy.backups < cfg.horizon  # blocks 0 .. horizon - backups repeat
         argv = ["liquidate-solve", "--config", write_json(tmp_path / "liq.json", LIQ_CONFIG)]
         if dump_times is None:
             times = [0]
@@ -356,7 +355,7 @@ class TestCommands:
         out = tmp_path / "run"
         assert main(argv + ["--out", str(out)]) == 0
         body = (out / "liquidation_solution.csv").read_text().split("\n", 2)[2]  # manifest, header
-        assert body == "".join(reference_rows(vf, policy, times))
+        assert body == "".join(reference_rows(policy, times))
 
     @pytest.mark.parametrize("dump_times", ["all", "5,0,5,3,4"])
     def test_partly_changing_blocks_dump_reference_rows(self, tmp_path, dump_times):
@@ -368,18 +367,18 @@ class TestCommands:
             "mispricing": {**LIQ_CONFIG["mispricing"], "volatility": 0.002},
         }
         cfg, pool, params, _ = liquidation_config_from_dict(record)
-        vf, policy = value_iteration(cfg, pool, params)
-        bits = vf.values.reshape(cfg.horizon, -1).view(np.uint64)
+        policy = value_iteration(cfg, pool, params)
+        bits = policy.values.reshape(cfg.horizon, -1).view(np.uint64)
         actions = policy.action_index.reshape(cfg.horizon, -1)
         changed = ((bits[1:] != bits[:-1]) | (actions[1:] != actions[:-1])).sum(axis=1)
-        assert vf.backups == cfg.horizon
+        assert policy.backups == cfg.horizon
         assert all(0 < n < bits.shape[1] for n in changed)
         out = tmp_path / "run"
         argv = ["liquidate-solve", "--config", write_json(tmp_path / "liq.json", record), "--dump-times", dump_times]
         assert main(argv + ["--out", str(out)]) == 0
         times = range(cfg.horizon) if dump_times == "all" else [5, 0, 5, 3, 4]
         body = (out / "liquidation_solution.csv").read_text().split("\n", 2)[2]  # manifest, header
-        assert body == "".join(reference_rows(vf, policy, times))
+        assert body == "".join(reference_rows(policy, times))
 
     @pytest.mark.parametrize("times", [[0, 1, 2, 3], [3, 1, 1, 0, 2]])
     def test_dump_reformats_sign_and_action_changes(self, times):
@@ -390,10 +389,9 @@ class TestCommands:
         values[1, 0, 1] = -0.0
         actions = np.zeros(values.shape, dtype=np.int16)
         actions[3, 1, 2] = 1
-        vf = ValueFunction(values, inventory, mispricing, backups=4)
-        policy = Policy(actions, np.array([0.0, 0.5]), inventory, mispricing)
-        body = "".join(policy_dump(vf, policy, times))
-        assert body == "".join(reference_rows(vf, policy, times))
+        policy = Policy(values, actions, np.array([0.0, 0.5]), inventory, mispricing, backups=4)
+        body = "".join(policy_dump(policy, times))
+        assert body == "".join(reference_rows(policy, times))
         assert body.count("-0.0,") == times.count(1)
 
 
@@ -905,6 +903,8 @@ class TestUnknownKeys:
         ("liquidate-solve", (), "zo", "zo"),
         ("liquidate-solve", ("mdp",), "z_bounds", "mdp"),
         ("liquidate-solve", ("pool",), "external_prise", "pool"),
+        # The pool's price is reserve_out / reserve_in; the key that once set it is gone.
+        ("liquidate-solve", ("pool",), "external_price", "pool"),
         ("liquidate-solve", ("mispricing",), "volatilty", "mispricing"),
         ("hook-mean-variance", (), "sweep", "sweep"),
         ("hook-mean-variance", ("variance",), "exponnent", "variance"),
@@ -933,8 +933,8 @@ class TestUnknownKeys:
 
 # Keys that a record may leave out.
 OPTIONAL_KEYS = {
-    "markets", "orders", "fee", "weights", "z0", "external_price", "dynamics", "n_inventory",
-    "n_mispricing", "n_actions", "quad_order", "exponent", "sweeps", "forms", "curvature_values", "scale_values",
+    "markets", "orders", "fee", "weights", "z0", "dynamics", "n_inventory", "n_mispricing",
+    "n_actions", "quad_order", "exponent", "sweeps", "forms", "curvature_values", "scale_values",
 }
 # By the type of a leaf's value: the word its refusal uses, the values of
 # another JSON type, and the numbers that are no finite float.
@@ -1025,6 +1025,71 @@ class TestConfigRefusals:
             assert word in err["detail"] and field.rpartition(".")[2] in err["detail"], fault
         assert len(faults) > 150  # 193 to 285 on these configs
 
+    TABLE1 = problem_to_dict(SCENARIOS["table1"](1.0))
+
+    @pytest.mark.parametrize(
+        "command, base, steps, value, field",
+        [
+            ("hook-mean-variance", HOOK_CONFIG, ("total_trade",), 0, "total_trade"),
+            ("hook-mean-variance", HOOK_CONFIG, ("curvature",), -1, "curvature"),
+            ("hook-mean-variance", HOOK_CONFIG, ("hook_reserves", 0), 0, "hook_reserves"),
+            ("hook-frontier", HOOK_CONFIG, ("cpmm_reserves", 1), -1e308, "cpmm_reserves"),
+            ("hook-frontier", HOOK_CONFIG, ("risk_aversion",), -1e308, "risk_aversion"),
+            ("route", TABLE1, ("markets", 1, "assets"), [0, 7], "markets[1].assets"),
+            ("route", TABLE1, ("markets", 1, "assets"), [0, 0], "markets[1].assets"),
+            ("route", TABLE1, ("orders", 1, "output"), 3, "orders[1].output"),
+            ("route", TABLE1, ("utility", "liquidate", "input"), -1, "utility.liquidate.input"),
+        ],
+    )
+    def test_top_level_range_check_names_its_key(self, tmp_path, refused, command, base, steps, value, field):
+        config = write_json(tmp_path / "config.json", with_fault(base, steps, value))
+        options = {"route": ["--s", "0:1:2"], "hook-frontier": ["--grid", "0:40:5"]}.get(command, [])
+        argv = [command, "--problem" if command == "route" else "--config", config, *options]
+        assert refused(argv)["field"] == field
+
+
+def float_leaves(node, steps=()):
+    """The steps to every float leaf of the JSON `node`."""
+    if isinstance(node, float):
+        yield steps
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from float_leaves(value, steps + (key,))
+
+
+class TestExtremeValues:
+    """Every float leaf of the liquidation config at 1e308, -1e308 or
+    5e-324 is solved with finite numbers only, or refused naming a key or an
+    option; the suite's warnings are errors, so an overflow fails too."""
+
+    RUNS = [
+        ["liquidate-solve", "--dump-times", "all"],
+        ["liquidate-simulate", "--paths", "3"],
+        ["compare-twamm", "--grid", "0:1:2", "--paths", "3"],
+    ]
+
+    def test_liquidation_config_walk(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        cases = 0
+        for steps in float_leaves(LIQ_CONFIG):
+            for value in (1e308, -1e308, 5e-324):
+                write_json(config, with_fault(LIQ_CONFIG, steps, value))
+                for command, *options in self.RUNS:
+                    case = (key_path(steps), value, command)
+                    out = tmp_path / f"run{cases}"
+                    cases += 1
+                    code = main([command, "--config", str(config), *options, "--out", str(out)])
+                    if code == 2:
+                        [line] = capsys.readouterr().out.splitlines()
+                        field = json.loads(line)["field"]
+                        assert re.split(r"[.\[]", field)[0] in (*LIQ_CONFIG, "paths", "grid"), case
+                        continue
+                    assert code == 0, case
+                    for table in out.glob("*.csv"):
+                        _, rows = read_rows(table)
+                        assert all(math.isfinite(float(cell)) for row in rows for cell in row), case
+        assert cases == 12 * 3 * 3
+
 
 class TestNonFiniteInputs:
     """Non-finite grids, and configs whose derived quantities overflow, are
@@ -1085,7 +1150,6 @@ class TestNonFiniteInputs:
         ("mdp", "inventory_cost", math.inf),
         ("pool", "reserve_in", math.inf),
         ("pool", "fee_bound_lower", math.nan),
-        ("pool", "external_price", math.inf),
         (None, "z0", math.nan),
         (None, "z0", -math.inf),
     ]
@@ -1382,7 +1446,7 @@ class TestImportPath:
             "solves = []\n"
             "def solve():\n"
             "    start.wait()\n"
-            "    solves.append(value_iteration(cfg, pool, params)[0].values.tobytes())\n"
+            "    solves.append(value_iteration(cfg, pool, params).values.tobytes())\n"
             "sys.setswitchinterval(1e-6)\n"
             "threads = [threading.Thread(target=solve) for _ in range(4)]\n"
             "for thread in threads:\n"

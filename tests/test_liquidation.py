@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hookroute import liquidation
-from hookroute.cfmm import MAX_SOLVE_BYTES
+from hookroute.cfmm import MAX_SOLVE_BYTES, FieldError
 from hookroute.liquidation import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -154,21 +154,21 @@ class TestReward:
 
 class TestValueIteration:
     def test_zero_inventory_row(self):
-        vf, pol = value_iteration(small_cfg(), small_pool(), MispricingParams(0, 1.0, 1))
-        assert np.all(vf.values[:, 0, :] == 0.0)
+        pol = value_iteration(small_cfg(), small_pool(), MispricingParams(0, 1.0, 1))
+        assert np.all(pol.values[:, 0, :] == 0.0)
         assert np.all(pol.action_index[:, 0, :] == 0)
 
     def test_prohibitive_gas_means_no_trading(self):
         cfg = small_cfg(gas=1e15, inventory_cost=0.0)
-        vf, pol = value_iteration(cfg, small_pool(), MispricingParams(0, 1.0, 1))
+        pol = value_iteration(cfg, small_pool(), MispricingParams(0, 1.0, 1))
         assert np.all(pol.action_index == 0)
-        assert np.all(vf.values == 0.0)
+        assert np.all(pol.values == 0.0)
 
     def test_value_largest_at_most_negative_mispricing(self):
         pool = PoolParams(1e4, 5000 * 1e4, 0.003, 0.003)
         cfg = small_cfg(horizon=40)
-        vf, _ = value_iteration(cfg, pool, MispricingParams(0.0, 8.0, 1.0))
-        v_row = vf.values[0, -1, :]
+        pol = value_iteration(cfg, pool, MispricingParams(0.0, 8.0, 1.0))
+        v_row = pol.values[0, -1, :]
         tol = 1e-9 * max(1.0, np.abs(v_row).max())
         assert np.all(np.diff(v_row) <= tol)
         assert int(np.argmax(v_row)) == 0
@@ -180,8 +180,6 @@ class TestValueIteration:
                 small_cfg(**{field: bad})
         with pytest.raises(ValueError, match="finite"):
             PoolParams(1e5, bad, 0.003, 0.003)
-        with pytest.raises(ValueError, match="finite"):
-            PoolParams(1e5, 5e8, 0.003, 0.003, external_price=bad)
         for args in ((bad, 1.0, 1.0), (0.0, bad, 1.0), (0.0, 1.0, bad)):
             with pytest.raises(ValueError, match="finite"):
                 MispricingParams(*args)
@@ -193,9 +191,9 @@ class TestValueIteration:
         fine = small_cfg(horizon=25, n_mispricing=101)
         v0 = []
         for cfg in (coarse, fine):
-            vf, _ = value_iteration(cfg, pool, params)
-            zmid = np.argmin(np.abs(vf.mispricing_grid))
-            v0.append(vf.values[0, -1, zmid])
+            pol = value_iteration(cfg, pool, params)
+            zmid = np.argmin(np.abs(pol.mispricing_grid))
+            v0.append(pol.values[0, -1, zmid])
         assert abs(v0[1] - v0[0]) < 0.02 * max(1.0, abs(v0[0]))
 
 
@@ -360,11 +358,11 @@ def assert_matches_reference(cfg, params, pool=None):
     """Solve with `value_iteration` and check every block against the reference loop."""
     pool = pool or small_pool()
     ref_values, ref_actions = reference_value_iteration(cfg, pool, params)
-    vf, pol = value_iteration(cfg, pool, params)
+    pol = value_iteration(cfg, pool, params)
     scale = max(1.0, np.abs(ref_values).max())
-    assert np.all(np.abs(vf.values - ref_values) <= 1e-12 * np.maximum(np.abs(ref_values), scale))
+    assert np.all(np.abs(pol.values - ref_values) <= 1e-12 * np.maximum(np.abs(ref_values), scale))
     assert np.array_equal(pol.action_index, ref_actions)
-    return vf
+    return pol
 
 
 class TestBackupOperator:
@@ -381,11 +379,11 @@ class TestBackupOperator:
         cfg = small_cfg(
             horizon=horizon, n_inventory=11, n_mispricing=13, n_actions=7, quad_order=5, dynamics=dynamics
         )
-        vf = assert_matches_reference(cfg, MispricingParams(0.0, 8.0, 1.0))
+        pol = assert_matches_reference(cfg, MispricingParams(0.0, 8.0, 1.0))
         if horizon == 30:
-            assert vf.backups < horizon
+            assert pol.backups < horizon
         else:
-            assert vf.backups == horizon
+            assert pol.backups == horizon
 
     @pytest.mark.parametrize(
         "overrides, volatility, pool",
@@ -403,10 +401,10 @@ class TestBackupOperator:
         cfg, params = small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0)
         ref_values, ref_actions, ref_backups = reference_operator_value_iteration(cfg, pool, params)
         force_workers(monkeypatch, workers)
-        vf, pol = value_iteration(cfg, pool, params)
-        assert vf.values.tobytes() == ref_values.tobytes()
+        pol = value_iteration(cfg, pool, params)
+        assert pol.values.tobytes() == ref_values.tobytes()
         assert pol.action_index.tobytes() == ref_actions.tobytes()
-        assert vf.backups == ref_backups
+        assert pol.backups == ref_backups
 
     def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
         # Eight workers write disjoint row blocks of the same value and action
@@ -414,16 +412,16 @@ class TestBackupOperator:
         # lost or misplaced write would change the bits.
         cfg, params = small_cfg(n_inventory=17), MispricingParams(0.0, 8.0, 1.0)
         force_workers(monkeypatch, 1)
-        ref, ref_pol = value_iteration(cfg, small_pool(), params)
+        ref = value_iteration(cfg, small_pool(), params)
         force_workers(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                vf, pol = value_iteration(cfg, small_pool(), params)
-                assert vf.values.tobytes() == ref.values.tobytes()
-                assert pol.action_index.tobytes() == ref_pol.action_index.tobytes()
-                assert vf.backups == ref.backups
+                pol = value_iteration(cfg, small_pool(), params)
+                assert pol.values.tobytes() == ref.values.tobytes()
+                assert pol.action_index.tobytes() == ref.action_index.tobytes()
+                assert pol.backups == ref.backups
         finally:
             sys.setswitchinterval(interval)
 
@@ -455,17 +453,17 @@ class TestBackupOperator:
         monkeypatch.setattr(sparse.csr_matrix, "__matmul__", counted)
         force_workers(monkeypatch, workers)
         cfg = small_cfg(horizon=3)
-        vf, _ = value_iteration(cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
-        assert vf.backups == 3
+        pol = value_iteration(cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        assert pol.backups == 3
         # Each backup: one inventory interpolation, then one product on each
         # row block, whose rows are whole inventory rows of the operator.
         n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
         interp = (n_a * n_i, n_i)
         blocks = [rows for rows, cols in products if (rows, cols) != interp and cols == n_a * n_i * n_z]
-        assert products.count(interp) == vf.backups
-        assert len(blocks) == len(products) - vf.backups == workers * vf.backups
+        assert products.count(interp) == pol.backups
+        assert len(blocks) == len(products) - pol.backups == workers * pol.backups
         assert all(rows % (n_z * n_a) == 0 for rows in blocks)
-        assert sum(blocks) == vf.backups * n_a * n_i * n_z
+        assert sum(blocks) == pol.backups * n_a * n_i * n_z
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_operator_blocks_store_no_zero_and_int32_indices(self, monkeypatch, workers):
@@ -580,7 +578,7 @@ class TestSimulation:
         cfg = small_cfg(gas=1e15, inventory_cost=0.0)
         pool = small_pool()
         params = MispricingParams(0, 1.0, 1)
-        _, pol = value_iteration(cfg, pool, params)
+        pol = value_iteration(cfg, pool, params)
         sim = simulate_policy(pol, cfg, pool, params, 5, seed=1)
         assert np.all(sim.inventory == cfg.inventory)
         assert np.all(sim.outputs == 0.0)
@@ -589,7 +587,7 @@ class TestSimulation:
         cfg = small_cfg(dynamics=ADDITIVE)
         pool = small_pool()
         params = MispricingParams(0.0, 0.0, 1.0)
-        _, pol = value_iteration(cfg, pool, params)
+        pol = value_iteration(cfg, pool, params)
         a = simulate_policy(pol, cfg, pool, params, 4, seed=3, z0=-0.002)
         b = simulate_policy(pol, cfg, pool, params, 4, seed=99, z0=-0.002)
         assert np.array_equal(a.inventory, b.inventory)
@@ -599,7 +597,7 @@ class TestSimulation:
         cfg = small_cfg()
         pool = small_pool()
         params = MispricingParams(0.0, 4.0, 1.0)
-        _, pol = value_iteration(cfg, pool, params)
+        pol = value_iteration(cfg, pool, params)
         sim = simulate_policy(pol, cfg, pool, params, 20, seed=7, z0=-0.003)
         assert np.all(np.diff(sim.inventory, axis=1) <= 1e-12)
         assert np.all(sim.inventory >= 0.0)
@@ -608,7 +606,7 @@ class TestSimulation:
         cfg = small_cfg()
         pool = small_pool()
         params = MispricingParams(0.0, 4.0, 1.0)
-        _, pol = value_iteration(cfg, pool, params)
+        pol = value_iteration(cfg, pool, params)
         a = simulate_policy(pol, cfg, pool, params, 8, seed=11, z0=-0.001)
         b = simulate_policy(pol, cfg, pool, params, 8, seed=11, z0=-0.001)
         assert np.array_equal(a.outputs, b.outputs)
@@ -657,10 +655,10 @@ class TestPolicyValue:
     def test_value_within_monte_carlo_error(self, monkeypatch, eps, workers):
         force_workers(monkeypatch, workers)
         pool = small_pool()
-        vf, policy = value_iteration(NOISY_CFG, pool, NOISY_PARAMS)
-        assert vf.backups == NOISY_CFG.horizon
+        policy = value_iteration(NOISY_CFG, pool, NOISY_PARAMS)
+        assert policy.backups == NOISY_CFG.horizon
         # V0 at the whole inventory, linear in z between grid points.
-        v0 = np.interp(0.0, vf.mispricing_grid, vf.values[0, -1])
+        v0 = np.interp(0.0, policy.mispricing_grid, policy.values[0, -1])
         values = policy_value(policy, NOISY_CFG, pool, NOISY_PARAMS, eps, 0.0)
         stderr = np.std(values, ddof=1) / math.sqrt(self.PATHS)
         assert abs(v0 - np.mean(values)) <= 3 * stderr + self.GRID_ALLOWANCE
@@ -672,13 +670,13 @@ class TestPolicyValue:
         v0 = []
         for n_mispricing in (51, 201):
             cfg = dataclasses.replace(NOISY_CFG, n_mispricing=n_mispricing)
-            vf, _ = value_iteration(cfg, pool, NOISY_PARAMS)
-            v0.append(np.interp(0.0, vf.mispricing_grid, vf.values[0, -1]))
+            policy = value_iteration(cfg, pool, NOISY_PARAMS)
+            v0.append(np.interp(0.0, policy.mispricing_grid, policy.values[0, -1]))
         assert abs(v0[1] - v0[0]) < 1e-3 * abs(v0[0])
 
     def test_sold_over_many_blocks(self):
         pool = small_pool()
-        _, policy = value_iteration(NOISY_CFG, pool, NOISY_PARAMS)
+        policy = value_iteration(NOISY_CFG, pool, NOISY_PARAMS)
         inventory = simulate_policy(policy, NOISY_CFG, pool, NOISY_PARAMS, 200, seed=3).inventory
         # Neither sold whole in block 0 nor held whole to the horizon, and
         # the noise gives the paths different schedules.
@@ -803,7 +801,7 @@ class TestCompareVsTwamm:
         assert draws == [(12, 15, 21)]
         for sigma, mean, _ in results:
             params = MispricingParams(0.0, sigma, 1.0)
-            _, policy = value_iteration(cfg, pool, params)
+            policy = value_iteration(cfg, pool, params)
             sim = simulate_policy(policy, cfg, pool, params, 12, seed=21, z0=-0.003)
             tw = twamm_mean(cfg, pool, params, 12, seed=21, z0=-0.003)
             assert mean == pytest.approx(np.mean(sim.outputs) - tw, rel=0.0, abs=1e-9 * abs(tw))
@@ -845,9 +843,9 @@ class TestFeeBand:
     @pytest.mark.parametrize("dynamics", [MULTIPLICATIVE, ADDITIVE])
     def test_grid_is_the_band(self, dynamics, volatility, pool):
         cfg = small_cfg(horizon=3, n_inventory=5, n_mispricing=21, n_actions=3, quad_order=3, dynamics=dynamics)
-        vf, policy = value_iteration(cfg, pool, MispricingParams(0.0, volatility, 1.0))
+        policy = value_iteration(cfg, pool, MispricingParams(0.0, volatility, 1.0))
         band = np.linspace(-pool.fee_bound_lower, pool.fee_bound_upper, cfg.n_mispricing)
-        assert np.array_equal(vf.mispricing_grid, band)
+        assert np.array_equal(policy.mispricing_grid, band)
         assert np.array_equal(policy.mispricing_grid, band)
 
     @pytest.mark.parametrize("pool", [small_pool(), skewed_pool()], ids=["symmetric", "asymmetric"])
@@ -866,12 +864,12 @@ class TestFeeBand:
         pool = PoolParams(1e5, 5000 * 1e5, 0.0, 0.0)
         cfg = small_cfg(horizon=5, dynamics=dynamics)
         params = MispricingParams(0.0, 2.0, 1.0)
-        vf, policy = value_iteration(cfg, pool, params)
-        assert vf.mispricing_grid[0] == 0.0
-        assert vf.mispricing_grid[-1] == 1e-12
-        assert np.all(np.isfinite(vf.values))
+        policy = value_iteration(cfg, pool, params)
+        assert policy.mispricing_grid[0] == 0.0
+        assert policy.mispricing_grid[-1] == 1e-12
+        assert np.all(np.isfinite(policy.values))
         # Both grid ends clamp to the one point of the band.
-        assert np.array_equal(vf.values[..., 0], vf.values[..., -1])
+        assert np.array_equal(policy.values[..., 0], policy.values[..., -1])
         sim = simulate_policy(policy, cfg, pool, params, 4, seed=1)
         assert np.all(np.isfinite(sim.outputs))
 
@@ -881,7 +879,7 @@ class TestFeeBand:
         pool = PoolParams(1e5, 5000 * 1e5, 0.003, 0.003)
         cfg = MdpConfig(horizon=10, inventory=100.0, gas=2.0, inventory_cost=0.1, discount=0.01)
         params = MispricingParams(0.0, volatility, 1.0)
-        _, policy = value_iteration(cfg, pool, params)
+        policy = value_iteration(cfg, pool, params)
         sim = simulate_policy(policy, cfg, pool, params, 50, seed=11, z0=-0.003)
         assert np.all(sim.inventory[:, -1] == 0.0)
         [(_, mean, _)] = compare_vs_twamm([volatility], cfg, pool, params, 50, seed=11, z0=-0.003)
@@ -905,7 +903,6 @@ class TestRefusals:
             (lambda: PoolParams(1.0, -1.0, 0.003, 0.003), "reserves must be positive"),
             (lambda: PoolParams(1.0, 1.0, -0.003, 0.003), "fee bounds"),
             (lambda: PoolParams(1.0, 1.0, 0.003, -0.003), "fee bounds"),
-            (lambda: PoolParams(1.0, 1.0, 0.003, 0.003, external_price=0.0), "external price"),
             (lambda: PoolParams(5e-324, 5e8, 0.003, 0.003), "finite and positive"),
             (lambda: PoolParams(1e5, 1e308, 0.003, 0.003), "finite and positive"),
             (lambda: PoolParams(1e5, 5e8, 1e9, 0.003), "finite and positive"),
@@ -938,10 +935,22 @@ class TestRefusals:
             value_iteration(cfg, small_pool(), params)
         liquidation.check_transition(cfg, small_pool(), MispricingParams(700.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("key, value", [("inventory", 1e308), ("inventory_cost", 1e308), ("gas", 1e200)])
+    def test_overflowing_rewards_refused(self, key, value):
+        # A gas of 1e200 keeps every value and path total finite, but once
+        # overflowed the squares of compare_vs_twamm's standard error.
+        grid = dict(horizon=2, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
+        with pytest.raises(FieldError, match="path totals") as refusal:
+            value_iteration(small_cfg(**grid, **{key: value}), small_pool(), MispricingParams(0.0, 1.0, 1.0))
+        assert refusal.value.field == "mdp"
+        cfg = small_cfg(**grid, gas=1e100, inventory=1e100)
+        excess = compare_vs_twamm([0.0, 8.0], cfg, small_pool(), MispricingParams(0.0, 1.0, 1.0), 20, seed=3)
+        assert np.isfinite(excess).all()
+
     def test_policy_of_another_shape_refused(self):
         cfg = small_cfg(horizon=2, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
         params = MispricingParams(0.0, 1.0, 1.0)
-        _, policy = value_iteration(cfg, small_pool(), params)
+        policy = value_iteration(cfg, small_pool(), params)
         other = small_cfg(horizon=3, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
         with pytest.raises(ValueError, match="policy shape"):
             simulate_policy(policy, other, small_pool(), params, 2, seed=0)
