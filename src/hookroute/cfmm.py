@@ -29,11 +29,17 @@ MAX_SOLVE_BYTES = 10**9
 
 
 class FieldError(ValueError):
-    """A refused argument, named by its config key path in `field`."""
+    """A refused input, named in `field` by its config key path or
+    command-line option, `""` when it has none. The CLI exits 2 on any
+    `ValueError` and prints its `field`."""
 
-    def __init__(self, message, field):
+    def __init__(self, message, field=""):
         super().__init__(message)
         self.field = field
+
+
+class NoFeasibleRouteError(Exception):
+    """No directed path connects the input asset to the output asset."""
 
 
 def check_finite(**values):

@@ -28,9 +28,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .cfmm import check_budget
+from .cfmm import FieldError, NoFeasibleRouteError, check_budget
 from .serialize import (
-    ConfigError,
     hook_config_from_dict,
     liquidation_config_from_dict,
     load_json,
@@ -45,10 +44,6 @@ EXIT_INFEASIBLE = 4
 
 
 class SolverFailure(Exception):
-    pass
-
-
-class InfeasibleRoute(Exception):
     pass
 
 
@@ -80,24 +75,24 @@ def _grid_bounds(text, point_bytes=8, what=None):
     quantity, the start, the grid's least value, must not be negative."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigError(f"grid {text!r} must look like start:stop:count", "grid")
+        raise FieldError(f"grid {text!r} must look like start:stop:count", "grid")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError as exc:
-        raise ConfigError(f"grid {text!r}: {exc}", "grid") from exc
+        raise FieldError(f"grid {text!r}: {exc}", "grid") from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ConfigError(f"grid {text!r}: start and stop must be finite", "grid")
+        raise FieldError(f"grid {text!r}: start and stop must be finite", "grid")
     if count < 1:
-        raise ConfigError("grid count must be at least 1", "grid")
+        raise FieldError("grid count must be at least 1", "grid")
     try:
         check_budget(count * point_bytes, f"the grid's {count} points", "grid points")
     except ValueError as exc:
-        raise ConfigError(f"grid {text!r}: {exc}", "grid") from exc
+        raise FieldError(f"grid {text!r}: {exc}", "grid") from exc
     if stop < start:
-        raise ConfigError("grid stop must not precede start", "grid")
+        raise FieldError("grid stop must not precede start", "grid")
     if what is not None and start < 0:
-        raise ConfigError(f"grid {text!r}: {what} must be nonnegative", "grid")
+        raise FieldError(f"grid {text!r}: {what} must be nonnegative", "grid")
     return start, stop, count
 
 
@@ -187,13 +182,10 @@ def write_run(args, record, tables):
 
 def _solve_curve_strict(problem, grid):
     """`routing.solve_curve`, the CLI's one call into the routing solver,
-    whose infeasible route and uncertified solves become CLI exceptions."""
+    whose uncertified solves become a `SolverFailure`."""
     from . import routing
 
-    try:
-        solutions = routing.solve_curve(problem, grid)
-    except routing.NoFeasibleRouteError as exc:
-        raise InfeasibleRoute(str(exc)) from exc
+    solutions = routing.solve_curve(problem, grid)
     bad = [s for s in solutions if s.status != routing.STATUS_OPTIMAL]
     if bad:
         raise SolverFailure(
@@ -238,14 +230,14 @@ def _load_problem(spec_text):
         return problem_from_dict(load_json(spec_text, "problem"))
     if spec_text in SCENARIOS:
         return SCENARIOS[spec_text](0.0)
-    raise ConfigError(
+    raise FieldError(
         f"problem {spec_text!r} is neither a file nor a built-in scenario", "problem"
     )
 
 
 def cmd_route(args):
     if args.s is None:
-        raise ConfigError("route needs --s", "grid")
+        raise FieldError("route needs --s", "grid")
     # A bad --s, one whose floats alone would not fit included, is named
     # before the problem is read.
     _grid_bounds(args.s, what="budget")
@@ -279,9 +271,9 @@ def _dump_times(text, horizon):
     try:
         times = [int(t) for t in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"dump times {text!r}: {exc}", "dump-times") from exc
+        raise FieldError(f"dump times {text!r}: {exc}", "dump-times") from exc
     if any(not 0 <= t < horizon for t in times):
-        raise ConfigError("dump time outside the horizon", "dump-times")
+        raise FieldError("dump time outside the horizon", "dump-times")
     return times
 
 
@@ -291,11 +283,11 @@ def _check_sampling(args, cfg):
     from .liquidation import check_paths
 
     if args.seed < 0:
-        raise ConfigError(f"--seed {args.seed}: the seed must be nonnegative", "seed")
+        raise FieldError(f"--seed {args.seed}: the seed must be nonnegative", "seed")
     try:
         check_paths(args.paths, cfg.horizon)
     except ValueError as exc:
-        raise ConfigError(f"--paths: {exc}", "paths") from exc
+        raise FieldError(f"--paths: {exc}", "paths") from exc
 
 
 def policy_dump(policy, times):
@@ -361,6 +353,13 @@ def cmd_compare_twamm(args):
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
     sigma_grid = parse_grid(args.grid, what="volatility")
+    # The reader checked the config's own volatility; a swept one whose next
+    # mispricing overflows is refused here, before any solve, naming --grid.
+    for sigma in sigma_grid.tolist():
+        try:
+            liquidation.check_transition(cfg, pool, dataclasses.replace(params, volatility=sigma))
+        except ValueError as exc:
+            raise FieldError(f"--grid volatility {sigma!r}: {exc}", "grid") from exc
     results = liquidation.compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
     return record, [("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))]
 
@@ -482,13 +481,11 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, "config_parse", f"--out {args.out!r} cannot be made a directory", "out")
     try:
         record, tables = args.fn(args)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, "config_parse", str(exc), exc.field)
     except ValueError as exc:
-        return _fail(EXIT_CONFIG, "config_parse", str(exc))
+        return _fail(EXIT_CONFIG, "config_parse", str(exc), getattr(exc, "field", ""))
     except SolverFailure as exc:
         return _fail(EXIT_SOLVER, "solver_nonconvergence", str(exc))
-    except InfeasibleRoute as exc:
+    except NoFeasibleRouteError as exc:
         return _fail(EXIT_INFEASIBLE, "infeasible", str(exc))
     try:
         write_run(args, record, tables)

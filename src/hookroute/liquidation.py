@@ -225,7 +225,7 @@ def reward(inventory, z, trade_size, cfg: MdpConfig, pool: PoolParams):
     return improvement - cfg.gas * (np.asarray(trade_size) > 0) - cfg.inventory_cost * np.asarray(inventory)
 
 
-def check_transition(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
+def check_transition(cfg: MdpConfig, pool: PoolParams, params: MispricingParams, noise=None):
     """Raise a `FieldError` unless every number that a solve, a simulation
     or a TWAMM comparison computes stays finite, checked at the solve's
     corners.
@@ -233,8 +233,10 @@ def check_transition(cfg: MdpConfig, pool: PoolParams, params: MispricingParams)
     The next mispricing is monotone in the mispricing, the trade size and
     the noise, so the corners of the grid, trade sizes 0 and `inventory` and
     the outer quadrature nodes bound every node; a non-finite one would
-    index past the grid when `_bracket` casts it (`mispricing`). A block's
-    reward, or a simulated block's output net of gas, is at most the
+    index past the grid when `_bracket` casts it (`mispricing`). A
+    simulation steps with the standard normal draws `noise`, which may lie
+    past those nodes: the least and the greatest of them are checked too. A
+    block's reward, or a simulated block's output net of gas, is at most the
     largest sale's output, of `inventory` at the band's highest price, plus
     gas and carry. A value or a path sums `horizon` of them, and
     `compare_vs_twamm` sums the excesses and their squared spreads over the
@@ -243,6 +245,8 @@ def check_transition(cfg: MdpConfig, pool: PoolParams, params: MispricingParams)
     """
     z_ends = _grids(cfg, pool)[1][[0, -1], None, None]
     nodes = _gauss_hermite(cfg.quad_order)[0][[0, -1]]
+    if noise is not None:
+        nodes = np.append(nodes, [noise.min(), noise.max()])
     with np.errstate(all="ignore"):
         try:
             z_next = step_mispricing(z_ends, np.array([[0.0], [cfg.inventory]]), nodes, params, pool, cfg.dynamics)
@@ -431,7 +435,11 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
         z_next = step_mispricing(
             z_grid[None, :, None], sizes[i0:i1, None, None], eps[None, None, :], params, pool, cfg.dynamics
         )
-        lo, w = _bracket((z_next - z_grid[0]) / dz, n_z)
+        # A finite next mispricing far past the grid may put its position
+        # past the float range; `_bracket` clips the infinity to the grid's end.
+        with np.errstate(over="ignore"):
+            pos = (z_next - z_grid[0]) / dz
+        lo, w = _bracket(pos, n_z)
         built = _two_point_rows(lo, w, node_w, ((i1 - i0) * n_z, n_z))
         built.sum_duplicates()
         built.eliminate_zeros()
@@ -527,7 +535,9 @@ def simulate_policy(
     """Monte Carlo of the stored policy: nearest-grid action, inventory-capped."""
     if policy.action_index.shape != (cfg.horizon, cfg.n_inventory, cfg.n_mispricing):
         raise ValueError("policy shape does not match the configuration")
-    return _simulate(policy.sale, cfg.gas, cfg, pool, params, _noise_matrix(n_paths, cfg.horizon, seed), z0)
+    eps = _noise_matrix(n_paths, cfg.horizon, seed)
+    check_transition(cfg, pool, params, eps)
+    return _simulate(policy.sale, cfg.gas, cfg, pool, params, eps, z0)
 
 
 def _simulate(sale, trade_gas, cfg, pool, params, eps, z0):
@@ -575,9 +585,11 @@ def compare_vs_twamm(
     noise paths, drawn once. Returns (sigma, mean excess, standard error)
     triples.
     """
-    # Every volatility is checked before the first solve.
+    # Every volatility is checked, on the drawn noise too, before the first solve.
     grid = [MispricingParams(params.drift, float(sigma), params.dt) for sigma in sigma_grid]
     eps = _noise_matrix(n_paths, cfg.horizon, seed)
+    for params_s in grid:
+        check_transition(cfg, pool, params_s, eps)
 
     def uniform(t, inventory, z):
         return cfg.inventory / cfg.horizon

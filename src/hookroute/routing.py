@@ -41,6 +41,7 @@ from .cfmm import (
     FieldError,
     LimitOrder,
     Market,
+    NoFeasibleRouteError,
     Trade2,
     check_budget,
     trading_function,
@@ -53,10 +54,6 @@ STATUS_MAX_ITER = "max_iter"
 # TOL * max(1, |bound|).
 TOL = 1e-7
 MAX_ITER = 200
-
-
-class NoFeasibleRouteError(Exception):
-    """No directed path connects the input asset to the output asset."""
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ constructor. `problem_to_dict` writes records through the same specs.
 
 Every number is read as a finite float, and every list of numbers as a
 tuple of finite floats, except a sweep's value lists, which keep their JSON
-numbers. Every refusal is a `ConfigError` whose `field` names the path of
-the key at fault, such as `mdp.gas`, `markets[0].reserves` or
+numbers. Every refusal is a `cfmm.FieldError` whose `field` names the path
+of the key at fault, such as `mdp.gas`, `markets[0].reserves` or
 `mdp.z_bounds`: a wrong type, a non-finite number, a bad list, an unknown
 key and a missing key alike. A value that is not a JSON object names its
-own path (`""` for the file itself). The one exception is a value that a
-nested record's range checks refuse: it names the record (`pool`,
-`markets[0]`). The top level's constructor, and the liquidation config's
-corner check, raise a `FieldError` that names the key at fault.
+own path (`""` for the file itself). A `ValueError` that a record's
+constructor or check raises names the record's path joined to the error's
+own `field`: a nested record's range checks name the record (`pool`,
+`markets[0]`), the top level's constructor and the liquidation config's
+corner check the key at fault.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ if TYPE_CHECKING:
     from .routing import RoutingProblem
 
 
-class ConfigError(Exception):
-    """A config file failed to parse or validate; `field` names the culprit."""
-
-    def __init__(self, message, field=""):
-        super().__init__(message)
-        self.field = field
-
-
 _REQUIRED = object()
 _OMIT = object()
 
@@ -54,12 +47,12 @@ class _Key(NamedTuple):
 
 
 def _join(path, key):
-    return f"{path}.{key}" if path else key
+    return f"{path}.{key}" if path and key else path or key
 
 
 def _object(record, path):
     if not isinstance(record, dict):
-        raise ConfigError(f"{path or 'the top level'} must be a JSON object", path)
+        raise FieldError(f"{path or 'the top level'} must be a JSON object", path)
     return record
 
 
@@ -67,7 +60,7 @@ def _record(record, path, spec):
     """The values of `record`, a JSON object at `path`, by attribute."""
     unknown = sorted(set(_object(record, path)) - set(spec))
     if unknown:
-        raise ConfigError(
+        raise FieldError(
             f"unknown keys {unknown} in {path or 'the top level'}, which takes {list(spec)}",
             _join(path, unknown[0]),
         )
@@ -76,21 +69,18 @@ def _record(record, path, spec):
         if key in record:
             values[entry.attr or key] = entry.read(record[key], path, key)
         elif entry.default is _REQUIRED:
-            raise ConfigError(f"missing required field {_join(path, key)!r}", _join(path, key))
+            raise FieldError(f"missing required field {_join(path, key)!r}", _join(path, key))
         elif entry.default is not _OMIT:
             values[entry.attr or key] = entry.default
     return values
 
 
 def _wrap(fn, path):
-    """fn(), a ValueError refused naming `path`, joined to the key a
-    `FieldError` names."""
+    """fn(), a ValueError refused naming `path` joined to its own `field`."""
     try:
         return fn()
-    except FieldError as exc:
-        raise ConfigError(str(exc), _join(path, exc.field)) from exc
     except ValueError as exc:
-        raise ConfigError(str(exc), path) from exc
+        raise FieldError(str(exc), _join(path, getattr(exc, "field", ""))) from exc
 
 
 def _build(cls, record, path, spec):
@@ -128,7 +118,7 @@ def _scalar(valid, kind, convert=None):
 
     def read(value, path, key):
         if not valid(value):
-            raise ConfigError(f"field {_join(path, key)!r} must be {kind}", _join(path, key))
+            raise FieldError(f"field {_join(path, key)!r} must be {kind}", _join(path, key))
         return convert(value) if convert else value
 
     return read
@@ -149,7 +139,7 @@ def _each(read_one):
 
     def read(value, path, key):
         if not isinstance(value, list):
-            raise ConfigError(f"field {_join(path, key)!r} must be a list", _join(path, key))
+            raise FieldError(f"field {_join(path, key)!r} must be a list", _join(path, key))
         return [read_one(entry, path, f"{key}[{i}]") for i, entry in enumerate(value)]
 
     return read
@@ -311,8 +301,8 @@ def load_json(path, option="config"):
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {option} {path}: {exc}", option) from exc
+        raise FieldError(f"cannot read {option} {path}: {exc}", option) from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(
+        raise FieldError(
             f"malformed JSON in {path}: {exc.msg}", f"line {exc.lineno} column {exc.colno}"
         ) from exc

@@ -18,14 +18,22 @@ import pytest
 
 import hookroute
 from hookroute import liquidation, noncomposable, routing
-from hookroute.cfmm import GEOMETRIC_MEAN, MAX_SOLVE_BYTES, PRODUCT, SUM, LimitOrder, Market
+from hookroute.cfmm import (
+    GEOMETRIC_MEAN,
+    MAX_SOLVE_BYTES,
+    PRODUCT,
+    SUM,
+    FieldError,
+    LimitOrder,
+    Market,
+    NoFeasibleRouteError,
+)
 from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, policy_dump, write_run
 from hookroute.liquidation import MdpConfig, Policy, check_paths, value_iteration
 from hookroute.noncomposable import SWEEP_POINT_BYTES
 from hookroute.routing import Liquidate, RoutingProblem
 from hookroute.scenarios import SCENARIOS
 from hookroute.serialize import (
-    ConfigError,
     hook_config_from_dict,
     liquidation_config_from_dict,
     problem_from_dict,
@@ -98,6 +106,24 @@ LIQ_CONFIG = {
     },
     "mispricing": {"drift": 0.0, "volatility": 1.0, "dt": 1.0},
     "z0": -0.003,
+}
+
+# The liquidation config that CI's console-script step writes: a 3-block
+# horizon on an 11 x 11 grid with 3 quadrature nodes.
+SMALL_LIQ_CONFIG = {
+    "mdp": {
+        "horizon": 3,
+        "inventory": 100.0,
+        "gas": 2.0,
+        "inventory_cost": 0.1,
+        "discount": 0.01,
+        "n_inventory": 11,
+        "n_mispricing": 11,
+        "n_actions": 5,
+        "quad_order": 3,
+    },
+    "pool": LIQ_CONFIG["pool"],
+    "mispricing": LIQ_CONFIG["mispricing"],
 }
 
 HOOK_CONFIG = {
@@ -189,10 +215,10 @@ class TestSerialize:
         assert problem_to_dict(rebuilt) == problem_to_dict(problem)
 
     def test_field_names_in_errors(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(FieldError) as err:
             problem_from_dict(one_market_record({"kind": "product"}))
         assert err.value.field == "markets[0].reserves"
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(FieldError) as err:
             problem_from_dict(one_market_record({"kind": "product", "reserves": [1, -1]}))
         assert err.value.field == "markets[0]"
 
@@ -217,10 +243,10 @@ class TestSerialize:
         assert problem_to_dict(problem_from_dict(record)) == record
 
     def test_out_of_range_values_refused(self):
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(FieldError) as err:
             problem_from_dict(one_market_record({"kind": "product", "reserves": [1, 1], "fee": 10**400}))
         assert err.value.field == "markets[0].fee"
-        with pytest.raises(ConfigError) as err:
+        with pytest.raises(FieldError) as err:
             problem_from_dict(one_market_record({"kind": "geometric_mean", "reserves": [], "weights": []}))
         assert err.value.field == "markets[0]"
 
@@ -239,7 +265,7 @@ class TestGridSyntax:
 
     def test_bad_grids(self):
         for text in ("0:10", "a:b:c", "0:10:0", "5:1:3", f"0:10:{MAX_SOLVE_BYTES // 8 + 1}"):
-            with pytest.raises(ConfigError):
+            with pytest.raises(FieldError):
                 parse_grid(text)
 
 
@@ -513,19 +539,33 @@ class TestRunContract:
 
     @pytest.mark.parametrize("command", [argv[0] for argv in VALID_ARGVS])
     def test_bare_value_error_is_exit_2(self, tmp_path, capsys, monkeypatch, command):
-        # A ValueError that no check turned into a ConfigError still exits 2,
-        # naming no field.
-        def bare(*args, **kwargs):
-            raise ValueError("bare")
+        # Every ValueError a command raises exits 2 by one clause of `main`,
+        # naming the `field` of a `FieldError` and none for a bare one.
+        for error, field in ((ValueError("bare"), ""), (FieldError("bare", "mdp"), "mdp")):
 
-        patch_solvers(monkeypatch, bare, *SOLVER_OWNERS)
+            def raising(*args, **kwargs):
+                raise error
+
+            patch_solvers(monkeypatch, raising, *SOLVER_OWNERS)
+            options, _ = contract_runs(tmp_path)[command]
+            out = tmp_path / "run"
+            assert main([command, *options, "--out", str(out)]) == 2
+            [line] = capsys.readouterr().out.splitlines()
+            assert json.loads(line) == {"error": "config_parse", "detail": "bare", "field": field}
+            assert listed(out) == []
+
+    @pytest.mark.parametrize("command", ["pigou", "route"])
+    def test_no_feasible_route_is_exit_4(self, tmp_path, capsys, monkeypatch, command):
+        def no_route(problem, grid):
+            raise NoFeasibleRouteError("no route")
+
+        patch_solvers(monkeypatch, no_route, "solve_curve")
         options, _ = contract_runs(tmp_path)[command]
         out = tmp_path / "run"
-        assert main([command, *options, "--out", str(out)]) == 2
+        assert main([command, *options, "--out", str(out)]) == 4
         [line] = capsys.readouterr().out.splitlines()
-        assert json.loads(line) == {"error": "config_parse", "detail": "bare", "field": ""}
+        assert json.loads(line) == {"error": "infeasible", "detail": "no route", "field": ""}
         assert listed(out) == []
-
 
     @pytest.mark.parametrize("command", [argv[0] for argv in VALID_ARGVS])
     def test_out_at_an_existing_file_is_exit_2(self, tmp_path, refused, command):
@@ -1191,6 +1231,46 @@ class TestNonFiniteInputs:
         [line] = result.stdout.splitlines()
         assert (json.loads(line)["error"], json.loads(line)["field"]) == ("config_parse", field)
         assert listed(tmp_path / "run") == []
+
+    def test_swept_volatility_refused_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # The config's own volatility passed when it was read; the sweep's
+        # 1e200 overflows the next mispricing and names --grid.
+        solves = []
+        original = liquidation.value_iteration
+        patch_solvers(monkeypatch, lambda *args: solves.append(args) or original(*args), "value_iteration")
+        config = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        out = tmp_path / "run"
+        argv = ["compare-twamm", "--config", config, "--grid", "0:1e200:2", "--paths", "3", "--out", str(out)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["field"]) == ("config_parse", "grid")
+        assert "1e+200" in err["detail"]
+        assert solves == []
+        assert listed(out) == []
+
+    @pytest.mark.parametrize(
+        "config, drift, volatility, paths, seed",
+        [
+            ("tests", 705.0, 2.0, 200, 0),
+            ("ci", 707.5, 1.0, 5000, 0),
+            ("ci", 707.5, 1.0, 5000, 1),
+            ("ci", 707.5, 1.0, 5000, 2),
+        ],
+    )
+    def test_simulated_draws_cannot_overflow_the_mispricing(self, tmp_path, capsys, config, drift, volatility, paths, seed):
+        # The solve's outer quadrature nodes keep the next mispricing finite,
+        # so it runs; the simulator's draws lie past them and once overflowed
+        # it, ending in an IndexError in `Policy.sale`.
+        base = LIQ_CONFIG if config == "tests" else SMALL_LIQ_CONFIG
+        record = dict(base, mispricing=dict(base["mispricing"], drift=drift, volatility=volatility), z0=0.0)
+        path = write_json(tmp_path / "liq.json", record)
+        assert main(["liquidate-solve", "--config", path, "--out", str(tmp_path / "solved")]) == 0
+        out = tmp_path / "run"
+        argv = ["liquidate-simulate", "--config", path, "--paths", str(paths), "--seed", str(seed), "--out", str(out)]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)
+        assert (err["error"], err["field"]) == ("config_parse", "mispricing")
+        assert listed(out) == []
 
     @pytest.mark.parametrize(
         "change, argv",

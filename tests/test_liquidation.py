@@ -835,6 +835,26 @@ class TestCompareVsTwamm:
         assert solves == []
 
 
+    def test_swept_volatility_checked_before_the_first_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(liquidation, "value_iteration", lambda *args: solves.append(args))
+        with pytest.raises(FieldError, match="next mispricing") as refusal:
+            compare_vs_twamm([0.0, 1e200], small_cfg(), small_pool(), MispricingParams(0, 1, 1), 4, seed=0)
+        assert refusal.value.field == "mispricing"
+        assert solves == []
+
+    def test_every_volatility_checked_on_the_drawn_noise(self, monkeypatch):
+        # The outer quadrature nodes accept drift 705 at volatility 2, but
+        # 200 paths of 12 blocks draw past them (see TestFeeBand).
+        solves = []
+        monkeypatch.setattr(liquidation, "value_iteration", lambda *args: solves.append(args))
+        cfg = small_cfg(horizon=12, inventory=100.0, n_inventory=15, n_mispricing=15, n_actions=6, quad_order=4)
+        with pytest.raises(FieldError, match="next mispricing") as refusal:
+            compare_vs_twamm([2.0], cfg, small_pool(), MispricingParams(705.0, 1.0, 1.0), 200, seed=0)
+        assert refusal.value.field == "mispricing"
+        assert solves == []
+
+
 class TestFeeBand:
     """The mispricing grid is the fee band; off the band, only the clamp counts."""
 
@@ -934,6 +954,28 @@ class TestRefusals:
         with pytest.raises(ValueError, match="next mispricing"):
             value_iteration(cfg, small_pool(), params)
         liquidation.check_transition(cfg, small_pool(), MispricingParams(700.0, 1.0, 1.0))
+
+    def test_simulated_draws_checked_at_their_extremes(self):
+        # At drift 705 and volatility 2 the largest shock, at trade size 0,
+        # is 703 + 2 x the largest draw: 707.7 at the outer node (2.33 at 4
+        # nodes), past ln of the largest float (709.78) beyond a draw of 3.39.
+        cfg = small_cfg(horizon=12, inventory=100.0, n_inventory=15, n_mispricing=15, n_actions=6, quad_order=4)
+        pool, params = small_pool(), MispricingParams(705.0, 2.0, 1.0)
+        policy = value_iteration(cfg, pool, params)
+        liquidation.check_transition(cfg, pool, params, np.array([[-3.3, 3.3]]))
+        with pytest.raises(FieldError, match="next mispricing") as refusal:
+            liquidation.check_transition(cfg, pool, params, np.array([[-3.3, 3.4]]))
+        assert refusal.value.field == "mispricing"
+        with pytest.raises(FieldError, match="next mispricing"):
+            simulate_policy(policy, cfg, pool, params, 200, seed=0, z0=0.0)
+        assert np.isfinite(simulate_policy(policy, cfg, pool, params, 2, seed=0, z0=0.0).outputs).all()
+
+    def test_next_mispricing_past_the_positions_float_range(self):
+        # At drift 707.5 the next mispricing stays finite, but its grid
+        # position (z - lo) / dz does not; the clip takes it to the grid's end.
+        cfg = small_cfg(horizon=3, inventory=100.0, n_inventory=11, n_mispricing=11, n_actions=5, quad_order=3)
+        policy = value_iteration(cfg, small_pool(), MispricingParams(707.5, 1.0, 1.0))
+        assert np.isfinite(policy.values).all()
 
     @pytest.mark.parametrize("key, value", [("inventory", 1e308), ("inventory_cost", 1e308), ("gas", 1e200)])
     def test_overflowing_rewards_refused(self, key, value):
