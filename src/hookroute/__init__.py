@@ -9,7 +9,6 @@ from .cfmm import (
     LimitOrder,
     Market,
     ModifiedExchangeCurve,
-    Trade2,
     compose_with_order,
     forward_exchange,
     marginal_rate,
@@ -25,7 +24,6 @@ __all__ = [
     "LimitOrder",
     "Market",
     "ModifiedExchangeCurve",
-    "Trade2",
     "compose_with_order",
     "forward_exchange",
     "marginal_rate",

@@ -93,6 +93,10 @@ class Market:
             raise ValueError("reserves must be strictly positive")
         if not 0.0 < self.fee <= 1.0:
             raise ValueError("fee must lie in (0, 1]")
+        if self.kind == SUM and max(self.reserves) / self.fee == math.inf:
+            # Routing trades a constant-sum pool as two limit orders, whose
+            # full fills tender reserve / fee.
+            raise ValueError("a constant-sum pool's reserve / fee must be finite")
 
     @property
     def n_assets(self) -> int:
@@ -125,18 +129,8 @@ class LimitOrder:
             raise ValueError("volume must be nonnegative")
         if self.input_asset == self.output_asset:
             raise ValueError("input and output asset must differ")
-
-
-@dataclass(frozen=True)
-class Trade2:
-    """A two-asset trade: z1 tendered, z2 received."""
-
-    z1: float
-    z2: float
-
-    def __post_init__(self):
-        if self.z1 < 0 or self.z2 < 0:
-            raise ValueError("trade legs must be nonnegative")
+        if self.volume / self.price == math.inf:
+            raise ValueError("a full fill tenders volume / price, which must be finite")
 
 
 def trading_function(market: Market, reserves) -> float:

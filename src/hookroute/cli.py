@@ -245,17 +245,11 @@ def cmd_route(args):
     grid, with_orders, rows = _order_curves(problem, args.s)
 
     def trade_rows():
+        trade_assets = problem.trade_assets
         for s, sol in zip(grid.tolist(), with_orders):
-            for market_id, ((_, assets), (tendered, received)) in enumerate(
-                zip(problem.markets, sol.market_trades)
-            ):
+            for market_id, (assets, (tendered, received)) in enumerate(zip(trade_assets, sol.market_trades)):
                 for asset, amount in zip(assets, (received - tendered).tolist()):
                     yield s, market_id, asset, amount
-            for market_id, (order, trade) in enumerate(
-                zip(problem.orders, sol.order_trades), len(problem.markets)
-            ):
-                yield s, market_id, order.input_asset, -trade.z1
-                yield s, market_id, order.output_asset, trade.z2
 
     record = {"problem": problem_to_dict(problem), "grid": args.s}
     return record, [
@@ -340,6 +334,10 @@ def cmd_liquidate_simulate(args):
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
     _check_sampling(args, cfg)
+    # The draws depend only on --paths, --seed and the horizon, so a run
+    # whose draws would overflow the next mispricing is refused before the
+    # solve; `simulate_policy` draws them again and checks them for itself.
+    liquidation.check_transition(cfg, pool, params, liquidation._noise_matrix(args.paths, cfg.horizon, args.seed))
     policy = liquidation.value_iteration(cfg, pool, params)
     sim = liquidation.simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
     rows = ((p, t, inventory) for p, path in enumerate(sim.inventory.tolist()) for t, inventory in enumerate(path))

@@ -76,8 +76,13 @@ class HookScenario:
         if self.total_trade <= 0:
             raise FieldError("total trade must be positive", "total_trade")
         for name in ("cpmm_reserves", "hook_reserves"):
-            if any(r <= 0 for r in getattr(self, name)):
-                raise FieldError("reserves must be positive", name)
+            r_in, r_out = getattr(self, name)
+            # The pool's output is computed from their product, the hook's
+            # from their ratio.
+            if not (r_in > 0 and r_out > 0 and 0 < r_in * r_out < math.inf and 0 < r_out / r_in < math.inf):
+                raise FieldError(
+                    f"reserves must be positive, with a finite, positive product and ratio; got {(r_in, r_out)}", name
+                )
         if not 0.0 <= self.curvature <= 1.0:
             raise FieldError("curvature must lie in [0, 1]", "curvature")
         if self.risk_aversion < 0:

@@ -42,7 +42,6 @@ from .cfmm import (
     LimitOrder,
     Market,
     NoFeasibleRouteError,
-    Trade2,
     check_budget,
     trading_function,
 )
@@ -94,12 +93,19 @@ class RoutingProblem:
                 if not 0 <= a < self.n_assets:
                     raise FieldError(f"{kind} asset out of range", f"{path}.{key}")
 
+    @property
+    def trade_assets(self) -> list[tuple[int, ...]]:
+        """The global assets of each of a solution's `market_trades`: each
+        market's, then each order's (input, output)."""
+        return [assets for _, assets in self.markets] + [(o.input_asset, o.output_asset) for o in self.orders]
+
 
 @dataclass
 class RoutingSolution:
     psi: np.ndarray
+    # (tendered, received) over `RoutingProblem.trade_assets`: one pair per
+    # market, then one per order.
     market_trades: list[tuple[np.ndarray, np.ndarray]]
-    order_trades: list[Trade2]
     utility_value: float
     status: str
     dual_prices: np.ndarray
@@ -159,17 +165,14 @@ def check_solve_size(problem: RoutingProblem):
 def solution_bytes(problem: RoutingProblem):
     """An upper bound on the bytes one `RoutingSolution` of `problem` holds,
     which a curve holds once per budget: 16 per asset (psi and the dual
-    prices) and per market leg (tendered and received), 320 per market (a
-    tuple of two trade arrays, each with a 112-byte header), 256 per order
-    (its `Trade2`) and 2048 for the rest. Traced: 1.3 KB on the pigou
-    network, 2.5 KB on table1, 625 KB on a 200-asset, 2000-pool network."""
-    legs = sum(market.n_assets for market, _ in problem.markets)
-    return (
-        2048
-        + 16 * (problem.n_assets + legs)
-        + 320 * len(problem.markets)
-        + 256 * len(problem.orders)
-    )
+    prices) and per leg of each trade (tendered and received), 512 per
+    trade, a market's or an order's (a tuple of two trade arrays, each with
+    a 112-byte header; about 280 traced) and 1700 for the rest (about 520
+    traced). Traced: 0.8 KB on the pigou network without its order, 2.8 KB
+    on table1, 636 KB on a 200-asset, 2000-pool network."""
+    trade_assets = problem.trade_assets
+    legs = sum(len(assets) for assets in trade_assets)
+    return 1700 + 16 * (problem.n_assets + legs) + 512 * len(trade_assets)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +255,8 @@ def arbitrage_subproblem(market: Market, assets, nu: np.ndarray):
     """
     nu = _positive(nu)
     if market.kind == SUM:
-        (ab, v_ab), (ba, v_ba) = (limit_order_subproblem(o, nu) for o in _sum_orders(market, assets))
-        return (np.array([ab.z1, ba.z1]), np.array([ba.z2, ab.z2])), v_ab + v_ba
+        ((d_ab, r_ab), v_ab), ((d_ba, r_ba), v_ba) = (limit_order_subproblem(o, nu) for o in _sum_orders(market, assets))
+        return (d_ab + d_ba[::-1], r_ab + r_ba[::-1]), v_ab + v_ba
     prog = _Program(RoutingProblem(len(nu), [(market, assets)], [], Liquidate(assets[0], assets[1], 0.0)))
     value, d, r = _best_responses(prog, nu[None])
     return (d[0], r[0]), float(value[0, 0])
@@ -262,15 +265,21 @@ def arbitrage_subproblem(market: Market, assets, nu: np.ndarray):
 def limit_order_subproblem(order: LimitOrder, nu: np.ndarray):
     """Best response of one order: fill fully iff the fill is not a loss.
 
-    Ties (price exactly at indifference) fill fully for determinism; the
-    objective value is unaffected there.
+    Returns ((tendered, received), value) over the order's (input, output)
+    assets, as `arbitrage_subproblem` does over a market's. Ties (price
+    exactly at indifference) fill fully for determinism; the objective value
+    is unaffected there.
     """
     nu = _positive(nu)
     margin = nu[order.output_asset] * order.price - nu[order.input_asset]
     if margin >= 0 and order.volume > 0:
-        z1 = order.volume / order.price
-        return Trade2(z1, order.volume), margin * order.volume / order.price
-    return Trade2(0.0, 0.0), 0.0
+        return _order_trade(order, order.volume), margin * order.volume / order.price
+    return _order_trade(order, 0.0), 0.0
+
+
+def _order_trade(order, fill):
+    """An order's (tendered, received) over its (input, output) at `fill` output."""
+    return np.array([fill / order.price, 0.0]), np.array([0.0, fill])
 
 
 # ---------------------------------------------------------------------------
@@ -794,11 +803,10 @@ def _solution(problem, budget, result):
             stop = leg + market.n_assets
             market_trades.append((d[leg:stop], r[leg:stop]))
             leg = stop
-    order_trades = [Trade2(fill / order.price, fill) for order, fill in zip(problem.orders, y.tolist())]
+    market_trades += [_order_trade(order, fill) for order, fill in zip(problem.orders, y.tolist())]
     return RoutingSolution(
         psi=psi,
         market_trades=market_trades,
-        order_trades=order_trades,
         utility_value=float(psi[problem.utility.output_asset]),
         status=STATUS_OPTIMAL if passed else STATUS_MAX_ITER,
         dual_prices=prices,
@@ -857,24 +865,18 @@ def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> di
     """Feasibility diagnostics: reconstruction, trading-set, and budget slack,
     the last at the budget the solution was solved at, not the problem's."""
     psi = np.zeros(problem.n_assets)
-    worst_market = 0.0
-    for (market, assets), (d, r) in zip(problem.markets, solution.market_trades):
+    for assets, (d, r) in zip(problem.trade_assets, solution.market_trades):
         np.add.at(psi, list(assets), r - d)
+    worst_market = 0.0
+    for (market, _), (d, r) in zip(problem.markets, solution.market_trades):
         before = trading_function(market, market.reserves)
         after_reserves = np.asarray(market.reserves) + market.fee * d - r
         after = trading_function(market, np.clip(after_reserves, 0.0, None))
         worst_market = max(worst_market, (before - after) / max(1.0, abs(before)))
     worst_order = 0.0
-    for order, trade in zip(problem.orders, solution.order_trades):
-        psi[order.output_asset] += trade.z2
-        psi[order.input_asset] -= trade.z1
-        worst_order = max(
-            worst_order,
-            -(order.price * trade.z1 - trade.z2),
-            trade.z2 - order.volume,
-            -trade.z1,
-            -trade.z2,
-        )
+    for order, (d, r) in zip(problem.orders, solution.market_trades[len(problem.markets) :]):
+        # Each order pays at most `price` per unit tendered, up to `volume`.
+        worst_order = max(worst_order, r[1] - order.price * d[0], r[1] - order.volume, -d.min(), -r.min())
     recon = float(np.max(np.abs(psi - solution.psi))) if problem.n_assets else 0.0
     h_init = np.zeros(problem.n_assets)
     h_init[problem.utility.input_asset] = solution.budget

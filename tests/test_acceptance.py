@@ -77,10 +77,12 @@ def test_criterion_1_pigou_equivalence():
 def test_criterion_2_table1_consumption():
     grid = np.linspace(0.0, 500.0, 100)
     start = time.perf_counter()
-    with_orders = solve_curve(table1_problem(0.0), grid)
+    problem = table1_problem(0.0)
+    with_orders = solve_curve(problem, grid)
     elapsed = time.perf_counter() - start
-    without = solve_curve(dataclasses.replace(table1_problem(0.0), orders=[]), grid)
-    order_total = sum(t.z2 for t in with_orders[-1].order_trades)
+    without = solve_curve(dataclasses.replace(problem, orders=[]), grid)
+    # Each order's trade follows the markets' and receives its fill second.
+    order_total = sum(r[1] for _, r in with_orders[-1].market_trades[len(problem.markets) :])
     assert order_total == pytest.approx(60.0, abs=1e-3)
     for a, b in zip(with_orders, without):
         assert a.utility_value >= b.utility_value - 1e-6

@@ -11,7 +11,6 @@ from hookroute.cfmm import (
     SUM,
     LimitOrder,
     Market,
-    Trade2,
     compose_with_order,
     forward_exchange,
     marginal_rate,
@@ -57,8 +56,6 @@ class TestTradingFunction:
             LimitOrder(0.5, -1.0, 0, 1)
         with pytest.raises(ValueError):
             LimitOrder(0.5, 2.0, 1, 1)
-        with pytest.raises(ValueError):
-            Trade2(-1, 0)
 
 
 class TestNonFiniteRefused:
@@ -77,6 +74,19 @@ class TestNonFiniteRefused:
             LimitOrder(bad, 1.0, 0, 1)
         with pytest.raises(ValueError, match="finite"):
             LimitOrder(0.5, bad, 0, 1)
+
+    @pytest.mark.parametrize("price, volume", [(0.5, 1e308), (5e-324, 4.0)])
+    def test_limit_order_whose_full_fill_overflows(self, price, volume):
+        # A full fill tenders volume / price.
+        with pytest.raises(ValueError, match="volume / price"):
+            LimitOrder(price, volume, 0, 1)
+
+    @pytest.mark.parametrize("reserves, fee", [((1.0, 1e308), 0.5), ((10.0, 10.0), 5e-324)])
+    def test_sum_market_whose_orders_overflow(self, reserves, fee):
+        # Routing trades a constant-sum pool as two orders at price `fee`.
+        with pytest.raises(ValueError, match="reserve / fee"):
+            Market(SUM, reserves, fee)
+        assert Market(PRODUCT, reserves, fee).fee == fee
 
     def test_zero_volume_stays_legal(self):
         assert LimitOrder(0.5, 0.0, 0, 1).volume == 0.0

@@ -300,6 +300,26 @@ class TestCommands:
         path = write_json(tmp_path / "problem.json", problem_to_dict(problem))
         assert main(["route", "--problem", path, "--s", "0:5:4", "--out", str(tmp_path / "o")]) == 0
 
+    def test_route_trades_sum_to_psi(self, tmp_path):
+        # Every market and order is one `market_id`, orders after the pools:
+        # the rows of one budget sum, per asset, to the solution's net trade.
+        out = tmp_path / "o"
+        assert main(["route", "--problem", "table1", "--s", "0:500:6", "--out", str(out)]) == 0
+        problem = SCENARIOS["table1"](0.0)
+        budgets = [0.0, 100.0, 500.0]
+        psi = {s: sol.psi for s, sol in zip(budgets, routing.solve_curve(problem, budgets))}
+        sums = {s: np.zeros(problem.n_assets) for s in budgets}
+        ids = set()
+        for s, market_id, asset, amount in read_rows(out / "route_trades.csv")[1]:
+            if float(s) in sums:
+                sums[float(s)][int(asset)] += float(amount)
+                ids.add(int(market_id))
+        assert ids == set(range(len(problem.markets) + len(problem.orders)))
+        u = {float(s): float(u_with) for s, u_with, _ in read_rows(out / "route_output.csv")[1]}
+        for s in budgets:
+            np.testing.assert_allclose(sums[s], psi[s], rtol=0.0, atol=1e-9)
+            assert sums[s][problem.utility.output_asset] == pytest.approx(u[s], rel=0.0, abs=1e-9)
+
     def test_route_problem_file_at_scale(self, tmp_path):
         # 200 assets and 2000 pools: each budget's Newton step is one 200 x 200 matrix.
         path = write_json(tmp_path / "net.json", problem_to_dict(scale_network(0, 200, 2000)))
@@ -1075,6 +1095,15 @@ class TestConfigRefusals:
             ("hook-mean-variance", HOOK_CONFIG, ("hook_reserves", 0), 0, "hook_reserves"),
             ("hook-frontier", HOOK_CONFIG, ("cpmm_reserves", 1), -1e308, "cpmm_reserves"),
             ("hook-frontier", HOOK_CONFIG, ("risk_aversion",), -1e308, "risk_aversion"),
+            # Finite reserves whose product or ratio is not: these runs once
+            # wrote non-finite cells or warned.
+            ("hook-mean-variance", HOOK_CONFIG, ("cpmm_reserves", 0), 1e308, "cpmm_reserves"),
+            ("hook-frontier", HOOK_CONFIG, ("cpmm_reserves", 0), 1e308, "cpmm_reserves"),
+            ("hook-mean-variance", HOOK_CONFIG, ("cpmm_reserves", 1), 1e308, "cpmm_reserves"),
+            ("hook-frontier", HOOK_CONFIG, ("cpmm_reserves", 1), 1e308, "cpmm_reserves"),
+            ("hook-mean-variance", HOOK_CONFIG, ("hook_reserves", 0), 5e-324, "hook_reserves"),
+            ("hook-frontier", HOOK_CONFIG, ("hook_reserves", 0), 5e-324, "hook_reserves"),
+            ("hook-mean-variance", HOOK_CONFIG, ("hook_reserves", 1), 1e308, "hook_reserves"),
             ("route", TABLE1, ("markets", 1, "assets"), [0, 7], "markets[1].assets"),
             ("route", TABLE1, ("markets", 1, "assets"), [0, 0], "markets[1].assets"),
             ("route", TABLE1, ("orders", 1, "output"), 3, "orders[1].output"),
@@ -1168,6 +1197,23 @@ class TestNonFiniteInputs:
             pytest.param(("orders", 0, "volume"), math.inf, "orders[0].volume", id="path4-inf-orders[0]"),
             pytest.param(("orders", 0, "price"), math.nan, "orders[0].price", id="path5-nan-orders[0]"),
             pytest.param(("n_assets",), 10**9, "n_assets", id="path6-1000000000-n_assets"),
+            # Finite, but a full fill would tender volume / price = inf.
+            pytest.param(("orders", 0, "volume"), 1e308, "orders[0]", id="volume-1e308-orders[0]"),
+            pytest.param(("orders", 0, "price"), 5e-324, "orders[0]", id="price-5e-324-orders[0]"),
+            # A constant-sum pool routes as two orders that tender reserve /
+            # fee in full; the market is named, not the solve size they reach.
+            pytest.param(
+                ("markets",),
+                [*ROUTE_PROBLEM["markets"], {"kind": "sum", "reserves": [1e308, 1.0], "fee": 0.5, "assets": [1, 2]}],
+                "markets[2]",
+                id="sum-reserve-1e308-markets[2]",
+            ),
+            pytest.param(
+                ("markets",),
+                [*ROUTE_PROBLEM["markets"], {"kind": "sum", "reserves": [10.0, 10.0], "fee": 5e-324, "assets": [1, 2]}],
+                "markets[2]",
+                id="sum-fee-5e-324-markets[2]",
+            ),
         ],
     )
     def test_route_problem_refused_before_solving(self, tmp_path, refused, path, value, field):
@@ -1257,20 +1303,17 @@ class TestNonFiniteInputs:
             ("ci", 707.5, 1.0, 5000, 2),
         ],
     )
-    def test_simulated_draws_cannot_overflow_the_mispricing(self, tmp_path, capsys, config, drift, volatility, paths, seed):
+    def test_simulated_draws_cannot_overflow_the_mispricing(self, tmp_path, refused, config, drift, volatility, paths, seed):
         # The solve's outer quadrature nodes keep the next mispricing finite,
         # so it runs; the simulator's draws lie past them and once overflowed
-        # it, ending in an IndexError in `Policy.sale`.
+        # it, ending in an IndexError in `Policy.sale`. The draws are checked
+        # before the solve, so no solver runs.
         base = LIQ_CONFIG if config == "tests" else SMALL_LIQ_CONFIG
         record = dict(base, mispricing=dict(base["mispricing"], drift=drift, volatility=volatility), z0=0.0)
         path = write_json(tmp_path / "liq.json", record)
         assert main(["liquidate-solve", "--config", path, "--out", str(tmp_path / "solved")]) == 0
-        out = tmp_path / "run"
-        argv = ["liquidate-simulate", "--config", path, "--paths", str(paths), "--seed", str(seed), "--out", str(out)]
-        assert main(argv) == 2
-        err = json.loads(capsys.readouterr().out)
-        assert (err["error"], err["field"]) == ("config_parse", "mispricing")
-        assert listed(out) == []
+        argv = ["liquidate-simulate", "--config", path, "--paths", str(paths), "--seed", str(seed)]
+        assert refused(argv)["field"] == "mispricing"
 
     @pytest.mark.parametrize(
         "change, argv",

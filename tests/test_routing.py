@@ -15,7 +15,6 @@ from hookroute.cfmm import (
     SUM,
     LimitOrder,
     Market,
-    Trade2,
     compose_with_order,
     forward_exchange,
     forward_exchange_batch,
@@ -104,7 +103,6 @@ def solution_bits(sol):
         sol.psi.tobytes(),
         sol.dual_prices.tobytes(),
         [(d.tobytes(), r.tobytes()) for d, r in sol.market_trades],
-        sol.order_trades,
     )
 
 
@@ -547,20 +545,46 @@ def explicit_sum_orders(problem):
 class TestLimitOrderSubproblem:
     def test_losing_fill_declined(self):
         order = LimitOrder(0.5, 2.0, 0, 1)
-        trade, val = limit_order_subproblem(order, np.array([1.0, 1.0]))
-        assert (trade.z1, trade.z2, val) == (0.0, 0.0, 0.0)
+        (d, r), val = limit_order_subproblem(order, np.array([1.0, 1.0]))
+        assert (*d, *r, val) == (0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_profitable_fill(self):
         order = LimitOrder(0.5, 2.0, 0, 1)
-        trade, val = limit_order_subproblem(order, np.array([1.0, 3.0]))
-        assert (trade.z1, trade.z2) == (4.0, 2.0)
+        (d, r), val = limit_order_subproblem(order, np.array([1.0, 3.0]))
+        assert (*d, *r) == (4.0, 0.0, 0.0, 2.0)
         assert val == pytest.approx(3 * 2 - 4)
 
     def test_indifference_fills_fully(self):
         order = LimitOrder(0.5, 2.0, 0, 1)
-        trade, val = limit_order_subproblem(order, np.array([1.0, 2.0]))
-        assert (trade.z1, trade.z2) == (4.0, 2.0)
+        (d, r), val = limit_order_subproblem(order, np.array([1.0, 2.0]))
+        assert (*d, *r) == (4.0, 0.0, 0.0, 2.0)
         assert val == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nu", [[1.0, 1.0], [1.0, 3.0]])
+    def test_same_shape_as_a_market(self, nu):
+        # ((tendered, received), value), each trade array over the trading
+        # set's own assets.
+        nu = np.array(nu)
+        for (d, r), value in (
+            limit_order_subproblem(LimitOrder(0.5, 2.0, 0, 1), nu),
+            arbitrage_subproblem(Market(PRODUCT, (10.0, 10.0), 0.99), (0, 1), nu),
+        ):
+            assert d.shape == r.shape == (2,) and d.dtype == r.dtype == float
+            assert isinstance(value, float)
+
+    @pytest.mark.parametrize("nu", [[1.0, 1.2], [1.2, 1.0], [1.0, 1.0], [1.0, 0.99]])
+    def test_sum_market_is_its_two_orders(self, nu):
+        # A constant-sum market's best response is its two orders' answers,
+        # each over its own (input, output), composed on the market's assets.
+        nu = np.array([nu[1], 7.0, nu[0]])  # the market trades assets (2, 0)
+        market = Market(SUM, (10.0, 8.0), 0.99)
+        ab, ba = LimitOrder(0.99, 8.0, 2, 0), LimitOrder(0.99, 10.0, 0, 2)
+        (d_ab, r_ab), v_ab = limit_order_subproblem(ab, nu)
+        (d_ba, r_ba), v_ba = limit_order_subproblem(ba, nu)
+        (d, r), value = arbitrage_subproblem(market, (2, 0), nu)
+        np.testing.assert_array_equal(d, [d_ab[0], d_ba[0]])
+        np.testing.assert_array_equal(r, [r_ba[1], r_ab[1]])
+        assert value == v_ab + v_ba
 
     def test_grid_oracle_consistency(self):
         # One-order routing should match the subproblem's fill decision.
@@ -568,7 +592,7 @@ class TestLimitOrderSubproblem:
         problem = pair_problem([order], 10.0)
         sol = solve_routing(problem)
         assert sol.utility_value == pytest.approx(2.0, abs=1e-9)
-        assert sol.order_trades[0].z2 == pytest.approx(2.0, abs=1e-9)
+        assert sol.market_trades[0][1][1] == pytest.approx(2.0, abs=1e-9)
 
 
 class TestSolveRouting:
@@ -589,9 +613,11 @@ class TestSolveRouting:
             )
 
     def test_table1_consumes_orders(self):
-        sol = solve_routing(table1_problem(500.0))
+        problem = table1_problem(500.0)
+        sol = solve_routing(problem)
         assert sol.status == "optimal"
-        assert sum(t.z2 for t in sol.order_trades) == pytest.approx(60.0, abs=1e-3)
+        orders = sol.market_trades[len(problem.markets) :]
+        assert sum(r[1] for _, r in orders) == pytest.approx(60.0, abs=1e-3)
 
     def test_solution_invariants(self):
         for problem in (pigou_problem(7.0), table1_problem(120.0)):
@@ -665,7 +691,8 @@ class TestSolveRouting:
         )
         sol = solve_routing(problem)
         assert sol.status == "optimal"
-        assert sol.order_trades[0] == Trade2(0.0, 0.0)
+        d, r = sol.market_trades[1]
+        assert not d.any() and not r.any()
         assert sol.utility_value == pytest.approx(forward_exchange(problem.markets[0][0], 0, 1, 5.0), rel=1e-7)
         assert_feasible(problem, sol)
 
@@ -684,7 +711,8 @@ class TestSolveRouting:
         )
         sol = solve_routing(problem)
         assert sol.status == "optimal"
-        assert sol.order_trades[0] == Trade2(0.0, 0.0)
+        d, r = sol.market_trades[3]
+        assert not d.any() and not r.any()
         assert sol.psi[3] == 0.0 and sol.psi[4] == 0.0
         assert_feasible(problem, sol)
 
