@@ -271,19 +271,6 @@ def _dump_times(text, horizon):
     return times
 
 
-def _check_sampling(args, cfg):
-    """Refuse --seed and --paths before any solve: a negative seed, too few
-    paths, or too many for memory."""
-    from .liquidation import check_paths
-
-    if args.seed < 0:
-        raise FieldError(f"--seed {args.seed}: the seed must be nonnegative", "seed")
-    try:
-        check_paths(args.paths, cfg.horizon)
-    except ValueError as exc:
-        raise FieldError(f"--paths: {exc}", "paths") from exc
-
-
 def policy_dump(policy, times):
     """The `liquidation_solution` body of the blocks `times`, one string per
     time, its rows `t,I,z,value,action` in (inventory, mispricing) order.
@@ -333,13 +320,12 @@ def cmd_liquidate_simulate(args):
 
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
-    _check_sampling(args, cfg)
-    # The draws depend only on --paths, --seed and the horizon, so a run
-    # whose draws would overflow the next mispricing is refused before the
-    # solve; `simulate_policy` draws them again and checks them for itself.
-    liquidation.check_transition(cfg, pool, params, liquidation._noise_matrix(args.paths, cfg.horizon, args.seed))
+    noise = liquidation.draw_noise(args.paths, cfg.horizon, args.seed)
+    # A run whose draws would overflow the next mispricing is refused before
+    # the solve; `simulate_policy` checks them again for library callers.
+    liquidation.check_transition(cfg, pool, params, noise)
     policy = liquidation.value_iteration(cfg, pool, params)
-    sim = liquidation.simulate_policy(policy, cfg, pool, params, args.paths, args.seed, z0)
+    sim = liquidation.simulate_policy(policy, cfg, pool, params, noise, z0)
     rows = ((p, t, inventory) for p, path in enumerate(sim.inventory.tolist()) for t, inventory in enumerate(path))
     return record, [("inventory_paths", ("path", "t", "inventory"), csv_rows(rows))]
 
@@ -349,7 +335,7 @@ def cmd_compare_twamm(args):
 
     record = load_json(args.config)
     cfg, pool, params, z0 = liquidation_config_from_dict(record)
-    _check_sampling(args, cfg)
+    noise = liquidation.draw_noise(args.paths, cfg.horizon, args.seed)
     sigma_grid = parse_grid(args.grid, what="volatility")
     # The reader checked the config's own volatility; a swept one whose next
     # mispricing overflows is refused here, before any solve, naming --grid.
@@ -358,7 +344,7 @@ def cmd_compare_twamm(args):
             liquidation.check_transition(cfg, pool, dataclasses.replace(params, volatility=sigma))
         except ValueError as exc:
             raise FieldError(f"--grid volatility {sigma!r}: {exc}", "grid") from exc
-    results = liquidation.compare_vs_twamm(sigma_grid, cfg, pool, params, args.paths, args.seed, z0)
+    results = liquidation.compare_vs_twamm(sigma_grid, cfg, pool, params, noise, z0)
     return record, [("twamm_comparison", ("sigma", "mean_excess", "stderr"), csv_rows(results))]
 
 

@@ -503,9 +503,9 @@ def check_paths(n_paths, horizon):
     """Refuse a path count whose simulation arrays would pass `cfmm.MAX_SOLVE_BYTES`.
 
     A simulation, or a TWAMM comparison, holds two float arrays of
-    n_paths x (horizon + 1): the noise, which a comparison draws once for
-    all its volatilities and schedules, and the inventory path of the
-    schedule being simulated. The bound counts three, leaving one array of
+    n_paths x (horizon + 1): the noise (`draw_noise`), which every schedule
+    and volatility of a run reads, and the inventory path of the schedule
+    being simulated. The bound counts three, leaving one array of
     headroom.
     """
     if n_paths < 1:
@@ -513,14 +513,34 @@ def check_paths(n_paths, horizon):
     check_budget(3 * 8 * n_paths * (horizon + 1), f"{n_paths} paths of {horizon} blocks", "paths")
 
 
-def _noise_matrix(n_paths, horizon, seed):
-    # Path generators keyed by (seed, path index): reproducible regardless of
-    # evaluation order, and shared across strategies for common random numbers.
-    check_paths(n_paths, horizon)
-    eps = np.empty((n_paths, horizon))
+def draw_noise(n_paths, horizon, seed):
+    """The standard normal draws of a Monte Carlo run: one row of `horizon`
+    blocks per path, path p's from its own generator keyed by (seed, p), so
+    a row does not depend on the path count or on evaluation order. Every
+    schedule and volatility simulated on one matrix sees common random
+    numbers.
+
+    A negative seed is refused naming `seed`, and a path count that
+    `check_paths` refuses naming `paths`, before anything is drawn.
+    """
+    if seed < 0:
+        raise FieldError(f"--seed {seed}: the seed must be nonnegative", "seed")
+    try:
+        check_paths(n_paths, horizon)
+    except ValueError as exc:
+        raise FieldError(f"--paths: {exc}", "paths") from exc
+    noise = np.empty((n_paths, horizon))
     for p in range(n_paths):
-        eps[p] = np.random.default_rng([seed, p]).standard_normal(horizon)
-    return eps
+        noise[p] = np.random.default_rng([seed, p]).standard_normal(horizon)
+    return noise
+
+
+def _check_noise(cfg, pool, params, noise):
+    """Refuse `noise` unless it holds one row of `cfg.horizon` draws per
+    path, and unless `check_transition` passes on its extremes."""
+    if np.ndim(noise) != 2 or np.shape(noise)[1] != cfg.horizon:
+        raise ValueError(f"noise of shape {np.shape(noise)} does not hold {cfg.horizon} draws per path")
+    check_transition(cfg, pool, params, noise)
 
 
 def simulate_policy(
@@ -528,16 +548,15 @@ def simulate_policy(
     cfg: MdpConfig,
     pool: PoolParams,
     params: MispricingParams,
-    n_paths: int,
-    seed: int,
+    noise: np.ndarray,
     z0: float = 0.0,
 ) -> SimResult:
-    """Monte Carlo of the stored policy: nearest-grid action, inventory-capped."""
+    """Monte Carlo of the stored policy on `noise` (see `draw_noise`), one
+    path per row: nearest-grid action, inventory-capped."""
     if policy.action_index.shape != (cfg.horizon, cfg.n_inventory, cfg.n_mispricing):
         raise ValueError("policy shape does not match the configuration")
-    eps = _noise_matrix(n_paths, cfg.horizon, seed)
-    check_transition(cfg, pool, params, eps)
-    return _simulate(policy.sale, cfg.gas, cfg, pool, params, eps, z0)
+    _check_noise(cfg, pool, params, noise)
+    return _simulate(policy.sale, cfg.gas, cfg, pool, params, noise, z0)
 
 
 def _simulate(sale, trade_gas, cfg, pool, params, eps, z0):
@@ -572,8 +591,7 @@ def compare_vs_twamm(
     cfg: MdpConfig,
     pool: PoolParams,
     params: MispricingParams,
-    n_paths: int,
-    seed: int,
+    noise: np.ndarray,
     z0: float = 0.0,
 ):
     """Mean excess output of the optimal schedule over a TWAMM's uniform split.
@@ -581,15 +599,15 @@ def compare_vs_twamm(
     One simulator values both schedules: the policy pays gas on each block
     it trades, the TWAMM sells inventory / horizon every block and pays gas
     once, and every sale pays the pool's curve at the clamped price. Uses
-    common random numbers: both strategies, at every volatility, see the same
-    noise paths, drawn once. Returns (sigma, mean excess, standard error)
-    triples.
+    common random numbers: both strategies, at every volatility, run on the
+    one matrix `noise` (see `draw_noise`), one path per row. Returns (sigma,
+    mean excess, standard error) triples.
     """
-    # Every volatility is checked, on the drawn noise too, before the first solve.
+    # Every volatility is checked, on the noise too, before the first solve.
     grid = [MispricingParams(params.drift, float(sigma), params.dt) for sigma in sigma_grid]
-    eps = _noise_matrix(n_paths, cfg.horizon, seed)
     for params_s in grid:
-        check_transition(cfg, pool, params_s, eps)
+        _check_noise(cfg, pool, params_s, noise)
+    n_paths = len(noise)
 
     def uniform(t, inventory, z):
         return cfg.inventory / cfg.horizon
@@ -597,8 +615,8 @@ def compare_vs_twamm(
     results = []
     for params_s in grid:
         policy = value_iteration(cfg, pool, params_s)
-        outputs = _simulate(policy.sale, cfg.gas, cfg, pool, params_s, eps, z0).outputs
-        tw = _simulate(uniform, 0.0, cfg, pool, params_s, eps, z0).outputs - cfg.gas
+        outputs = _simulate(policy.sale, cfg.gas, cfg, pool, params_s, noise, z0).outputs
+        tw = _simulate(uniform, 0.0, cfg, pool, params_s, noise, z0).outputs - cfg.gas
         excess = outputs - tw
         stderr = float(np.std(excess, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
         results.append((params_s.volatility, float(np.mean(excess)), stderr))

@@ -87,6 +87,7 @@ class HookScenario:
             raise FieldError("curvature must lie in [0, 1]", "curvature")
         if self.risk_aversion < 0:
             raise FieldError("risk aversion must be nonnegative", "risk_aversion")
+        check_objective(self, (self.variance.form,), (self.curvature,), (self.variance.scale,), "variance")
 
 
 def cpmm_output(trade_size, reserve_in, reserve_out):
@@ -183,6 +184,39 @@ def check_sweep(forms, curvatures, scales):
         raise ValueError("variance scale must be nonnegative")
 
 
+def check_objective(scenario, forms, curvatures, scales, field):
+    """Raise a `FieldError` unless the mean-variance objective of `scenario`
+    stays finite at every hook trade in [0, total_trade], every curvature of
+    `curvatures` and every form of `forms` at every scale of `scales`.
+
+    Every term peaks in magnitude at an extreme corner: the pool's output
+    lies below its out reserve, and the sum in its denominator below both
+    reserves plus the trade; the hook's output is twice the trade less
+    ratio x trade^(1 + curvature), which peaks at the full trade and the
+    least or the greatest curvature; the variance peaks at the full trade
+    and the greatest scale. So the sum of the return's terms bounds every
+    return a search computes (else `total_trade`), the variance at that
+    corner every variance (else `field`), and that sum plus risk_aversion
+    times that variance every objective (else `risk_aversion`).
+    """
+    total = np.float64(scenario.total_trade)
+    r_in, r_out = scenario.cpmm_reserves
+    h_in, h_out = scenario.hook_reserves
+    exponent = scenario.variance.exponent if scenario.variance.exponent is not None else 1.5
+    with np.errstate(all="ignore"):
+        curvature_ends = np.array([min(curvatures, default=0.0), max(curvatures, default=0.0)])
+        bound = r_in + r_out + 2.0 * total + ((h_out / h_in) * total ** (1.0 + curvature_ends)).max()
+        variances = [_variance(total, form, max(scales, default=0.0), exponent) for form in forms]
+        variance = np.max(variances, initial=0.0)
+        objective = bound + scenario.risk_aversion * variance
+    if not np.isfinite(bound):
+        raise FieldError(f"total_trade {scenario.total_trade!r}: the combined return overflows", "total_trade")
+    if not np.isfinite(variance):
+        raise FieldError(f"{field}: the fill variance overflows at the full trade", field)
+    if not np.isfinite(objective):
+        raise FieldError(f"risk_aversion {scenario.risk_aversion!r}: the risk penalty overflows", "risk_aversion")
+
+
 def mean_variance_sweep(scenario: HookScenario, forms, curvatures, scales):
     """Risk-penalized optimal hook trades over a grid of variance forms,
     curvatures and variance scales.
@@ -201,6 +235,7 @@ def mean_variance_sweep(scenario: HookScenario, forms, curvatures, scales):
     (len(forms), len(curvatures), len(scales)).
     """
     check_sweep(forms, curvatures, scales)
+    check_objective(scenario, forms, curvatures, scales, "sweeps")
     curvatures = np.asarray(curvatures, dtype=float)
     scales = np.asarray(scales, dtype=float)
     exponent = scenario.variance.exponent if scenario.variance.exponent is not None else 1.5

@@ -18,8 +18,8 @@ key and a missing key alike. A value that is not a JSON object names its
 own path (`""` for the file itself). A `ValueError` that a record's
 constructor or check raises names the record's path joined to the error's
 own `field`: a nested record's range checks name the record (`pool`,
-`markets[0]`), the top level's constructor and the liquidation config's
-corner check the key at fault.
+`markets[0]`), the top level's constructor and the liquidation and hook
+configs' corner checks the key at fault.
 """
 
 from __future__ import annotations
@@ -262,9 +262,11 @@ def hook_config_from_dict(record):
     An absent `sweeps` key takes every variance form, 50 curvatures on
     [0, 1] and 25 log-spaced scales on [1e-3, 1e3]. A present one must hold
     a nonempty list under each key it has, and a sweep that `check_sweep`
-    refuses, too many points included, names `sweeps`.
+    refuses, too many points included, names `sweeps`. An objective that
+    `check_objective` finds overflowing names its key: the scenario's in
+    `HookScenario`, the sweep's here.
     """
-    from .noncomposable import FORMS, HookScenario, VarianceSpec, check_sweep
+    from .noncomposable import FORMS, HookScenario, VarianceSpec, check_objective, check_sweep
 
     sweeps_spec = {
         "forms": _Key(_FORM_NAMES, list(FORMS)),
@@ -290,7 +292,9 @@ def hook_config_from_dict(record):
     }
     values = _record(record, "", spec)
     sweep = values.pop("sweeps", tuple(entry.default for entry in sweeps_spec.values()))
-    return _wrap(lambda: HookScenario(**values), ""), sweep
+    scenario = _wrap(lambda: HookScenario(**values), "")
+    check_objective(scenario, *sweep, "sweeps")
+    return scenario, sweep
 
 
 def load_json(path, option="config"):

@@ -24,6 +24,7 @@ from hookroute.liquidation import (
     MispricingParams,
     PoolParams,
     compare_vs_twamm,
+    draw_noise,
     jump,
     simulate_policy,
     value_iteration,
@@ -177,7 +178,7 @@ def test_criterion_7_inventory_cost_lever():
             horizon=200, inventory=1000.0, gas=2.0, inventory_cost=cost, discount=0.01
         )
         policy = value_iteration(cfg, pool, params)
-        sim = simulate_policy(policy, cfg, pool, params, 200, seed=7)
+        sim = simulate_policy(policy, cfg, pool, params, draw_noise(200, cfg.horizon, 7))
         shares[cost] = float(sim.inventory[:, 10].mean()) / cfg.inventory
     assert shares[10.0] <= 0.5
     assert shares[0.0] >= 0.9
@@ -196,7 +197,7 @@ def test_criterion_8_twamm_comparison():
     )
     start = time.perf_counter()
     results = compare_vs_twamm(
-        [0.0, 1.0, 2.0, 4.0, 8.0], cfg, pool, params, 500, seed=11, z0=-0.003
+        [0.0, 1.0, 2.0, 4.0, 8.0], cfg, pool, params, draw_noise(500, cfg.horizon, 11), z0=-0.003
     )
     elapsed = time.perf_counter() - start
     sigma0, mean0, stderr0 = results[0]

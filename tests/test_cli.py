@@ -1,20 +1,26 @@
 import argparse
+import contextlib
 import errno
 import functools
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import operator
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hookroute
 from hookroute import liquidation, noncomposable, routing
@@ -366,6 +372,17 @@ class TestCommands:
         header, rows = read_rows(out / "twamm_comparison.csv")
         assert header == ["sigma", "mean_excess", "stderr"]
         assert len(rows) == 2
+
+    @pytest.mark.parametrize("command, options", [("liquidate-simulate", []), ("compare-twamm", ["--grid", "0:2:2"])])
+    def test_noise_drawn_once(self, tmp_path, monkeypatch, command, options):
+        # The draws are checked before the solve and simulated on: one matrix a run.
+        draws = []
+        original = liquidation.draw_noise
+        monkeypatch.setattr(liquidation, "draw_noise", lambda *args: draws.append(args) or original(*args))
+        cfg = write_json(tmp_path / "liq.json", LIQ_CONFIG)
+        argv = [command, "--config", cfg, *options, "--paths", "3", "--seed", "5", "--out", str(tmp_path / "run")]
+        assert main(argv) == 0
+        assert draws == [(3, LIQ_CONFIG["mdp"]["horizon"], 5)]
 
     def test_hook_commands(self, tmp_path):
         cfg = write_json(tmp_path / "hook.json", HOOK_CONFIG)
@@ -1104,6 +1121,12 @@ class TestConfigRefusals:
             ("hook-mean-variance", HOOK_CONFIG, ("hook_reserves", 0), 5e-324, "hook_reserves"),
             ("hook-frontier", HOOK_CONFIG, ("hook_reserves", 0), 5e-324, "hook_reserves"),
             ("hook-mean-variance", HOOK_CONFIG, ("hook_reserves", 1), 1e308, "hook_reserves"),
+            # Finite values whose objective is not: these runs once warned.
+            ("hook-mean-variance", HOOK_CONFIG, ("total_trade",), 1e308, "total_trade"),
+            ("hook-frontier", HOOK_CONFIG, ("total_trade",), 1e308, "total_trade"),
+            ("hook-mean-variance", HOOK_CONFIG, ("risk_aversion",), 1e308, "risk_aversion"),
+            ("hook-mean-variance", HOOK_CONFIG, ("sweeps", "scale_values", 0), 1e308, "sweeps"),
+            ("hook-mean-variance", HOOK_CONFIG, ("sweeps", "scale_values", 1), 1e308, "sweeps"),
             ("route", TABLE1, ("markets", 1, "assets"), [0, 7], "markets[1].assets"),
             ("route", TABLE1, ("markets", 1, "assets"), [0, 0], "markets[1].assets"),
             ("route", TABLE1, ("orders", 1, "output"), 3, "orders[1].output"),
@@ -1126,38 +1149,131 @@ def float_leaves(node, steps=()):
             yield from float_leaves(value, steps + (key,))
 
 
-class TestExtremeValues:
-    """Every float leaf of the liquidation config at 1e308, -1e308 or
-    5e-324 is solved with finite numbers only, or refused naming a key or an
-    option; the suite's warnings are errors, so an overflow fails too."""
+def check_run(code, printed, out, base, case):
+    """Check a `main` run on a config made from `base`, which returned `code`,
+    printed `printed` and wrote to `out`: an exit 2 prints one line naming
+    an option or a key of `base`, and an exit 0 writes finite numbers only,
+    but for the trade and variance of a frontier row flagged infeasible,
+    which are NaN."""
+    if code == 2:
+        [line] = printed.splitlines()
+        field = json.loads(line)["field"]
+        assert re.split(r"[.\[]", field)[0] in (*base, "paths", "grid"), (case, field)
+    if code != 0:
+        return
+    for table in out.glob("*.csv"):
+        header, rows = read_rows(table)
+        for row in rows:
+            cells = dict(zip(header, row))
+            if cells.get("feasible") == "false":
+                del cells["delta_star"], cells["variance_star"]
+            numbers = [cell for cell in cells.values() if cell not in (*noncomposable.FORMS, "true", "false")]
+            assert all(math.isfinite(float(cell)) for cell in numbers), (case, table.name, row)
 
-    RUNS = [
+
+class TestExtremeValues:
+    """Every float leaf of the liquidation and hook configs at 1e308, -1e308
+    or 5e-324 is solved with finite numbers only, or refused naming a key or
+    an option; the suite's warnings are errors, so an overflow fails too."""
+
+    LIQUIDATION_RUNS = [
         ["liquidate-solve", "--dump-times", "all"],
         ["liquidate-simulate", "--paths", "3"],
         ["compare-twamm", "--grid", "0:1:2", "--paths", "3"],
     ]
+    HOOK_RUNS = [["hook-mean-variance"], ["hook-frontier", "--grid", "0:40:5"]]
 
-    def test_liquidation_config_walk(self, tmp_path, capsys):
+    def walk(self, tmp_path, capsys, base, runs):
+        """Run each of `runs` on `base` with each float leaf at each
+        extreme in turn; return the number of runs."""
         config = tmp_path / "config.json"
         cases = 0
-        for steps in float_leaves(LIQ_CONFIG):
+        for steps in float_leaves(base):
             for value in (1e308, -1e308, 5e-324):
-                write_json(config, with_fault(LIQ_CONFIG, steps, value))
-                for command, *options in self.RUNS:
+                write_json(config, with_fault(base, steps, value))
+                for command, *options in runs:
                     case = (key_path(steps), value, command)
                     out = tmp_path / f"run{cases}"
                     cases += 1
                     code = main([command, "--config", str(config), *options, "--out", str(out)])
-                    if code == 2:
-                        [line] = capsys.readouterr().out.splitlines()
-                        field = json.loads(line)["field"]
-                        assert re.split(r"[.\[]", field)[0] in (*LIQ_CONFIG, "paths", "grid"), case
-                        continue
-                    assert code == 0, case
-                    for table in out.glob("*.csv"):
-                        _, rows = read_rows(table)
-                        assert all(math.isfinite(float(cell)) for row in rows for cell in row), case
-        assert cases == 12 * 3 * 3
+                    assert code in (0, 2), case
+                    check_run(code, capsys.readouterr().out, out, base, case)
+        return cases
+
+    def test_liquidation_config_walk(self, tmp_path, capsys):
+        assert self.walk(tmp_path, capsys, LIQ_CONFIG, self.LIQUIDATION_RUNS) == 12 * 3 * 3
+
+    def test_hook_config_walk(self, tmp_path, capsys):
+        # total_trade, risk_aversion and sweeps.scale_values at 1e308 once
+        # overflowed the objective.
+        assert self.walk(tmp_path, capsys, HOOK_CONFIG, self.HOOK_RUNS) == 13 * 3 * 2
+
+
+def json_leaves(node, steps=()):
+    """The steps to every leaf of the JSON `node`, and to every key of its
+    records, as (leaf steps, key steps)."""
+    leaves, keys = [], []
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(key, str):
+                keys.append(steps + (key,))
+            more_leaves, more_keys = json_leaves(value, steps + (key,))
+            leaves += more_leaves
+            keys += more_keys
+    else:
+        leaves.append(steps)
+    return leaves, keys
+
+
+FUZZ_VALUES = [0, -1, 1e308, -1e308, 5e-324, -0.0, 2**70, "x", None, True, [], {}]
+
+
+@st.composite
+def mutated(draw, base):
+    """`base` with 1-3 leaves set to a value of FUZZ_VALUES, or keys dropped."""
+    leaves, keys = json_leaves(base)
+    fault = st.one_of(
+        st.tuples(st.sampled_from(leaves), st.sampled_from(FUZZ_VALUES)),
+        st.tuples(st.sampled_from(keys), st.just(DROP)),
+    )
+    record = base
+    for steps, value in draw(st.lists(fault, min_size=1, max_size=3)):
+        try:
+            record = with_fault(record, steps, value)
+        except KeyError:  # under a key that an earlier fault dropped
+            pass
+    return record
+
+
+class TestConfigFuzz:
+    """A config with 1-3 leaves set to a hostile value, or keys dropped, is
+    solved with finite numbers only, refused naming an option or a key, or
+    ends in exit 3 or 4, and no warning is raised."""
+
+    # CI's small liquidation config, with every optional key present.
+    LIQUIDATION = dict(SMALL_LIQ_CONFIG, mdp=dict(SMALL_LIQ_CONFIG["mdp"], dynamics="multiplicative"), z0=-0.003)
+
+    def run(self, base, record, argv):
+        with tempfile.TemporaryDirectory() as directory, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = write_json(pathlib.Path(directory) / "config.json", record)
+            out = pathlib.Path(directory) / "run"
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = main([argv[0], "--config", config, *argv[1:], "--out", str(out)])
+            case = (record, argv)
+            assert code in (0, 2, 3, 4), case
+            check_run(code, printed.getvalue(), out, base, case)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(mutated(LIQUIDATION), st.sampled_from(TestExtremeValues.LIQUIDATION_RUNS))
+    def test_liquidation_config_reader(self, record, argv):
+        self.run(self.LIQUIDATION, record, argv)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(mutated(HOOK_CONFIG), st.sampled_from(TestExtremeValues.HOOK_RUNS))
+    def test_hook_config_reader(self, record, argv):
+        self.run(HOOK_CONFIG, record, argv)
 
 
 class TestNonFiniteInputs:

@@ -18,6 +18,7 @@ from hookroute.liquidation import (
     PoolParams,
     clamp_mispricing,
     compare_vs_twamm,
+    draw_noise,
     exchange_at_price,
     jump,
     reward,
@@ -579,7 +580,7 @@ class TestSimulation:
         pool = small_pool()
         params = MispricingParams(0, 1.0, 1)
         pol = value_iteration(cfg, pool, params)
-        sim = simulate_policy(pol, cfg, pool, params, 5, seed=1)
+        sim = simulate_policy(pol, cfg, pool, params, draw_noise(5, cfg.horizon, 1))
         assert np.all(sim.inventory == cfg.inventory)
         assert np.all(sim.outputs == 0.0)
 
@@ -588,8 +589,8 @@ class TestSimulation:
         pool = small_pool()
         params = MispricingParams(0.0, 0.0, 1.0)
         pol = value_iteration(cfg, pool, params)
-        a = simulate_policy(pol, cfg, pool, params, 4, seed=3, z0=-0.002)
-        b = simulate_policy(pol, cfg, pool, params, 4, seed=99, z0=-0.002)
+        a = simulate_policy(pol, cfg, pool, params, draw_noise(4, cfg.horizon, 3), z0=-0.002)
+        b = simulate_policy(pol, cfg, pool, params, draw_noise(4, cfg.horizon, 99), z0=-0.002)
         assert np.array_equal(a.inventory, b.inventory)
         assert np.array_equal(a.inventory[0], a.inventory[1])
 
@@ -598,7 +599,7 @@ class TestSimulation:
         pool = small_pool()
         params = MispricingParams(0.0, 4.0, 1.0)
         pol = value_iteration(cfg, pool, params)
-        sim = simulate_policy(pol, cfg, pool, params, 20, seed=7, z0=-0.003)
+        sim = simulate_policy(pol, cfg, pool, params, draw_noise(20, cfg.horizon, 7), z0=-0.003)
         assert np.all(np.diff(sim.inventory, axis=1) <= 1e-12)
         assert np.all(sim.inventory >= 0.0)
 
@@ -607,10 +608,38 @@ class TestSimulation:
         pool = small_pool()
         params = MispricingParams(0.0, 4.0, 1.0)
         pol = value_iteration(cfg, pool, params)
-        a = simulate_policy(pol, cfg, pool, params, 8, seed=11, z0=-0.001)
-        b = simulate_policy(pol, cfg, pool, params, 8, seed=11, z0=-0.001)
+        a = simulate_policy(pol, cfg, pool, params, draw_noise(8, cfg.horizon, 11), z0=-0.001)
+        b = simulate_policy(pol, cfg, pool, params, draw_noise(8, cfg.horizon, 11), z0=-0.001)
         assert np.array_equal(a.outputs, b.outputs)
         assert np.array_equal(a.inventory, b.inventory)
+
+
+class TestDrawNoise:
+    def test_rows_keyed_by_seed_and_path(self):
+        noise = draw_noise(3, 5, 7)
+        for p, row in enumerate(noise):
+            assert np.array_equal(row, np.random.default_rng([7, p]).standard_normal(5))
+        assert np.array_equal(draw_noise(2, 5, 7), noise[:2])
+
+    @pytest.mark.parametrize(
+        "n_paths, seed, field",
+        [(0, 0, "paths"), (MAX_SOLVE_BYTES, 0, "paths"), (3, -1, "seed"), (0, -1, "seed")],
+    )
+    def test_refused_before_drawing(self, n_paths, seed, field):
+        with pytest.raises(FieldError) as refusal:
+            draw_noise(n_paths, 5, seed)
+        assert refusal.value.field == field
+
+    @pytest.mark.parametrize("noise", [np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(2), np.zeros((2, 2, 1))])
+    def test_noise_of_another_width_refused(self, monkeypatch, noise):
+        cfg = small_cfg(horizon=2, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
+        params = MispricingParams(0.0, 1.0, 1.0)
+        policy = value_iteration(cfg, small_pool(), params)
+        with pytest.raises(ValueError, match="2 draws per path"):
+            simulate_policy(policy, cfg, small_pool(), params, noise)
+        monkeypatch.setattr(liquidation, "value_iteration", lambda *args: pytest.fail("a solve ran"))
+        with pytest.raises(ValueError, match="2 draws per path"):
+            compare_vs_twamm([0.0], cfg, small_pool(), params, noise)
 
 
 def policy_value(policy, cfg, pool, params, eps, z0):
@@ -649,7 +678,7 @@ class TestPolicyValue:
 
     @pytest.fixture(scope="class")
     def eps(self):
-        return liquidation._noise_matrix(self.PATHS, NOISY_CFG.horizon, 3)
+        return draw_noise(self.PATHS, NOISY_CFG.horizon, 3)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_value_within_monte_carlo_error(self, monkeypatch, eps, workers):
@@ -677,7 +706,7 @@ class TestPolicyValue:
     def test_sold_over_many_blocks(self):
         pool = small_pool()
         policy = value_iteration(NOISY_CFG, pool, NOISY_PARAMS)
-        inventory = simulate_policy(policy, NOISY_CFG, pool, NOISY_PARAMS, 200, seed=3).inventory
+        inventory = simulate_policy(policy, NOISY_CFG, pool, NOISY_PARAMS, draw_noise(200, NOISY_CFG.horizon, 3)).inventory
         # Neither sold whole in block 0 nor held whole to the horizon, and
         # the noise gives the paths different schedules.
         assert np.all(inventory[:, 1] > 0.0)
@@ -711,9 +740,8 @@ def twamm_values(cfg, pool, params, eps, z0):
     return liquidation._simulate(uniform, 0.0, cfg, pool, params, eps, z0).outputs - cfg.gas
 
 
-def twamm_mean(cfg, pool, params, n_paths, seed, z0=0.0):
-    """Mean TWAMM output over `n_paths` noise paths drawn from `seed`."""
-    eps = liquidation._noise_matrix(n_paths, cfg.horizon, seed)
+def twamm_mean(cfg, pool, params, eps, z0=0.0):
+    """Mean TWAMM output on the noise `eps`."""
     return float(np.mean(twamm_values(cfg, pool, params, eps, z0)))
 
 
@@ -723,19 +751,20 @@ class TestTwamm:
         pool = PoolParams(1e15, 5000 * 1e15, 0.003, 0.003)
         cfg = small_cfg(horizon=20)
         params = MispricingParams(0.0, 0.0, 1.0)
-        value = twamm_mean(cfg, pool, params, 10, seed=0)
+        value = twamm_mean(cfg, pool, params, draw_noise(10, cfg.horizon, 0))
         assert value == pytest.approx(5000.0 * cfg.inventory - cfg.gas, rel=1e-9)
 
     def test_gas_shifts_value_exactly(self):
         pool = small_pool()
         params = MispricingParams(0.0, 3.0, 1.0)
-        lo = twamm_mean(small_cfg(gas=2.0), pool, params, 30, seed=5, z0=-0.001)
-        hi = twamm_mean(small_cfg(gas=2.5), pool, params, 30, seed=5, z0=-0.001)
+        eps = draw_noise(30, small_cfg().horizon, 5)
+        lo = twamm_mean(small_cfg(gas=2.0), pool, params, eps, z0=-0.001)
+        hi = twamm_mean(small_cfg(gas=2.5), pool, params, eps, z0=-0.001)
         assert lo - hi == pytest.approx(0.5, abs=1e-9)
 
     def test_empty_order_still_pays_gas(self):
         cfg = small_cfg(inventory=0.0)
-        value = twamm_mean(cfg, small_pool(), MispricingParams(0, 1, 1), 10, seed=2)
+        value = twamm_mean(cfg, small_pool(), MispricingParams(0, 1, 1), draw_noise(10, cfg.horizon, 2))
         assert value == pytest.approx(-cfg.gas)
 
     @pytest.mark.parametrize("volatility", [0.0, 1.0, 8.0])
@@ -745,7 +774,7 @@ class TestTwamm:
         pool = PoolParams(1e5 * 1e6, 5000 * 1e5 * 1e6, 0.003, 0.003)
         cfg = MdpConfig(**PAPER_TWAMM, gas=2.0, inventory_cost=0.1, discount=0.01)
         params = MispricingParams(0.0, volatility, 1.0)
-        eps = liquidation._noise_matrix(50, cfg.horizon, 11)
+        eps = draw_noise(50, cfg.horizon, 11)
         curve = twamm_values(cfg, pool, params, eps, -0.003)
         linear = reference_linear_twamm(cfg, pool, params, eps, -0.003)
         assert np.all(curve < linear)
@@ -763,8 +792,12 @@ class TestTwamm:
             z_star = clamp_mispricing(z, pool.fee_bound_upper, pool.fee_bound_lower)
             total += exchange_at_price(slice_size, pool.external_price * math.exp(-z_star), pool.liquidity)
             z = step_mispricing(z, slice_size, 0.0, params, pool)
-        values = twamm_values(cfg, pool, params, liquidation._noise_matrix(20, cfg.horizon, 3), -0.003)
+        values = twamm_values(cfg, pool, params, draw_noise(20, cfg.horizon, 3), -0.003)
         np.testing.assert_allclose(values, total - cfg.gas, rtol=1e-12, atol=0.0)
+
+
+# Four paths of `small_cfg()`'s horizon, for comparisons refused before they simulate.
+SMALL_NOISE = draw_noise(4, small_cfg().horizon, 0)
 
 
 class TestCompareVsTwamm:
@@ -772,7 +805,7 @@ class TestCompareVsTwamm:
         pool = small_pool()
         cfg = small_cfg(horizon=20)
         params = MispricingParams(0.0, 0.0, 1.0)
-        [(sigma, mean, stderr)] = compare_vs_twamm([0.0], cfg, pool, params, 20, seed=4)
+        [(sigma, mean, stderr)] = compare_vs_twamm([0.0], cfg, pool, params, draw_noise(20, cfg.horizon, 4))
         assert sigma == 0.0
         assert mean <= 0.0 + 2 * stderr
 
@@ -780,30 +813,22 @@ class TestCompareVsTwamm:
         pool = small_pool()
         cfg = small_cfg(horizon=15)
         params = MispricingParams(0.0, 1.0, 1.0)
-        a = compare_vs_twamm([0.5, 2.0], cfg, pool, params, 12, seed=21, z0=-0.003)
-        b = compare_vs_twamm([0.5, 2.0], cfg, pool, params, 12, seed=21, z0=-0.003)
+        a = compare_vs_twamm([0.5, 2.0], cfg, pool, params, draw_noise(12, cfg.horizon, 21), z0=-0.003)
+        b = compare_vs_twamm([0.5, 2.0], cfg, pool, params, draw_noise(12, cfg.horizon, 21), z0=-0.003)
         assert a == b
 
-    def test_noise_drawn_once(self, monkeypatch):
-        # Every volatility's policy simulation and uniform split read one
-        # noise matrix: the one simulate_policy and twamm_mean draw alone.
-        draws = []
-        original = liquidation._noise_matrix
-
-        def counted(*args):
-            draws.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(liquidation, "_noise_matrix", counted)
+    def test_every_volatility_reads_the_one_noise_matrix(self):
+        # Every volatility's policy simulation and uniform split run on the
+        # noise passed in: the one simulate_policy and twamm_mean read alone.
         pool, cfg = small_pool(), small_cfg(horizon=15)
         params = MispricingParams(0.0, 1.0, 1.0)
-        results = compare_vs_twamm([0.0, 0.5, 2.0], cfg, pool, params, 12, seed=21, z0=-0.003)
-        assert draws == [(12, 15, 21)]
+        eps = draw_noise(12, cfg.horizon, 21)
+        results = compare_vs_twamm([0.0, 0.5, 2.0], cfg, pool, params, eps, z0=-0.003)
         for sigma, mean, _ in results:
             params = MispricingParams(0.0, sigma, 1.0)
             policy = value_iteration(cfg, pool, params)
-            sim = simulate_policy(policy, cfg, pool, params, 12, seed=21, z0=-0.003)
-            tw = twamm_mean(cfg, pool, params, 12, seed=21, z0=-0.003)
+            sim = simulate_policy(policy, cfg, pool, params, eps, z0=-0.003)
+            tw = twamm_mean(cfg, pool, params, eps, z0=-0.003)
             assert mean == pytest.approx(np.mean(sim.outputs) - tw, rel=0.0, abs=1e-9 * abs(tw))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -815,23 +840,21 @@ class TestCompareVsTwamm:
         cfg = MdpConfig(horizon=10, inventory=100.0, gas=2.0, inventory_cost=0.1, discount=0.01)
         params = MispricingParams(0.0, 0.0, 1.0)
         [(_, mean0, stderr0), (_, mean8, _)] = compare_vs_twamm(
-            [0.0, 8.0], cfg, small_pool(), params, 500, seed=seed, z0=-0.003
+            [0.0, 8.0], cfg, small_pool(), params, draw_noise(500, cfg.horizon, seed), z0=-0.003
         )
         assert mean0 <= 2 * stderr0
         assert mean8 > 0.0
 
     def test_negative_volatility_rejected(self):
         with pytest.raises(ValueError):
-            compare_vs_twamm(
-                [-1.0], small_cfg(), small_pool(), MispricingParams(0, 1, 1), 4, seed=0
-            )
+            compare_vs_twamm([-1.0], small_cfg(), small_pool(), MispricingParams(0, 1, 1), SMALL_NOISE)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_every_volatility_checked_before_the_first_solve(self, monkeypatch, bad):
         solves = []
         monkeypatch.setattr(liquidation, "value_iteration", lambda *args: solves.append(args))
         with pytest.raises(ValueError, match="volatility"):
-            compare_vs_twamm([1.0, bad], small_cfg(), small_pool(), MispricingParams(0, 1, 1), 4, seed=0)
+            compare_vs_twamm([1.0, bad], small_cfg(), small_pool(), MispricingParams(0, 1, 1), SMALL_NOISE)
         assert solves == []
 
 
@@ -839,7 +862,7 @@ class TestCompareVsTwamm:
         solves = []
         monkeypatch.setattr(liquidation, "value_iteration", lambda *args: solves.append(args))
         with pytest.raises(FieldError, match="next mispricing") as refusal:
-            compare_vs_twamm([0.0, 1e200], small_cfg(), small_pool(), MispricingParams(0, 1, 1), 4, seed=0)
+            compare_vs_twamm([0.0, 1e200], small_cfg(), small_pool(), MispricingParams(0, 1, 1), SMALL_NOISE)
         assert refusal.value.field == "mispricing"
         assert solves == []
 
@@ -850,7 +873,7 @@ class TestCompareVsTwamm:
         monkeypatch.setattr(liquidation, "value_iteration", lambda *args: solves.append(args))
         cfg = small_cfg(horizon=12, inventory=100.0, n_inventory=15, n_mispricing=15, n_actions=6, quad_order=4)
         with pytest.raises(FieldError, match="next mispricing") as refusal:
-            compare_vs_twamm([2.0], cfg, small_pool(), MispricingParams(705.0, 1.0, 1.0), 200, seed=0)
+            compare_vs_twamm([2.0], cfg, small_pool(), MispricingParams(705.0, 1.0, 1.0), draw_noise(200, cfg.horizon, 0))
         assert refusal.value.field == "mispricing"
         assert solves == []
 
@@ -890,7 +913,7 @@ class TestFeeBand:
         assert np.all(np.isfinite(policy.values))
         # Both grid ends clamp to the one point of the band.
         assert np.array_equal(policy.values[..., 0], policy.values[..., -1])
-        sim = simulate_policy(policy, cfg, pool, params, 4, seed=1)
+        sim = simulate_policy(policy, cfg, pool, params, draw_noise(4, cfg.horizon, 1))
         assert np.all(np.isfinite(sim.outputs))
 
     @pytest.mark.parametrize("volatility", [2.0, 4.0, 6.0])
@@ -900,9 +923,9 @@ class TestFeeBand:
         cfg = MdpConfig(horizon=10, inventory=100.0, gas=2.0, inventory_cost=0.1, discount=0.01)
         params = MispricingParams(0.0, volatility, 1.0)
         policy = value_iteration(cfg, pool, params)
-        sim = simulate_policy(policy, cfg, pool, params, 50, seed=11, z0=-0.003)
+        sim = simulate_policy(policy, cfg, pool, params, draw_noise(50, cfg.horizon, 11), z0=-0.003)
         assert np.all(sim.inventory[:, -1] == 0.0)
-        [(_, mean, _)] = compare_vs_twamm([volatility], cfg, pool, params, 50, seed=11, z0=-0.003)
+        [(_, mean, _)] = compare_vs_twamm([volatility], cfg, pool, params, draw_noise(50, cfg.horizon, 11), z0=-0.003)
         assert mean > 0.0
 
 
@@ -967,8 +990,8 @@ class TestRefusals:
             liquidation.check_transition(cfg, pool, params, np.array([[-3.3, 3.4]]))
         assert refusal.value.field == "mispricing"
         with pytest.raises(FieldError, match="next mispricing"):
-            simulate_policy(policy, cfg, pool, params, 200, seed=0, z0=0.0)
-        assert np.isfinite(simulate_policy(policy, cfg, pool, params, 2, seed=0, z0=0.0).outputs).all()
+            simulate_policy(policy, cfg, pool, params, draw_noise(200, cfg.horizon, 0), z0=0.0)
+        assert np.isfinite(simulate_policy(policy, cfg, pool, params, draw_noise(2, cfg.horizon, 0), z0=0.0).outputs).all()
 
     def test_next_mispricing_past_the_positions_float_range(self):
         # At drift 707.5 the next mispricing stays finite, but its grid
@@ -986,7 +1009,7 @@ class TestRefusals:
             value_iteration(small_cfg(**grid, **{key: value}), small_pool(), MispricingParams(0.0, 1.0, 1.0))
         assert refusal.value.field == "mdp"
         cfg = small_cfg(**grid, gas=1e100, inventory=1e100)
-        excess = compare_vs_twamm([0.0, 8.0], cfg, small_pool(), MispricingParams(0.0, 1.0, 1.0), 20, seed=3)
+        excess = compare_vs_twamm([0.0, 8.0], cfg, small_pool(), MispricingParams(0.0, 1.0, 1.0), draw_noise(20, cfg.horizon, 3))
         assert np.isfinite(excess).all()
 
     def test_policy_of_another_shape_refused(self):
@@ -995,4 +1018,4 @@ class TestRefusals:
         policy = value_iteration(cfg, small_pool(), params)
         other = small_cfg(horizon=3, n_inventory=5, n_mispricing=5, n_actions=3, quad_order=3)
         with pytest.raises(ValueError, match="policy shape"):
-            simulate_policy(policy, other, small_pool(), params, 2, seed=0)
+            simulate_policy(policy, other, small_pool(), params, draw_noise(2, other.horizon, 0))

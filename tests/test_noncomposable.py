@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hookroute.cfmm import FieldError
 from hookroute.noncomposable import (
     CONSTANT,
     LINEAR,
@@ -445,3 +446,27 @@ class TestRefusals:
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            (lambda: hook(total_trade=1e308), "total_trade"),
+            (lambda: hook(total_trade=1e155, curvature=1.0), "total_trade"),
+            (lambda: hook(risk_aversion=1e308), "risk_aversion"),
+            (lambda: hook(variance=VarianceSpec(QUADRATIC, 1e305)), "variance"),
+            # The scenario's own objective is finite; the sweep's is not.
+            (lambda: mean_variance_sweep(hook(total_trade=1e155), [LINEAR], [1.0], [1.0]), "total_trade"),
+            (lambda: mean_variance_sweep(hook(), [LINEAR], [0.5], [1e308]), "sweeps"),
+            (lambda: mean_variance_sweep(hook(risk_aversion=1e300), [QUADRATIC], [0.5], [1e10]), "risk_aversion"),
+        ],
+    )
+    def test_overflowing_objective_refused(self, call, field):
+        with pytest.raises(FieldError, match="overflows") as refusal:
+            call()
+        assert refusal.value.field == field
+
+    def test_objective_at_the_largest_finite_corner_solves(self):
+        # A trade of 1e154 at curvature 1 keeps the concession, 1e308, finite.
+        s = hook(total_trade=1e154, curvature=1.0, hook_reserves=(1.0, 1.0), variance=VarianceSpec(CONSTANT, 1.0))
+        assert np.isfinite(solve_mean_variance(s)).all()
+        assert np.isfinite(efficient_frontier(s, [0.0, 100.0])[0]).all()
