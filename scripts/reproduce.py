@@ -78,7 +78,7 @@ def steps(out):
         return os.path.join(out, run_dir, "config.json")
 
     runs = [
-        ("pigou", ["pigou", "--grid", "0:20:200", "--with-order"]),
+        ("pigou", ["pigou", "--grid", "0:20:200"]),
         ("table1", ["route", "--problem", "table1", "--s", "0:500:200"]),
     ]
     for cost in CARRY_COSTS:

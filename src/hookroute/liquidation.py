@@ -515,10 +515,10 @@ def check_paths(n_paths, horizon):
 
 def draw_noise(n_paths, horizon, seed):
     """The standard normal draws of a Monte Carlo run: one row of `horizon`
-    blocks per path, path p's from its own generator keyed by (seed, p), so
-    a row does not depend on the path count or on evaluation order. Every
-    schedule and volatility simulated on one matrix sees common random
-    numbers.
+    blocks per path, all from one generator seeded by `seed`. Row p is the
+    p-th row of that one stream, so the first k rows of an n-path draw equal
+    the k-path draw. Every schedule and volatility simulated on one matrix
+    sees common random numbers.
 
     A negative seed is refused naming `seed`, and a path count that
     `check_paths` refuses naming `paths`, before anything is drawn.
@@ -529,10 +529,7 @@ def draw_noise(n_paths, horizon, seed):
         check_paths(n_paths, horizon)
     except ValueError as exc:
         raise FieldError(f"--paths: {exc}", "paths") from exc
-    noise = np.empty((n_paths, horizon))
-    for p in range(n_paths):
-        noise[p] = np.random.default_rng([seed, p]).standard_normal(horizon)
-    return noise
+    return np.random.default_rng(seed).standard_normal((n_paths, horizon))
 
 
 def _check_noise(cfg, pool, params, noise):

@@ -50,7 +50,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
 
 # A solve is `optimal` when its dual bound exceeds its output by at most
-# TOL * max(1, |bound|).
+# TOL * max(1e-7 * scale, |bound|), scale being the output asset's largest
+# reserve or order volume: a relative gap, in whatever unit the output is
+# counted.
 TOL = 1e-7
 MAX_ITER = 200
 
@@ -740,7 +742,7 @@ def _interior_point(prog, budgets):
             prices = prog.prices(z[due, slack:nx], lanes.scale[due])
             bound = _dual_value(prog, prices, lanes.budget[due])
             gap = bound - psi[:, out]
-            passed = gap <= TOL * np.maximum(1.0, np.abs(bound))
+            passed = gap <= TOL * np.maximum(1e-7 * lanes.scale[due, out], np.abs(bound))
             for j, lane in enumerate(due):
                 results[ids[lane]] = (d[j], r[j], y[j], psi[j], prices[j], gap[j]), passed[j], int(steps[lane])
             leave[due] |= passed | (estimate[due] <= 1e-6)
@@ -824,7 +826,9 @@ def solve_routing(problem: RoutingProblem) -> RoutingSolution:
     MAX_ITER Newton steps (`_interior_point`). A solve is `optimal` only
     when the exact dual bound at the solve's prices (`dual_prices`, output
     asset at 1) exceeds the output of the returned, exactly feasible trades
-    by at most TOL * max(1, |bound|); `gap` is the bound minus that output.
+    by at most TOL * max(1e-7 * scale, |bound|), where scale is the output
+    asset's largest reserve or order volume, so the test does not depend on
+    the output's unit; `gap` is the bound minus that output.
     Otherwise the status is `max_iter`, and the trades are still feasible.
     A constant-sum pool's trades are its two orders' fills (f_ab, f_ba):
     tendered (f_ab, f_ba) / fee and received (f_ba, f_ab). Raises

@@ -38,14 +38,15 @@ from hookroute.cli import _build_parser, _fmt, csv_rows, main, parse_grid, polic
 from hookroute.liquidation import MdpConfig, Policy, check_paths, value_iteration
 from hookroute.noncomposable import SWEEP_POINT_BYTES
 from hookroute.routing import Liquidate, RoutingProblem
-from hookroute.scenarios import SCENARIOS
+from hookroute.scenarios import SCENARIOS, table1_problem
 from hookroute.serialize import (
     hook_config_from_dict,
     liquidation_config_from_dict,
     problem_from_dict,
     problem_to_dict,
 )
-from test_routing import scale_network
+from test_liquidation import overflowing_draw
+from test_routing import rescale_asset, scale_network, without_sum_pools
 
 # The module that owns each solver a command calls. The commands call every
 # solver through its owner, so a test replaces a solver there.
@@ -899,6 +900,18 @@ class TestErrorContracts:
         assert main(["pigou", "--grid", "0:2:3", "--out", str(tmp_path)]) == 3
         assert json.loads(capsys.readouterr().out)["error"] == "solver_nonconvergence"
 
+    def test_tiny_unit_output_is_exit_3(self, tmp_path, capsys):
+        # table1 without its sum pool, its output asset counted in units of
+        # 1e12: u / f is 1.44, 101.06 and 112.08 at these budgets, and a
+        # certificate floored at one unit once passed 0, 60 and 60.
+        problem = rescale_asset(without_sum_pools(table1_problem(0.0)), 2, 1e-12)
+        path = write_json(tmp_path / "tiny.json", problem_to_dict(problem))
+        out = tmp_path / "run"
+        assert main(["route", "--problem", path, "--s", "0:500:3", "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "solver_nonconvergence"
+        assert listed(out) == []
+
     @pytest.mark.parametrize(
         "command, record, field",
         [
@@ -1413,7 +1426,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "config, drift, volatility, paths, seed",
         [
-            ("tests", 705.0, 2.0, 200, 0),
+            ("tests", 705.0, 2.0, 200, 1),
             ("ci", 707.5, 1.0, 5000, 0),
             ("ci", 707.5, 1.0, 5000, 1),
             ("ci", 707.5, 1.0, 5000, 2),
@@ -1425,6 +1438,8 @@ class TestNonFiniteInputs:
         # it, ending in an IndexError in `Policy.sale`. The draws are checked
         # before the solve, so no solver runs.
         base = LIQ_CONFIG if config == "tests" else SMALL_LIQ_CONFIG
+        params = liquidation.MispricingParams(drift, volatility, base["mispricing"]["dt"])
+        assert liquidation.draw_noise(paths, base["mdp"]["horizon"], seed).max() > overflowing_draw(params)
         record = dict(base, mispricing=dict(base["mispricing"], drift=drift, volatility=volatility), z0=0.0)
         path = write_json(tmp_path / "liq.json", record)
         assert main(["liquidate-solve", "--config", path, "--out", str(tmp_path / "solved")]) == 0

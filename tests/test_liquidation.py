@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,15 @@ from hookroute.liquidation import (
 
 def small_pool():
     return PoolParams(1e5, 5000 * 1e5, 0.003, 0.003)
+
+
+def overflowing_draw(params):
+    """The draw past which one block's shock at trade size 0 exceeds ln of
+    the largest float, so the next mispricing overflows. A refusal test on
+    drawn noise asserts that its draws pass it, so that a change of the
+    noise layout cannot disarm the test."""
+    drift = (params.drift - params.volatility**2 / 2.0) * params.dt
+    return (math.log(sys.float_info.max) - drift) / (params.volatility * math.sqrt(params.dt))
 
 
 # The paper's grid: 101 x 101 states, 51 actions, 9 quadrature nodes.
@@ -615,11 +625,21 @@ class TestSimulation:
 
 
 class TestDrawNoise:
-    def test_rows_keyed_by_seed_and_path(self):
-        noise = draw_noise(3, 5, 7)
-        for p, row in enumerate(noise):
-            assert np.array_equal(row, np.random.default_rng([7, p]).standard_normal(5))
-        assert np.array_equal(draw_noise(2, 5, 7), noise[:2])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_rows_of_one_stream(self, seed):
+        noise = draw_noise(5000, 20, seed)
+        assert np.array_equal(noise, np.random.default_rng(seed).standard_normal((5000, 20)))
+        # Rows fill in order, so a row does not depend on the path count.
+        assert np.array_equal(draw_noise(500, 20, seed), noise[:500])
+        assert np.array_equal(draw_noise(1, 20, seed), noise[:1])
+
+    def test_drawn_in_bulk(self):
+        best = math.inf
+        for seed in range(5):
+            start = time.perf_counter()
+            draw_noise(5000, 20, seed)
+            best = min(best, time.perf_counter() - start)
+        assert best < 5e-3
 
     @pytest.mark.parametrize(
         "n_paths, seed, field",
@@ -868,12 +888,14 @@ class TestCompareVsTwamm:
 
     def test_every_volatility_checked_on_the_drawn_noise(self, monkeypatch):
         # The outer quadrature nodes accept drift 705 at volatility 2, but
-        # 200 paths of 12 blocks draw past them (see TestFeeBand).
+        # 200 paths of 12 blocks draw past them (see TestRefusals).
         solves = []
         monkeypatch.setattr(liquidation, "value_iteration", lambda *args: solves.append(args))
         cfg = small_cfg(horizon=12, inventory=100.0, n_inventory=15, n_mispricing=15, n_actions=6, quad_order=4)
+        noise = draw_noise(200, cfg.horizon, 1)
+        assert noise.max() > overflowing_draw(MispricingParams(705.0, 2.0, 1.0))
         with pytest.raises(FieldError, match="next mispricing") as refusal:
-            compare_vs_twamm([2.0], cfg, small_pool(), MispricingParams(705.0, 1.0, 1.0), draw_noise(200, cfg.horizon, 0))
+            compare_vs_twamm([2.0], cfg, small_pool(), MispricingParams(705.0, 1.0, 1.0), noise)
         assert refusal.value.field == "mispricing"
         assert solves == []
 
@@ -984,14 +1006,17 @@ class TestRefusals:
         # nodes), past ln of the largest float (709.78) beyond a draw of 3.39.
         cfg = small_cfg(horizon=12, inventory=100.0, n_inventory=15, n_mispricing=15, n_actions=6, quad_order=4)
         pool, params = small_pool(), MispricingParams(705.0, 2.0, 1.0)
+        assert 3.3 < overflowing_draw(params) < 3.4
         policy = value_iteration(cfg, pool, params)
         liquidation.check_transition(cfg, pool, params, np.array([[-3.3, 3.3]]))
         with pytest.raises(FieldError, match="next mispricing") as refusal:
             liquidation.check_transition(cfg, pool, params, np.array([[-3.3, 3.4]]))
         assert refusal.value.field == "mispricing"
+        many, few = draw_noise(200, cfg.horizon, 1), draw_noise(2, cfg.horizon, 1)
+        assert few.max() < overflowing_draw(params) < many.max()
         with pytest.raises(FieldError, match="next mispricing"):
-            simulate_policy(policy, cfg, pool, params, draw_noise(200, cfg.horizon, 0), z0=0.0)
-        assert np.isfinite(simulate_policy(policy, cfg, pool, params, draw_noise(2, cfg.horizon, 0), z0=0.0).outputs).all()
+            simulate_policy(policy, cfg, pool, params, many, z0=0.0)
+        assert np.isfinite(simulate_policy(policy, cfg, pool, params, few, z0=0.0).outputs).all()
 
     def test_next_mispricing_past_the_positions_float_range(self):
         # At drift 707.5 the next mispricing stays finite, but its grid

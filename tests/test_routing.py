@@ -1642,3 +1642,64 @@ class TestHonestBound:
             sol = solve_routing(problem)
             assert sol.status == "optimal"
             assert sol.utility_value + sol.gap >= oracle - 1e-12 * max(1.0, oracle)
+
+
+def rescale_asset(problem, asset, f):
+    """`problem` with `asset` counted in units of 1 / f: each of its
+    reserves, and each order's price and volume in it, times f; an order
+    paying for it quotes price / f. The budget is left as it is."""
+
+    def unit(a):
+        return f if a == asset else 1.0
+
+    markets = [
+        (dataclasses.replace(m, reserves=tuple(r * unit(a) for r, a in zip(m.reserves, assets))), assets)
+        for m, assets in problem.markets
+    ]
+    orders = [
+        dataclasses.replace(o, price=o.price * unit(o.output_asset) / unit(o.input_asset), volume=o.volume * unit(o.output_asset))
+        for o in problem.orders
+    ]
+    return dataclasses.replace(problem, markets=markets, orders=orders)
+
+
+def without_sum_pools(problem):
+    """A constant-sum pool prices its pair 1:1 in every unit, so a rescaled
+    problem is the same problem only without it."""
+    return dataclasses.replace(problem, markets=[(m, a) for m, a in problem.markets if m.kind != SUM])
+
+
+class TestUnitInvariance:
+    """A certificate is relative in any unit: counting an asset in other
+    units either keeps each value within the two lanes' certificates or
+    ends `max_iter`. It never reports `optimal` far from the answer."""
+
+    PROBLEMS = {
+        "table1": without_sum_pools(table1_problem(500.0)),
+        **{f"adversarial-{seed}": adversarial_instance(seed) for seed in (1, 9, 17)},
+    }
+
+    @pytest.mark.parametrize("which", ["output", "input"])
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_rescaled_asset_certified_or_max_iter(self, name, which):
+        problem = self.PROBLEMS[name]
+        assert not any(m.kind == SUM for m, _ in problem.markets)
+        budgets = (0.0, problem.utility.budget / 100, problem.utility.budget)
+        util = problem.utility
+        reference = solve_curve(problem, budgets)
+        assert [sol.status for sol in reference] == ["optimal"] * len(budgets)
+        scale = routing._Program(problem).scale[util.output_asset]
+        silent = []
+        for k in range(-12, 10):
+            f = 10.0**k
+            if which == "output":
+                curve = solve_curve(rescale_asset(problem, util.output_asset, f), budgets)
+                values = [sol.utility_value / f for sol in curve]
+            else:
+                curve = solve_curve(rescale_asset(problem, util.input_asset, f), [s * f for s in budgets])
+                values = [sol.utility_value for sol in curve]
+            for s, ref, sol, u in zip(budgets, reference, curve, values):
+                tol = 2e-7 * abs(ref.utility_value) + 2e-14 * scale
+                if sol.status == routing.STATUS_OPTIMAL and abs(u - ref.utility_value) > tol:
+                    silent.append((k, s, ref.utility_value, u))
+        assert not silent
