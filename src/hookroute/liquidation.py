@@ -278,21 +278,20 @@ def _grids(cfg, pool):
     lo, hi = -pool.fee_bound_lower, pool.fee_bound_upper
     if hi == lo:
         hi = lo + 1e-12
-    inv = np.linspace(0.0, cfg.inventory, cfg.n_inventory)
-    z = np.linspace(lo, hi, cfg.n_mispricing)
-    return inv, z
+    return np.linspace(0.0, cfg.inventory, cfg.n_inventory), np.linspace(lo, hi, cfg.n_mispricing)
 
 
 def _bracket(pos, n):
     """Lower grid neighbour and its weight for fractional grid positions.
 
-    Positions are clipped to [0, n - 1) so that the upper neighbour lo + 1 is
-    always on the grid. The clip bound is the float just below n - 1 where
-    n - 1 - 1e-12 would round back up to n - 1 (grids past 2**14 points).
-    `lo` is int32, the index type of the CSR matrices built from it.
+    Positions are clipped to [0, n - 1] and `lo` is capped at n - 2, so that
+    the upper neighbour lo + 1 is always on the grid. A position at or past
+    either end thus puts weight exactly 1 on the end point and exactly 0 on
+    its neighbour: the value at the grid's nearer end. `lo` is int32, the
+    index type of the CSR matrices built from it.
     """
-    pos = np.clip(pos, 0.0, min(n - 1 - 1e-12, np.nextafter(n - 1, 0)))
-    lo = pos.astype(np.int32)
+    pos = np.clip(pos, 0.0, n - 1)
+    lo = np.minimum(pos.astype(np.int32), n - 2)
     return lo, 1.0 - (pos - lo)
 
 
@@ -363,7 +362,8 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     Actions are fractions of the current inventory; the expectation over the
     noise uses Gauss-Hermite quadrature with the next mispricing clamped to
     the fee band, the grid's ends, and the next state is looked up by
-    bilinear interpolation.
+    bilinear interpolation. Both interpolations read a point at or past
+    either end of their grid at that end exactly (`_bracket`).
 
     Nothing but the values depends on the block, so a backup's two linear
     maps are built once. The first interpolates the next values in
@@ -378,12 +378,12 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     each state's actions are adjacent: 2305 sizes for the 5151 pairs of the
     paper's 101 x 101 grid with 51 actions and 9 nodes. A size's rows are
     written straight into CSR arrays with int32 indices; their duplicate
-    columns are summed and their exact-zero weights dropped. A node clamped
-    to the grid's lower end, or on a grid point, puts zero weight on its
-    upper neighbour, and with finite values a zero product changes no sum.
-    On the benchmark's config (that grid, volatility 8) the operator holds
-    2,070,702 entries: 2,328,252 before the zeros are dropped, 9.4M before
-    summing, at most 2 * quad_order per row.
+    columns are summed and their exact-zero weights dropped. A node on a
+    grid point, or clamped to either end of the grid, puts zero weight on
+    one of its two neighbours, and with finite values a zero product changes
+    no sum. On the benchmark's config (that grid, volatility 8) the operator
+    holds 1,813,152 entries: 2,328,252 before the zeros are dropped, 9.4M
+    before summing, at most 2 * quad_order per row.
 
     The work runs on one pool thread per CPU the process may use, each
     phase mapped over contiguous spans (numpy's and scipy's kernels release
@@ -456,8 +456,7 @@ def value_iteration(cfg: MdpConfig, pool: PoolParams, params: MispricingParams):
     blocks = _spans(n_i, workers)
 
     def gather(block):
-        i0, i1 = block
-        return shared[rows[i0:i1].ravel()]
+        return shared[rows[slice(*block)].ravel()]
 
     def shift(block, op):
         i0, i1 = block

@@ -865,29 +865,42 @@ def solve_curve(problem: RoutingProblem, s_grid) -> list[RoutingSolution]:
     return solutions
 
 
+def _relative(x, scale):
+    """x / scale, reading 0 / 0 as 0 and x / 0 as the infinity of x's sign."""
+    return np.divide(x, scale, out=np.where(x == 0, 0.0, np.copysign(np.inf, x)), where=scale > 0)
+
+
 def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> dict:
     """Feasibility diagnostics: reconstruction, trading-set, and budget slack,
-    the last at the budget the solution was solved at, not the problem's."""
-    psi = np.zeros(problem.n_assets)
+    the last at the budget the solution was solved at, not the problem's.
+
+    Two relative forms sit next to the absolute ones: the reconstruction of
+    each asset's net flow over the flow through it (tendered plus received,
+    summed over the markets and orders), at its worst asset, and the budget
+    slack over the budget. Over a zero flow or a zero budget (`_relative`),
+    no error or slack reads 0 and any other the infinity of its sign.
+    """
+    psi, flow = np.zeros((2, problem.n_assets))
     for assets, (d, r) in zip(problem.trade_assets, solution.market_trades):
         np.add.at(psi, list(assets), r - d)
+        np.add.at(flow, list(assets), r + d)
     worst_market = 0.0
     for (market, _), (d, r) in zip(problem.markets, solution.market_trades):
         before = trading_function(market, market.reserves)
-        after_reserves = np.asarray(market.reserves) + market.fee * d - r
-        after = trading_function(market, np.clip(after_reserves, 0.0, None))
+        after = trading_function(market, np.clip(np.asarray(market.reserves) + market.fee * d - r, 0.0, None))
         worst_market = max(worst_market, (before - after) / max(1.0, abs(before)))
     worst_order = 0.0
     for order, (d, r) in zip(problem.orders, solution.market_trades[len(problem.markets) :]):
         # Each order pays at most `price` per unit tendered, up to `volume`.
         worst_order = max(worst_order, r[1] - order.price * d[0], r[1] - order.volume, -d.min(), -r.min())
-    recon = float(np.max(np.abs(psi - solution.psi))) if problem.n_assets else 0.0
-    h_init = np.zeros(problem.n_assets)
-    h_init[problem.utility.input_asset] = solution.budget
+    error = np.abs(psi - solution.psi)
+    h_init = solution.budget * (np.arange(problem.n_assets) == problem.utility.input_asset)
     budget = float(np.min(solution.psi + h_init))
     return {
-        "reconstruction": recon,
+        "reconstruction": float(error.max(initial=0.0)),
+        "relative_reconstruction": float(_relative(error, flow).max(initial=0.0)),
         "market_residual": float(worst_market),
         "order_slack": float(worst_order),
         "budget_slack": budget,
+        "relative_budget_slack": float(_relative(budget, solution.budget)),
     }

@@ -3,6 +3,7 @@ import math
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,26 @@ class TestValueIteration:
         assert abs(v0[1] - v0[0]) < 0.02 * max(1.0, abs(v0[0]))
 
 
+class TestBracket:
+    @pytest.mark.parametrize("n", [2, 3, 101, 20001])
+    def test_top_end_weighs_the_end_point_alone(self, n):
+        lo, w = _bracket(np.array([n - 1.0, float(n), math.inf]), n)
+        assert lo.dtype == np.int32
+        assert lo.tolist() == [n - 2] * 3
+        assert w.tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("n", [2, 3, 101, 20001])
+    def test_bottom_end_weighs_the_end_point_alone(self, n):
+        lo, w = _bracket(np.array([0.0, -1.0, -math.inf]), n)
+        assert lo.tolist() == [0] * 3
+        assert w.tolist() == [1.0] * 3
+
+    def test_interior_positions(self):
+        lo, w = _bracket(np.array([0.25, 1.5, 2.0]), 4)
+        assert lo.tolist() == [0, 1, 2]
+        assert w.tolist() == [0.75, 0.5, 1.0]
+
+
 def reference_value_iteration(cfg, pool, params):
     """Per-block gather loop that `value_iteration` replaced, kept as the reference."""
     inv_grid, z_grid = _grids(cfg, pool)
@@ -221,8 +242,8 @@ def reference_value_iteration(cfg, pool, params):
     step_i = (inv_grid[1] - inv_grid[0]) or 1.0
     for k, frac in enumerate(fracs):
         nxt = inv_grid * (1.0 - frac)
-        pos = np.clip(nxt / step_i, 0.0, n_i - 1 - 1e-12)
-        inv_lo[k] = pos.astype(np.int64)
+        pos = np.clip(nxt / step_i, 0.0, n_i - 1)
+        inv_lo[k] = np.minimum(pos.astype(np.int64), n_i - 2)
         inv_w[k] = 1.0 - (pos - inv_lo[k])
 
     z_lo = np.empty((n_a, n_i, n_z, len(eps)), dtype=np.int32)
@@ -233,8 +254,8 @@ def reference_value_iteration(cfg, pool, params):
         z_next = step_mispricing(
             z_grid[None, :, None], delta[:, None, None], eps[None, None, :], params, pool, cfg.dynamics
         )
-        pos = np.clip((z_next - z_grid[0]) / dz, 0.0, n_z - 1 - 1e-12)
-        z_lo[k] = pos.astype(np.int32)
+        pos = np.clip((z_next - z_grid[0]) / dz, 0.0, n_z - 1)
+        z_lo[k] = np.minimum(pos.astype(np.int32), n_z - 2)
         z_w[k] = 1.0 - (pos - z_lo[k])
         rewards[k] = reward(inv_grid[:, None], z_grid[None, :], delta[:, None], cfg, pool)
 
@@ -341,6 +362,25 @@ def force_workers(monkeypatch, n):
     monkeypatch.setattr(liquidation, "_workers", lambda: n)
 
 
+def operator_blocks(monkeypatch, cfg, pool, params):
+    """The z-operator's row blocks, as the backups of a `value_iteration`
+    solve multiply them: one per worker for each backup run."""
+    from scipy import sparse
+
+    blocks = []
+    matmul = sparse.csr_matrix.__matmul__
+    width = cfg.n_actions * cfg.n_inventory * cfg.n_mispricing
+
+    def recorded(self, other):
+        if self.shape[1] == width:
+            blocks.append(self)
+        return matmul(self, other)
+
+    monkeypatch.setattr(sparse.csr_matrix, "__matmul__", recorded)
+    value_iteration(cfg, pool, params)
+    return blocks
+
+
 def skewed_pool():
     """A fee band of [-0.005, 0.02]: asymmetric, and wider above than below."""
     return PoolParams(1e5, 5000 * 1e5, 0.02, 0.005)
@@ -355,8 +395,8 @@ def _equivalence_cases():
         yield pytest.param(dict(grid, dynamics=dynamics), 0.5, skewed_pool(), id=f"{dynamics}-asymmetric-band")
     yield pytest.param(dict(grid, inventory=0.0), 0.5, pool, id="inventory=0")
     yield pytest.param(dict(grid, inventory=0.0, dynamics=ADDITIVE), 8.0, pool, id="additive-inventory=0")
-    # Past 2**14 points, n - 1 - 1e-12 rounds to n - 1; the nodes reach
-    # beyond the band, so positions clip there.
+    # A grid of 20001 points whose nodes reach beyond the band at both ends,
+    # so that positions clip there.
     yield pytest.param(
         dict(horizon=2, n_inventory=2, n_mispricing=20001, n_actions=3, quad_order=9, dynamics=ADDITIVE),
         0.5,
@@ -478,29 +518,36 @@ class TestBackupOperator:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_operator_blocks_store_no_zero_and_int32_indices(self, monkeypatch, workers):
-        from scipy import sparse
-
-        blocks = []
-        matmul = sparse.csr_matrix.__matmul__
-
-        def recorded(self, other):
-            if self.shape[1] == n_a * n_i * n_z:
-                blocks.append(self)
-            return matmul(self, other)
-
-        monkeypatch.setattr(sparse.csr_matrix, "__matmul__", recorded)
         force_workers(monkeypatch, workers)
-        # The benchmark's liquidation config, one block: clamped nodes leave
-        # exact-zero weights, which the operator drops.
+        # The benchmark's liquidation config, one block: nodes on a grid point
+        # or clamped at either end leave exact-zero weights, which the
+        # operator drops.
         cfg = small_cfg(horizon=1, **PAPER_GRID)
-        n_i, n_z, n_a = cfg.n_inventory, cfg.n_mispricing, cfg.n_actions
-        value_iteration(cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        blocks = operator_blocks(monkeypatch, cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
         assert len(blocks) == workers
         for block in blocks:
             assert block.indices.dtype == block.indptr.dtype == np.int32
             assert block.has_canonical_format
             assert np.all(block.data != 0)
-        assert sum(block.nnz for block in blocks) == 2_070_702
+        assert sum(block.nnz for block in blocks) == 1_813_152
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_next_mispricing_above_the_band_reads_its_top_end(self, monkeypatch, workers):
+        # Additive dynamics with drift 5: every node's next mispricing lies
+        # above the band, so every row holds one entry, the discounted sum of
+        # the node weights, on its block's top-end column.
+        cfg = small_cfg(horizon=1, n_inventory=5, n_mispricing=7, n_actions=3, quad_order=5, dynamics=ADDITIVE)
+        pool, params = small_pool(), MispricingParams(5.0, 1.0, 1.0)
+        eps = _gauss_hermite(cfg.quad_order)[0]
+        lowest = step_mispricing(-pool.fee_bound_lower, cfg.inventory, eps[0], params, pool, ADDITIVE)
+        assert lowest > pool.fee_bound_upper
+        force_workers(monkeypatch, workers)
+        blocks = operator_blocks(monkeypatch, cfg, pool, params)
+        assert len(blocks) == workers
+        for block in blocks:
+            assert np.array_equal(np.diff(block.indptr), np.ones(block.shape[0]))
+            assert np.all(block.indices % cfg.n_mispricing == cfg.n_mispricing - 1)
+            np.testing.assert_allclose(block.data, cfg.discount, rtol=1e-14)
 
     @pytest.mark.parametrize(
         "overrides, volatility, pool",
@@ -582,6 +629,49 @@ class TestBackupOperator:
             small_cfg(n_mispricing=MAX_SOLVE_BYTES)
         with pytest.raises(ValueError, match="budget"):
             small_cfg(horizon=MAX_SOLVE_BYTES // (10 * 31 * 31) + 1)
+
+
+@st.composite
+def small_solves(draw):
+    """A small solve: either dynamics, horizons 1-8, grids of 2-15 points,
+    2-8 actions and 2-5 nodes, volatility up to 1, and fee bounds that may
+    be zero, so bands that are zero-width or one-sided."""
+    bound = st.sampled_from([0.0, 0.001, 0.003, 0.02])
+    cfg = MdpConfig(
+        horizon=draw(st.integers(1, 8)),
+        inventory=draw(st.floats(0.0, 1e4)),
+        gas=draw(st.floats(0.0, 10.0)),
+        inventory_cost=draw(st.floats(0.0, 1.0)),
+        discount=draw(st.floats(0.01, 1.0)),
+        n_inventory=draw(st.integers(2, 15)),
+        n_mispricing=draw(st.integers(2, 15)),
+        n_actions=draw(st.integers(2, 8)),
+        quad_order=draw(st.integers(2, 5)),
+        dynamics=draw(st.sampled_from([MULTIPLICATIVE, ADDITIVE])),
+    )
+    pool = PoolParams(1e5, 5000 * 1e5, draw(bound), draw(bound))
+    return cfg, pool, MispricingParams(draw(st.floats(-1.0, 1.0)), draw(st.floats(0.0, 1.0)), 1.0)
+
+
+class TestValueIterationProperties:
+    @given(small_solves())
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    def test_finite_and_matches_reference_at_any_worker_count(self, solve):
+        cfg, pool, params = solve
+        policies = []
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("error")
+            ref_values, _ = reference_value_iteration(cfg, pool, params)
+            for workers in (1, 2):
+                force_workers(patch, workers)
+                policies.append(value_iteration(cfg, pool, params))
+        one, two = policies
+        assert np.isfinite(one.values).all()
+        scale = max(1.0, np.abs(ref_values).max())
+        assert np.all(np.abs(one.values - ref_values) <= 1e-12 * np.maximum(np.abs(ref_values), scale))
+        assert one.values.tobytes() == two.values.tobytes()
+        assert one.action_index.tobytes() == two.action_index.tobytes()
+        assert one.backups == two.backups
 
 
 class TestSimulation:

@@ -1525,6 +1525,46 @@ class TestHostileFamily:
                 for s, sol in zip(HOSTILE_BUDGETS, curve):
                     assert_feasible(at_budget(problem, s), sol)
 
+    def test_relative_reconstruction_over_eight_decades(self):
+        # Every sixth seed of the n = 10, 8-decade row: 60 lanes, whose
+        # absolute reconstruction reaches 2.9e-11 on reserves up to 1e5 and
+        # whose relative one 3.8e-16.
+        certified = 0
+        for seed in range(0, 60, 6):
+            problem = hostile_family_instance(seed, 10, 8, 0.0)
+            for s, sol in zip(HOSTILE_BUDGETS, solve_curve(problem, HOSTILE_BUDGETS)):
+                if sol.status == "optimal":
+                    certified += 1
+                    assert solution_residuals(problem, sol)["relative_reconstruction"] <= 1e-12, (seed, s)
+        assert certified == 60
+
+
+class TestRelativeResiduals:
+    def test_relative_to_flow_and_budget(self):
+        problem = pair_problem([Market(PRODUCT, (10.0, 10.0), 0.997)], 4.0)
+        sol = solve_routing(problem)
+        [(d, r)] = sol.market_trades
+        res = solution_residuals(problem, sol)
+        assert res["relative_budget_slack"] == res["budget_slack"] / 4.0
+        off = dataclasses.replace(sol, psi=sol.psi + [0.0, 1e-3])
+        assert solution_residuals(problem, off)["relative_reconstruction"] == pytest.approx(
+            1e-3 / (d[1] + r[1]), rel=1e-9
+        )
+
+    def test_zero_over_zero_reads_zero(self):
+        # At budget 0 nothing trades: no error over no flow, no slack over no budget.
+        problem = pair_problem([Market(PRODUCT, (10.0, 10.0), 0.997)], 0.0)
+        res = solution_residuals(problem, solve_routing(problem))
+        assert res["relative_reconstruction"] == res["relative_budget_slack"] == 0.0
+
+    def test_error_where_nothing_flows_is_infinite(self):
+        problem = pair_problem([Market(PRODUCT, (10.0, 10.0), 0.997)], 0.0)
+        sol = solve_routing(problem)
+        off = dataclasses.replace(sol, psi=sol.psi - [1e-300, 0.0])
+        res = solution_residuals(problem, off)
+        assert res["relative_reconstruction"] == math.inf
+        assert res["relative_budget_slack"] == -math.inf
+
 
 def scale_network(seed, n_assets, n_pools):
     """A connected network of product, constant-sum and geometric pools with orders.
