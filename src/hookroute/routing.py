@@ -874,11 +874,14 @@ def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> di
     """Feasibility diagnostics: reconstruction, trading-set, and budget slack,
     the last at the budget the solution was solved at, not the problem's.
 
-    Two relative forms sit next to the absolute ones: the reconstruction of
-    each asset's net flow over the flow through it (tendered plus received,
-    summed over the markets and orders), at its worst asset, and the budget
-    slack over the budget. Over a zero flow or a zero budget (`_relative`),
-    no error or slack reads 0 and any other the infinity of its sign.
+    `budget_slack` is the least of psi + h over every asset, h the budget
+    held of the input asset. Relative forms sit next to it: the
+    reconstruction of each asset's net flow over the flow through it
+    (tendered plus received, summed over the markets and orders), at its
+    worst asset; the input asset's own slack, psi + budget, over the budget;
+    and each other asset's holding psi over the flow through it, at its
+    worst asset. Over a zero flow or a zero budget (`_relative`), no error
+    or slack reads 0 and any other the infinity of its sign.
     """
     psi, flow = np.zeros((2, problem.n_assets))
     for assets, (d, r) in zip(problem.trade_assets, solution.market_trades):
@@ -894,13 +897,14 @@ def solution_residuals(problem: RoutingProblem, solution: RoutingSolution) -> di
         # Each order pays at most `price` per unit tendered, up to `volume`.
         worst_order = max(worst_order, r[1] - order.price * d[0], r[1] - order.volume, -d.min(), -r.min())
     error = np.abs(psi - solution.psi)
-    h_init = solution.budget * (np.arange(problem.n_assets) == problem.utility.input_asset)
-    budget = float(np.min(solution.psi + h_init))
+    is_input = np.arange(problem.n_assets) == problem.utility.input_asset
+    held = solution.psi + solution.budget * is_input
     return {
         "reconstruction": float(error.max(initial=0.0)),
         "relative_reconstruction": float(_relative(error, flow).max(initial=0.0)),
         "market_residual": float(worst_market),
         "order_slack": float(worst_order),
-        "budget_slack": budget,
-        "relative_budget_slack": float(_relative(budget, solution.budget)),
+        "budget_slack": float(held.min()),
+        "relative_budget_slack": float(_relative(held[is_input], solution.budget)[0]),
+        "relative_holding": float(_relative(held[~is_input], flow[~is_input]).min()),
     }

@@ -453,7 +453,10 @@ class TestCommands:
         values[1, 0, 1] = -0.0
         actions = np.zeros(values.shape, dtype=np.int16)
         actions[3, 1, 2] = 1
-        policy = Policy(values, actions, np.array([0.0, 0.5]), inventory, mispricing, backups=4)
+        fractions = np.array([0.0, 0.5])
+        policy = Policy(
+            values, actions, fractions, inventory, mispricing, backups=4, operator_entries=0, eliminated_pairs=0
+        )
         body = "".join(policy_dump(policy, times))
         assert body == "".join(reference_rows(policy, times))
         assert body.count("-0.0,") == times.count(1)

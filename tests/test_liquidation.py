@@ -363,8 +363,8 @@ def force_workers(monkeypatch, n):
 
 
 def operator_blocks(monkeypatch, cfg, pool, params):
-    """The z-operator's row blocks, as the backups of a `value_iteration`
-    solve multiply them: one per worker for each backup run."""
+    """A `value_iteration` solve and the z-operator's row blocks, as its
+    backups multiply them: one per worker for each backup run."""
     from scipy import sparse
 
     blocks = []
@@ -377,8 +377,14 @@ def operator_blocks(monkeypatch, cfg, pool, params):
         return matmul(self, other)
 
     monkeypatch.setattr(sparse.csr_matrix, "__matmul__", recorded)
-    value_iteration(cfg, pool, params)
-    return blocks
+    return value_iteration(cfg, pool, params), blocks
+
+
+def kept_pairs(blocks):
+    """The (inventory, mispricing, action) pairs that a solve kept, from one
+    backup's row blocks: a dropped pair's row is empty, and a kept pair's
+    holds its nodes' weights, which sum to the discount."""
+    return np.concatenate([np.diff(block.indptr) > 0 for block in blocks])
 
 
 def skewed_pool():
@@ -393,6 +399,9 @@ def _equivalence_cases():
         for volatility in (0.0, 0.5, 8.0):
             yield pytest.param(dict(grid, dynamics=dynamics), volatility, pool, id=f"{dynamics}-{volatility}")
         yield pytest.param(dict(grid, dynamics=dynamics), 0.5, skewed_pool(), id=f"{dynamics}-asymmetric-band")
+    # At discount 0.99 the value bounds prove no pair suboptimal, so
+    # nothing is dropped (`TestActionElimination`).
+    yield pytest.param(dict(grid, dynamics=ADDITIVE, discount=0.99), 0.002, pool, id="additive-discount-0.99")
     yield pytest.param(dict(grid, inventory=0.0), 0.5, pool, id="inventory=0")
     yield pytest.param(dict(grid, inventory=0.0, dynamics=ADDITIVE), 8.0, pool, id="additive-inventory=0")
     # A grid of 20001 points whose nodes reach beyond the band at both ends,
@@ -480,15 +489,28 @@ class TestBackupOperator:
         points = []
 
         def counted(z, trade_size, noise, *args):
-            points.append(np.broadcast(z, trade_size, noise).size)
+            points.append(np.broadcast_arrays(z, trade_size, noise))
             return step_mispricing(z, trade_size, noise, *args)
 
         monkeypatch.setattr(liquidation, "step_mispricing", counted)
-        value_iteration(small_cfg(horizon=1, **PAPER_GRID), small_pool(), MispricingParams(0.0, 8.0, 1.0))
-        # The 51 x 101 (action, inventory) pairs trade 2305 distinct sizes; a
-        # size's rows take 101 mispricings x 9 nodes. `check_transition` adds
-        # its corners: 2 mispricings x 2 sizes x 2 nodes.
-        assert sum(points) == 2305 * 101 * 9 + 2 * 2 * 2
+        cfg = small_cfg(horizon=1, **PAPER_GRID)
+        force_workers(monkeypatch, 1)
+        pol, [block] = operator_blocks(monkeypatch, cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        # `check_transition` steps its corners first: 2 mispricings x 2
+        # sizes x 2 nodes.
+        corners, *built = points
+        assert corners[0].size == 2 * 2 * 2
+        z, size, _ = (np.concatenate([a.ravel() for a in arrays]) for arrays in zip(*built))
+        # Every (size, mispricing) row that a kept pair reads is built once,
+        # with all 9 nodes, and no other row is: 43,712 of the 2305 x 101
+        # rows that the 51 x 101 (action, inventory) pairs trade.
+        inv_grid, z_grid = _grids(cfg, small_pool())
+        fracs = np.linspace(0.0, 1.0, cfg.n_actions)
+        i, k, a = np.nonzero(kept_pairs([block]).reshape(cfg.n_inventory, cfg.n_mispricing, cfg.n_actions))
+        read = set(zip(z_grid[k].tolist(), (inv_grid[i] * fracs[a]).tolist()))
+        assert len(read) == 43_712
+        assert len(z) == len(read) * cfg.quad_order
+        assert set(zip(z.tolist(), size.tolist())) == read
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_backup_is_one_product_per_row_block(self, monkeypatch, workers):
@@ -523,13 +545,13 @@ class TestBackupOperator:
         # or clamped at either end leave exact-zero weights, which the
         # operator drops.
         cfg = small_cfg(horizon=1, **PAPER_GRID)
-        blocks = operator_blocks(monkeypatch, cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
+        pol, blocks = operator_blocks(monkeypatch, cfg, small_pool(), MispricingParams(0.0, 8.0, 1.0))
         assert len(blocks) == workers
         for block in blocks:
             assert block.indices.dtype == block.indptr.dtype == np.int32
             assert block.has_canonical_format
             assert np.all(block.data != 0)
-        assert sum(block.nnz for block in blocks) == 1_813_152
+        assert pol.operator_entries == sum(block.nnz for block in blocks) == 301_092
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_next_mispricing_above_the_band_reads_its_top_end(self, monkeypatch, workers):
@@ -542,10 +564,12 @@ class TestBackupOperator:
         lowest = step_mispricing(-pool.fee_bound_lower, cfg.inventory, eps[0], params, pool, ADDITIVE)
         assert lowest > pool.fee_bound_upper
         force_workers(monkeypatch, workers)
-        blocks = operator_blocks(monkeypatch, cfg, pool, params)
+        pol, blocks = operator_blocks(monkeypatch, cfg, pool, params)
         assert len(blocks) == workers
+        # Every kept pair's row holds one entry; a dropped pair's is empty.
+        assert kept_pairs(blocks).sum() == kept_pairs(blocks).size - pol.eliminated_pairs > 0
         for block in blocks:
-            assert np.array_equal(np.diff(block.indptr), np.ones(block.shape[0]))
+            assert set(np.diff(block.indptr).tolist()) <= {0, 1}
             assert np.all(block.indices % cfg.n_mispricing == cfg.n_mispricing - 1)
             np.testing.assert_allclose(block.data, cfg.discount, rtol=1e-14)
 
@@ -571,6 +595,11 @@ class TestBackupOperator:
                 PoolParams(1e5, 5000 * 1e5, 2.0, 2.0),
                 id="distinct-sizes",
             ),
+            # Near discount 1 no pair is dropped: the whole operator is built.
+            *(
+                pytest.param(dict(PAPER_TWAMM, dynamics=d, discount=0.99), 8.0, small_pool(), id=f"{d}-discount-0.99")
+                for d in (MULTIPLICATIVE, ADDITIVE)
+            ),
         ],
     )
     @pytest.mark.parametrize("workers", [1, 4])
@@ -591,12 +620,23 @@ class TestBackupOperator:
     def test_build_temporaries_within_their_charge(self, monkeypatch, workers):
         # The build's peak, less the rows it keeps (charged to the operator),
         # stays under the 128 * quad_order bytes per state that
-        # `MdpConfig.solve_bytes` charges for the temporaries of the sizes in
-        # flight. On the benchmark's config (2305 sizes) it reads 2-5 MB of
-        # 11.8 MB; building every size in one piece reads 85 MB.
+        # `MdpConfig.solve_bytes` charges for the temporaries of the rows in
+        # flight. On the benchmark's config (43,712 rows built) it reads 3-5
+        # MB of 11.8 MB; building every size in one piece reads 85 MB.
+        self.assert_build_temporaries_within_their_charge(monkeypatch, workers, small_cfg(horizon=1, **PAPER_GRID))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_build_temporaries_within_their_charge_where_nothing_is_dropped(self, monkeypatch, workers):
+        # At discount 1 every one of the 2305 x 101 rows is built: 7 MB.
+        self.assert_build_temporaries_within_their_charge(
+            monkeypatch, workers, small_cfg(horizon=1, discount=1.0, **PAPER_GRID)
+        )
+
+    @staticmethod
+    def assert_build_temporaries_within_their_charge(monkeypatch, workers, cfg):
         import concurrent.futures
 
-        cfg, params = small_cfg(horizon=1, **PAPER_GRID), MispricingParams(0.0, 8.0, 1.0)
+        params = MispricingParams(0.0, 8.0, 1.0)
         excess = []
 
         class TracedBuild(concurrent.futures.ThreadPoolExecutor):
@@ -631,18 +671,119 @@ class TestBackupOperator:
             small_cfg(horizon=MAX_SOLVE_BYTES // (10 * 31 * 31) + 1)
 
 
+def unbounded_values(rewards, cfg):
+    """Value bounds that prove no pair suboptimal, in place of `_value_bounds`."""
+    return -math.inf, math.inf
+
+
+def solve_with_bounds(monkeypatch, cfg, pool, params):
+    """A `value_iteration` solve and the value bounds it used."""
+    bounds = []
+    value_bounds = liquidation._value_bounds
+
+    def recorded(rewards, cfg):
+        bounds.append(value_bounds(rewards, cfg))
+        return bounds[-1]
+
+    monkeypatch.setattr(liquidation, "_value_bounds", recorded)
+    pol = value_iteration(cfg, pool, params)
+    [(low, high)] = bounds
+    return pol, low, high
+
+
+def assert_same_bits(pol, other):
+    assert pol.values.tobytes() == other.values.tobytes()
+    assert pol.action_index.tobytes() == other.action_index.tobytes()
+    assert pol.backups == other.backups
+
+
+class TestActionElimination:
+    @pytest.mark.parametrize(
+        "overrides, volatility",
+        [
+            pytest.param(dict(PAPER_GRID, horizon=3), 8.0, id="bench-liquidation"),
+            pytest.param(dict(PAPER_GRID, horizon=3, inventory=100.0), 0.0, id="bench-twamm"),
+        ],
+    )
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_dropping_nothing_changes_no_bit(self, monkeypatch, workers, overrides, volatility):
+        cfg, params = small_cfg(**overrides), MispricingParams(0.0, volatility, 1.0)
+        force_workers(monkeypatch, workers)
+        pol = value_iteration(cfg, small_pool(), params)
+        monkeypatch.setattr(liquidation, "_value_bounds", unbounded_values)
+        everything = value_iteration(cfg, small_pool(), params)
+        assert everything.eliminated_pairs == 0 < pol.eliminated_pairs
+        assert everything.operator_entries > pol.operator_entries
+        assert_same_bits(pol, everything)
+
+    @pytest.mark.parametrize(
+        "overrides, volatility, kept, entries",
+        [
+            # The benchmark's configs at their horizons of 20 and 10 blocks.
+            pytest.param(dict(PAPER_GRID, horizon=20), 8.0, 88_847, 302_987, id="bench-liquidation"),
+            pytest.param(dict(PAPER_GRID, horizon=10, inventory=100.0), 0.0, 86_055, 172_006, id="bench-twamm"),
+            pytest.param(dict(PAPER_GRID, horizon=10, inventory=100.0), 8.0, 86_055, 291_571, id="bench-twamm-8"),
+        ],
+    )
+    def test_kept_pairs_on_the_benchmark_configs(self, overrides, volatility, kept, entries):
+        # Of the 101 x 101 x 51 = 520,251 (state, action) pairs, about 17%
+        # are kept; the rest would hold 1,813,152 entries between them at
+        # volatility 8.
+        pol = value_iteration(small_cfg(**overrides), small_pool(), MispricingParams(0.0, volatility, 1.0))
+        assert 101 * 101 * 51 - pol.eliminated_pairs == kept
+        assert pol.operator_entries == entries
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(horizon=6, n_inventory=11, n_mispricing=13, n_actions=7, quad_order=5), id="small"),
+            pytest.param(dict(PAPER_GRID, horizon=3), id="paper-grid"),
+        ],
+    )
+    def test_nothing_dropped_near_discount_one(self, overrides):
+        # The tests' `NOISY_CFG` regime: additive dynamics at discount 0.99,
+        # where the bounds span about 100 blocks of rewards.
+        cfg = small_cfg(**overrides, discount=0.99, dynamics=ADDITIVE)
+        pol = value_iteration(cfg, small_pool(), MispricingParams(0.0, 0.002, 1.0))
+        assert pol.eliminated_pairs == 0
+
+    def test_bounds_from_best_and_largest_rewards(self):
+        rewards = np.array([[-3.0, 2.0], [-1.0, -5.0]])
+        assert liquidation._value_bounds(rewards, small_cfg(horizon=7, discount=1.0)) == (-7.0, 14.0)
+        low, high = liquidation._value_bounds(rewards, small_cfg(horizon=3, discount=0.5))
+        assert (low, high) == pytest.approx((-1.75, 3.5), rel=1e-15)
+        # A best reward of at least 0 in every state, and rewards of at most
+        # 0, bound the values by 0 on that side.
+        assert liquidation._value_bounds(rewards + 6.0, small_cfg(horizon=2, discount=1.0)) == (0.0, 16.0)
+        assert liquidation._value_bounds(rewards - 3.0, small_cfg(horizon=2, discount=1.0)) == (-8.0, 0.0)
+
+    def test_bounds_hold_near_discount_one(self):
+        # S = sum of discount**k over k < horizon loses no digits to
+        # cancellation where 1 - discount**horizon is tiny: here
+        # (1 - discount**10) / (1 - discount) is 4.2e-9 short, more than the
+        # elimination's slack of 1e-9.
+        from fractions import Fraction
+
+        beta = 1 - 2.0**-30
+        low, high = liquidation._value_bounds(np.array([[1.0]]), small_cfg(horizon=10, discount=beta))
+        assert low == 0.0
+        assert high == pytest.approx(float(sum(Fraction(beta) ** k for k in range(10))), rel=1e-15)
+
+
 @st.composite
 def small_solves(draw):
     """A small solve: either dynamics, horizons 1-8, grids of 2-15 points,
     2-8 actions and 2-5 nodes, volatility up to 1, and fee bounds that may
-    be zero, so bands that are zero-width or one-sided."""
+    be zero, so bands that are zero-width or one-sided. The discount is
+    0.01 or 0.1, as in the paper's configs, or any in [0.01, 1], so that
+    many examples drop pairs and some drop none."""
     bound = st.sampled_from([0.0, 0.001, 0.003, 0.02])
     cfg = MdpConfig(
         horizon=draw(st.integers(1, 8)),
         inventory=draw(st.floats(0.0, 1e4)),
         gas=draw(st.floats(0.0, 10.0)),
         inventory_cost=draw(st.floats(0.0, 1.0)),
-        discount=draw(st.floats(0.01, 1.0)),
+        discount=draw(st.one_of(st.sampled_from([0.01, 0.1]), st.floats(0.01, 1.0))),
         n_inventory=draw(st.integers(2, 15)),
         n_mispricing=draw(st.integers(2, 15)),
         n_actions=draw(st.integers(2, 8)),
@@ -669,9 +810,22 @@ class TestValueIterationProperties:
         assert np.isfinite(one.values).all()
         scale = max(1.0, np.abs(ref_values).max())
         assert np.all(np.abs(one.values - ref_values) <= 1e-12 * np.maximum(np.abs(ref_values), scale))
-        assert one.values.tobytes() == two.values.tobytes()
-        assert one.action_index.tobytes() == two.action_index.tobytes()
-        assert one.backups == two.backups
+        assert_same_bits(one, two)
+
+    @given(small_solves())
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    def test_elimination_changes_no_bit_and_values_keep_their_bounds(self, solve):
+        cfg, pool, params = solve
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("error")
+            pol, low, high = solve_with_bounds(patch, cfg, pool, params)
+            patch.setattr(liquidation, "_value_bounds", unbounded_values)
+            everything = value_iteration(cfg, pool, params)
+        assert everything.eliminated_pairs == 0
+        assert_same_bits(pol, everything)
+        # Up to the rounding of a backup's sums.
+        tol = 1e-12 * (abs(low) + abs(high))
+        assert low - tol <= pol.values.min() and pol.values.max() <= high + tol
 
 
 class TestSimulation:

@@ -1545,17 +1545,34 @@ class TestRelativeResiduals:
         sol = solve_routing(problem)
         [(d, r)] = sol.market_trades
         res = solution_residuals(problem, sol)
-        assert res["relative_budget_slack"] == res["budget_slack"] / 4.0
+        assert res["relative_budget_slack"] == (sol.psi[0] + 4.0) / 4.0
+        assert res["relative_holding"] == sol.psi[1] / (d[1] + r[1])
         off = dataclasses.replace(sol, psi=sol.psi + [0.0, 1e-3])
         assert solution_residuals(problem, off)["relative_reconstruction"] == pytest.approx(
             1e-3 / (d[1] + r[1]), rel=1e-9
         )
 
+    def test_budget_slack_of_the_input_asset_alone(self):
+        # Hostile seed 0 of the n = 10, 8-decade row at budget 1: the least
+        # holding is asset 6's, not the input asset 3's, whose slack the
+        # relative form divides by the budget.
+        problem = hostile_family_instance(0, 10, 8, 0.0)
+        [sol] = solve_curve(problem, [1.0])
+        res = solution_residuals(problem, sol)
+        assert problem.utility.input_asset == 3 and np.argmin(sol.psi) == 6
+        assert res["budget_slack"] == sol.psi[6] < sol.psi[3] + 1.0
+        assert res["relative_budget_slack"] == sol.psi[3] + 1.0
+        psi, flow = np.zeros((2, problem.n_assets))
+        for assets, (d, r) in zip(problem.trade_assets, sol.market_trades):
+            np.add.at(flow, list(assets), r + d)
+        others = np.arange(problem.n_assets) != 3
+        assert res["relative_holding"] == np.min(sol.psi[others] / flow[others])
+
     def test_zero_over_zero_reads_zero(self):
         # At budget 0 nothing trades: no error over no flow, no slack over no budget.
         problem = pair_problem([Market(PRODUCT, (10.0, 10.0), 0.997)], 0.0)
         res = solution_residuals(problem, solve_routing(problem))
-        assert res["relative_reconstruction"] == res["relative_budget_slack"] == 0.0
+        assert res["relative_reconstruction"] == res["relative_budget_slack"] == res["relative_holding"] == 0.0
 
     def test_error_where_nothing_flows_is_infinite(self):
         problem = pair_problem([Market(PRODUCT, (10.0, 10.0), 0.997)], 0.0)
@@ -1564,6 +1581,9 @@ class TestRelativeResiduals:
         res = solution_residuals(problem, off)
         assert res["relative_reconstruction"] == math.inf
         assert res["relative_budget_slack"] == -math.inf
+        assert res["relative_holding"] == 0.0
+        off = dataclasses.replace(sol, psi=sol.psi - [0.0, 1e-300])
+        assert solution_residuals(problem, off)["relative_holding"] == -math.inf
 
 
 def scale_network(seed, n_assets, n_pools):
